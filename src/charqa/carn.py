@@ -1,15 +1,17 @@
 """Character-aware reasoning network.
 
-Per QA candidate, the question+answer token sequence is encoded by a shared
-two-layer self-attention encoder. The five encoded candidates are stacked
-row-wise and fused by co-attention decoders: the visual decoder attends over
-the relation triples, then, in a second pass through the same stack, over
-the objects; a second decoder then attends over the subtitle stream. Each
-context is encoded on its own by the shared encoder. The five pooled
-candidate vectors pass through one self-attention block and a shared scalar
-head, softmaxed into answer probabilities. Name tokens live in their own
-embedding table, trained from scratch, separate from words; words missing
-from the vocabulary embed as the mean of their character vectors.
+The five question+answer token sequences of an item are padded to one
+length and encoded by a shared two-layer self-attention encoder as one
+batch, with a key mask that keeps pad rows out of attention. The encoded
+candidates' valid rows are stacked and fused by co-attention decoders: the
+visual decoder attends over the relation triples, then, in a second pass
+through the same stack, over the objects; a second decoder then attends over
+the subtitle stream. Each context is encoded on its own by the shared
+encoder. The five pooled candidate vectors pass through one self-attention
+block and a shared scalar head, softmaxed into answer probabilities. Name
+tokens live in their own embedding table, trained from scratch, separate
+from words; words missing from the vocabulary embed as the mean of their
+character vectors.
 
 The QA loss is cross-entropy on the gold option; the naming head trains
 jointly through the regularized-KL term, weighted by lambda.
@@ -27,7 +29,7 @@ import numpy as np
 from . import nn
 from .castlist import CastList, map_speaker
 from .corpus import Clip, QAItem, DEFAULT_HUMAN_WORDS
-from .errors import (ClampWarning, ConfigError, EmptyContextWarning,
+from .errors import (ClampWarning, ConfigError, EmptyContextWarning, EmptyInputError,
                      SchemaVersionError, VocabError)
 from .naming import (NameDistributionSeq, NamingParams, assign_names, broadcast_targets,
                      naming_backward, naming_forward, rkl_loss_with_grad)
@@ -429,16 +431,19 @@ class Model:
                      face_names: dict[int, str]):
         """Probabilities over the 5 candidates, plus the full backward cache.
 
-        Each candidate's question+answer sequence goes through the shared
-        encoder on its own. The encoded candidates are then stacked row-wise
-        and co-attend as one matrix: with `dec_v` over the relation run, with
-        `dec_v` again over the object run, then with `dec_s` over the
-        subtitles. Each context is encoded on its own, and a pass whose
-        context is empty is skipped. The decoders are cross-attention only:
-        no query row attends to another, and layer norm and FFN act row by
-        row, so the stacked pass equals five per-candidate passes up to
-        summation order. Each candidate's rows are mean-pooled; the pooled
-        vectors go through the answer block and the scalar head.
+        The five question+answer sequences are padded to the longest one and
+        go through the shared encoder as one (5, L, d) batch; the key mask
+        keeps pad rows out of every attention, so each candidate is encoded
+        as if it were alone. The valid rows are then stacked and co-attend as
+        one matrix: with `dec_v` over the relation run, with `dec_v` again
+        over the object run, then with `dec_s` over the subtitles. Each
+        context is encoded on its own, and a pass whose context is empty is
+        skipped; `empty_context` counts the enabled modalities (visual,
+        subtitles) whose streams are empty. The decoders are cross-attention
+        only: no query row attends to another, and layer norm and FFN act
+        row by row, so the stacked pass equals five per-candidate passes up
+        to summation order. Each candidate's rows are mean-pooled; the
+        pooled vectors go through the answer block and the scalar head.
         """
         c = self.config
         p = self.params
@@ -451,50 +456,56 @@ class Model:
         sub_toks, sub_flags = (subtitle_stream(view.subtitles, self.cast)
                                if modality.use_sub else ([], []))
         h_s, sub_cache = self._encode_stream(sub_toks, sub_flags)
-        empty_context = int(not contexts) + int(h_s is None)
+        empty_context = (int(bool(modality.visual_passes()) and not contexts)
+                         + int(modality.use_sub and h_s is None))
         if h_s is not None:
             contexts.append(("dec_s", h_s, sub_cache))
 
-        enc_caches = []
-        rows = []
-        for ans in qa.answers:
-            toks, flags = qa_stream(qa.question, ans, self.cast)
-            x, _, plan = prepare_sequence(p, self.vocab, toks, flags)
-            h_q, enc_cache = nn.stack_forward(p, "enc", c.enc_layers, x)
-            rows.append(h_q)
-            enc_caches.append((plan, enc_cache))
-        lengths = np.array([h_q.shape[0] for h_q in rows])
-        v = np.concatenate(rows)
+        streams = [qa_stream(qa.question, ans, self.cast) for ans in qa.answers]
+        width = max(len(toks) for toks, _ in streams)
+        xs, masks, plans = zip(*(prepare_sequence(p, self.vocab, toks, flags,
+                                                  n_pad=width - len(toks))
+                                 for toks, flags in streams))
+        mask = np.stack(masks)
+        lengths = mask.sum(axis=1)
+        if not lengths.all():
+            raise EmptyInputError("enc: empty input sequence")
+        h_q, enc_cache = nn.stack_forward(p, "enc", c.enc_layers, np.stack(xs),
+                                          key_mask=mask)
+        v = h_q[mask]
         passes = []
         for prefix, h, stream_cache in contexts:
             v, dec_cache = nn.stack_forward(p, prefix, c.dec_layers, v, h)
             passes.append((prefix, dec_cache, stream_cache))
 
-        m = np.stack([seg.mean(axis=0) for seg in np.split(v, np.cumsum(lengths)[:-1])])
+        m = np.add.reduceat(v, np.cumsum(lengths) - lengths) / lengths[:, None]
         a, ans_cache = nn.stack_forward(p, "ans", c.ans_layers, m)
         logits = a @ p["ans.head.w"] + p["ans.head.b"]
         p_a = nn.softmax(logits, axis=-1)
-        cache = (enc_caches, lengths, passes, ans_cache, a, empty_context)
+        cache = (plans, mask, enc_cache, passes, ans_cache, a, empty_context)
         return p_a, cache
 
     def backward_item(self, cache, dlogits: np.ndarray, grads: dict) -> None:
         """Accumulate parameter gradients for one item, given dL/dlogits."""
         p = self.params
-        enc_caches, lengths, passes, ans_cache, a, _ = cache
+        plans, mask, enc_cache, passes, ans_cache, a, _ = cache
 
         grads["ans.head.w"] = grads.get("ans.head.w", 0) + a.T @ dlogits
         grads["ans.head.b"] = grads.get("ans.head.b", 0) + dlogits.sum()
         da = dlogits[:, None] * p["ans.head.w"][None, :]
         dm, _ = nn.stack_backward(p, "ans", ans_cache, da, grads)
 
+        lengths = mask.sum(axis=1)
         dv = np.repeat(dm / lengths[:, None], lengths, axis=0)
-        for prefix, dec_cache, (plan, enc_cache) in reversed(passes):
+        for prefix, dec_cache, (plan, ctx_cache) in reversed(passes):
             dv, dctx = nn.stack_backward(p, prefix, dec_cache, dv, grads)
-            dx, _ = nn.stack_backward(p, "enc", enc_cache, dctx, grads)
+            dx, _ = nn.stack_backward(p, "enc", ctx_cache, dctx, grads)
             embed_backward(grads, p, plan, dx)
-        for (plan, enc_cache), dh_q in zip(enc_caches, np.split(dv, np.cumsum(lengths)[:-1])):
-            dx, _ = nn.stack_backward(p, "enc", enc_cache, dh_q, grads)
-            embed_backward(grads, p, plan, dx)
+        dh_q = np.zeros(mask.shape + (dv.shape[-1],))
+        dh_q[mask] = dv
+        dx, _ = nn.stack_backward(p, "enc", enc_cache, dh_q, grads)
+        for plan, dx_i in zip(plans, dx):  # zip stops before each pad row
+            embed_backward(grads, p, plan, dx_i)
 
     # -- joint loss ------------------------------------------------------
 

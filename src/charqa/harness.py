@@ -19,12 +19,14 @@ import numpy as np
 
 from . import nn
 from .carn import (FULL_VARIANT, VARIANT_LABELS, ModalityConfig, Model, ModelConfig,
-                   build_vocab)
+                   Vocab, build_vocab)
 from .castlist import CastList, build_cast_list, count_speakers, scaled_min_count
-from .corpus import Clip, clip_view
-from .errors import EmptyInputError, NonFiniteLossError
-from .naming import (NameDistributionSeq, NamingParams, broadcast_targets, face_accuracy,
-                     naming_backward, naming_forward, rkl_loss_with_grad, smoothed_onehot)
+from .corpus import (BBox, Clip, FaceDetection, Frame, QAItem, RelationTriple,
+                     SubtitleLine, clip_view)
+from .errors import ConfigError, EmptyInputError, NonFiniteLossError
+from .naming import (NameDistributionSeq, NamingParams, TargetSeq, broadcast_targets,
+                     face_accuracy, naming_backward, naming_forward, rkl_loss_with_grad,
+                     smoothed_onehot)
 
 METRICS_COLUMNS = ("variant", "use_ts", "qa_acc", "qa_acc_visual",
                    "qa_acc_textual", "face_acc", "seed")
@@ -46,15 +48,15 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ConfigError("batch_size must be >= 1")
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+            raise ConfigError("learning_rate must be > 0")
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+            raise ConfigError("epochs must be >= 0")
         if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+            raise ConfigError("lam must be >= 0")
         if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in [0, 1)")
+            raise ConfigError("epsilon must lie in [0, 1)")
 
     def to_dict(self) -> dict:
         d = dict(self.__dict__)
@@ -331,7 +333,6 @@ def _random_distribution_instance(rng, n_faces, n_classes, epsilon):
         g = smoothed_onehot(cls, n_classes, epsilon)
         for i in np.flatnonzero(frame_of == fr):
             entries.append((int(i), fr, g))
-    from .naming import TargetSeq
     return embeddings, TargetSeq(tuple(entries), epsilon)
 
 
@@ -403,11 +404,6 @@ def check_coattention(rng, tolerance: float = 1e-4):
 
 def _mini_setup(rng):
     """Hand-built one-frame clip with tiny sequences for full-model checks."""
-    from .castlist import CastList
-    from .corpus import (BBox, Clip, FaceDetection, Frame, QAItem, RelationTriple,
-                         SubtitleLine)
-    from .carn import Vocab
-
     d_f = 6
     emb = rng.standard_normal(d_f)
     emb /= np.linalg.norm(emb)
@@ -418,8 +414,10 @@ def _mini_setup(rng):
     line = SubtitleLine("Ada", ["so", "story"], 0.0, 0.9)
     # "holdz" stays out of the word table: the char-mean OOV path must carry
     # gradient too, or the full-model check would skip embed.char entirely.
+    # The two-token answer makes the candidates unequal in length, so the
+    # encoder batch carries pad rows under its key mask.
     qa = QAItem(["who", "holdz", "cup"],
-                [["Ada"], ["Ben"], ["cup"], ["so"], ["story"]], 0, (0.0, 0.9))
+                [["Ada"], ["Ben"], ["cup", "so"], ["so"], ["story"]], 0, (0.0, 0.9))
     clip = Clip("mini", [frame], [line], [qa], {0: "Ada"})
     cast = CastList(("Ada", "Ben"), (10, 5))
     vocab = Vocab(("cup", "holds", "man", "so", "story", "who"),

@@ -8,9 +8,15 @@ into a same-keyed dict while returning input gradients. Gradients are exact,
 which the finite-difference suite checks, so keep any new op differentiable
 or route it around the tape the way the hard min in the naming loss is.
 
+Every op takes leading batch axes: a (n, d) sequence and a (B, n, d) batch
+of equal-length (padded) sequences run through the same code, and weight
+gradients sum over all leading axes. A key mask of shape (..., n_k) marks
+the valid keys of each sequence.
+
 Attention follows the convention of reusing the projected keys as values:
 Attention(Q, K) = softmax(QK^T/sqrt(d_h)) K, with per-head projections for
-queries and keys only (no value or output projection).
+queries and keys only (no value or output projection). All heads run as one
+(..., H, n, d_h) batched matmul; head h fills output columns h*d_h:(h+1)*d_h.
 """
 
 from __future__ import annotations
@@ -70,60 +76,61 @@ def attention(q: np.ndarray, k: np.ndarray, key_mask: np.ndarray | None = None) 
 
 
 def attention_forward(q, k, key_mask=None):
-    if q.ndim != 2 or k.ndim != 2:
-        raise ShapeError(f"attention expects 2-d arrays, got {q.shape} and {k.shape}")
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError(f"feature dims differ: {q.shape[1]} vs {k.shape[1]}")
-    if k.shape[0] == 0:
+    if q.ndim < 2 or k.ndim < 2:
+        raise ShapeError(f"attention expects arrays of rank >= 2, got {q.shape} and {k.shape}")
+    if q.shape[-1] != k.shape[-1]:
+        raise ShapeError(f"feature dims differ: {q.shape[-1]} vs {k.shape[-1]}")
+    if k.shape[-2] == 0:
         raise EmptyInputError("attention needs at least one key")
-    scale = 1.0 / math.sqrt(q.shape[1])
-    s = (q @ k.T) * scale
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    s = (q @ k.swapaxes(-1, -2)) * scale
     if key_mask is not None:
-        s = np.where(key_mask[None, :], s, MASK_FILL)
+        s = np.where(key_mask[..., None, :], s, MASK_FILL)
     p = softmax(s, axis=-1)
     return p @ k, (q, k, p, scale)
 
 
 def attention_backward(cache, dy):
     q, k, p, scale = cache
-    dp = dy @ k.T
-    dk = p.T @ dy
+    dp = dy @ k.swapaxes(-1, -2)
+    dk = p.swapaxes(-1, -2) @ dy
     ds = softmax_backward(p, dp, axis=-1)  # masked cols have p=0 -> ds=0
     dq = (ds @ k) * scale
-    dk += (ds.T @ q) * scale
+    dk += (ds.swapaxes(-1, -2) @ q) * scale
     return dq, dk
 
 
 def mha_forward(params, prefix, xq, xk, key_mask=None):
-    """Multi-head: per-head q/k projections, concat of per-head outputs."""
+    """Multi-head: per-head q/k projections, concat of per-head outputs.
+
+    All heads run as one (..., H, n, d_h) matmul; head h fills columns
+    h*d_h:(h+1)*d_h of the output.
+    """
     wq = params[prefix + ".wq"]  # (H, d_model, d_h)
     wk = params[prefix + ".wk"]
-    heads = []
-    caches = []
-    for h in range(wq.shape[0]):
-        qh = xq @ wq[h]
-        kh = xk @ wk[h]
-        yh, c = attention_forward(qh, kh, key_mask)
-        heads.append(yh)
-        caches.append(c)
-    return np.concatenate(heads, axis=1), (xq, xk, caches, wq.shape)
+    q = xq[..., None, :, :] @ wq
+    k = xk[..., None, :, :] @ wk
+    if key_mask is not None:
+        key_mask = key_mask[..., None, :]  # one mask row for every head
+    y, c = attention_forward(q, k, key_mask)
+    y = y.swapaxes(-3, -2)
+    return y.reshape(y.shape[:-2] + (-1,)), (xq, xk, c)
 
 
 def mha_backward(params, prefix, cache, dy, grads):
-    xq, xk, caches, (n_heads, _, d_h) = cache
+    xq, xk, c = cache
     wq = params[prefix + ".wq"]
     wk = params[prefix + ".wk"]
+    n_heads, d_model, d_h = wq.shape
+    dy = dy.reshape(dy.shape[:-1] + (n_heads, d_h)).swapaxes(-3, -2)
+    dq, dk = attention_backward(c, dy)
+    # One matmul per weight sums every head's gradient over all leading axes.
     gq = grads.setdefault(prefix + ".wq", np.zeros_like(wq))
     gk = grads.setdefault(prefix + ".wk", np.zeros_like(wk))
-    dxq = np.zeros_like(xq)
-    dxk = np.zeros_like(xk)
-    for h in range(n_heads):
-        dyh = dy[:, h * d_h:(h + 1) * d_h]
-        dqh, dkh = attention_backward(caches[h], dyh)
-        gq[h] += xq.T @ dqh
-        gk[h] += xk.T @ dkh
-        dxq += dqh @ wq[h].T
-        dxk += dkh @ wk[h].T
+    gq += xq.reshape(-1, d_model).T @ np.moveaxis(dq, -3, 0).reshape(n_heads, -1, d_h)
+    gk += xk.reshape(-1, d_model).T @ np.moveaxis(dk, -3, 0).reshape(n_heads, -1, d_h)
+    dxq = (dq @ wq.swapaxes(-1, -2)).sum(axis=-3)
+    dxk = (dk @ wk.swapaxes(-1, -2)).sum(axis=-3)
     return dxq, dxk
 
 
@@ -142,12 +149,15 @@ def ffn_forward(params, prefix, x):
 def ffn_backward(params, prefix, cache, dy, grads):
     x, pre, h = cache
     w1, w2 = params[prefix + ".w1"], params[prefix + ".w2"]
-    grads[prefix + ".w2"] = grads.get(prefix + ".w2", 0) + h.T @ dy
-    grads[prefix + ".b2"] = grads.get(prefix + ".b2", 0) + dy.sum(axis=0)
     dh = dy @ w2.T
     dpre = dh * (pre > 0)
-    grads[prefix + ".w1"] = grads.get(prefix + ".w1", 0) + x.T @ dpre
-    grads[prefix + ".b1"] = grads.get(prefix + ".b1", 0) + dpre.sum(axis=0)
+    # Weight gradients sum over every leading axis: flatten to rows first.
+    x2, h2 = x.reshape(-1, x.shape[-1]), h.reshape(-1, h.shape[-1])
+    dy2, dpre2 = dy.reshape(-1, dy.shape[-1]), dpre.reshape(-1, dpre.shape[-1])
+    grads[prefix + ".w2"] = grads.get(prefix + ".w2", 0) + h2.T @ dy2
+    grads[prefix + ".b2"] = grads.get(prefix + ".b2", 0) + dy2.sum(axis=0)
+    grads[prefix + ".w1"] = grads.get(prefix + ".w1", 0) + x2.T @ dpre2
+    grads[prefix + ".b1"] = grads.get(prefix + ".b1", 0) + dpre2.sum(axis=0)
     return dpre @ w1.T
 
 
@@ -188,7 +198,7 @@ def block_backward(params, prefix, cache, dy, grads):
 
 def stack_forward(params, prefix, n_layers, x, context=None, key_mask=None):
     """n_layers blocks sharing one context, then a final layer norm."""
-    if x.shape[0] == 0:
+    if x.shape[-2] == 0:
         raise EmptyInputError(f"{prefix}: empty input sequence")
     caches = []
     for i in range(n_layers):

@@ -221,6 +221,48 @@ class TestStackedCandidates:
         for k in grads:
             assert np.max(np.abs(grads[k] - alone_grads[k])) <= 1e-12, k
 
+    def test_padded_self_attention_batch_matches_each_alone(self):
+        # The five candidates go through the encoder as one padded batch;
+        # the key mask must make that equal to five separate passes.
+        params = stack_params("enc")
+        rng = np.random.default_rng(14)
+        lengths = (3, 5, 2, 4, 1)
+        width = max(lengths)
+        seqs = [rng.standard_normal((n, 8)) for n in lengths]
+        probes = [rng.standard_normal((n, 8)) for n in lengths]
+        mask = np.arange(width)[None, :] < np.array(lengths)[:, None]
+        x = np.zeros((5, width, 8))
+        x[mask] = np.concatenate(seqs)
+        probe = np.zeros_like(x)
+        probe[mask] = np.concatenate(probes)
+        y, cache = nn.stack_forward(params, "enc", 2, x, key_mask=mask)
+        grads = {}
+        dx, _ = nn.stack_backward(params, "enc", cache, probe, grads)
+        alone_grads = {}
+        for i, (seq, pr) in enumerate(zip(seqs, probes)):
+            y1, c1 = nn.stack_forward(params, "enc", 2, seq)
+            dx1, _ = nn.stack_backward(params, "enc", c1, pr, alone_grads)
+            n = len(seq)
+            assert np.max(np.abs(y[i, :n] - y1)) <= 1e-12
+            assert np.max(np.abs(dx[i, :n] - dx1)) <= 1e-12
+            assert np.all(dx[i, n:] == 0.0)
+        assert set(grads) == set(alone_grads)
+        for k in grads:
+            assert np.max(np.abs(grads[k] - alone_grads[k])) <= 1e-12, k
+
+    def test_head_h_fills_its_own_columns(self):
+        # Checkpoints store wq/wk per head; a reordered concatenation would
+        # pass every FD check yet change what a saved model computes.
+        params = stack_params("enc", heads=4)
+        rng = np.random.default_rng(15)
+        xq, xk = rng.standard_normal((3, 8)), rng.standard_normal((6, 8))
+        wq, wk = params["enc.l0.attn.wq"], params["enc.l0.attn.wk"]
+        y, _ = nn.mha_forward(params, "enc.l0.attn", xq, xk)
+        d_h = wq.shape[2]
+        for h in range(wq.shape[0]):
+            expected = nn.attention(xq @ wq[h], xk @ wk[h])
+            assert np.max(np.abs(y[:, h * d_h:(h + 1) * d_h] - expected)) <= 1e-12
+
 
 class TestMultiTaskLoss:
     def test_perfect_prediction_zero_loss(self):
@@ -298,6 +340,12 @@ class TestForward:
         assert p_sw[1] == pytest.approx(base[0], abs=1e-9)
         assert np.allclose(p_sw[2:], base[2:], atol=1e-9)
 
+    def test_empty_candidate_rejected(self, mini):
+        model, clip, qa = mini
+        empty = QAItem([], [[]] + [list(a) for a in qa.answers[1:]], 0, qa.ts_interval)
+        with pytest.raises(EmptyInputError):
+            model.forward_item(clip, empty, ModalityConfig(), model.name_assignments(clip))
+
     def test_sub_only_ignores_frames(self, mini):
         model, clip, qa = mini
         names = model.name_assignments(clip)
@@ -368,6 +416,16 @@ class TestForward:
         assert empty_count(view_with(frame.objects, [])) == 0
         assert empty_count(view_with([], frame.triples)) == 0
         assert empty_count(view_with([], [])) == 1
+
+    def test_switched_off_modality_is_not_an_empty_context(self, mini):
+        model, clip, qa = mini
+        names = model.name_assignments(clip)
+        (frame,) = clip.frames
+        assert frame.objects and frame.triples and clip.subtitles
+        for label in ("Sub", "Objs_nm + Rels_nm"):
+            res = model.item_loss_and_grads(clip, clip, qa, ModalityConfig.from_label(label),
+                                            names)
+            assert res.empty_context == 0, label
 
 
 class TestCarnGradients:

@@ -60,6 +60,15 @@ class TestCastlist:
 
 
 class TestTrainEval:
+    def test_negative_epochs_one_line_error(self, workdir, capsys):
+        rc = main(["train", "--corpus", str(workdir / "corpus.jsonl"),
+                   "--out", str(workdir / "never.npz"), "--epochs", "-1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "epochs" in err
+        assert err.count("\n") == 1
+        assert not (workdir / "never.npz").exists()
+
     def test_train_outputs(self, workdir):
         report = json.loads((workdir / "train_report.json").read_text(encoding="utf-8"))
         assert report["variant"]

@@ -7,7 +7,7 @@ import pytest
 from charqa import nn
 from charqa.carn import VARIANT_LABELS, ModalityConfig, Model, ModelConfig
 from charqa.corpus import Clip, GenConfig, generate_corpus
-from charqa.errors import EmptyInputError
+from charqa.errors import ConfigError, EmptyInputError
 from charqa.harness import (METRICS_COLUMNS, GradCheckReport, TrainConfig, ablate,
                             evaluate, format_report, grad_check, metrics_csv_text,
                             train, write_metrics_csv)
@@ -34,7 +34,7 @@ class TestTrainConfig:
         dict(lam=-0.5), dict(epsilon=1.0),
     ])
     def test_validation(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             TrainConfig(**kw)
 
     def test_dict_round_trip(self):
