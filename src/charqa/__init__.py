@@ -8,14 +8,14 @@ ablation harness, and finite-difference gradient verification.
 """
 
 from .carn import (FULL_VARIANT, VARIANT_LABELS, ModalityConfig, Model, ModelConfig,
-                   Vocab, build_vocab, multi_task_loss)
+                   Vocab, build_vocab, joint_loss)
 from .castlist import (UNKNAME, CastList, build_cast_list, count_speakers, map_speaker,
                        scaled_min_count)
 from .corpus import (BBox, Clip, FaceDetection, Frame, GenConfig, QAItem, RelationTriple,
                      SubtitleLine, clip_view, generate_corpus, read_corpus, write_corpus)
 from .errors import CharqaError
 from .naming import (NameDistributionSeq, NamingParams, assign_names, broadcast_targets,
-                     face_accuracy, predict_name_distributions, rkl_loss)
+                     face_accuracy, naming_forward, rkl_loss_with_grad)
 from .semantics import (FaceHumanAssignment, augment_objects_with_names, flatten_relations,
                         match_faces_to_humans, replace_names)
 
@@ -29,7 +29,7 @@ __all__ = [
     "VARIANT_LABELS", "Vocab", "assign_names", "augment_objects_with_names",
     "broadcast_targets", "build_cast_list", "build_vocab", "clip_view",
     "count_speakers", "face_accuracy", "flatten_relations", "generate_corpus",
-    "map_speaker", "match_faces_to_humans", "multi_task_loss",
-    "predict_name_distributions", "read_corpus", "replace_names", "rkl_loss",
-    "scaled_min_count", "write_corpus", "__version__",
+    "joint_loss", "map_speaker", "match_faces_to_humans", "naming_forward",
+    "read_corpus", "replace_names", "rkl_loss_with_grad", "scaled_min_count",
+    "write_corpus", "__version__",
 ]

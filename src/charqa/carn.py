@@ -20,7 +20,7 @@ jointly through the regularized-KL term, weighted by lambda.
 from __future__ import annotations
 
 import json
-import warnings
+import zipfile
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -29,8 +29,8 @@ import numpy as np
 from . import nn
 from .castlist import CastList, map_speaker
 from .corpus import Clip, QAItem, DEFAULT_HUMAN_WORDS
-from .errors import (ClampWarning, ConfigError, EmptyContextWarning, EmptyInputError,
-                     SchemaVersionError, VocabError)
+from .errors import (CheckpointError, ConfigError, EmptyInputError, SchemaVersionError,
+                     VocabError)
 from .naming import (NameDistributionSeq, NamingParams, assign_names, broadcast_targets,
                      naming_backward, naming_forward, rkl_loss_with_grad)
 from .semantics import build_semantic_stream
@@ -281,43 +281,14 @@ def prepare_sequence(params, vocab: Vocab, tokens, flags, n_pad: int = 0):
     return x, mask, plan
 
 
-# ---------------------------------------------------------------------------
-# Spec-level ops (wrappers over the nn stacks)
-
-
-def attention(q, k, key_mask=None):
-    """softmax(QK^T/sqrt(d_h)) K, keys reused as values."""
-    return nn.attention(q, k, key_mask)
-
-
-def encode(x, params, prefix: str = "enc", n_layers: int = 2, key_mask=None):
-    """Self-attention encoder stack; output length equals input length."""
-    y, _ = nn.stack_forward(params, prefix, n_layers, x, None, key_mask)
-    return y
-
-
-def co_attend(h_input, h_context, params, prefix: str = "dec_v",
-              n_layers: int = 2, context_mask=None):
-    """Cross-attention stack: queries from h_input, keys/values from
-    h_context. An empty context is an identity pass-through (warned)."""
-    if h_context is None or h_context.shape[0] == 0:
-        warnings.warn("empty co-attention context; passing input through",
-                      EmptyContextWarning, stacklevel=2)
-        return h_input
-    y, _ = nn.stack_forward(params, prefix, n_layers, h_input, h_context, context_mask)
-    return y
-
-
-def multi_task_loss(p_a: np.ndarray, gold: int, rkl_value: float, lam: float = 1.0) -> float:
-    """-log p_a[gold] + lambda * rkl; probability floored at 1e-12."""
-    if rkl_value < 0:
-        raise ValueError("rkl_value must be >= 0")
+def joint_loss(p_a: np.ndarray, gold: int, rkl: float, lam: float = 1.0):
+    """-log p_a[gold] + lambda * rkl, the gold probability floored at
+    PROB_FLOOR. Returns (loss, ce, clamped)."""
+    if rkl < 0:
+        raise ValueError("rkl must be >= 0")
     pg = float(p_a[gold])
-    if pg < PROB_FLOOR:
-        warnings.warn(f"gold probability {pg:.3e} clamped to {PROB_FLOOR:.0e}",
-                      ClampWarning, stacklevel=2)
-        pg = PROB_FLOOR
-    return -float(np.log(pg)) + lam * rkl_value
+    ce = -float(np.log(max(pg, PROB_FLOOR)))
+    return ce + lam * rkl, ce, pg < PROB_FLOOR
 
 
 # ---------------------------------------------------------------------------
@@ -521,10 +492,6 @@ class Model:
         """
         p_a, cache = self.forward_item(view, qa, modality, face_names)
         gold = qa.correct_index
-        pg = float(p_a[gold])
-        clamped = pg < PROB_FLOOR
-        ce = -float(np.log(max(pg, PROB_FLOOR)))
-
         ids, table = self.face_table(clip)
         if targets is None:
             targets = broadcast_targets(clip, self.cast, self.config.epsilon)
@@ -537,13 +504,14 @@ class Model:
                 for k, g in naming_backward(self.naming_params(), ncache, lam * drows).items():
                     key = "naming." + k
                     grads[key] = grads.get(key, 0) + g
+        loss, ce, clamped = joint_loss(p_a, gold, rkl, lam)
 
         if grads is not None:
             dlogits = p_a.copy()
             dlogits[gold] -= 1.0
             self.backward_item(cache, dlogits, grads)
 
-        return ItemResult(ce + lam * rkl, ce, rkl, p_a,
+        return ItemResult(loss, ce, rkl, p_a,
                           correct=int(np.argmax(p_a)) == gold,
                           clamped=clamped, empty_context=cache[-1])
 
@@ -568,14 +536,19 @@ class Model:
 
     @classmethod
     def load(cls, path) -> "Model":
-        with np.load(path) as z:
-            meta = json.loads(bytes(z["__meta__"]).decode())
-            if meta.get("version") != CHECKPOINT_VERSION:
-                raise SchemaVersionError(
-                    f"unsupported checkpoint version {meta.get('version')!r}"
-                    f" (expected {CHECKPOINT_VERSION!r})"
-                )
-            params = {k: z[k].copy() for k in z.files if k != "__meta__"}
+        try:
+            with np.load(path) as z:
+                meta = json.loads(bytes(z["__meta__"]).decode())
+                params = {k: z[k].copy() for k in z.files if k != "__meta__"}
+        except (ValueError, KeyError, TypeError, zipfile.BadZipFile) as e:
+            # numpy refuses to unpickle a non-npz file (ValueError), has no
+            # context manager for a bare .npy array (TypeError), and raises
+            # KeyError for an archive without the meta record.
+            raise CheckpointError(f"{path}: not a charqa checkpoint ({e})") from None
+        version = meta.get("version") if isinstance(meta, dict) else None
+        if version != CHECKPOINT_VERSION:
+            raise SchemaVersionError(f"unsupported checkpoint version {version!r}"
+                                     f" (expected {CHECKPOINT_VERSION!r})")
         vocab = Vocab(tuple(meta["vocab"]["words"]), tuple(meta["vocab"]["names"]),
                       tuple(meta["vocab"]["chars"]))
         cast = CastList.from_dict(meta["cast"])
@@ -587,6 +560,5 @@ __all__ = [
     "CHECKPOINT_VERSION", "PROB_FLOOR", "ModalityConfig", "VARIANT_LABELS",
     "FULL_VARIANT", "Vocab", "build_vocab", "subtitle_stream", "qa_stream",
     "visual_stream", "embed_sequence", "embed_backward", "prepare_sequence",
-    "attention", "encode", "co_attend", "multi_task_loss", "ModelConfig",
-    "ItemResult", "Model",
+    "joint_loss", "ModelConfig", "ItemResult", "Model",
 ]

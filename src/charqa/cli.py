@@ -17,9 +17,9 @@ from . import harness
 from .carn import ModalityConfig, Model, build_vocab, visual_stream, subtitle_stream
 from .castlist import build_cast_list, count_speakers, scaled_min_count
 from .corpus import GenConfig, clip_view, generate_corpus, read_corpus, write_corpus
-from .errors import CharqaError
-from .harness import TrainConfig, evaluate, grad_check, train, write_metrics_csv
-from .naming import face_accuracy
+from .errors import CharqaError, ConfigError
+from .harness import (TrainConfig, config_kwargs, evaluate, grad_check, train,
+                      write_metrics_csv)
 
 
 def _add_train_overrides(p: argparse.ArgumentParser) -> None:
@@ -36,11 +36,17 @@ def _add_train_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-ratio", type=float, dest="max_ratio")
 
 
+def _read_config(path):
+    """The parsed JSON of a --config file; ConfigError if it is malformed."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{path}: malformed JSON ({e})") from None
+
+
 def _train_config(args) -> TrainConfig:
-    cfg = TrainConfig()
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = TrainConfig.from_dict(json.load(fh))
+    cfg = TrainConfig.from_dict(_read_config(args.config)) if args.config else TrainConfig()
     overrides = {}
     for name in ("epochs", "batch_size", "learning_rate", "lam", "epsilon",
                  "seed", "use_ts", "min_count", "max_ratio"):
@@ -55,8 +61,7 @@ def _train_config(args) -> TrainConfig:
 def _cmd_gen(args) -> int:
     kw = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            kw.update(json.load(fh))
+        kw = config_kwargs(GenConfig, _read_config(args.config), "gen config")
     for name, dest in (("k_principals", "k"), ("n_extras", "extras"),
                        ("n_clips", "clips"), ("frames_per_clip", "frames"),
                        ("noise_sigma", "noise"), ("cooccur_rho", "rho"),
@@ -188,17 +193,7 @@ def _cmd_semantics_dump(args) -> int:
 
 def _cmd_naming_eval(args) -> int:
     model = Model.load(args.checkpoint)
-    clips = read_corpus(args.corpus)
-    correct = 0
-    total = 0
-    for clip in clips:
-        if not clip.truth:
-            continue
-        preds = model.predict_faces(clip)
-        n = len(preds.face_ids)
-        if n:
-            correct += round(face_accuracy(preds, clip.truth, model.cast) * n)
-            total += n
+    correct, total = harness.face_naming_counts(model, read_corpus(args.corpus))
     if total == 0:
         raise CharqaError("corpus has no faces with truth labels")
     print(f"face_acc={correct / total:.4f} over {total} faces")

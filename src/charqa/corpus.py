@@ -661,19 +661,10 @@ def validate_clip(clip: Clip) -> None:
             raise ValueError(f"{clip.clip_id}: ts_interval {q.ts_interval} outside duration {dur}")
 
 
-def subset_of(view: Clip, clip: Clip) -> bool:
-    """True when every frame/subtitle of the view is taken from the clip."""
-    frame_ids = {f.frame_id for f in clip.frames}
-    sub_keys = {(s.speaker, tuple(s.tokens), s.t_start, s.t_end) for s in clip.subtitles}
-    return all(f.frame_id in frame_ids for f in view.frames) and all(
-        (s.speaker, tuple(s.tokens), s.t_start, s.t_end) in sub_keys for s in view.subtitles
-    )
-
-
 __all__ = [
     "SCHEMA_VERSION", "BBox", "FaceDetection", "RelationTriple", "Frame",
     "SubtitleLine", "QAItem", "Clip", "GenConfig", "generate_corpus",
     "write_corpus", "read_corpus", "clip_to_dict", "clip_from_dict",
-    "clip_view", "validate_clip", "subset_of",
+    "clip_view", "validate_clip",
     "DEFAULT_HUMAN_WORDS",
 ]

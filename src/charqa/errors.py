@@ -41,9 +41,5 @@ class VocabError(CharqaError):
     """A token cannot be embedded at all (no table entry, no known characters)."""
 
 
-class ClampWarning(UserWarning):
-    """A probability hit the numeric floor before the log."""
-
-
-class EmptyContextWarning(UserWarning):
-    """Co-attention received an empty context and passed its input through."""
+class CheckpointError(CharqaError):
+    """A checkpoint file is not an npz archive with a charqa meta record."""

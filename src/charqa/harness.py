@@ -10,10 +10,10 @@ byte-identical outputs.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -66,16 +66,30 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        kw = dict(d)
-        if isinstance(kw.get("modality"), str):
+        kw = config_kwargs(cls, d, "train config")
+        if "modality" in kw:
+            if not isinstance(kw["modality"], str):
+                raise ConfigError("modality must be a variant label string, "
+                                  f"got {kw['modality']!r}")
             kw["modality"] = ModalityConfig.from_label(kw["modality"])
-        if isinstance(kw.get("model"), dict):
-            kw["model"] = ModelConfig(**kw["model"])
+        if "model" in kw:
+            kw["model"] = ModelConfig(**config_kwargs(ModelConfig, kw["model"], "model"))
         return cls(**kw)
 
     def hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def config_kwargs(cls, d, what: str) -> dict:
+    """The keyword arguments that a parsed JSON config gives the dataclass
+    cls; ConfigError unless it is an object whose keys are fields of cls."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(d).__name__}")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"{what}: unknown field {unknown[0]!r}")
+    return dict(d)
 
 
 @dataclass
@@ -119,19 +133,14 @@ class MetricsReport:
         }
 
 
+def metrics_csv_text(reports) -> str:
+    lines = [",".join(METRICS_COLUMNS)] + [r.row() for r in reports]
+    return "\n".join(lines) + "\n"
+
+
 def write_metrics_csv(reports, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(METRICS_COLUMNS) + "\n")
-        for r in reports:
-            fh.write(r.row() + "\n")
-
-
-def metrics_csv_text(reports) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(METRICS_COLUMNS) + "\n")
-    for r in reports:
-        buf.write(r.row() + "\n")
-    return buf.getvalue()
+        fh.write(metrics_csv_text(reports))
 
 
 def _build_cast(clips, config: TrainConfig) -> CastList:
@@ -216,8 +225,6 @@ def evaluate(model: Model, corpus: list[Clip], use_ts: bool,
         raise EmptyInputError("corpus is empty")
     correct = {"all": 0, "visual": 0, "textual": 0}
     totals = {"all": 0, "visual": 0, "textual": 0}
-    face_correct = 0
-    face_total = 0
     for clip in corpus:
         face_names = model.name_assignments(clip)
         for qa in clip.qas:
@@ -229,14 +236,9 @@ def evaluate(model: Model, corpus: list[Clip], use_ts: bool,
             tag = qa.qtype if qa.qtype in ("visual", "textual") else "textual"
             totals[tag] += 1
             correct[tag] += hit
-        if clip.truth:
-            preds = model.predict_faces(clip)
-            n = len(preds.face_ids)
-            if n:
-                face_correct += round(face_accuracy(preds, clip.truth, model.cast) * n)
-                face_total += n
     if totals["all"] == 0:
         raise EmptyInputError("corpus has no QA items")
+    face_correct, face_total = face_naming_counts(model, corpus)
 
     def acc(tag):
         return correct[tag] / totals[tag] if totals[tag] else 0.0
@@ -248,6 +250,19 @@ def evaluate(model: Model, corpus: list[Clip], use_ts: bool,
         seed=seed, n_items=totals["all"], n_visual=totals["visual"],
         n_textual=totals["textual"], n_faces=face_total,
     )
+
+
+def face_naming_counts(model: Model, corpus: list[Clip]) -> tuple[int, int]:
+    """(correct, total) faces whose argmax name matches the truth sidecar,
+    over the clips that have one."""
+    correct = total = 0
+    for clip in corpus:
+        if clip.truth:
+            preds = model.predict_faces(clip)
+            n = len(preds.face_ids)
+            correct += round(face_accuracy(preds, clip.truth, model.cast) * n)
+            total += n
+    return correct, total
 
 
 def ablate(corpus: list[Clip], config: TrainConfig = TrainConfig(),
@@ -358,47 +373,29 @@ def check_naming(rng, tolerance: float = 1e-4):
     return nn.check_gradients(loss, params, analytic)
 
 
-def check_encoder(rng, tolerance: float = 1e-4):
-    """One random config: scalar probe of the self-attention stack."""
+def check_stack(rng, tolerance: float = 1e-4, cross: bool = False):
+    """One random config: scalar probe of a two-layer stack, self-attention
+    over 2-6 rows ("enc") or cross-attention of 2-5 query rows over 2-5
+    context rows ("dec")."""
     heads = int(rng.choice([1, 2, 4]))
     d_model = 8
     d_ff = int(rng.integers(4, 13))
-    n = int(rng.integers(2, 7))
+    n = int(rng.integers(2, 6 if cross else 7))
+    n_c = int(rng.integers(2, 6)) if cross else 0
+    prefix = "dec" if cross else "enc"
     params: dict[str, np.ndarray] = {}
-    nn.init_stack(rng, params, "enc", 2, d_model, d_ff, heads)
+    nn.init_stack(rng, params, prefix, 2, d_model, d_ff, heads)
     x = rng.standard_normal((n, d_model))
+    context = rng.standard_normal((n_c, d_model)) if cross else None
     probe = rng.standard_normal((n, d_model))
 
     def loss():
-        y, _ = nn.stack_forward(params, "enc", 2, x)
+        y, _ = nn.stack_forward(params, prefix, 2, x, context)
         return float(np.sum(y * probe))
 
-    _, cache = nn.stack_forward(params, "enc", 2, x)
+    _, cache = nn.stack_forward(params, prefix, 2, x, context)
     grads: dict[str, np.ndarray] = {}
-    nn.stack_backward(params, "enc", cache, probe, grads)
-    return nn.check_gradients(loss, params, grads)
-
-
-def check_coattention(rng, tolerance: float = 1e-4):
-    """One random config: scalar probe of the cross-attention stack."""
-    heads = int(rng.choice([1, 2, 4]))
-    d_model = 8
-    d_ff = int(rng.integers(4, 13))
-    n_q = int(rng.integers(2, 6))
-    n_c = int(rng.integers(2, 6))
-    params: dict[str, np.ndarray] = {}
-    nn.init_stack(rng, params, "dec", 2, d_model, d_ff, heads)
-    x = rng.standard_normal((n_q, d_model))
-    context = rng.standard_normal((n_c, d_model))
-    probe = rng.standard_normal((n_q, d_model))
-
-    def loss():
-        y, _ = nn.stack_forward(params, "dec", 2, x, context)
-        return float(np.sum(y * probe))
-
-    _, cache = nn.stack_forward(params, "dec", 2, x, context)
-    grads: dict[str, np.ndarray] = {}
-    nn.stack_backward(params, "dec", cache, probe, grads)
+    nn.stack_backward(params, prefix, cache, probe, grads)
     return nn.check_gradients(loss, params, grads)
 
 
@@ -450,8 +447,8 @@ def check_full(rng, tolerance: float = 1e-4, max_entries_per_tensor: int = 2):
 
 GRAD_CHECKS = {
     "naming": check_naming,
-    "encoder": check_encoder,
-    "coattention": check_coattention,
+    "encoder": check_stack,
+    "coattention": partial(check_stack, cross=True),
     "full": check_full,
 }
 
@@ -474,8 +471,8 @@ def grad_check(component: str = "all", tolerance: float = 1e-4,
 
 
 __all__ = [
-    "METRICS_COLUMNS", "TrainConfig", "MetricsReport", "write_metrics_csv",
-    "metrics_csv_text", "train", "evaluate", "ablate", "format_report",
-    "GradCheckReport", "check_naming", "check_encoder", "check_coattention",
-    "check_full", "grad_check", "GRAD_CHECKS",
+    "METRICS_COLUMNS", "TrainConfig", "config_kwargs", "MetricsReport",
+    "write_metrics_csv", "metrics_csv_text", "train", "evaluate",
+    "face_naming_counts", "ablate", "format_report", "GradCheckReport",
+    "check_naming", "check_stack", "check_full", "grad_check", "GRAD_CHECKS",
 ]

@@ -108,14 +108,6 @@ def naming_backward(params: NamingParams, cache, dp) -> dict[str, np.ndarray]:
     }
 
 
-def predict_name_distributions(embeddings: np.ndarray, params: NamingParams,
-                               face_ids=None) -> NameDistributionSeq:
-    p, _ = naming_forward(params, embeddings)
-    if face_ids is None:
-        face_ids = tuple(range(p.shape[0]))
-    return NameDistributionSeq(tuple(face_ids), p)
-
-
 # ---------------------------------------------------------------------------
 # Broadcast supervision
 
@@ -173,11 +165,6 @@ def kl_divergence(p: np.ndarray, g: np.ndarray) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0, p * (np.log(p) - np.log(g)), 0.0)
     return float(np.sum(terms))
-
-
-def rkl_loss(preds: NameDistributionSeq, targets: TargetSeq) -> float:
-    loss, _ = rkl_loss_with_grad(preds, targets)
-    return loss
 
 
 def rkl_loss_with_grad(preds: NameDistributionSeq, targets: TargetSeq):
@@ -240,7 +227,6 @@ def face_accuracy(preds: NameDistributionSeq, truth: dict[int, str], cast: CastL
 
 __all__ = [
     "NamingParams", "NameDistributionSeq", "TargetSeq", "naming_forward",
-    "naming_backward", "predict_name_distributions", "frame_speaker",
-    "smoothed_onehot", "broadcast_targets", "kl_divergence", "rkl_loss",
-    "rkl_loss_with_grad", "assign_names", "face_accuracy",
+    "naming_backward", "frame_speaker", "smoothed_onehot", "broadcast_targets",
+    "kl_divergence", "rkl_loss_with_grad", "assign_names", "face_accuracy",
 ]

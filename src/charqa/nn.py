@@ -55,13 +55,11 @@ def layernorm_forward(x, g, b, eps: float = 1e-5):
 
 def layernorm_backward(cache, dy):
     xhat, inv, g = cache
-    d = xhat.shape[-1]
     dg = np.sum(dy * xhat, axis=tuple(range(dy.ndim - 1)))
     db = np.sum(dy, axis=tuple(range(dy.ndim - 1)))
     dxhat = dy * g
     dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
                 - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True))
-    del d
     return dx, dg, db
 
 
@@ -69,13 +67,9 @@ def layernorm_backward(cache, dy):
 # Attention (keys double as values)
 
 
-def attention(q: np.ndarray, k: np.ndarray, key_mask: np.ndarray | None = None) -> np.ndarray:
-    """softmax(QK^T/sqrt(d_h)) K. key_mask marks VALID key rows (True=keep)."""
-    y, _ = attention_forward(q, k, key_mask)
-    return y
-
-
 def attention_forward(q, k, key_mask=None):
+    """softmax(QK^T/sqrt(d_h)) K, plus the cache for backward. key_mask marks
+    VALID key rows (True=keep)."""
     if q.ndim < 2 or k.ndim < 2:
         raise ShapeError(f"attention expects arrays of rank >= 2, got {q.shape} and {k.shape}")
     if q.shape[-1] != k.shape[-1]:
@@ -346,7 +340,7 @@ def check_gradients(fun, params, analytic: dict, keys=None, step=1e-5,
 
 __all__ = [
     "MASK_FILL", "softmax", "softmax_backward", "layernorm_forward",
-    "layernorm_backward", "attention", "attention_forward", "attention_backward",
+    "layernorm_backward", "attention_forward", "attention_backward",
     "mha_forward", "mha_backward", "ffn_forward", "ffn_backward",
     "block_forward", "block_backward", "stack_forward", "stack_backward",
     "init_block", "init_stack", "sinusoidal_positions", "Adam",

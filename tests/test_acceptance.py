@@ -153,7 +153,8 @@ def test_criterion_6_cast_list_rule():
 
 
 def test_criterion_7_invariant_suite():
-    from charqa.carn import encode, prepare_sequence
+    from charqa import nn
+    from charqa.carn import prepare_sequence
     from charqa.corpus import DEFAULT_HUMAN_WORDS, QAItem
     from charqa.semantics import match_faces_to_humans, replace_names
 
@@ -186,10 +187,11 @@ def test_criterion_7_invariant_suite():
     # Pad invariance of the encoder path.
     toks = ["who", "says", "coffee"]
     flags = [False, False, False]
+    n_layers = cfg.model.enc_layers
     x, mask, _ = prepare_sequence(model.params, model.vocab, toks, flags, n_pad=4)
-    y_pad = encode(x, model.params, key_mask=mask)[:3]
+    y_pad = nn.stack_forward(model.params, "enc", n_layers, x, key_mask=mask)[0][:3]
     x0, _, _ = prepare_sequence(model.params, model.vocab, toks, flags)
-    y0 = encode(x0, model.params)
+    y0 = nn.stack_forward(model.params, "enc", n_layers, x0)[0]
     assert np.max(np.abs(y_pad - y0)) <= 1e-6
     checks.append("pad invariance")
 

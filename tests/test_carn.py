@@ -1,18 +1,16 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from charqa import nn
 from charqa.carn import (FULL_VARIANT, ModalityConfig, Model, ModelConfig,
-                         VARIANT_LABELS, Vocab, attention, build_vocab,
-                         co_attend, embed_sequence, encode, multi_task_loss,
-                         prepare_sequence, qa_stream, subtitle_stream)
+                         VARIANT_LABELS, Vocab, build_vocab, embed_sequence,
+                         joint_loss, prepare_sequence, qa_stream, subtitle_stream)
 from charqa.castlist import build_cast_list
 from charqa.corpus import Frame, QAItem, generate_corpus, GenConfig
-from charqa.errors import (ClampWarning, ConfigError, EmptyContextWarning,
-                           EmptyInputError, ShapeError, VocabError)
+from charqa.errors import (CheckpointError, ConfigError, EmptyInputError, ShapeError,
+                           VocabError)
 from charqa.harness import _mini_setup, grad_check
 
 
@@ -21,6 +19,19 @@ def stack_params(prefix="enc", d_model=8, d_ff=12, heads=4, seed=0):
     params = {}
     nn.init_stack(rng, params, prefix, 2, d_model, d_ff, heads)
     return params
+
+
+# The ops the model runs, output only.
+def attention(q, k, key_mask=None):
+    return nn.attention_forward(q, k, key_mask)[0]
+
+
+def encode(x, params, key_mask=None):
+    return nn.stack_forward(params, "enc", 2, x, None, key_mask)[0]
+
+
+def co_attend(x, context, params):
+    return nn.stack_forward(params, "dec", 2, x, context)[0]
 
 
 class TestModalityConfig:
@@ -176,16 +187,9 @@ class TestCoAttend:
         rng = np.random.default_rng(7)
         x = rng.standard_normal((3, 8))
         ctx = rng.standard_normal((6, 8))
-        y1 = co_attend(x, ctx, params, prefix="dec")
-        y2 = co_attend(x, ctx[::-1].copy(), params, prefix="dec")
+        y1 = co_attend(x, ctx, params)
+        y2 = co_attend(x, ctx[::-1].copy(), params)
         assert np.allclose(y1, y2)
-
-    def test_empty_context_identity_with_warning(self):
-        params = stack_params("dec")
-        x = np.random.default_rng(8).standard_normal((3, 8))
-        with pytest.warns(EmptyContextWarning):
-            y = co_attend(x, np.zeros((0, 8)), params, prefix="dec")
-        assert y is x
 
     def test_hand_2x1_case(self):
         # One query [0.5], one context row [2.0]: softmax over a single key
@@ -260,7 +264,7 @@ class TestStackedCandidates:
         y, _ = nn.mha_forward(params, "enc.l0.attn", xq, xk)
         d_h = wq.shape[2]
         for h in range(wq.shape[0]):
-            expected = nn.attention(xq @ wq[h], xk @ wk[h])
+            expected = attention(xq @ wq[h], xk @ wk[h])
             assert np.max(np.abs(y[:, h * d_h:(h + 1) * d_h] - expected)) <= 1e-12
 
 
@@ -268,24 +272,25 @@ class TestMultiTaskLoss:
     def test_perfect_prediction_zero_loss(self):
         p = np.zeros(5)
         p[2] = 1.0
-        assert multi_task_loss(p, 2, 0.0) == 0.0
+        assert joint_loss(p, 2, 0.0) == (0.0, 0.0, False)
 
     def test_uniform_is_ln5_plus_rkl(self):
         p = np.full(5, 0.2)
-        assert multi_task_loss(p, 0, 0.0) == pytest.approx(math.log(5), abs=1e-12)
-        assert multi_task_loss(p, 0, 0.7, lam=2.0) == pytest.approx(
-            math.log(5) + 1.4, abs=1e-12)
+        assert joint_loss(p, 0, 0.0)[0] == pytest.approx(math.log(5), abs=1e-12)
+        loss, ce, _ = joint_loss(p, 0, 0.7, lam=2.0)
+        assert loss == pytest.approx(math.log(5) + 1.4, abs=1e-12)
+        assert ce == pytest.approx(math.log(5), abs=1e-12)
 
     def test_zero_probability_clamped_and_flagged(self):
         p = np.zeros(5)
         p[1] = 1.0
-        with pytest.warns(ClampWarning):
-            loss = multi_task_loss(p, 0, 0.0)
+        loss, _, clamped = joint_loss(p, 0, 0.0)
+        assert clamped
         assert loss == pytest.approx(-math.log(1e-12))
 
     def test_negative_rkl_rejected(self):
         with pytest.raises(ValueError):
-            multi_task_loss(np.full(5, 0.2), 0, -1.0)
+            joint_loss(np.full(5, 0.2), 0, -1.0)
 
 
 class TestModelConfig:
@@ -350,9 +355,7 @@ class TestForward:
         model, clip, qa = mini
         names = model.name_assignments(clip)
         sub_only = ModalityConfig.from_label("Sub")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", EmptyContextWarning)
-            p1, _ = model.forward_item(clip, qa, sub_only, names)
+        p1, _ = model.forward_item(clip, qa, sub_only, names)
         stripped = type(clip)(clip.clip_id, [], clip.subtitles, clip.qas, None)
         p2, _ = model.forward_item(stripped, qa, sub_only, names)
         assert np.allclose(p1, p2, atol=1e-12)
@@ -389,6 +392,14 @@ class TestForward:
             np.savez(tmp_path / "bad.npz", **blob)
             with pytest.raises(SchemaVersionError, match=version):
                 Model.load(tmp_path / "bad.npz")
+        # Files that are not charqa checkpoints at all: plain text, a bare
+        # .npy array, and an npz archive without the meta record.
+        (tmp_path / "text.npz").write_text("not a checkpoint\n", encoding="utf-8")
+        np.save(tmp_path / "bare.npy", np.zeros(3))
+        np.savez(tmp_path / "nometa.npz", w=np.zeros(3))
+        for name in ("text.npz", "bare.npy", "nometa.npz"):
+            with pytest.raises(CheckpointError, match="not a charqa checkpoint"):
+                Model.load(tmp_path / name)
 
     def test_visual_passes_relations_then_objects(self):
         passes = ModalityConfig().visual_passes()

@@ -2,11 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from charqa.carn import Model
 from charqa.cli import main
 from charqa.corpus import read_corpus
-from charqa.harness import METRICS_COLUMNS
+from charqa.harness import METRICS_COLUMNS, evaluate
 
 TRAIN_JSON = {
     "epochs": 2,
@@ -40,11 +42,37 @@ class TestGen:
         assert len(read_corpus(workdir / "again.jsonl")) == 3
 
     def test_invalid_config_fails(self, workdir, capsys):
-        bad = workdir / "bad_gen.json"
-        bad.write_text(json.dumps({"cooccur_rho": 1.5}), encoding="utf-8")
-        rc = main(["gen", "--out", str(workdir / "nope.jsonl"), "--config", str(bad)])
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        # Every bad --config, for gen and for the training commands, is a
+        # one-line error naming what is wrong, never a traceback.
+        corpus = str(workdir / "corpus.jsonl")
+        commands = {
+            "gen": ["gen", "--out", str(workdir / "nope.jsonl")],
+            "train": ["train", "--corpus", corpus, "--out", str(workdir / "nope.npz")],
+            "ablate": ["ablate", "--corpus", corpus, "--out", str(workdir / "nope.csv")],
+        }
+        cases = [
+            ("gen", json.dumps({"cooccur_rho": 1.5}), "cooccur_rho"),
+            ("gen", json.dumps({"n_clipz": 3}), "n_clipz"),
+            ("gen", json.dumps([1, 2]), "JSON object"),
+            ("gen", "{not json", "malformed JSON"),
+            ("train", json.dumps({"epochz": 1}), "epochz"),
+            ("train", json.dumps([1, 2]), "JSON object"),
+            ("train", json.dumps({"modality": 5}), "modality"),
+            ("train", json.dumps({"model": {"d_modl": 8}}), "d_modl"),
+            ("train", "{not json", "malformed JSON"),
+            ("ablate", json.dumps({"epochz": 1}), "epochz"),
+            ("ablate", json.dumps({"modality": ["Sub"]}), "modality"),
+            ("ablate", "", "malformed JSON"),
+        ]
+        bad = workdir / "bad_config.json"
+        for cmd, text, needle in cases:
+            bad.write_text(text, encoding="utf-8")
+            rc = main(commands[cmd] + ["--config", str(bad)])
+            err = capsys.readouterr().err
+            assert rc == 1, (cmd, text)
+            assert err.startswith("error: ") and err.count("\n") == 1, (cmd, text, err)
+            assert needle in err, (cmd, text, err)
+        assert not (workdir / "nope.npz").exists()
 
 
 class TestCastlist:
@@ -98,6 +126,22 @@ class TestTrainEval:
                    "--corpus", str(workdir / "corpus.jsonl")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+        # Files that are not checkpoints: a one-line error from every
+        # command that loads one.
+        (workdir / "text.npz").write_text("not a checkpoint\n", encoding="utf-8")
+        np.savez(workdir / "nometa.npz", w=np.zeros(3))
+        corpus = str(workdir / "corpus.jsonl")
+        for name in ("text.npz", "nometa.npz"):
+            ckpt = str(workdir / name)
+            for argv in (["eval", "--checkpoint", ckpt, "--corpus", corpus],
+                         ["naming", "eval", "--checkpoint", ckpt, "--corpus", corpus],
+                         ["semantics", "dump", "--corpus", corpus, "--modality", "objs_nm",
+                          "--out", str(workdir / "never.jsonl"), "--checkpoint", ckpt]):
+                rc = main(argv)
+                err = capsys.readouterr().err
+                assert rc == 1, argv
+                assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+                assert "not a charqa checkpoint" in err, (argv, err)
 
 
 class TestAblateReport:
@@ -166,4 +210,7 @@ class TestNamingEval:
         rc = main(["naming", "eval", "--checkpoint", str(workdir / "model.npz"),
                    "--corpus", str(workdir / "corpus.jsonl")])
         assert rc == 0
-        assert "face_acc=" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        report = evaluate(Model.load(workdir / "model.npz"),
+                          read_corpus(workdir / "corpus.jsonl"), use_ts=True)
+        assert out.startswith(f"face_acc={report.face_acc:.4f} over {report.n_faces} faces")

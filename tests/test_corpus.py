@@ -6,7 +6,7 @@ import pytest
 from charqa.corpus import (BBox, Clip, FaceDetection, Frame, GenConfig, QAItem,
                            RelationTriple, SCHEMA_VERSION, SubtitleLine,
                            clip_from_dict, clip_to_dict, clip_view,
-                           generate_corpus, read_corpus, subset_of,
+                           generate_corpus, read_corpus,
                            validate_clip, write_corpus)
 from charqa.errors import ConfigError, CorpusParseError, SchemaVersionError
 
@@ -203,3 +203,12 @@ class TestClipView:
                 for use_ts in (True, False):
                     view, _ = clip_view(clip, qa, use_ts)
                     assert subset_of(view, clip)
+
+
+def subset_of(view: Clip, clip: Clip) -> bool:
+    """True when every frame/subtitle of the view is taken from the clip."""
+    frame_ids = {f.frame_id for f in clip.frames}
+    sub_keys = {(s.speaker, tuple(s.tokens), s.t_start, s.t_end) for s in clip.subtitles}
+    return all(f.frame_id in frame_ids for f in view.frames) and all(
+        (s.speaker, tuple(s.tokens), s.t_start, s.t_end) in sub_keys for s in view.subtitles
+    )
