@@ -27,13 +27,13 @@ w = rng.standard_normal((3, 4))
 c = rng.standard_normal((3, 4))
 params = {"w": w}
 
-errors = nn.check_gradients(lambda: float(np.sum(params["w"] * c)),
+errors, _ = nn.check_gradients(lambda: float(np.sum(params["w"] * c)),
                             params, {"w": c})
 print(f"\nlinear probe, correct gradient:   max rel err {errors['w']:.2e}")
 
 wrong = c.copy()
 wrong[0, 0] += 0.01
-errors = nn.check_gradients(lambda: float(np.sum(params["w"] * c)),
+errors, _ = nn.check_gradients(lambda: float(np.sum(params["w"] * c)),
                             params, {"w": wrong})
 print(f"linear probe, corrupted gradient: max rel err {errors['w']:.2e}")
 

@@ -1,20 +1,24 @@
 """Character-aware reasoning network.
 
-The five question+answer token sequences of an item are padded to one
+The network runs on a batch of QA items; a single item is a batch of one.
+The five question+answer token sequences of every item are padded to one
 length and encoded by a shared two-layer self-attention encoder as one
-batch, with a key mask that keeps pad rows out of attention. The encoded
-candidates' valid rows are stacked and fused by co-attention decoders: the
-visual decoder attends over the relation triples, then, in a second pass
-through the same stack, over the objects; a second decoder then attends over
-the subtitle stream. Each context is encoded on its own by the shared
-encoder. The five pooled candidate vectors pass through one self-attention
-block and a shared scalar head, softmaxed into answer probabilities. Name
-tokens live in their own embedding table, trained from scratch, separate
-from words; words missing from the vocabulary embed as the mean of their
-character vectors.
+(5B, L, d) batch, with a key mask that keeps pad rows out of attention.
+Each item's encoded candidates' valid rows are stacked, and the items'
+stacks are padded to one (B, N_q, d) tensor fused by co-attention decoders:
+the visual decoder attends over the relation triples, then, in a second
+pass through the same stack, over the objects; a second decoder then
+attends over the subtitle stream. The context streams are deduplicated
+across the batch and each distinct stream is encoded once by the shared
+encoder. The five pooled candidate vectors of each item pass through one
+self-attention block and a shared scalar head, softmaxed into answer
+probabilities. Name tokens live in their own embedding table, trained from
+scratch, separate from words; words missing from the vocabulary embed as
+the mean of their character vectors.
 
 The QA loss is cross-entropy on the gold option; the naming head trains
-jointly through the regularized-KL term, weighted by lambda.
+jointly through the regularized-KL term, weighted by lambda, run once per
+clip of a batch.
 """
 
 from __future__ import annotations
@@ -304,7 +308,7 @@ class ModelConfig:
     enc_layers: int = 2
     dec_layers: int = 2
     ans_layers: int = 1
-    d_f: int = 256
+    d_f: int | None = None  # face embedding size; None: train takes the corpus'
     epsilon: float = 0.05
 
     def __post_init__(self):
@@ -312,7 +316,7 @@ class ModelConfig:
             raise ConfigError("d_model must be divisible by heads")
         for name in ("d_model", "d_ff", "d_h1", "heads", "enc_layers",
                      "dec_layers", "ans_layers", "d_f"):
-            if getattr(self, name) < 1:
+            if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if not 0.0 <= self.epsilon < 1.0:
             raise ConfigError("epsilon must lie in [0, 1)")
@@ -330,7 +334,7 @@ class ItemResult:
 
 
 class Model:
-    """Parameters + vocabulary + cast; forward/backward for single items."""
+    """Parameters + vocabulary + cast; forward/backward for batches of items."""
 
     def __init__(self, vocab: Vocab, cast: CastList, config: ModelConfig = ModelConfig(),
                  human_words=DEFAULT_HUMAN_WORDS, rng=None, params=None):
@@ -340,6 +344,8 @@ class Model:
         self.human_words = tuple(human_words)
         if params is not None:
             self.params = params
+        elif config.d_f is None:
+            raise ConfigError("d_f must be set to initialize a model")
         else:
             self.params = self._init_params(rng if rng is not None else np.random.default_rng(0))
 
@@ -390,135 +396,196 @@ class Model:
 
     # -- QA forward ------------------------------------------------------
 
-    def _encode_stream(self, tokens, flags):
-        """Embed + PE + shared encoder; None for an empty stream."""
-        if not tokens:
-            return None, None
-        x, _, plan = prepare_sequence(self.params, self.vocab, tokens, flags)
-        h, cache = nn.stack_forward(self.params, "enc", self.config.enc_layers, x)
-        return h, (plan, cache)
-
-    def forward_item(self, view: Clip, qa: QAItem, modality: ModalityConfig,
-                     face_names: dict[int, str]):
-        """Probabilities over the 5 candidates, plus the full backward cache.
-
-        The five question+answer sequences are padded to the longest one and
-        go through the shared encoder as one (5, L, d) batch; the key mask
-        keeps pad rows out of every attention, so each candidate is encoded
-        as if it were alone. The valid rows are then stacked and co-attend as
-        one matrix: with `dec_v` over the relation run, with `dec_v` again
-        over the object run, then with `dec_s` over the subtitles. Each
-        context is encoded on its own, and a pass whose context is empty is
-        skipped; `empty_context` counts the enabled modalities (visual,
-        subtitles) whose streams are empty. The decoders are cross-attention
-        only: no query row attends to another, and layer norm and FFN act
-        row by row, so the stacked pass equals five per-candidate passes up
-        to summation order. Each candidate's rows are mean-pooled; the
-        pooled vectors go through the answer block and the scalar head.
-        """
-        c = self.config
-        p = self.params
-        contexts = []
-        for run in modality.visual_passes():
-            h, stream_cache = self._encode_stream(*visual_stream(
-                view.frames, run, face_names, self.cast, self.human_words))
-            if h is not None:
-                contexts.append(("dec_v", h, stream_cache))
-        sub_toks, sub_flags = (subtitle_stream(view.subtitles, self.cast)
-                               if modality.use_sub else ([], []))
-        h_s, sub_cache = self._encode_stream(sub_toks, sub_flags)
-        empty_context = (int(bool(modality.visual_passes()) and not contexts)
-                         + int(modality.use_sub and h_s is None))
-        if h_s is not None:
-            contexts.append(("dec_s", h_s, sub_cache))
-
-        streams = [qa_stream(qa.question, ans, self.cast) for ans in qa.answers]
+    def _encode(self, streams, keep_cache: bool):
+        """Embed + PE + shared encoder over (tokens, flags) streams, padded
+        to one (n, L, d) key-masked batch."""
         width = max(len(toks) for toks, _ in streams)
-        xs, masks, plans = zip(*(prepare_sequence(p, self.vocab, toks, flags,
+        xs, masks, plans = zip(*(prepare_sequence(self.params, self.vocab, toks, flags,
                                                   n_pad=width - len(toks))
                                  for toks, flags in streams))
         mask = np.stack(masks)
-        lengths = mask.sum(axis=1)
-        if not lengths.all():
-            raise EmptyInputError("enc: empty input sequence")
-        h_q, enc_cache = nn.stack_forward(p, "enc", c.enc_layers, np.stack(xs),
-                                          key_mask=mask)
-        v = h_q[mask]
-        passes = []
-        for prefix, h, stream_cache in contexts:
-            v, dec_cache = nn.stack_forward(p, prefix, c.dec_layers, v, h)
-            passes.append((prefix, dec_cache, stream_cache))
+        h, cache = nn.stack_forward(self.params, "enc", self.config.enc_layers,
+                                    np.stack(xs), key_mask=mask, keep_cache=keep_cache)
+        return h, mask, (plans, cache)
 
-        m = np.add.reduceat(v, np.cumsum(lengths) - lengths) / lengths[:, None]
-        a, ans_cache = nn.stack_forward(p, "ans", c.ans_layers, m)
+    def _encode_backward(self, cache, dh, grads):
+        plans, enc_cache = cache
+        dx, _ = nn.stack_backward(self.params, "enc", enc_cache, dh, grads)
+        for plan, dx_i in zip(plans, dx):  # zip stops before each pad row
+            embed_backward(grads, self.params, plan, dx_i)
+
+    def forward_item(self, batch, modality: ModalityConfig, keep_cache: bool = True):
+        """Answer probabilities (B, 5) for a batch of (view, qa, face_names)
+        items, plus the backward cache (None with keep_cache False: then no
+        activation is kept for backward, and a forward-only batch holds one
+        block's activations at a time).
+
+        Every item's context streams are built, then deduplicated per pass
+        by (tokens, flags): each distinct stream is encoded once, all of a
+        pass's distinct streams as one padded batch under a key mask. The 5B
+        question+answer sequences go through the encoder as one padded
+        batch. Each item's candidates' valid rows are stacked and padded to
+        (B, N_q, d); the co-attention decoders then run one pass per context
+        in pass order, with `dec_v` over the relation run, with `dec_v` again
+        over the object run, then with `dec_s` over the subtitles, each on
+        the items whose context for that pass is non-empty. Pad rows never
+        reach a valid row: the key mask keeps pad keys out of attention, and
+        the decoders are cross-attention only, with layer norm and FFN acting
+        row by row, so a batch equals its items run alone up to summation
+        order. `empty_context` counts per item the enabled modalities
+        (visual, subtitles) whose streams are empty. Each candidate's rows
+        are mean-pooled; the (B, 5, d) pooled vectors go through the answer
+        block and the scalar head.
+        """
+        c = self.config
+        p = self.params
+        # (decoder, visual run or None for the subtitles) per pass, in order
+        passes = ([("dec_v", run) for run in modality.visual_passes()]
+                  + [("dec_s", None)] * modality.use_sub)
+        distinct = [{} for _ in passes]  # (tokens, flags) -> distinct stream index
+        streams = [[] for _ in passes]
+        users = [[] for _ in passes]  # (item, distinct stream index)
+        empty_context = []
+        for b, (view, _, face_names) in enumerate(batch):
+            has_visual = has_sub = False
+            for i, (_, run) in enumerate(passes):
+                if run is None:
+                    toks, flags = subtitle_stream(view.subtitles, self.cast)
+                else:
+                    toks, flags = visual_stream(view.frames, run, face_names, self.cast,
+                                                self.human_words)
+                if not toks:
+                    continue
+                if run is None:
+                    has_sub = True
+                else:
+                    has_visual = True
+                u = distinct[i].setdefault((tuple(toks), tuple(flags)), len(streams[i]))
+                if u == len(streams[i]):
+                    streams[i].append((toks, flags))
+                users[i].append((b, u))
+            empty_context.append(int(bool(modality.visual_passes()) and not has_visual)
+                                 + int(modality.use_sub and not has_sub))
+
+        qa_streams = [qa_stream(qa.question, ans, self.cast)
+                      for _, qa, _ in batch for ans in qa.answers]
+        if not all(toks for toks, _ in qa_streams):
+            raise EmptyInputError("enc: empty input sequence")
+        h_q, mask, enc_cache = self._encode(qa_streams, keep_cache)
+        lengths = mask.sum(axis=1)
+        rows = lengths.reshape(-1, 5).sum(axis=1)
+        q_mask = np.arange(rows.max())[None, :] < rows[:, None]
+        v = np.zeros(q_mask.shape + (c.d_model,))
+        v[q_mask] = h_q[mask]
+
+        dec_caches = []
+        for (prefix, _), pass_streams, pass_users in zip(passes, streams, users):
+            if not pass_streams:
+                dec_caches.append(None)
+                continue
+            h, ctx_mask, ctx_cache = self._encode(pass_streams, keep_cache)
+            items, u = (np.array(col) for col in zip(*pass_users))
+            v[items], dec_cache = nn.stack_forward(p, prefix, c.dec_layers, v[items], h[u],
+                                                   key_mask=ctx_mask[u], keep_cache=keep_cache)
+            dec_caches.append((items, u, h.shape, ctx_cache, dec_cache))
+
+        starts = np.cumsum(lengths) - lengths
+        m = (np.add.reduceat(v[q_mask], starts) / lengths[:, None]).reshape(-1, 5, c.d_model)
+        a, ans_cache = nn.stack_forward(p, "ans", c.ans_layers, m, keep_cache=keep_cache)
         logits = a @ p["ans.head.w"] + p["ans.head.b"]
-        p_a = nn.softmax(logits, axis=-1)
-        cache = (plans, mask, enc_cache, passes, ans_cache, a, empty_context)
-        return p_a, cache
+        p_a = nn.softmax(logits)
+        cache = (mask, q_mask, enc_cache, passes, dec_caches, ans_cache, a, empty_context)
+        return p_a, cache if keep_cache else None
 
     def backward_item(self, cache, dlogits: np.ndarray, grads: dict) -> None:
-        """Accumulate parameter gradients for one item, given dL/dlogits."""
+        """Accumulate the parameter gradients of a batch, given dL/dlogits
+        (B, 5). A context stream shared by several items gets the sum of
+        their context gradients before its one encoder backward."""
         p = self.params
-        plans, mask, enc_cache, passes, ans_cache, a, _ = cache
-
-        grads["ans.head.w"] = grads.get("ans.head.w", 0) + a.T @ dlogits
+        mask, q_mask, enc_cache, passes, dec_caches, ans_cache, a, _ = cache
+        d = a.shape[-1]
+        grads["ans.head.w"] = grads.get("ans.head.w", 0) + a.reshape(-1, d).T @ dlogits.ravel()
         grads["ans.head.b"] = grads.get("ans.head.b", 0) + dlogits.sum()
-        da = dlogits[:, None] * p["ans.head.w"][None, :]
+        da = dlogits[..., None] * p["ans.head.w"]
         dm, _ = nn.stack_backward(p, "ans", ans_cache, da, grads)
 
         lengths = mask.sum(axis=1)
-        dv = np.repeat(dm / lengths[:, None], lengths, axis=0)
-        for prefix, dec_cache, (plan, ctx_cache) in reversed(passes):
-            dv, dctx = nn.stack_backward(p, prefix, dec_cache, dv, grads)
-            dx, _ = nn.stack_backward(p, "enc", ctx_cache, dctx, grads)
-            embed_backward(grads, p, plan, dx)
-        dh_q = np.zeros(mask.shape + (dv.shape[-1],))
-        dh_q[mask] = dv
-        dx, _ = nn.stack_backward(p, "enc", enc_cache, dh_q, grads)
-        for plan, dx_i in zip(plans, dx):  # zip stops before each pad row
-            embed_backward(grads, p, plan, dx_i)
+        dv = np.zeros(q_mask.shape + (d,))
+        dv[q_mask] = np.repeat(dm.reshape(-1, d) / lengths[:, None], lengths, axis=0)
+        for (prefix, _), pass_cache in zip(reversed(passes), reversed(dec_caches)):
+            if pass_cache is None:
+                continue
+            items, u, h_shape, ctx_cache, dec_cache = pass_cache
+            dq, dctx = nn.stack_backward(p, prefix, dec_cache, dv[items], grads)
+            dv[items] = dq
+            dh = np.zeros(h_shape)
+            np.add.at(dh, u, dctx)
+            self._encode_backward(ctx_cache, dh, grads)
+        dh_q = np.zeros(mask.shape + (d,))
+        dh_q[mask] = dv[q_mask]
+        self._encode_backward(enc_cache, dh_q, grads)
 
     # -- joint loss ------------------------------------------------------
+
+    def _clip_rkl(self, clip: Clip, targets, weight: float, grads: dict | None) -> float:
+        """The clip's RKL term; with grads, accumulates weight * its gradient
+        into the naming head."""
+        ids, table = self.face_table(clip)
+        if targets is None:
+            targets = broadcast_targets(clip, self.cast, self.config.epsilon)
+        if not (ids and targets.entries):
+            return 0.0
+        rows, ncache = naming_forward(self.naming_params(), table)
+        rkl, drows = rkl_loss_with_grad(NameDistributionSeq(ids, rows), targets)
+        if grads is not None and weight != 0.0:
+            for k, g in naming_backward(self.naming_params(), ncache, weight * drows).items():
+                key = "naming." + k
+                grads[key] = grads.get(key, 0) + g
+        return rkl
+
+    def loss_and_grads(self, batch, modality: ModalityConfig, lam: float = 1.0,
+                       grads: dict | None = None) -> list[ItemResult]:
+        """The joint objective CE + lambda * clip RKL of each item of a batch
+        of (clip, view, qa, face_names, targets); targets None are built
+        from the clip. With grads, accumulates the batch's summed gradient.
+
+        The RKL term always runs over the full clip (naming supervision does
+        not depend on the QA window), so it runs once per distinct clip and
+        its gradient is scaled by the clip's item count. face_names is the
+        current discrete assignment; no gradient flows through it.
+        """
+        p_a, cache = self.forward_item([(view, qa, names) for _, view, qa, names, _ in batch],
+                                       modality)
+        clips = {}  # id(clip) -> [clip, targets, item count], in batch order
+        for clip, _, _, _, targets in batch:
+            clips.setdefault(id(clip), [clip, targets, 0])[2] += 1
+        rkl = {key: self._clip_rkl(clip, targets, lam * count, grads)
+               for key, (clip, targets, count) in clips.items()}
+        gold = [qa.correct_index for _, _, qa, _, _ in batch]
+        results = []
+        for b, (clip, *_) in enumerate(batch):
+            loss, ce, clamped = joint_loss(p_a[b], gold[b], rkl[id(clip)], lam)
+            results.append(ItemResult(loss, ce, rkl[id(clip)], p_a[b],
+                                      correct=int(np.argmax(p_a[b])) == gold[b],
+                                      clamped=clamped, empty_context=cache[-1][b]))
+        if grads is not None:
+            dlogits = p_a.copy()
+            dlogits[np.arange(len(batch)), gold] -= 1.0
+            self.backward_item(cache, dlogits, grads)
+        return results
 
     def item_loss_and_grads(self, clip: Clip, view: Clip, qa: QAItem,
                             modality: ModalityConfig, face_names: dict[int, str],
                             lam: float = 1.0, grads: dict | None = None,
                             targets=None) -> ItemResult:
-        """Eq.-style joint objective on one QA item: CE + lambda * clip RKL.
-
-        The RKL term always runs over the full clip (naming supervision does
-        not depend on the QA window). face_names is the current discrete
-        assignment; no gradient flows through it.
-        """
-        p_a, cache = self.forward_item(view, qa, modality, face_names)
-        gold = qa.correct_index
-        ids, table = self.face_table(clip)
-        if targets is None:
-            targets = broadcast_targets(clip, self.cast, self.config.epsilon)
-        rkl = 0.0
-        if ids and targets.entries:
-            rows, ncache = naming_forward(self.naming_params(), table)
-            preds = NameDistributionSeq(ids, rows)
-            rkl, drows = rkl_loss_with_grad(preds, targets)
-            if grads is not None and lam != 0.0:
-                for k, g in naming_backward(self.naming_params(), ncache, lam * drows).items():
-                    key = "naming." + k
-                    grads[key] = grads.get(key, 0) + g
-        loss, ce, clamped = joint_loss(p_a, gold, rkl, lam)
-
-        if grads is not None:
-            dlogits = p_a.copy()
-            dlogits[gold] -= 1.0
-            self.backward_item(cache, dlogits, grads)
-
-        return ItemResult(loss, ce, rkl, p_a,
-                          correct=int(np.argmax(p_a)) == gold,
-                          clamped=clamped, empty_context=cache[-1])
+        """loss_and_grads of a batch of one item."""
+        return self.loss_and_grads([(clip, view, qa, face_names, targets)], modality,
+                                   lam, grads)[0]
 
     def score(self, view: Clip, qa: QAItem, modality: ModalityConfig,
               face_names: dict[int, str]) -> np.ndarray:
-        p_a, _ = self.forward_item(view, qa, modality, face_names)
-        return p_a
+        """Answer probabilities of one item: forward_item on a batch of one."""
+        return self.forward_item([(view, qa, face_names)], modality, keep_cache=False)[0][0]
 
     # -- persistence -----------------------------------------------------
 
@@ -549,11 +616,27 @@ class Model:
         if version != CHECKPOINT_VERSION:
             raise SchemaVersionError(f"unsupported checkpoint version {version!r}"
                                      f" (expected {CHECKPOINT_VERSION!r})")
-        vocab = Vocab(tuple(meta["vocab"]["words"]), tuple(meta["vocab"]["names"]),
-                      tuple(meta["vocab"]["chars"]))
-        cast = CastList.from_dict(meta["cast"])
-        config = ModelConfig(**meta["config"])
-        return cls(vocab, cast, config, human_words=tuple(meta["human_words"]), params=params)
+        try:
+            vocab = Vocab(tuple(meta["vocab"]["words"]), tuple(meta["vocab"]["names"]),
+                          tuple(meta["vocab"]["chars"]))
+            cast = CastList.from_dict(meta["cast"])
+            config = ModelConfig(**meta["config"])
+            human_words = tuple(meta["human_words"])
+        except KeyError as e:
+            raise CheckpointError(f"{path}: checkpoint meta lacks {e.args[0]!r}") from None
+        except TypeError as e:
+            raise CheckpointError(f"{path}: malformed checkpoint meta ({e})") from None
+        # A fresh model of the same config and vocabulary has every tensor
+        # in the shape the checkpoint must have.
+        expected = cls(vocab, cast, config, human_words).params
+        for key in sorted(expected.keys() | params.keys()):
+            want, got = expected.get(key), params.get(key)
+            if want is None or got is None or want.shape != got.shape:
+                raise CheckpointError(
+                    f"{path}: tensor {key!r} has shape "
+                    f"{None if got is None else got.shape}, config and vocab need "
+                    f"{None if want is None else want.shape}")
+        return cls(vocab, cast, config, human_words=human_words, params=params)
 
 
 __all__ = [

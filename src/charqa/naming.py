@@ -91,13 +91,13 @@ def naming_forward(params: NamingParams, embeddings: np.ndarray):
         )
     pre = embeddings @ params.w1 + params.b1
     h = np.maximum(pre, 0.0)
-    p = softmax(h @ params.w2 + params.b2, axis=-1)
+    p = softmax(h @ params.w2 + params.b2)
     return p, (embeddings, pre, h, p)
 
 
 def naming_backward(params: NamingParams, cache, dp) -> dict[str, np.ndarray]:
     embeddings, pre, h, p = cache
-    dlogits = softmax_backward(p, dp, axis=-1)
+    dlogits = softmax_backward(p, dp)
     dh = dlogits @ params.w2.T
     dpre = dh * (pre > 0)
     return {

@@ -149,6 +149,20 @@ class TestAttention:
             attention(np.zeros((2, 3)), np.zeros((0, 3)))
 
 
+class TestReductionKernels:
+    def test_row_reductions_match_numpy(self):
+        # The max is exact; the sums run as a matrix-vector product, so
+        # they may differ from numpy's pairwise sum in the last bits.
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((3, 4, 5, 7))
+        for arr in (x, x.swapaxes(-1, -2), x[..., 0, :]):
+            assert np.array_equal(nn.row_max(arr), arr.max(axis=-1, keepdims=True))
+            assert np.max(np.abs(nn.row_sum(arr) - arr.sum(axis=-1, keepdims=True))) <= 1e-13
+            assert np.max(np.abs(nn.row_mean(arr) - arr.mean(axis=-1, keepdims=True))) <= 1e-14
+        p = nn.softmax(x)
+        assert p.shape == x.shape and np.max(np.abs(p.sum(axis=-1) - 1.0)) <= 1e-14
+
+
 class TestEncode:
     def test_output_shape(self):
         params = stack_params()
@@ -311,7 +325,7 @@ class TestForward:
     def test_p_a_is_distribution(self, mini):
         model, clip, qa = mini
         names = model.name_assignments(clip)
-        p_a, _ = model.forward_item(clip, qa, ModalityConfig(), names)
+        p_a = model.score(clip, qa, ModalityConfig(), names)
         assert p_a.shape == (5,)
         assert p_a.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(p_a >= 0)
@@ -320,27 +334,27 @@ class TestForward:
         model, clip, qa = mini
         same = QAItem(qa.question, [list(qa.answers[0])] * 5, 0, qa.ts_interval)
         names = model.name_assignments(clip)
-        p_a, _ = model.forward_item(clip, same, ModalityConfig(), names)
+        p_a = model.score(clip, same, ModalityConfig(), names)
         assert np.allclose(p_a, 0.2, atol=1e-9)
 
     def test_candidate_permutation_equivariance(self, mini):
         model, clip, qa = mini
         names = model.name_assignments(clip)
-        base, _ = model.forward_item(clip, qa, ModalityConfig(), names)
+        base = model.score(clip, qa, ModalityConfig(), names)
         perm = [3, 0, 4, 1, 2]
         permuted = QAItem(qa.question, [qa.answers[i] for i in perm],
                           perm.index(qa.correct_index), qa.ts_interval)
-        p_perm, _ = model.forward_item(clip, permuted, ModalityConfig(), names)
+        p_perm = model.score(clip, permuted, ModalityConfig(), names)
         assert np.allclose(p_perm, base[perm], atol=1e-9)
 
     def test_swap_first_two_answers(self, mini):
         model, clip, qa = mini
         names = model.name_assignments(clip)
-        base, _ = model.forward_item(clip, qa, ModalityConfig(), names)
+        base = model.score(clip, qa, ModalityConfig(), names)
         swapped = QAItem(qa.question,
                          [qa.answers[1], qa.answers[0]] + list(qa.answers[2:]),
                          qa.correct_index, qa.ts_interval)
-        p_sw, _ = model.forward_item(clip, swapped, ModalityConfig(), names)
+        p_sw = model.score(clip, swapped, ModalityConfig(), names)
         assert p_sw[0] == pytest.approx(base[1], abs=1e-9)
         assert p_sw[1] == pytest.approx(base[0], abs=1e-9)
         assert np.allclose(p_sw[2:], base[2:], atol=1e-9)
@@ -349,21 +363,21 @@ class TestForward:
         model, clip, qa = mini
         empty = QAItem([], [[]] + [list(a) for a in qa.answers[1:]], 0, qa.ts_interval)
         with pytest.raises(EmptyInputError):
-            model.forward_item(clip, empty, ModalityConfig(), model.name_assignments(clip))
+            model.score(clip, empty, ModalityConfig(), model.name_assignments(clip))
 
     def test_sub_only_ignores_frames(self, mini):
         model, clip, qa = mini
         names = model.name_assignments(clip)
         sub_only = ModalityConfig.from_label("Sub")
-        p1, _ = model.forward_item(clip, qa, sub_only, names)
+        p1 = model.score(clip, qa, sub_only, names)
         stripped = type(clip)(clip.clip_id, [], clip.subtitles, clip.qas, None)
-        p2, _ = model.forward_item(stripped, qa, sub_only, names)
+        p2 = model.score(stripped, qa, sub_only, names)
         assert np.allclose(p1, p2, atol=1e-12)
 
     def test_checkpoint_round_trip(self, mini, tmp_path):
         model, clip, qa = mini
         names = model.name_assignments(clip)
-        base, _ = model.forward_item(clip, qa, ModalityConfig(), names)
+        base = model.score(clip, qa, ModalityConfig(), names)
         path = tmp_path / "m.npz"
         model.save(path)
         loaded = Model.load(path)
@@ -372,7 +386,7 @@ class TestForward:
         assert loaded.config == model.config
         for k, v in model.params.items():
             assert np.array_equal(loaded.params[k], v)
-        p2, _ = loaded.forward_item(clip, qa, ModalityConfig(), names)
+        p2 = loaded.score(clip, qa, ModalityConfig(), names)
         assert np.array_equal(base, p2)
 
     def test_checkpoint_version_guard(self, mini, tmp_path):
@@ -400,6 +414,19 @@ class TestForward:
         for name in ("text.npz", "bare.npy", "nometa.npz"):
             with pytest.raises(CheckpointError, match="not a charqa checkpoint"):
                 Model.load(tmp_path / name)
+        # The right version, but a meta record without the vocabulary, and
+        # a tensor whose shape disagrees with the config.
+        blob = dict(np.load(path, allow_pickle=False))
+        blob["__meta__"] = np.frombuffer(
+            json.dumps({"version": "charqa-ckpt-2"}).encode("utf-8"), dtype=np.uint8).copy()
+        np.savez(tmp_path / "thin.npz", **blob)
+        with pytest.raises(CheckpointError, match="lacks 'vocab'"):
+            Model.load(tmp_path / "thin.npz")
+        blob = dict(np.load(path, allow_pickle=False))
+        blob["enc.l0.ffn.w1"] = blob["enc.l0.ffn.w1"][:, :-1]
+        np.savez(tmp_path / "shape.npz", **blob)
+        with pytest.raises(CheckpointError, match="enc.l0.ffn.w1"):
+            Model.load(tmp_path / "shape.npz")
 
     def test_visual_passes_relations_then_objects(self):
         passes = ModalityConfig().visual_passes()
@@ -437,6 +464,113 @@ class TestForward:
             res = model.item_loss_and_grads(clip, clip, qa, ModalityConfig.from_label(label),
                                             names)
             assert res.empty_context == 0, label
+
+
+class TestBatch:
+    """A batch through forward_item/backward_item equals its items run
+    alone; batching changes nothing but speed."""
+
+    @pytest.fixture(scope="class")
+    def setup(self, small_corpus):
+        from charqa.corpus import clip_view
+        from charqa.harness import TrainConfig, _build_cast
+        cast = _build_cast(small_corpus, TrainConfig())
+        model = Model(build_vocab(small_corpus, cast), cast,
+                      ModelConfig(d_model=8, d_ff=12, d_h1=6, heads=2, d_f=16),
+                      rng=np.random.default_rng(3))
+        items = []
+        for clip in small_corpus[:3]:
+            names = model.name_assignments(clip)
+            for qa in clip.qas[:2]:
+                items.append((clip, clip_view(clip, qa, True)[0], qa, names, None))
+        # Two items whose contexts repeat (the whole clip), one without
+        # frames (empty visual context) and one without anything.
+        clip = small_corpus[3]
+        names = model.name_assignments(clip)
+        bare = type(clip)(clip.clip_id, [], clip.subtitles, clip.qas, clip.truth)
+        empty = type(clip)(clip.clip_id, [], [], clip.qas, clip.truth)
+        items += [(clip, clip, clip.qas[0], names, None), (clip, clip, clip.qas[1], names, None),
+                  (clip, bare, clip.qas[2], names, None), (clip, empty, clip.qas[3], names, None)]
+        return model, items
+
+    def test_batch_equals_items_alone(self, setup):
+        model, items = setup
+        grads = {}
+        results = model.loss_and_grads(items, ModalityConfig(), lam=0.7, grads=grads)
+        alone_grads = {}
+        alone = [model.loss_and_grads([it], ModalityConfig(), lam=0.7, grads=alone_grads)[0]
+                 for it in items]
+        assert [r.empty_context for r in alone] == [0, 0, 0, 0, 0, 0, 0, 0, 1, 2]
+        assert [r.empty_context for r in results] == [r.empty_context for r in alone]
+        for r, a in zip(results, alone):
+            assert np.max(np.abs(r.p_a - a.p_a)) <= 1e-12
+            assert abs(r.loss - a.loss) <= 1e-12
+        assert set(grads) == set(alone_grads)
+        for k in grads:
+            assert np.max(np.abs(grads[k] - alone_grads[k])) <= 1e-12, k
+
+    def test_item_permutation_permutes_outputs(self, setup):
+        model, items = setup
+        perm = np.random.default_rng(0).permutation(len(items))
+        grads, perm_grads = {}, {}
+        base = model.loss_and_grads(items, ModalityConfig(), grads=grads)
+        permuted = model.loss_and_grads([items[i] for i in perm], ModalityConfig(),
+                                        grads=perm_grads)
+        for j, i in enumerate(perm):
+            assert np.max(np.abs(permuted[j].p_a - base[i].p_a)) <= 1e-12
+            assert permuted[j].empty_context == base[i].empty_context
+        for k in grads:
+            assert np.max(np.abs(grads[k] - perm_grads[k])) <= 1e-12, k
+
+    def test_pad_rows_get_zero_gradient(self, setup, monkeypatch):
+        # Every key-masked stack call: the input gradient of each pad row,
+        # and the context gradient of each pad key, are exactly zero.
+        model, items = setup
+        forward, backward = nn.stack_forward, nn.stack_backward
+        masks, checked = {}, []
+
+        def recording_forward(params, prefix, n_layers, x, context=None, key_mask=None,
+                              keep_cache=True):
+            y, cache = forward(params, prefix, n_layers, x, context, key_mask, keep_cache)
+            if key_mask is not None:
+                masks[id(cache)] = (context is None, key_mask, cache)
+            return y, cache
+
+        def checking_backward(params, prefix, cache, dy, grads):
+            dx, dctx = backward(params, prefix, cache, dy, grads)
+            if id(cache) in masks:
+                is_self, key_mask, _ = masks[id(cache)]
+                pads = dx[~key_mask] if is_self else dctx[~key_mask]
+                assert np.all(pads == 0.0), prefix
+                checked.append((prefix, int((~key_mask).sum())))
+            return dx, dctx
+
+        monkeypatch.setattr(nn, "stack_forward", recording_forward)
+        monkeypatch.setattr(nn, "stack_backward", checking_backward)
+        model.loss_and_grads(items, ModalityConfig(), grads={})
+        assert {p for p, n in checked if n} >= {"enc", "dec_v", "dec_s"}
+
+    def test_whole_clip_batch_encodes_each_context_once(self, setup, small_corpus,
+                                                        monkeypatch):
+        model, _ = setup
+        clip = small_corpus[0]
+        names = model.name_assignments(clip)
+        calls = []
+        forward = nn.stack_forward
+
+        def counting_forward(params, prefix, *args, **kwargs):
+            y, cache = forward(params, prefix, *args, **kwargs)
+            if prefix == "enc":
+                calls.append(y.shape[0])
+            return y, cache
+
+        monkeypatch.setattr(nn, "stack_forward", counting_forward)
+        p_a, _ = model.forward_item([(clip, qa, names) for qa in clip.qas], ModalityConfig(),
+                                    keep_cache=False)
+        # One QA batch of 5 candidates per item, then one encode of the one
+        # distinct stream of each context pass (relations, objects, subtitles).
+        assert calls == [5 * len(clip.qas), 1, 1, 1]
+        assert p_a.shape == (len(clip.qas), 5)
 
 
 class TestCarnGradients:

@@ -55,11 +55,16 @@ class TestGen:
             ("gen", json.dumps({"n_clipz": 3}), "n_clipz"),
             ("gen", json.dumps([1, 2]), "JSON object"),
             ("gen", "{not json", "malformed JSON"),
+            ("gen", json.dumps({"n_clips": "3"}), "n_clips"),
+            ("gen", json.dumps({"noise_sigma": True}), "noise_sigma"),
             ("train", json.dumps({"epochz": 1}), "epochz"),
             ("train", json.dumps([1, 2]), "JSON object"),
             ("train", json.dumps({"modality": 5}), "modality"),
             ("train", json.dumps({"model": {"d_modl": 8}}), "d_modl"),
             ("train", "{not json", "malformed JSON"),
+            ("train", json.dumps({"epochs": "2"}), "epochs"),
+            ("train", json.dumps({"epochs": True}), "epochs"),
+            ("train", json.dumps({"model": {"d_model": 8.0}}), "d_model"),
             ("ablate", json.dumps({"epochz": 1}), "epochz"),
             ("ablate", json.dumps({"modality": ["Sub"]}), "modality"),
             ("ablate", "", "malformed JSON"),
@@ -73,6 +78,23 @@ class TestGen:
             assert err.startswith("error: ") and err.count("\n") == 1, (cmd, text, err)
             assert needle in err, (cmd, text, err)
         assert not (workdir / "nope.npz").exists()
+
+
+def test_train_takes_d_f_from_corpus(tmp_path, capsys):
+    corpus = str(tmp_path / "corpus.jsonl")
+    assert main(["gen", "--out", corpus, "--k", "2", "--extras", "1", "--clips", "4",
+                 "--d-f", "16", "--seed", "3"]) == 0
+    rc = main(["train", "--corpus", corpus, "--out", str(tmp_path / "m.npz"), "--epochs", "1"])
+    assert rc == 0, capsys.readouterr().err
+    assert Model.load(tmp_path / "m.npz").config.d_f == 16
+    # An explicit d_f that disagrees with the corpus stops before training.
+    (tmp_path / "bad.json").write_text(json.dumps({"model": {"d_f": 256}}), encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["train", "--corpus", corpus, "--out", str(tmp_path / "bad.npz"),
+               "--config", str(tmp_path / "bad.json")])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert "d_f" in err and not (tmp_path / "bad.npz").exists()
 
 
 class TestCastlist:

@@ -6,11 +6,11 @@ import pytest
 
 from charqa import nn
 from charqa.carn import VARIANT_LABELS, ModalityConfig, Model, ModelConfig
-from charqa.corpus import Clip, GenConfig, generate_corpus
+from charqa.corpus import Clip, GenConfig, QAItem, generate_corpus
 from charqa.errors import ConfigError, EmptyInputError
-from charqa.harness import (METRICS_COLUMNS, GradCheckReport, TrainConfig, ablate,
-                            evaluate, format_report, grad_check, metrics_csv_text,
-                            train, write_metrics_csv)
+from charqa.harness import (METRICS_COLUMNS, GradCheckReport, TrainConfig, _mini_setup,
+                            ablate, broadcast_targets, evaluate, format_report, grad_check,
+                            metrics_csv_text, train, write_metrics_csv)
 
 SMALL_MODEL = ModelConfig(d_model=16, d_ff=24, d_h1=8, heads=2, d_f=16)
 
@@ -101,18 +101,19 @@ class TestEvaluate:
     def test_forced_gold_is_perfect(self, small_corpus, trained):
         model, _, config = trained
 
-        def gold(view, qa, modality, names):
-            p = np.zeros(5)
-            p[qa.correct_index] = 1.0
-            return p
+        def gold(batch, modality, keep_cache=True):
+            p = np.zeros((len(batch), 5))
+            for b, (_, qa, _) in enumerate(batch):
+                p[b, qa.correct_index] = 1.0
+            return p, None
 
-        original = model.score
-        model.score = gold
+        original = model.forward_item
+        model.forward_item = gold
         try:
             report = evaluate(model, small_corpus, use_ts=True,
                               modality=config.modality)
         finally:
-            model.score = original
+            model.forward_item = original
         assert report.qa_acc == 1.0
         assert report.qa_acc_visual == 1.0
         assert report.qa_acc_textual == 1.0
@@ -196,11 +197,11 @@ class TestGradCheckRunner:
         def loss():
             return float(np.sum(params["w"] * probe))
 
-        clean = nn.check_gradients(loss, params, {"w": probe.copy()})
+        clean, _ = nn.check_gradients(loss, params, {"w": probe.copy()})
         assert max(clean.values()) <= 1e-4
         bad = probe.copy()
         bad[0, 0] += 1e-2
-        errors = nn.check_gradients(loss, params, {"w": bad})
+        errors, _ = nn.check_gradients(loss, params, {"w": bad})
         assert errors["w"] > 1e-4
 
     def test_missing_gradient_is_claimed_zero(self):
@@ -211,8 +212,85 @@ class TestGradCheckRunner:
         def loss():
             return float(np.sum(params["w"] * probe))
 
-        errors = nn.check_gradients(loss, params, {}, keys=["w"])
+        errors, _ = nn.check_gradients(loss, params, {}, keys=["w"])
         assert errors["w"] > 1e-4
+
+    def test_relu_kink_is_told_from_a_wrong_gradient(self):
+        # With ["so", "story"] as the fourth answer, config 7 of the
+        # single-item full check at seed 0 puts an FFN pre-activation within
+        # the 1e-5 central step of the ReLU kink: the central difference of
+        # enc.l0.ffn.b2[4] misses the (correct) analytic value by 3.4e-2.
+        rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(2,)))
+        for config in range(8):
+            model, clip, qa = _mini_setup(rng)
+            lam = float(rng.choice([0.5, 1.0, 2.0]))
+            if config < 7:  # draw the entries that the config probed
+                for _, a in sorted(model.params.items()):
+                    if a.size > 2:
+                        rng.choice(a.size, size=2, replace=False)
+        qa = QAItem(qa.question, [["Ada"], ["Ben"], ["cup"], ["so", "story"], ["story"]],
+                    0, qa.ts_interval)
+        clip = Clip(clip.clip_id, clip.frames, clip.subtitles, [qa], clip.truth)
+        names = model.name_assignments(clip)
+        targets = broadcast_targets(clip, model.cast, model.config.epsilon)
+
+        def loss():
+            return model.item_loss_and_grads(clip, clip, qa, ModalityConfig(), names,
+                                             lam=lam, targets=targets).loss
+
+        grads = {}
+        model.item_loss_and_grads(clip, clip, qa, ModalityConfig(), names, lam=lam,
+                                  grads=grads, targets=targets)
+        key = "enc.l0.ffn.b2"
+        central = nn.fd_gradient_entry(loss, model.params, key, (4,))
+        assert nn.relative_error(grads[key][4], central) > 1e-2
+        worst, kinks = nn.check_gradients(loss, model.params, grads, keys=[key])
+        assert kinks[key] >= 1
+        assert worst[key] <= 1e-4
+        rep = GradCheckReport("full", 1e-4)
+        rep.merge(worst, kinks)
+        assert rep.passed and "kink" in rep.format()
+
+    def test_flipped_relu_mask_still_fails(self, monkeypatch):
+        # A test double of the FFN backward that flips the ReLU of the unit
+        # with the largest pre-activation: a wrong gradient, not a kink.
+        rng = np.random.default_rng(4)
+        params = {}
+        nn.init_stack(rng, params, "enc", 2, 8, 12, 2)
+        x = rng.standard_normal((2, 5, 8))
+        mask = np.array([[True] * 5, [True, True, False, True, False]])
+        probe = rng.standard_normal(x.shape)
+
+        def flipped(params_, prefix, x_, dy, grads_):
+            w1, b1, w2 = (params_[prefix + k] for k in (".w1", ".b1", ".w2"))
+            pre = x_ @ w1 + b1
+            on = pre > 0
+            i = np.unravel_index(np.argmax(np.abs(pre)), pre.shape)
+            on[i] = not on[i]
+            dpre = (dy @ w2.T) * on
+
+            def rows(a):
+                return a.reshape(-1, a.shape[-1])
+
+            for k, g in ((".w2", rows(pre * on).T @ rows(dy)), (".b2", rows(dy).sum(axis=0)),
+                         (".w1", rows(x_).T @ rows(dpre)), (".b1", rows(dpre).sum(axis=0))):
+                grads_[prefix + k] = grads_.get(prefix + k, 0) + g
+            return dpre @ w1.T
+
+        def loss():
+            return float(np.sum(nn.stack_forward(params, "enc", 2, x, None, mask)[0] * probe))
+
+        _, cache = nn.stack_forward(params, "enc", 2, x, None, mask)
+        grads = {}
+        monkeypatch.setattr(nn, "ffn_backward", flipped)
+        nn.stack_backward(params, "enc", cache, probe, grads)
+        monkeypatch.undo()
+        worst, kinks = nn.check_gradients(loss, params, grads)
+        assert max(worst.values()) > 1e-4
+        assert not any(kinks.values())
+        rep = GradCheckReport("enc", 1e-4)
+        rep.merge(worst, kinks)
+        assert not rep.passed and "FAIL" in rep.format()
 
     def test_report_merge_and_format(self):
         rep = GradCheckReport("enc", 1e-4)
