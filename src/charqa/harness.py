@@ -9,6 +9,7 @@ byte-identical outputs.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -249,6 +250,10 @@ def train(corpus: list[Clip], config: TrainConfig = TrainConfig()):
             optimizer.step(model.params, grads)
         losses.append(epoch_loss / len(items))
 
+    # The loop leaves many small objects' memory on CPython's free lists, where
+    # it stays pinned; without a full collection, the peak memory of repeated
+    # trainings in one process (an ablation grid) ratchets up with each one.
+    gc.collect()
     report = evaluate(model, corpus, use_ts=config.use_ts, modality=config.modality,
                       seed=config.seed)
     report.variant = config.modality.label()
@@ -324,6 +329,7 @@ def ablate(corpus: list[Clip], config: TrainConfig = TrainConfig(),
                          seed=cfg.seed)
             r.config_hash = cfg.hash()
             reports.append(r)
+        del model  # the next variant trains without this one's parameters alive
     return reports
 
 
