@@ -8,10 +8,10 @@ from charqa.carn import (FULL_VARIANT, ModalityConfig, Model, ModelConfig,
                          VARIANT_LABELS, Vocab, build_vocab, embed_sequence,
                          joint_loss, prepare_sequence, qa_stream, subtitle_stream)
 from charqa.castlist import build_cast_list
-from charqa.corpus import Frame, QAItem, generate_corpus, GenConfig
+from charqa.corpus import Frame, QAItem, clip_view, generate_corpus, GenConfig
 from charqa.errors import (CheckpointError, ConfigError, EmptyInputError, ShapeError,
                            VocabError)
-from charqa.harness import _mini_setup, grad_check
+from charqa.harness import TrainConfig, _build_cast, _mini_setup, grad_check
 
 
 def stack_params(prefix="enc", d_model=8, d_ff=12, heads=4, seed=0):
@@ -472,8 +472,6 @@ class TestBatch:
 
     @pytest.fixture(scope="class")
     def setup(self, small_corpus):
-        from charqa.corpus import clip_view
-        from charqa.harness import TrainConfig, _build_cast
         cast = _build_cast(small_corpus, TrainConfig())
         model = Model(build_vocab(small_corpus, cast), cast,
                       ModelConfig(d_model=8, d_ff=12, d_h1=6, heads=2, d_f=16),
