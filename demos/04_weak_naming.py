@@ -52,6 +52,6 @@ for fid in sorted(clip.truth)[:8]:
     print(f"  face {fid}: predicted {assigned.get(fid, '-'):>8}  "
           f"truth {clip.truth[fid]:>8}  {hit}")
 
-acc = face_accuracy(preds, clip.truth, cast)
-print(f"\nclip face accuracy {acc:.3f}; corpus-level {report.face_acc:.3f} "
+correct, total = face_accuracy(preds, clip.truth, cast)
+print(f"\nclip face accuracy {correct}/{total}; corpus-level {report.face_acc:.3f} "
       f"after {config.epochs} epochs (no face label ever seen)")

@@ -199,12 +199,11 @@ def qa_stream(question, answer, cast: CastList):
     return toks, [t in cast for t in toks]
 
 
-def visual_stream(frames, modality: ModalityConfig, face_names, cast: CastList,
-                  human_words=DEFAULT_HUMAN_WORDS):
+def visual_stream(frames, modality: ModalityConfig, face_names, cast: CastList):
     if not (modality.use_objs or modality.use_rels):
         return [], []
     stream = build_semantic_stream(
-        frames, face_names, human_words,
+        frames, face_names, DEFAULT_HUMAN_WORDS,
         use_objs=modality.use_objs, use_rels=modality.use_rels,
         objs_names=modality.objs_names, rels_names=modality.rels_names,
         name_set=frozenset(cast.names),
@@ -337,11 +336,10 @@ class Model:
     """Parameters + vocabulary + cast; forward/backward for batches of items."""
 
     def __init__(self, vocab: Vocab, cast: CastList, config: ModelConfig = ModelConfig(),
-                 human_words=DEFAULT_HUMAN_WORDS, rng=None, params=None):
+                 rng=None, params=None):
         self.vocab = vocab
         self.cast = cast
         self.config = config
-        self.human_words = tuple(human_words)
         if params is not None:
             self.params = params
         elif config.d_f is None:
@@ -452,8 +450,7 @@ class Model:
                 if run is None:
                     toks, flags = subtitle_stream(view.subtitles, self.cast)
                 else:
-                    toks, flags = visual_stream(view.frames, run, face_names, self.cast,
-                                                self.human_words)
+                    toks, flags = visual_stream(view.frames, run, face_names, self.cast)
                 if not toks:
                     continue
                 if run is None:
@@ -593,7 +590,6 @@ class Model:
         meta = {
             "version": CHECKPOINT_VERSION,
             "config": self.config.__dict__,
-            "human_words": list(self.human_words),
             "vocab": {"words": list(self.vocab.words), "names": list(self.vocab.names),
                       "chars": list(self.vocab.chars)},
             "cast": self.cast.to_dict(),
@@ -621,14 +617,13 @@ class Model:
                           tuple(meta["vocab"]["chars"]))
             cast = CastList.from_dict(meta["cast"])
             config = ModelConfig(**meta["config"])
-            human_words = tuple(meta["human_words"])
         except KeyError as e:
             raise CheckpointError(f"{path}: checkpoint meta lacks {e.args[0]!r}") from None
         except TypeError as e:
             raise CheckpointError(f"{path}: malformed checkpoint meta ({e})") from None
         # A fresh model of the same config and vocabulary has every tensor
         # in the shape the checkpoint must have.
-        expected = cls(vocab, cast, config, human_words).params
+        expected = cls(vocab, cast, config).params
         for key in sorted(expected.keys() | params.keys()):
             want, got = expected.get(key), params.get(key)
             if want is None or got is None or want.shape != got.shape:
@@ -636,7 +631,7 @@ class Model:
                     f"{path}: tensor {key!r} has shape "
                     f"{None if got is None else got.shape}, config and vocab need "
                     f"{None if want is None else want.shape}")
-        return cls(vocab, cast, config, human_words=human_words, params=params)
+        return cls(vocab, cast, config, params=params)
 
 
 __all__ = [

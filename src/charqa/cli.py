@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import harness
 from .carn import ModalityConfig, Model, build_vocab, visual_stream, subtitle_stream
@@ -48,13 +48,15 @@ def _read_config(path):
 def _train_config(args) -> TrainConfig:
     cfg = TrainConfig.from_dict(_read_config(args.config)) if args.config else TrainConfig()
     overrides = {}
-    for name in ("epochs", "batch_size", "learning_rate", "lam", "epsilon",
+    for name in ("epochs", "batch_size", "learning_rate", "lam",
                  "seed", "use_ts", "min_count", "max_ratio"):
         v = getattr(args, name, None)
         if v is not None:
             overrides[name] = v
-    if getattr(args, "modality", None):
+    if args.modality:
         overrides["modality"] = ModalityConfig.from_label(args.modality)
+    if args.epsilon is not None:
+        overrides["model"] = replace(cfg.model, epsilon=args.epsilon)
     return replace(cfg, **overrides) if overrides else cfg
 
 
@@ -62,13 +64,10 @@ def _cmd_gen(args) -> int:
     kw = {}
     if args.config:
         kw = config_kwargs(GenConfig, _read_config(args.config), "gen config")
-    for name, dest in (("k_principals", "k"), ("n_extras", "extras"),
-                       ("n_clips", "clips"), ("frames_per_clip", "frames"),
-                       ("noise_sigma", "noise"), ("cooccur_rho", "rho"),
-                       ("d_f", "d_f"), ("seed", "seed")):
-        v = getattr(args, dest)
+    for f in fields(GenConfig):  # each field has a flag of the same dest
+        v = getattr(args, f.name)
         if v is not None:
-            kw[name] = v
+            kw[f.name] = v
     cfg = GenConfig(**kw)
     clips = generate_corpus(cfg)
     write_corpus(clips, args.out)
@@ -148,14 +147,22 @@ def _cmd_report(args) -> int:
         header = fh.readline().strip().split(",")
         if header != list(harness.METRICS_COLUMNS):
             raise CharqaError(f"unexpected metrics columns: {header}")
-        for line in fh:
+        for line_no, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
             v = line.strip().split(",")
             if len(v) != len(header):
-                continue
-            reports.append(harness.MetricsReport(
-                variant=v[0], use_ts=bool(int(v[1])), qa_acc=float(v[2]),
-                qa_acc_visual=float(v[3]), qa_acc_textual=float(v[4]),
-                face_acc=float(v[5]), seed=int(v[6])))
+                raise CharqaError(f"line {line_no}: {len(v)} columns, "
+                                  f"expected {len(header)}")
+            if v[1] not in ("0", "1"):
+                raise CharqaError(f"line {line_no}: use_ts must be 0 or 1, got {v[1]!r}")
+            try:
+                reports.append(harness.MetricsReport(
+                    variant=v[0], use_ts=v[1] == "1", qa_acc=float(v[2]),
+                    qa_acc_visual=float(v[3]), qa_acc_textual=float(v[4]),
+                    face_acc=float(v[5]), seed=int(v[6])))
+            except ValueError as e:
+                raise CharqaError(f"line {line_no}: {e}") from None
     if not reports:
         raise CharqaError("metrics file has no rows")
     print(harness.format_report(reports))
@@ -165,9 +172,12 @@ def _cmd_report(args) -> int:
 def _cmd_semantics_dump(args) -> int:
     clips = read_corpus(args.corpus)
     modality = ModalityConfig.from_label(args.modality)
-    counts = count_speakers(clips)
-    cast = build_cast_list(counts, min_count=scaled_min_count(sum(counts.values())))
     model = Model.load(args.checkpoint) if args.checkpoint else None
+    if model is not None:
+        cast = model.cast
+    else:
+        counts = count_speakers(clips)
+        cast = build_cast_list(counts, min_count=scaled_min_count(sum(counts.values())))
     with open(args.out, "w", encoding="utf-8") as fh:
         for clip in clips:
             if model is not None:
@@ -208,12 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="JSON file with GenConfig fields")
-    p.add_argument("--k", type=int, help="number of principal characters")
-    p.add_argument("--extras", type=int)
-    p.add_argument("--clips", type=int)
-    p.add_argument("--frames", type=int)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--rho", type=float)
+    p.add_argument("--k", type=int, dest="k_principals",
+                   help="number of principal characters")
+    p.add_argument("--extras", type=int, dest="n_extras")
+    p.add_argument("--clips", type=int, dest="n_clips")
+    p.add_argument("--frames", type=int, dest="frames_per_clip")
+    p.add_argument("--noise", type=float, dest="noise_sigma")
+    p.add_argument("--rho", type=float, dest="cooccur_rho")
     p.add_argument("--d-f", type=int, dest="d_f")
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=_cmd_gen)

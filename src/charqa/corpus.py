@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -45,6 +46,14 @@ PRINCIPAL_NAME_POOL = (
 
 # Name-shaped fillers for QA distractors when the cast is tiny.
 FILLER_NAME_POOL = ("Quinn", "Rory", "Sage", "Tess", "Uma", "Vik")
+
+FPS = 1.0  # frame i is shown at time i / FPS
+BYSTANDER_RATE = 0.5  # chance of one or two principals in frame beside the speaker
+EXTRA_FACE_RATE = 0.08  # chance of an extra's face in a frame
+SPEAKER_UNK_RATE = 0.01  # chance that an extra speaks a line
+OBJ_SUPPORT_FRAC = 0.5  # chance that an actor's handled object is also detected
+OBJECT_NOISE_RATE = 0.25  # chance that a plain detection comes from the relation pool
+ATTRIBUTE_RATE = 0.7  # chance that a plain detection carries an attribute
 
 
 @dataclass(frozen=True)
@@ -174,8 +183,11 @@ class Clip:
             yield from f.faces
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenConfig:
+    """The generator settings that `charqa gen` exposes as flags; the rest
+    of the generator's shape is fixed by the module constants above."""
+
     k_principals: int = 4
     n_extras: int = 2
     n_clips: int = 20
@@ -183,52 +195,23 @@ class GenConfig:
     d_f: int = 256
     noise_sigma: float = 0.1
     cooccur_rho: float = 0.9
-    fps: float = 1.0
-    object_vocab: tuple[str, ...] = DEFAULT_OBJECT_VOCAB
-    predicate_vocab: tuple[str, ...] = DEFAULT_PREDICATE_VOCAB
-    spatial_predicates: tuple[str, ...] = DEFAULT_SPATIAL_PREDICATES
-    attribute_vocab: tuple[str, ...] = DEFAULT_ATTRIBUTE_VOCAB
-    dialogue_vocab: tuple[str, ...] = DEFAULT_DIALOGUE_VOCAB
-    human_words: tuple[str, ...] = DEFAULT_HUMAN_WORDS
-    qa_templates: tuple[str, ...] = ("visual", "visual", "textual_who", "textual_who")
-    bystander_rate: float = 0.5
-    extra_face_rate: float = 0.08
-    speaker_unk_rate: float = 0.01
-    obj_support_frac: float = 0.5
-    object_noise_rate: float = 0.25
-    attribute_rate: float = 0.7
     seed: int = 0
+    # Two visual and two speaker questions per clip, in this order.
+    qa_templates: ClassVar[tuple[str, ...]] = ("visual", "visual", "textual_who", "textual_who")
 
-    def validate(self):
-        if self.k_principals < 1:
-            raise ConfigError("k_principals must be >= 1")
-        if self.n_extras < 0:
-            raise ConfigError("n_extras must be >= 0")
-        if self.n_clips < 1:
-            raise ConfigError("n_clips must be >= 1")
-        if self.frames_per_clip < 1:
-            raise ConfigError("frames_per_clip must be >= 1")
-        if self.d_f < 1:
-            raise ConfigError("d_f must be >= 1")
+    def __post_init__(self):
+        for name, low in (("k_principals", 1), ("n_extras", 0), ("n_clips", 1),
+                          ("frames_per_clip", 1), ("d_f", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}")
+        # Each frame speaks a distinct dialogue word.
+        if self.frames_per_clip > len(DEFAULT_DIALOGUE_VOCAB):
+            raise ConfigError(f"frames_per_clip must be <= {len(DEFAULT_DIALOGUE_VOCAB)}, "
+                              "the size of the dialogue vocabulary")
         if not (self.noise_sigma >= 0 and math.isfinite(self.noise_sigma)):
             raise ConfigError("noise_sigma must be a finite value >= 0")
         if not 0.0 <= self.cooccur_rho <= 1.0:
             raise ConfigError("cooccur_rho must lie in [0, 1]")
-        if self.fps <= 0:
-            raise ConfigError("fps must be > 0")
-        if not 0.0 <= self.obj_support_frac <= 1.0:
-            raise ConfigError("obj_support_frac must lie in [0, 1]")
-        if not 0.0 <= self.object_noise_rate <= 1.0:
-            raise ConfigError("object_noise_rate must lie in [0, 1]")
-        if not self.object_vocab:
-            raise ConfigError("object_vocab must be non-empty")
-        if not self.predicate_vocab:
-            raise ConfigError("predicate_vocab must be non-empty")
-        if len(self.dialogue_vocab) < self.frames_per_clip:
-            raise ConfigError("dialogue_vocab too small for frames_per_clip")
-        for t in self.qa_templates:
-            if t not in ("visual", "textual_who"):
-                raise ConfigError(f"qa_templates contains unknown template {t!r}")
 
     def principal_names(self):
         pool = list(PRINCIPAL_NAME_POOL)
@@ -291,31 +274,31 @@ def _gen_clip(cfg: GenConfig, clip_idx: int, protos: dict[str, np.ndarray]) -> C
     principals = cfg.principal_names()
     extras = cfg.extra_names()
     n_frames = cfg.frames_per_clip
-    dt = 1.0 / cfg.fps
+    dt = 1.0 / FPS
 
     # Two clip actors carry the interaction event; with k=1 there is one.
     n_actors = min(2, len(principals))
     actors = [str(a) for a in rng.choice(principals, size=n_actors, replace=False)]
-    event_pred = str(rng.choice(list(cfg.predicate_vocab)))
+    event_pred = str(rng.choice(DEFAULT_PREDICATE_VOCAB))
     actor_objects = {
         a: str(o)
-        for a, o in zip(actors, rng.choice(list(cfg.object_vocab), size=n_actors, replace=False))
+        for a, o in zip(actors, rng.choice(DEFAULT_OBJECT_VOCAB, size=n_actors, replace=False))
     }
-    obj_supported = {a: bool(rng.random() < cfg.obj_support_frac) for a in actors}
+    obj_supported = {a: bool(rng.random() < OBJ_SUPPORT_FRAC) for a in actors}
 
     # One single-topic subtitle line per frame; actors split the timeline in
     # blocks.  One token per line keeps the window of any question down to a
     # handful of heavily reused words, so dialogue alone cannot fingerprint
     # a clip.
-    topics = [str(t) for t in rng.choice(list(cfg.dialogue_vocab), size=n_frames, replace=False)]
+    topics = [str(t) for t in rng.choice(DEFAULT_DIALOGUE_VOCAB, size=n_frames, replace=False)]
     scene = [actors[0] if i < (n_frames + 1) // 2 else actors[-1] for i in range(n_frames)]
     speakers = []
     for i in range(n_frames):
         s = scene[i]
         r = rng.random()
-        if extras and r < cfg.speaker_unk_rate:
+        if extras and r < SPEAKER_UNK_RATE:
             s = str(rng.choice(extras))
-        elif r < cfg.speaker_unk_rate + 0.15 and len(principals) > n_actors:
+        elif r < SPEAKER_UNK_RATE + 0.15 and len(principals) > n_actors:
             s = str(rng.choice([p for p in principals if p not in actors]))
         speakers.append(s)
 
@@ -331,11 +314,11 @@ def _gen_clip(cfg: GenConfig, clip_idx: int, protos: dict[str, np.ndarray]) -> C
         if speakers[i] in principals and rng.random() < cfg.cooccur_rho:
             present.append(speakers[i])
         others = [p for p in principals if p not in present]
-        n_by = int(rng.choice([0, 1, 2], p=[1 - cfg.bystander_rate, cfg.bystander_rate * 0.7, cfg.bystander_rate * 0.3]))
+        n_by = int(rng.choice([0, 1, 2], p=[1 - BYSTANDER_RATE, BYSTANDER_RATE * 0.7, BYSTANDER_RATE * 0.3]))
         n_by = min(n_by, len(others), 3 - len(present))
         if n_by > 0:
             present.extend(str(x) for x in rng.choice(others, size=n_by, replace=False))
-        if extras and len(present) < 4 and rng.random() < cfg.extra_face_rate:
+        if extras and len(present) < 4 and rng.random() < EXTRA_FACE_RATE:
             present.append(str(rng.choice(extras)))
         face_plan.append(present)
 
@@ -354,16 +337,14 @@ def _gen_clip(cfg: GenConfig, clip_idx: int, protos: dict[str, np.ndarray]) -> C
 
     # Background vocab is split per clip: plain_pool feeds the plain object
     # detections, rel_pool feeds non-event triples (and the occasional
-    # detector confusion controlled by object_noise_rate).  Distractors are
+    # detector confusion controlled by OBJECT_NOISE_RATE).  Distractors are
     # drawn from the rel side, so the plain-object stream correlates with
     # the answer without pinning it down.
     reserved = set(actor_objects.values())
-    bg_objects = [o for o in cfg.object_vocab if o not in reserved]
+    bg_objects = [o for o in DEFAULT_OBJECT_VOCAB if o not in reserved]
     bg_perm = [bg_objects[i] for i in rng.permutation(len(bg_objects))]
     plain_pool = bg_perm[: len(bg_perm) // 2]
     rel_pool = bg_perm[len(bg_perm) // 2 :]
-    if len(rel_pool) < 4 or not plain_pool:
-        raise ConfigError("object_vocab too small for distinct distractor/detection pools")
 
     frames = []
     next_face_id = 0
@@ -392,7 +373,7 @@ def _gen_clip(cfg: GenConfig, clip_idx: int, protos: dict[str, np.ndarray]) -> C
                 # a bystander glimpse in the other half does not drag their
                 # handled object into frame.
                 hb = _human_box(rng, fd.box)
-                human_boxes.append((hb, str(rng.choice(list(cfg.human_words)))))
+                human_boxes.append((hb, str(rng.choice(DEFAULT_HUMAN_WORDS))))
                 obj = actor_objects[name]
                 triples.append(RelationTriple(human_boxes[-1][1], event_pred, obj,
                                               subject_box=hb, object_box=_object_box(rng)))
@@ -405,22 +386,22 @@ def _gen_clip(cfg: GenConfig, clip_idx: int, protos: dict[str, np.ndarray]) -> C
                     obj_supported[name] = False
             elif name in principals and rng.random() < 0.15:
                 hb = _human_box(rng, fd.box)
-                human_boxes.append((hb, str(rng.choice(list(cfg.human_words)))))
-                triples.append(RelationTriple(human_boxes[-1][1], str(rng.choice(list(cfg.spatial_predicates))),
+                human_boxes.append((hb, str(rng.choice(DEFAULT_HUMAN_WORDS))))
+                triples.append(RelationTriple(human_boxes[-1][1], str(rng.choice(DEFAULT_SPATIAL_PREDICATES)),
                                               str(rng.choice(rel_pool)), subject_box=hb))
 
         # Background scene: plain object detections plus object-object
-        # spatial triples.  A detector confusion (object_noise_rate) draws
+        # spatial triples.  A detector confusion (OBJECT_NOISE_RATE) draws
         # the detection from the relation pool instead, so plain-detection
         # presence alone cannot cleanly separate candidates.
         for _ in range(int(rng.integers(1, 3))):
-            pool = rel_pool if rng.random() < cfg.object_noise_rate else plain_pool
+            pool = rel_pool if rng.random() < OBJECT_NOISE_RATE else plain_pool
             label = str(rng.choice(pool))
-            attr = str(rng.choice(list(cfg.attribute_vocab))) if rng.random() < cfg.attribute_rate else None
+            attr = str(rng.choice(DEFAULT_ATTRIBUTE_VOCAB)) if rng.random() < ATTRIBUTE_RATE else None
             objects.append((label, attr))
         if rng.random() < 0.15:
             a_o, b_o = rng.choice(rel_pool, size=2, replace=False)
-            triples.append(RelationTriple(str(a_o), str(rng.choice(list(cfg.spatial_predicates))), str(b_o)))
+            triples.append(RelationTriple(str(a_o), str(rng.choice(DEFAULT_SPATIAL_PREDICATES)), str(b_o)))
 
         frames.append(Frame(i, i * dt, faces, human_boxes, objects, triples))
 
@@ -433,7 +414,7 @@ def _gen_clip(cfg: GenConfig, clip_idx: int, protos: dict[str, np.ndarray]) -> C
         o = unused.pop(0)
         f = frames[int(rng.integers(0, n_frames))]
         f.triples.append(RelationTriple(str(rng.choice(plain_pool)),
-                                        str(rng.choice(list(cfg.spatial_predicates))), o))
+                                        str(rng.choice(DEFAULT_SPATIAL_PREDICATES)), o))
         vis_pool = sorted(set(vis_pool) | {o})
 
     duration = (n_frames - 1) * dt + 0.9 * dt
@@ -482,7 +463,6 @@ def generate_corpus(cfg: GenConfig) -> list[Clip]:
     normalize(prototype + noise_sigma * gaussian).  A speaking character's face
     appears in temporally overlapping frames with probability cooccur_rho.
     """
-    cfg.validate()
     proto_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
     protos = {}
     for name in cfg.principal_names() + cfg.extra_names():
@@ -609,9 +589,11 @@ def read_corpus(path) -> list[Clip]:
                     f" (expected {SCHEMA_VERSION!r})"
                 )
             try:
-                clips.append(clip_from_dict(d))
+                clip = clip_from_dict(d)
+                validate_clip(clip)
             except (KeyError, TypeError, ValueError) as e:
                 raise CorpusParseError(line_no, f"bad clip record: {e}") from e
+            clips.append(clip)
     return clips
 
 

@@ -46,7 +46,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     epochs: int = 10
     lam: float = 1.0
-    epsilon: float = 0.05
     seed: int = 0
     use_ts: bool = True
     modality: ModalityConfig = ModalityConfig()
@@ -63,8 +62,8 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if self.lam < 0:
             raise ConfigError("lam must be >= 0")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ConfigError("epsilon must lie in [0, 1)")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     def to_dict(self) -> dict:
         d = dict(self.__dict__)
@@ -94,8 +93,6 @@ _JSON_TYPES = {
     "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
     "float": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "tuple[str, ...]": ("a list of strings",
-                        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
 }
 
 
@@ -207,14 +204,14 @@ def train(corpus: list[Clip], config: TrainConfig = TrainConfig()):
 
     cast = _build_cast(corpus, config)
     vocab = build_vocab(corpus, cast)
-    model_cfg = replace(config.model, epsilon=config.epsilon, d_f=_face_dim(corpus, config.model))
+    model_cfg = replace(config.model, d_f=_face_dim(corpus, config.model))
     master = np.random.SeedSequence(config.seed)
     init_rng, shuffle_rng = [np.random.default_rng(s) for s in master.spawn(2)]
     model = Model(vocab, cast, model_cfg, rng=init_rng)
     optimizer = nn.Adam(lr=config.learning_rate)
 
     # Static per-clip structures: broadcast targets and per-item views.
-    targets = [broadcast_targets(clip, cast, config.epsilon) for clip in corpus]
+    targets = [broadcast_targets(clip, cast, model_cfg.epsilon) for clip in corpus]
     views = {}
     for ci, qi in items:
         view, _ = clip_view(corpus[ci], corpus[ci].qas[qi], config.use_ts)
@@ -301,14 +298,13 @@ def evaluate(model: Model, corpus: list[Clip], use_ts: bool,
 
 
 def face_naming_counts(model: Model, corpus: list[Clip]) -> tuple[int, int]:
-    """(correct, total) faces whose argmax name matches the truth sidecar,
-    over the clips that have one."""
+    """(correct, total) over the faces that carry a truth label: total counts
+    them, correct those whose argmax name matches the label."""
     correct = total = 0
     for clip in corpus:
         if clip.truth:
-            preds = model.predict_faces(clip)
-            n = len(preds.face_ids)
-            correct += round(face_accuracy(preds, clip.truth, model.cast) * n)
+            c, n = face_accuracy(model.predict_faces(clip), clip.truth, model.cast)
+            correct += c
             total += n
     return correct, total
 
@@ -405,7 +401,7 @@ def _random_distribution_instance(rng, n_faces, n_classes, epsilon):
         g = smoothed_onehot(cls, n_classes, epsilon)
         for i in np.flatnonzero(frame_of == fr):
             entries.append((int(i), fr, g))
-    return embeddings, TargetSeq(tuple(entries), epsilon)
+    return embeddings, TargetSeq(tuple(entries))
 
 
 def check_naming(rng, tolerance: float = 1e-4):

@@ -36,10 +36,6 @@ class NamingParams:
             if not np.all(np.isfinite(a)):
                 raise ValueError("naming params must be finite")
 
-    @property
-    def n_classes(self) -> int:
-        return self.b2.shape[0]
-
     @classmethod
     def init(cls, rng, d_f: int, d_h1: int, n_classes: int) -> "NamingParams":
         return cls(
@@ -62,16 +58,12 @@ class NameDistributionSeq:
                                or np.max(np.abs(self.rows.sum(axis=1) - 1.0)) > 1e-6):
             raise ValueError("rows must be distributions")
 
-    def row_for(self, face_id: int) -> np.ndarray:
-        return self.rows[self.face_ids.index(face_id)]
-
 
 @dataclass(frozen=True)
 class TargetSeq:
     """(face_id, frame_id, target row) per broadcast-supervised face."""
 
     entries: tuple[tuple[int, int, np.ndarray], ...]
-    epsilon: float
 
     def frames(self):
         """Group entries by frame: yields (frame_id, face_ids, target)."""
@@ -153,7 +145,7 @@ def broadcast_targets(clip: Clip, cast: CastList, epsilon: float) -> TargetSeq:
         g = smoothed_onehot(idx, n_classes, epsilon)
         for fc in sorted(frame.faces, key=lambda f: f.face_id):
             entries.append((fc.face_id, frame.frame_id, g))
-    return TargetSeq(tuple(entries), epsilon)
+    return TargetSeq(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +201,17 @@ def assign_names(preds: NameDistributionSeq, cast: CastList) -> dict[int, str]:
     return out
 
 
-def face_accuracy(preds: NameDistributionSeq, truth: dict[int, str], cast: CastList) -> float:
-    """Fraction of faces whose argmax class matches the truth label mapped
-    through the cast (off-cast truth names count as UNKNAME)."""
-    if not truth:
-        return 0.0
-    correct = 0
-    total = 0
+def face_accuracy(preds: NameDistributionSeq, truth: dict[int, str],
+                  cast: CastList) -> tuple[int, int]:
+    """(correct, total) over the predicted faces that have a truth label:
+    correct counts those whose argmax class matches the label mapped through
+    the cast (off-cast truth names count as UNKNAME)."""
+    correct = total = 0
     for fid, row in zip(preds.face_ids, preds.rows):
-        if fid not in truth:
-            continue
-        total += 1
-        if int(np.argmax(row)) == map_speaker(truth[fid], cast):
-            correct += 1
-    return correct / total if total else 0.0
+        if fid in truth:
+            total += 1
+            correct += int(np.argmax(row)) == map_speaker(truth[fid], cast)
+    return correct, total
 
 
 __all__ = [

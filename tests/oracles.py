@@ -66,5 +66,5 @@ def random_rkl_instance(rng, max_faces=20, max_k=6):
         for fid in sorted(members):
             entries.append((fid, fr, g))
         frame_groups.append((members, [float(v) for v in g]))
-    targets = TargetSeq(tuple(entries), epsilon)
+    targets = TargetSeq(tuple(entries))
     return preds, targets, rows_by_face, frame_groups

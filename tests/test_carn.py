@@ -389,6 +389,26 @@ class TestForward:
         p2 = loaded.score(clip, qa, ModalityConfig(), names)
         assert np.array_equal(base, p2)
 
+    def test_checkpoint_with_human_words_record_loads(self, mini, tmp_path):
+        # Checkpoints of the same version once also recorded the human
+        # words; that record is ignored and the scores stay the same.
+        import json
+        model, clip, qa = mini
+        names = model.name_assignments(clip)
+        path = tmp_path / "m.npz"
+        model.save(path)
+        blob = dict(np.load(path, allow_pickle=False))
+        meta = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
+        assert "human_words" not in meta
+        meta["human_words"] = ["man", "woman", "person", "boy", "girl", "guy", "lady",
+                               "people"]
+        blob["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
+                                         dtype=np.uint8).copy()
+        np.savez(tmp_path / "old.npz", **blob)
+        loaded = Model.load(tmp_path / "old.npz")
+        assert np.array_equal(loaded.score(clip, qa, ModalityConfig(), names),
+                              model.score(clip, qa, ModalityConfig(), names))
+
     def test_checkpoint_version_guard(self, mini, tmp_path):
         import json
         from charqa.errors import SchemaVersionError

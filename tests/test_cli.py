@@ -5,9 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from dataclasses import fields
+
 from charqa.carn import Model
-from charqa.cli import main
-from charqa.corpus import read_corpus
+from charqa.castlist import build_cast_list, count_speakers, scaled_min_count
+from charqa.cli import build_parser, main
+from charqa.corpus import GenConfig, read_corpus
 from charqa.harness import METRICS_COLUMNS, evaluate
 
 TRAIN_JSON = {
@@ -57,6 +60,12 @@ class TestGen:
             ("gen", "{not json", "malformed JSON"),
             ("gen", json.dumps({"n_clips": "3"}), "n_clips"),
             ("gen", json.dumps({"noise_sigma": True}), "noise_sigma"),
+            ("gen", json.dumps({"frames_per_clip": 7}), "frames_per_clip"),
+            ("gen", json.dumps({"seed": -1}), "seed"),
+            ("gen", json.dumps({"human_words": ["dude"]}), "unknown field 'human_words'"),
+            ("gen", json.dumps({"fps": 2.0}), "unknown field 'fps'"),
+            ("gen", json.dumps({"object_noise_rate": 0.0}), "unknown field 'object_noise_rate'"),
+            ("gen", json.dumps({"qa_templates": ["visual"]}), "unknown field 'qa_templates'"),
             ("train", json.dumps({"epochz": 1}), "epochz"),
             ("train", json.dumps([1, 2]), "JSON object"),
             ("train", json.dumps({"modality": 5}), "modality"),
@@ -65,6 +74,8 @@ class TestGen:
             ("train", json.dumps({"epochs": "2"}), "epochs"),
             ("train", json.dumps({"epochs": True}), "epochs"),
             ("train", json.dumps({"model": {"d_model": 8.0}}), "d_model"),
+            ("train", json.dumps({"epsilon": 0.3}), "unknown field 'epsilon'"),
+            ("train", json.dumps({"model": {"epsilon": 1.0}}), "epsilon"),
             ("ablate", json.dumps({"epochz": 1}), "epochz"),
             ("ablate", json.dumps({"modality": ["Sub"]}), "modality"),
             ("ablate", "", "malformed JSON"),
@@ -97,6 +108,13 @@ def test_train_takes_d_f_from_corpus(tmp_path, capsys):
     assert "d_f" in err and not (tmp_path / "bad.npz").exists()
 
 
+    def test_flags_are_the_config_fields(self, tmp_path):
+        # Every GenConfig field has a gen flag whose dest is the field's name.
+        args = build_parser().parse_args(["gen", "--out", str(tmp_path / "c.jsonl")])
+        dests = set(vars(args)) - {"cmd", "fn", "out", "config"}
+        assert dests == {f.name for f in fields(GenConfig)}
+
+
 class TestCastlist:
     def test_prints_and_writes(self, workdir, capsys):
         out = workdir / "cast.json"
@@ -118,6 +136,33 @@ class TestTrainEval:
         assert err.startswith("error: ") and "epochs" in err
         assert err.count("\n") == 1
         assert not (workdir / "never.npz").exists()
+
+    def test_epsilon_sets_the_model_config(self, workdir, tmp_path, capsys):
+        corpus = str(workdir / "corpus.jsonl")
+        (tmp_path / "eps.json").write_text(
+            json.dumps({**TRAIN_JSON, "epochs": 0,
+                        "model": {**TRAIN_JSON["model"], "epsilon": 0.3}}), encoding="utf-8")
+        for extra, want in ([], 0.3), (["--epsilon", "0.2"], 0.2):
+            out = tmp_path / "eps.npz"
+            rc = main(["train", "--corpus", corpus, "--out", str(out),
+                       "--config", str(tmp_path / "eps.json")] + extra)
+            assert rc == 0, capsys.readouterr().err
+            assert Model.load(out).config.epsilon == want
+
+    def test_bad_corpus_record_one_line_error(self, workdir, tmp_path, capsys):
+        lines = (workdir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        d = json.loads(lines[1])
+        faces = [fc for f in d["frames"] for fc in f["faces"]]
+        faces[1]["face_id"] = faces[0]["face_id"]
+        bad = tmp_path / "dup.jsonl"
+        bad.write_text("\n".join([lines[0], json.dumps(d)] + lines[2:]) + "\n",
+                       encoding="utf-8")
+        rc = main(["train", "--corpus", str(bad), "--out", str(tmp_path / "m.npz"),
+                   "--epochs", "0"])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: line 2: ") and err.count("\n") == 1, err
+        assert "duplicate face_ids" in err
+        assert not (tmp_path / "m.npz").exists()
 
     def test_train_outputs(self, workdir):
         report = json.loads((workdir / "train_report.json").read_text(encoding="utf-8"))
@@ -189,6 +234,25 @@ class TestAblateReport:
         assert "unexpected metrics columns" in capsys.readouterr().err
 
 
+    def test_report_bad_rows_one_line_error(self, workdir, capsys):
+        header = ",".join(METRICS_COLUMNS)
+        good = "Sub,1,0.5,0.5,0.5,0.5,0"
+        cases = [
+            ("Sub,1,abc,0.5,0.5,0.5,0", "line 3: could not convert"),
+            ("Sub,1,0.5,0.5,1.5,0.5,0", "line 3: qa_acc_textual=1.5 outside [0, 1]"),
+            ("Sub,1,0.5,0.5,0.5,0.5", "line 3: 6 columns, expected 7"),
+            ("Sub,2,0.5,0.5,0.5,0.5,0", "line 3: use_ts must be 0 or 1"),
+            ("Sub,1,0.5,0.5,0.5,0.5,x", "line 3: invalid literal"),
+        ]
+        bad = workdir / "bad_rows.csv"
+        for row, needle in cases:
+            bad.write_text("\n".join([header, good, row]) + "\n", encoding="utf-8")
+            rc = main(["report", "--metrics", str(bad)])
+            err = capsys.readouterr().err
+            assert rc == 1, row
+            assert err.startswith(f"error: {needle}") and err.count("\n") == 1, (row, err)
+
+
 class TestGradcheckCli:
     def test_pass(self, capsys):
         rc = main(["gradcheck", "--component", "naming", "--configs", "1"])
@@ -225,6 +289,35 @@ class TestSemanticsDump:
         assert rc == 0
         recs = [json.loads(x) for x in out.read_text(encoding="utf-8").splitlines()]
         assert all(r["use_ts"] is True for r in recs)
+
+
+    def test_checkpoint_cast_labels_the_streams(self, workdir, tmp_path, capsys):
+        # With --max-ratio 1.0 the trained cast leaves out a principal that
+        # default thresholds keep; the dump must use the checkpoint's cast.
+        corpus = str(workdir / "corpus.jsonl")
+        ckpt = tmp_path / "wide.npz"
+        rc = main(["train", "--corpus", corpus, "--out", str(ckpt),
+                   "--config", str(workdir / "train.json"), "--epochs", "0",
+                   "--max-ratio", "1.0"])
+        assert rc == 0, capsys.readouterr().err
+        model = Model.load(ckpt)
+        clips = read_corpus(corpus)
+        counts = count_speakers(clips)
+        default = build_cast_list(counts, min_count=scaled_min_count(sum(counts.values())))
+        dropped = set(default.names) - set(model.cast.names)
+        assert dropped
+        out = tmp_path / "streams.jsonl"
+        rc = main(["semantics", "dump", "--corpus", corpus, "--modality", "objs_nm,rels_nm",
+                   "--out", str(out), "--checkpoint", str(ckpt)])
+        assert rc == 0
+        recs = [json.loads(x) for x in out.read_text(encoding="utf-8").splitlines()]
+        labels = set(model.cast.label_names())
+        speakers = {tok for r in recs
+                    for tok, flag in zip(r["subtitle_tokens"], r["subtitle_name_flags"]) if flag}
+        assert speakers <= labels and not speakers & dropped
+        for r in recs:
+            for tok, flag in zip(r["visual_tokens"], r["visual_name_flags"]):
+                assert flag == (tok in model.cast)
 
 
 class TestNamingEval:

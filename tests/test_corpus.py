@@ -1,4 +1,6 @@
+import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from charqa.corpus import (BBox, Clip, FaceDetection, Frame, GenConfig, QAItem,
                            clip_from_dict, clip_to_dict, clip_view,
                            generate_corpus, read_corpus,
                            validate_clip, write_corpus)
+from charqa import corpus
 from charqa.errors import ConfigError, CorpusParseError, SchemaVersionError
 
 
@@ -80,11 +83,11 @@ class TestGenerate:
             hits += max(scores)[1] == l
         assert hits == len(embs)
 
-    def test_visual_distractors_disjoint_from_plain_objects_when_noise_off(self):
+    def test_visual_distractors_disjoint_from_plain_objects_when_noise_off(self, monkeypatch):
         # With a noiseless detector the plain object stream never contains
         # a distractor answer.
-        clips = generate_corpus(GenConfig(k_principals=3, n_clips=12, d_f=8, seed=9,
-                                          object_noise_rate=0.0))
+        monkeypatch.setattr(corpus, "OBJECT_NOISE_RATE", 0.0)
+        clips = generate_corpus(GenConfig(k_principals=3, n_clips=12, d_f=8, seed=9))
         checked = 0
         for clip in clips:
             plain = {lbl for fr in clip.frames for lbl, _ in fr.objects}
@@ -121,6 +124,31 @@ class TestGenerate:
         with pytest.raises(ConfigError, match="noise_sigma"):
             generate_corpus(GenConfig(noise_sigma=-0.1))
 
+    def test_config_checks_itself(self):
+        # Each frame speaks a distinct word of the dialogue vocabulary, so
+        # frames_per_clip is bounded by its size.
+        GenConfig(frames_per_clip=len(corpus.DEFAULT_DIALOGUE_VOCAB))
+        with pytest.raises(ConfigError, match="frames_per_clip must be <= 6"):
+            GenConfig(frames_per_clip=len(corpus.DEFAULT_DIALOGUE_VOCAB) + 1)
+        with pytest.raises(ConfigError, match="seed"):
+            GenConfig(seed=-1)
+        assert [f.name for f in fields(GenConfig)] == [
+            "k_principals", "n_extras", "n_clips", "frames_per_clip", "d_f",
+            "noise_sigma", "cooccur_rho", "seed"]
+
+    @pytest.mark.parametrize("kw, digest", [
+        (dict(k_principals=3, n_extras=1, n_clips=4, d_f=8, seed=2),
+         "02b9f990f47dcc69d6030bfedd85b9f421bc54b34bdd5c79d3f698b9382924fc"),
+        (dict(k_principals=1, n_extras=0, n_clips=3, d_f=4, noise_sigma=0.2,
+              cooccur_rho=0.5, seed=5),
+         "20d8751258cb3fdccdb75c975d1d1ceef7f57564192ec2a0706806f046bed8d0"),
+    ])
+    def test_output_bytes_pinned(self, tmp_path, kw, digest):
+        # The exact JSONL bytes of two small corpora: a change to the
+        # generator's output must re-record them on purpose.
+        data = corpus_bytes(generate_corpus(GenConfig(**kw)), tmp_path, "c.jsonl")
+        assert hashlib.sha256(data).hexdigest() == digest
+
 
 class TestSerialization:
     def test_round_trip_equality(self, small_corpus, tmp_path):
@@ -144,6 +172,17 @@ class TestSerialization:
         with open(p, "a", encoding="utf-8") as fh:
             fh.write("not json\n")
         with pytest.raises(CorpusParseError, match="line 3"):
+            read_corpus(p)
+
+    def test_clip_invariants_checked_with_line_number(self, tmp_path, small_corpus):
+        p = tmp_path / "dup.jsonl"
+        write_corpus(small_corpus[:2], p)
+        d = clip_to_dict(small_corpus[2])
+        faces = [fc for f in d["frames"] for fc in f["faces"]]
+        faces[1]["face_id"] = faces[0]["face_id"]
+        with open(p, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(d) + "\n")
+        with pytest.raises(CorpusParseError, match="line 3: .*duplicate face_ids"):
             read_corpus(p)
 
     def test_unknown_schema_version(self, tmp_path, tiny_clip):

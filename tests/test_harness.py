@@ -31,11 +31,11 @@ def trained(small_corpus):
 class TestTrainConfig:
     @pytest.mark.parametrize("kw", [
         dict(batch_size=0), dict(learning_rate=0.0), dict(epochs=-1),
-        dict(lam=-0.5), dict(epsilon=1.0),
+        dict(lam=-0.5), dict(model={"epsilon": 1.0}), dict(seed=-1),
     ])
     def test_validation(self, kw):
         with pytest.raises(ConfigError):
-            TrainConfig(**kw)
+            TrainConfig.from_dict(kw)
 
     def test_dict_round_trip(self):
         config = small_config(modality=ModalityConfig.from_label("Sub + Objs"))

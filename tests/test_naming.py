@@ -111,7 +111,7 @@ class TestRklLoss:
     def test_perfect_prediction_gives_zero(self):
         g = smoothed_onehot(1, 3, 0.05)
         preds = NameDistributionSeq((7,), g[None, :].copy())
-        targets = TargetSeq(((7, 0, g),), 0.05)
+        targets = TargetSeq(((7, 0, g),))
         assert rkl_loss(preds, targets) == pytest.approx(0.0, abs=1e-15)
 
     def test_single_frame_matches_scalar_oracle(self):
@@ -120,7 +120,7 @@ class TestRklLoss:
         g = [0.95 + 0.05 / 3, 0.05 / 3, 0.05 / 3]
         expected = sum(pc * math.log(pc / gc) for pc, gc in zip(p, g))
         preds = NameDistributionSeq((0,), np.full((1, 3), 1 / 3))
-        targets = TargetSeq(((0, 0, np.array(g)),), 0.05)
+        targets = TargetSeq(((0, 0, np.array(g)),))
         assert rkl_loss(preds, targets) == pytest.approx(expected, abs=1e-12)
 
     def test_two_frames_sum(self):
@@ -140,7 +140,7 @@ class TestRklLoss:
 
     def test_empty_targets_zero(self):
         preds = NameDistributionSeq((0,), np.full((1, 2), 0.5))
-        assert rkl_loss(preds, TargetSeq((), 0.05)) == 0.0
+        assert rkl_loss(preds, TargetSeq(())) == 0.0
 
     def test_nonnegative(self):
         rng = np.random.default_rng(5)
@@ -150,7 +150,7 @@ class TestRklLoss:
 
     def test_unsmoothed_target_off_support_raises(self):
         preds = NameDistributionSeq((0,), np.array([[0.5, 0.5]]))
-        targets = TargetSeq(((0, 0, np.array([1.0, 0.0])),), 0.0)
+        targets = TargetSeq(((0, 0, np.array([1.0, 0.0])),))
         with pytest.raises(NonFiniteLossError):
             rkl_loss(preds, targets)
 
@@ -173,7 +173,7 @@ class TestRklLoss:
         g = smoothed_onehot(0, 3, 0.05)
         rows = np.array([g.copy(), [1 / 3, 1 / 3, 1 / 3]])
         preds = NameDistributionSeq((4, 9), rows)
-        targets = TargetSeq(((4, 0, g), (9, 0, g)), 0.05)
+        targets = TargetSeq(((4, 0, g), (9, 0, g)))
         _, drows = rkl_loss_with_grad(preds, targets)
         assert np.any(drows[0] != 0)
         assert np.all(drows[1] == 0)
@@ -182,7 +182,7 @@ class TestRklLoss:
         g = smoothed_onehot(0, 3, 0.05)
         rows = np.full((2, 3), 1 / 3)
         preds = NameDistributionSeq((2, 1), rows)
-        targets = TargetSeq(((1, 0, g), (2, 0, g)), 0.05)
+        targets = TargetSeq(((1, 0, g), (2, 0, g)))
         _, drows = rkl_loss_with_grad(preds, targets)
         # face_id 1 sits at row index 1
         assert np.any(drows[1] != 0)
@@ -211,11 +211,13 @@ class TestFaceAccuracy:
                          [0.1, 0.1, 0.8]])  # UNKNAME, truth Guest1 -> hit
         preds = NameDistributionSeq((0, 1, 2), rows)
         truth = {0: "Ada", 1: "Ada", 2: "Guest1"}
-        assert face_accuracy(preds, truth, tiny_cast) == pytest.approx(2 / 3)
+        assert face_accuracy(preds, truth, tiny_cast) == (2, 3)
+        # Faces without a truth label are not counted.
+        assert face_accuracy(preds, {0: "Ada", 1: "Ada"}, tiny_cast) == (1, 2)
 
     def test_empty_truth(self, tiny_cast):
         preds = NameDistributionSeq((), np.zeros((0, 3)))
-        assert face_accuracy(preds, {}, tiny_cast) == 0.0
+        assert face_accuracy(preds, {}, tiny_cast) == (0, 0)
 
 
 class TestNamingGradients:
