@@ -8,6 +8,9 @@ a deterministic generator that fabricates per-frame detections, subtitle
 lines, multiple-choice QA items, and a face->character truth sidecar.
 """
 
+import tempfile
+from pathlib import Path
+
 from charqa.corpus import GenConfig, generate_corpus, read_corpus, write_corpus
 
 # A pocket-sized corpus: 3 principal characters, 1 recurring extra,
@@ -40,6 +43,7 @@ for qa in clip.qas:
 
 # Persistence is JSON Lines with a schema header; identical configs give
 # byte-identical files, which the test suite leans on heavily.
-write_corpus(corpus, "/tmp/demo_corpus.jsonl")
-again = read_corpus("/tmp/demo_corpus.jsonl")
+with tempfile.TemporaryDirectory() as tmp:
+    write_corpus(corpus, Path(tmp) / "demo_corpus.jsonl")
+    again = read_corpus(Path(tmp) / "demo_corpus.jsonl")
 print(f"\nround trip: {len(again)} clips, equal = {again == corpus}")

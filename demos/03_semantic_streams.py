@@ -11,7 +11,7 @@ network actually reads.
 
 from charqa.carn import ModalityConfig, subtitle_stream, visual_stream
 from charqa.castlist import CastList
-from charqa.corpus import DEFAULT_HUMAN_WORDS, GenConfig, generate_corpus
+from charqa.corpus import GenConfig, generate_corpus
 from charqa.semantics import (augment_objects_with_names, frame_names,
                               match_faces_to_humans, replace_names)
 
@@ -29,8 +29,7 @@ print(f"frame {frame.frame_id}: human boxes -> faces {assignment.matches}")
 
 # Step 2: rewrite triples through the face names.
 before = [t.tokens for t in frame.triples]
-after = [t.tokens for t in replace_names(frame.triples, assignment, names,
-                                         DEFAULT_HUMAN_WORDS)]
+after = [t.tokens for t in replace_names(frame.triples, assignment, names)]
 for b, a in zip(before, after):
     mark = "->" if a != b else "  (unchanged)"
     print(f"  {b} {mark} {a if a != b else ''}")

@@ -8,6 +8,9 @@ only, + objects, + relations, each with or without injected names) to show
 where the answers actually come from.
 """
 
+import tempfile
+from pathlib import Path
+
 from charqa.carn import ModalityConfig, Model, ModelConfig
 from charqa.corpus import GenConfig, generate_corpus
 from charqa.harness import (TrainConfig, ablate, evaluate, format_report,
@@ -26,8 +29,9 @@ print(f"qa_acc={report.qa_acc:.3f} (visual {report.qa_acc_visual:.3f}, "
       f"textual {report.qa_acc_textual:.3f}), face_acc={report.face_acc:.3f}")
 
 # Checkpoints round-trip through .npz; evaluation is read-only.
-model.save("/tmp/demo_model.npz")
-loaded = Model.load("/tmp/demo_model.npz")
+with tempfile.TemporaryDirectory() as tmp:
+    model.save(Path(tmp) / "demo_model.npz")
+    loaded = Model.load(Path(tmp) / "demo_model.npz")
 again = evaluate(loaded, corpus, use_ts=True, modality=config.modality)
 print(f"reloaded checkpoint reproduces the row: {again.row() == report.row()}")
 

@@ -14,10 +14,10 @@ from .castlist import (UNKNAME, CastList, build_cast_list, count_speakers, map_s
 from .corpus import (BBox, Clip, FaceDetection, Frame, GenConfig, QAItem, RelationTriple,
                      SubtitleLine, clip_view, generate_corpus, read_corpus, write_corpus)
 from .errors import CharqaError
-from .naming import (NameDistributionSeq, NamingParams, assign_names, broadcast_targets,
-                     face_accuracy, naming_forward, rkl_loss_with_grad)
-from .semantics import (FaceHumanAssignment, augment_objects_with_names, flatten_relations,
-                        match_faces_to_humans, replace_names)
+from .naming import (NameDistributionSeq, assign_names, broadcast_targets, face_accuracy,
+                     naming_forward, rkl_loss_with_grad)
+from .semantics import (FaceHumanAssignment, augment_objects_with_names, match_faces_to_humans,
+                        replace_names)
 
 __version__ = "0.1.0"
 
@@ -25,10 +25,10 @@ __all__ = [
     "BBox", "CastList", "CharqaError", "Clip", "FaceDetection",
     "FaceHumanAssignment", "Frame", "FULL_VARIANT", "GenConfig",
     "ModalityConfig", "Model", "ModelConfig", "NameDistributionSeq",
-    "NamingParams", "QAItem", "RelationTriple", "SubtitleLine", "UNKNAME",
+    "QAItem", "RelationTriple", "SubtitleLine", "UNKNAME",
     "VARIANT_LABELS", "Vocab", "assign_names", "augment_objects_with_names",
     "broadcast_targets", "build_cast_list", "build_vocab", "clip_view",
-    "count_speakers", "face_accuracy", "flatten_relations", "generate_corpus",
+    "count_speakers", "face_accuracy", "generate_corpus",
     "joint_loss", "map_speaker", "match_faces_to_humans", "naming_forward",
     "read_corpus", "replace_names", "rkl_loss_with_grad", "scaled_min_count",
     "write_corpus", "__version__",

@@ -32,10 +32,10 @@ import numpy as np
 
 from . import nn
 from .castlist import CastList, map_speaker
-from .corpus import Clip, QAItem, DEFAULT_HUMAN_WORDS
+from .corpus import Clip, QAItem
 from .errors import (CheckpointError, ConfigError, EmptyInputError, SchemaVersionError,
                      VocabError)
-from .naming import (NameDistributionSeq, NamingParams, assign_names, broadcast_targets,
+from .naming import (NameDistributionSeq, assign_names, broadcast_targets, init_naming,
                      naming_backward, naming_forward, rkl_loss_with_grad)
 from .semantics import build_semantic_stream
 
@@ -200,15 +200,13 @@ def qa_stream(question, answer, cast: CastList):
 
 
 def visual_stream(frames, modality: ModalityConfig, face_names, cast: CastList):
-    if not (modality.use_objs or modality.use_rels):
-        return [], []
-    stream = build_semantic_stream(
-        frames, face_names, DEFAULT_HUMAN_WORDS,
+    """The (tokens, name_flags) stream of the frames' enabled visual runs."""
+    return build_semantic_stream(
+        frames, face_names,
         use_objs=modality.use_objs, use_rels=modality.use_rels,
         objs_names=modality.objs_names, rels_names=modality.rels_names,
         name_set=frozenset(cast.names),
     )
-    return list(stream.tokens), list(stream.name_flags)
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +331,17 @@ class ItemResult:
 
 
 class Model:
-    """Parameters + vocabulary + cast; forward/backward for batches of items."""
+    """Parameters + vocabulary + cast; forward/backward for batches of items.
+
+    `modality` is the variant the model was trained on; checkpoints record
+    it, and `charqa eval` runs it unless told otherwise."""
 
     def __init__(self, vocab: Vocab, cast: CastList, config: ModelConfig = ModelConfig(),
-                 rng=None, params=None):
+                 rng=None, params=None, modality: ModalityConfig = ModalityConfig()):
         self.vocab = vocab
         self.cast = cast
         self.config = config
+        self.modality = modality
         if params is not None:
             self.params = params
         elif config.d_f is None:
@@ -359,18 +361,10 @@ class Model:
         nn.init_stack(rng, p, "ans", c.ans_layers, c.d_model, c.d_ff, c.heads)
         p["ans.head.w"] = rng.standard_normal(c.d_model) / np.sqrt(c.d_model)
         p["ans.head.b"] = np.zeros(())
-        head = NamingParams.init(rng, c.d_f, c.d_h1, self.cast.size)
-        p["naming.w1"] = head.w1
-        p["naming.b1"] = head.b1
-        p["naming.w2"] = head.w2
-        p["naming.b2"] = head.b2
+        init_naming(rng, p, c.d_f, c.d_h1, self.cast.size)
         return p
 
     # -- naming ----------------------------------------------------------
-
-    def naming_params(self) -> NamingParams:
-        p = self.params
-        return NamingParams(p["naming.w1"], p["naming.b1"], p["naming.w2"], p["naming.b2"])
 
     @staticmethod
     def face_table(clip: Clip):
@@ -384,8 +378,7 @@ class Model:
         ids, table = self.face_table(clip)
         if not ids:
             return NameDistributionSeq((), np.zeros((0, self.cast.size)))
-        rows, _ = naming_forward(self.naming_params(), table)
-        return NameDistributionSeq(ids, rows)
+        return NameDistributionSeq(ids, naming_forward(self.params, table))
 
     def name_assignments(self, clip: Clip) -> dict[int, str]:
         if not any(True for _ in clip.all_faces()):
@@ -532,12 +525,10 @@ class Model:
             targets = broadcast_targets(clip, self.cast, self.config.epsilon)
         if not (ids and targets.entries):
             return 0.0
-        rows, ncache = naming_forward(self.naming_params(), table)
+        rows = naming_forward(self.params, table)
         rkl, drows = rkl_loss_with_grad(NameDistributionSeq(ids, rows), targets)
         if grads is not None and weight != 0.0:
-            for k, g in naming_backward(self.naming_params(), ncache, weight * drows).items():
-                key = "naming." + k
-                grads[key] = grads.get(key, 0) + g
+            naming_backward(self.params, table, rows, weight * drows, grads)
         return rkl
 
     def loss_and_grads(self, batch, modality: ModalityConfig, lam: float = 1.0,
@@ -593,6 +584,7 @@ class Model:
             "vocab": {"words": list(self.vocab.words), "names": list(self.vocab.names),
                       "chars": list(self.vocab.chars)},
             "cast": self.cast.to_dict(),
+            "variant": self.modality.label(),
         }
         np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
                  **self.params)
@@ -617,9 +609,15 @@ class Model:
                           tuple(meta["vocab"]["chars"]))
             cast = CastList.from_dict(meta["cast"])
             config = ModelConfig(**meta["config"])
+            # Checkpoints written before the variant was recorded are of the
+            # full variant, the training default.
+            variant = meta.get("variant", FULL_VARIANT)
+            if not isinstance(variant, str):
+                raise TypeError(f"variant must be a string, got {variant!r}")
+            modality = ModalityConfig.from_label(variant)
         except KeyError as e:
             raise CheckpointError(f"{path}: checkpoint meta lacks {e.args[0]!r}") from None
-        except TypeError as e:
+        except (TypeError, ConfigError) as e:
             raise CheckpointError(f"{path}: malformed checkpoint meta ({e})") from None
         # A fresh model of the same config and vocabulary has every tensor
         # in the shape the checkpoint must have.
@@ -631,7 +629,9 @@ class Model:
                     f"{path}: tensor {key!r} has shape "
                     f"{None if got is None else got.shape}, config and vocab need "
                     f"{None if want is None else want.shape}")
-        return cls(vocab, cast, config, params=params)
+            if got.dtype.kind != "f" or not np.isfinite(got).all():
+                raise CheckpointError(f"{path}: tensor {key!r} must hold finite floats")
+        return cls(vocab, cast, config, params=params, modality=modality)
 
 
 __all__ = [

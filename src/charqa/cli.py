@@ -109,7 +109,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     model = Model.load(args.checkpoint)
     clips = read_corpus(args.corpus)
-    modality = ModalityConfig.from_label(args.modality) if args.modality else ModalityConfig()
+    modality = ModalityConfig.from_label(args.modality) if args.modality else model.modality
     settings = [args.use_ts] if args.use_ts is not None else [True, False]
     reports = [evaluate(model, clips, use_ts=ts, modality=modality) for ts in settings]
     if args.out:
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--modality")
+    p.add_argument("--modality", help="variant label (default: the checkpoint's)")
     p.add_argument("--use-ts", action=argparse.BooleanOptionalAction, dest="use_ts")
     p.add_argument("--out", help="write metrics CSV")
     p.set_defaults(fn=_cmd_eval)

@@ -25,8 +25,8 @@ from .castlist import CastList, build_cast_list, count_speakers, scaled_min_coun
 from .corpus import (BBox, Clip, FaceDetection, Frame, QAItem, RelationTriple,
                      SubtitleLine, clip_view)
 from .errors import ConfigError, EmptyInputError, NonFiniteLossError, ShapeError
-from .naming import (NameDistributionSeq, NamingParams, TargetSeq, broadcast_targets,
-                     face_accuracy, naming_backward, naming_forward, rkl_loss_with_grad,
+from .naming import (NameDistributionSeq, TargetSeq, broadcast_targets, face_accuracy,
+                     init_naming, naming_backward, naming_forward, rkl_loss_with_grad,
                      smoothed_onehot)
 
 # Items per forward/backward pass in training. Larger passes amortize numpy's
@@ -207,7 +207,7 @@ def train(corpus: list[Clip], config: TrainConfig = TrainConfig()):
     model_cfg = replace(config.model, d_f=_face_dim(corpus, config.model))
     master = np.random.SeedSequence(config.seed)
     init_rng, shuffle_rng = [np.random.default_rng(s) for s in master.spawn(2)]
-    model = Model(vocab, cast, model_cfg, rng=init_rng)
+    model = Model(vocab, cast, model_cfg, rng=init_rng, modality=config.modality)
     optimizer = nn.Adam(lr=config.learning_rate)
 
     # Static per-clip structures: broadcast targets and per-item views.
@@ -411,18 +411,18 @@ def check_naming(rng, tolerance: float = 1e-4):
     n_faces = int(rng.integers(1, 7))
     embeddings, targets = _random_distribution_instance(rng, n_faces, n_classes, epsilon)
     d_f = embeddings.shape[1]
-    head = NamingParams.init(rng, d_f, int(rng.integers(2, 6)), n_classes)
-    params = {"w1": head.w1, "b1": head.b1, "w2": head.w2, "b2": head.b2}
+    params: dict[str, np.ndarray] = {}
+    init_naming(rng, params, d_f, int(rng.integers(2, 6)), n_classes)
+    faces = tuple(range(n_faces))
 
     def loss():
-        rows, _ = naming_forward(head, embeddings)
-        preds = NameDistributionSeq(tuple(range(n_faces)), rows)
+        preds = NameDistributionSeq(faces, naming_forward(params, embeddings))
         return rkl_loss_with_grad(preds, targets)[0]
 
-    rows, cache = naming_forward(head, embeddings)
-    preds = NameDistributionSeq(tuple(range(n_faces)), rows)
-    _, drows = rkl_loss_with_grad(preds, targets)
-    analytic = naming_backward(head, cache, drows)
+    rows = naming_forward(params, embeddings)
+    _, drows = rkl_loss_with_grad(NameDistributionSeq(faces, rows), targets)
+    analytic: dict[str, np.ndarray] = {}
+    naming_backward(params, embeddings, rows, drows, analytic)
     return nn.check_gradients(loss, params, analytic, tolerance=tolerance)
 
 

@@ -1,11 +1,13 @@
 """Weakly supervised character identification.
 
-A two-layer head maps face embeddings to distributions over the cast plus
-UNKNAME. Supervision is indirect: each subtitle line's speaker name is
-broadcast to every face in the frames it overlaps, and the loss takes, per
-frame, the minimum KL divergence between any face's prediction and the
-smoothed one-hot speaker target. Only the argmin face receives gradient,
-in the spirit of multiple-instance learning.
+A two-layer head, the "naming" FFN of the model's flat parameter store (run
+by `nn.ffn_forward`/`ffn_backward`) followed by a softmax, maps face
+embeddings to distributions over the cast plus UNKNAME. Supervision is
+indirect: each subtitle line's speaker name is broadcast to every face in
+the frames it overlaps, and the loss takes, per frame, the minimum KL
+divergence between any face's prediction and the smoothed one-hot speaker
+target. Only the argmin face receives gradient, in the spirit of
+multiple-instance learning.
 """
 
 from __future__ import annotations
@@ -17,33 +19,16 @@ import numpy as np
 from .castlist import CastList, map_speaker
 from .corpus import Clip
 from .errors import NonFiniteLossError, ShapeError
-from .nn import softmax, softmax_backward
+from .nn import ffn_backward, ffn_forward, softmax, softmax_backward
 
 
-@dataclass
-class NamingParams:
-    w1: np.ndarray  # (d_f, d_h1)
-    b1: np.ndarray  # (d_h1,)
-    w2: np.ndarray  # (d_h1, k+1)
-    b2: np.ndarray  # (k+1,)
-
-    def __post_init__(self):
-        if self.w1.shape[1] != self.b1.shape[0] or self.w2.shape[0] != self.b1.shape[0]:
-            raise ShapeError("naming head hidden dims disagree")
-        if self.w2.shape[1] != self.b2.shape[0]:
-            raise ShapeError("naming head output dims disagree")
-        for a in (self.w1, self.b1, self.w2, self.b2):
-            if not np.all(np.isfinite(a)):
-                raise ValueError("naming params must be finite")
-
-    @classmethod
-    def init(cls, rng, d_f: int, d_h1: int, n_classes: int) -> "NamingParams":
-        return cls(
-            rng.standard_normal((d_f, d_h1)) / np.sqrt(d_f),
-            np.zeros(d_h1),
-            rng.standard_normal((d_h1, n_classes)) / np.sqrt(d_h1),
-            np.zeros(n_classes),
-        )
+def init_naming(rng, params, d_f: int, d_h1: int, n_classes: int) -> None:
+    """Add the head's "naming" FFN, (d_f, d_h1) then (d_h1, n_classes), to
+    the flat parameter store."""
+    params["naming.w1"] = rng.standard_normal((d_f, d_h1)) / np.sqrt(d_f)
+    params["naming.b1"] = np.zeros(d_h1)
+    params["naming.w2"] = rng.standard_normal((d_h1, n_classes)) / np.sqrt(d_h1)
+    params["naming.b2"] = np.zeros(n_classes)
 
 
 @dataclass(frozen=True)
@@ -75,29 +60,20 @@ class TargetSeq:
             yield frame_id, [fid for fid, _ in items], items[0][1]
 
 
-def naming_forward(params: NamingParams, embeddings: np.ndarray):
-    """Rows of softmax(relu(F W1 + b1) W2 + b2); cache for backward."""
-    if embeddings.ndim != 2 or embeddings.shape[1] != params.w1.shape[0]:
-        raise ShapeError(
-            f"embeddings {embeddings.shape} incompatible with W1 {params.w1.shape}"
-        )
-    pre = embeddings @ params.w1 + params.b1
-    h = np.maximum(pre, 0.0)
-    p = softmax(h @ params.w2 + params.b2)
-    return p, (embeddings, pre, h, p)
+def naming_forward(params, embeddings: np.ndarray) -> np.ndarray:
+    """Rows of softmax(relu(F W1 + b1) W2 + b2), the "naming" FFN of the
+    parameter store followed by a softmax."""
+    w1 = params["naming.w1"]
+    if embeddings.ndim != 2 or embeddings.shape[1] != w1.shape[0]:
+        raise ShapeError(f"embeddings {embeddings.shape} incompatible with W1 {w1.shape}")
+    return softmax(ffn_forward(params, "naming", embeddings)[0])
 
 
-def naming_backward(params: NamingParams, cache, dp) -> dict[str, np.ndarray]:
-    embeddings, pre, h, p = cache
-    dlogits = softmax_backward(p, dp)
-    dh = dlogits @ params.w2.T
-    dpre = dh * (pre > 0)
-    return {
-        "w1": embeddings.T @ dpre,
-        "b1": dpre.sum(axis=0),
-        "w2": h.T @ dlogits,
-        "b2": dlogits.sum(axis=0),
-    }
+def naming_backward(params, embeddings: np.ndarray, rows: np.ndarray, drows: np.ndarray,
+                    grads: dict) -> None:
+    """Accumulate into grads the "naming.*" gradients of a loss whose
+    gradient with respect to naming_forward's rows is drows."""
+    ffn_backward(params, "naming", embeddings, softmax_backward(rows, drows), grads)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +191,7 @@ def face_accuracy(preds: NameDistributionSeq, truth: dict[int, str],
 
 
 __all__ = [
-    "NamingParams", "NameDistributionSeq", "TargetSeq", "naming_forward",
+    "init_naming", "NameDistributionSeq", "TargetSeq", "naming_forward",
     "naming_backward", "frame_speaker", "smoothed_onehot", "broadcast_targets",
     "kl_divergence", "rkl_loss_with_grad", "assign_names", "face_accuracy",
 ]

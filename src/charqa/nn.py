@@ -306,12 +306,14 @@ def init_stack(rng, params, prefix, n_layers, d_model, d_ff, heads):
 
 
 def sinusoidal_positions(n: int, d: int) -> np.ndarray:
+    """Column 2j is sin(p / 10000^(2j/d)), column 2j+1 the cosine; an odd d
+    ends on a sine column."""
     pos = np.arange(n)[:, None].astype(np.float64)
-    i = np.arange(d // 2)[None, :].astype(np.float64)
+    i = np.arange((d + 1) // 2)[None, :].astype(np.float64)
     ang = pos / np.power(10000.0, 2.0 * i / d)
     pe = np.zeros((n, d))
     pe[:, 0::2] = np.sin(ang)
-    pe[:, 1::2] = np.cos(ang[:, : d - d // 2])
+    pe[:, 1::2] = np.cos(ang[:, : d // 2])
     return pe
 
 

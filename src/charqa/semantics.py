@@ -1,6 +1,7 @@
 """Per-frame visual semantics: face-to-human matching, character name
 injection into relation triples, name-augmented object streams, and the
-flattening of everything into aligned (token, name_flag) sequences.
+visual stream builder that lays these out as aligned (tokens, name_flags)
+lists.
 
 Matching normalizes overlap by face area rather than IoU: faces are small
 relative to person boxes, so IoU would be near zero even for a correct
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import BBox, FaceDetection, Frame, RelationTriple
+from .corpus import DEFAULT_HUMAN_WORDS, BBox, FaceDetection, Frame, RelationTriple
 
 UNMATCHED = None
 
@@ -72,19 +73,17 @@ def match_faces_to_humans(faces: list[FaceDetection], human_boxes: list[BBox]) -
 
 def replace_names(triples: list[RelationTriple],
                   assignment: FaceHumanAssignment,
-                  face_names: dict[int, str],
-                  human_words) -> list[RelationTriple]:
+                  face_names: dict[int, str]) -> list[RelationTriple]:
     """Rewrite human-referring triple endpoints to predicted character names.
 
-    An endpoint changes only when its token is in human_words, its box
-    resolves through the assignment to a face, and that face has a name in
-    face_names. Everything else (predicates, counts, boxes) is preserved,
+    An endpoint changes only when its token is in DEFAULT_HUMAN_WORDS, its
+    box resolves through the assignment to a face, and that face has a name
+    in face_names. Everything else (predicates, counts, boxes) is preserved,
     so the operation is idempotent once no human words remain.
     """
-    human_words = set(human_words)
 
     def resolve(token: str, box: BBox | None) -> str:
-        if token not in human_words or box is None:
+        if token not in DEFAULT_HUMAN_WORDS or box is None:
             return token
         face_id = assignment.face_for_box(box)
         if face_id is UNMATCHED:
@@ -140,86 +139,46 @@ def augment_objects_with_names(objects, names: list[str]) -> list[tuple[str, boo
     return toks
 
 
-def flatten_relations(frames: list[Frame]) -> list[str]:
-    """Concatenate triples as S P O token runs, detection order within each
-    frame, frames ascending by frame_id; boxes are discarded."""
-    toks = []
-    for frame in sorted(frames, key=lambda f: f.frame_id):
-        for t in frame.triples:
-            toks.extend(t.tokens)
-    return toks
-
-
-@dataclass(frozen=True)
-class SemanticStream:
-    object_tokens: tuple[str, ...]
-    object_flags: tuple[bool, ...]
-    relation_tokens: tuple[str, ...]
-    relation_flags: tuple[bool, ...]
-
-    def __post_init__(self):
-        if len(self.object_tokens) != len(self.object_flags):
-            raise ValueError("object flags must align with tokens")
-        if len(self.relation_tokens) != len(self.relation_flags):
-            raise ValueError("relation flags must align with tokens")
-        if len(self.relation_tokens) % 3 != 0:
-            raise ValueError("relation tokens must come in S,P,O runs")
-
-    @property
-    def tokens(self) -> tuple[str, ...]:
-        return self.object_tokens + self.relation_tokens
-
-    @property
-    def name_flags(self) -> tuple[bool, ...]:
-        return self.object_flags + self.relation_flags
-
-
 def build_semantic_stream(frames: list[Frame],
                           face_names: dict[int, str],
-                          human_words,
                           use_objs: bool,
                           use_rels: bool,
                           objs_names: bool,
                           rels_names: bool,
-                          name_set=frozenset()) -> SemanticStream:
-    """Assemble the visual token stream for a set of frames.
+                          name_set=frozenset()) -> tuple[list[str], list[bool]]:
+    """The visual (tokens, name_flags) stream of a set of frames.
 
-    The full objects stream precedes the full relations stream; within each,
-    frames run in temporal order. face_names holds the current (predicted or
-    oracle) face labels; name_set marks which relation tokens count as names
-    after replacement (cast membership).
+    The full objects run precedes the full relations run, triples as S P O
+    token runs with their boxes discarded; within each run, frames go in
+    temporal order and triples in detection order. face_names holds the
+    current (predicted or oracle) face labels; name_set marks which relation
+    tokens count as names after replacement (cast membership).
     """
-    obj_toks: list[tuple[str, bool]] = []
-    rel_toks: list[str] = []
     ordered = sorted(frames, key=lambda f: f.frame_id)
-    for frame in ordered:
-        if use_objs:
+    toks: list[str] = []
+    flags: list[bool] = []
+    if use_objs:
+        for frame in ordered:
             if objs_names:
-                obj_toks.extend(augment_objects_with_names(frame.objects, frame_names(frame, face_names)))
+                run = augment_objects_with_names(frame.objects, frame_names(frame, face_names))
             else:
-                obj_toks.extend(object_tokens(frame.objects))
+                run = object_tokens(frame.objects)
+            toks.extend(t for t, _ in run)
+            flags.extend(f for _, f in run)
     if use_rels:
-        if rels_names:
-            named_frames = []
-            for frame in ordered:
+        for frame in ordered:
+            triples = frame.triples
+            if rels_names:
                 assignment = match_faces_to_humans(frame.faces, [b for b, _ in frame.human_boxes])
-                triples = replace_names(frame.triples, assignment, face_names, human_words)
-                named_frames.append(Frame(frame.frame_id, frame.time, frame.faces,
-                                          frame.human_boxes, frame.objects, triples))
-            rel_toks = flatten_relations(named_frames)
-        else:
-            rel_toks = flatten_relations(ordered)
-    names = set(name_set)
-    return SemanticStream(
-        tuple(t for t, _ in obj_toks),
-        tuple(f for _, f in obj_toks),
-        tuple(rel_toks),
-        tuple(t in names for t in rel_toks),
-    )
+                triples = replace_names(triples, assignment, face_names)
+            for t in triples:
+                toks.extend(t.tokens)
+                flags.extend(tok in name_set for tok in t.tokens)
+    return toks, flags
 
 
 __all__ = [
     "UNMATCHED", "FaceHumanAssignment", "overlap_score", "match_faces_to_humans",
     "replace_names", "frame_names", "object_tokens", "augment_objects_with_names",
-    "flatten_relations", "SemanticStream", "build_semantic_stream",
+    "build_semantic_stream",
 ]

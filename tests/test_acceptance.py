@@ -155,7 +155,7 @@ def test_criterion_6_cast_list_rule():
 def test_criterion_7_invariant_suite():
     from charqa import nn
     from charqa.carn import prepare_sequence
-    from charqa.corpus import DEFAULT_HUMAN_WORDS, QAItem
+    from charqa.corpus import QAItem
     from charqa.semantics import match_faces_to_humans, replace_names
 
     checks = []
@@ -204,9 +204,8 @@ def test_criterion_7_invariant_suite():
             seen += 1
             assignment = match_faces_to_humans(frame.faces,
                                                [b for b, _ in frame.human_boxes])
-            once = replace_names(frame.triples, assignment, c.truth,
-                                 DEFAULT_HUMAN_WORDS)
-            twice = replace_names(once, assignment, c.truth, DEFAULT_HUMAN_WORDS)
+            once = replace_names(frame.triples, assignment, c.truth)
+            twice = replace_names(once, assignment, c.truth)
             assert [t.tokens for t in once] == [t.tokens for t in twice]
             assert len(once) == len(frame.triples)
             for a, b in zip(frame.triples, once):

@@ -1,14 +1,20 @@
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charqa import nn
 from charqa.carn import (FULL_VARIANT, ModalityConfig, Model, ModelConfig,
                          VARIANT_LABELS, Vocab, build_vocab, embed_sequence,
                          joint_loss, prepare_sequence, qa_stream, subtitle_stream)
-from charqa.castlist import build_cast_list
-from charqa.corpus import Frame, QAItem, clip_view, generate_corpus, GenConfig
+from charqa.castlist import CastList, build_cast_list
+from charqa.corpus import (BBox, Clip, FaceDetection, Frame, GenConfig, QAItem, SubtitleLine,
+                           clip_view, generate_corpus)
 from charqa.errors import (CheckpointError, ConfigError, EmptyInputError, ShapeError,
                            VocabError)
 from charqa.harness import TrainConfig, _build_cast, _mini_setup, grad_check
@@ -187,6 +193,17 @@ class TestEncode:
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
             encode(np.zeros((0, 8)), stack_params())
+
+    def test_positions_of_every_width(self):
+        # Even and odd widths: sine on even columns, cosine on odd ones,
+        # frequency 10000^(-2j/d) for the column pair j.
+        for d in range(1, 8):
+            pe = nn.sinusoidal_positions(4, d)
+            for p in range(4):
+                for c in range(d):
+                    ang = p / 10000.0 ** (2 * (c // 2) / d)
+                    assert pe[p, c] == pytest.approx(math.cos(ang) if c % 2 else math.sin(ang),
+                                                     abs=1e-15), (d, p, c)
 
 
 class TestCoAttend:
@@ -447,6 +464,41 @@ class TestForward:
         np.savez(tmp_path / "shape.npz", **blob)
         with pytest.raises(CheckpointError, match="enc.l0.ffn.w1"):
             Model.load(tmp_path / "shape.npz")
+        # Tensors of the right shape that are not finite: one entry of the
+        # naming head, and a whole encoder weight.
+        for key, index in (("naming.w1", (0, 0)), ("enc.l0.ffn.w1", ...)):
+            for value in (np.nan, np.inf, -np.inf):
+                blob = dict(np.load(path, allow_pickle=False))
+                blob[key][index] = value
+                np.savez(tmp_path / "nonfinite.npz", **blob)
+                with pytest.raises(CheckpointError, match=f"{key}.*finite"):
+                    Model.load(tmp_path / "nonfinite.npz")
+
+    def test_checkpoint_records_the_variant(self, mini, tmp_path):
+        import json
+        model, _, _ = mini
+        sub = Model(model.vocab, model.cast, model.config, params=model.params,
+                    modality=ModalityConfig.from_label("Sub + Objs"))
+        path = tmp_path / "m.npz"
+        sub.save(path)
+        assert Model.load(path).modality == ModalityConfig.from_label("Sub + Objs")
+        # A meta without the record is of the full variant; a malformed
+        # record is a checkpoint error.
+        for variant, want in ((None, ModalityConfig()), ("Sub + Bogus", None), (3, None)):
+            blob = dict(np.load(path, allow_pickle=False))
+            meta = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
+            if variant is None:
+                del meta["variant"]
+            else:
+                meta["variant"] = variant
+            blob["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
+                                             dtype=np.uint8).copy()
+            np.savez(tmp_path / "v.npz", **blob)
+            if want is None:
+                with pytest.raises(CheckpointError, match="malformed checkpoint meta"):
+                    Model.load(tmp_path / "v.npz")
+            else:
+                assert Model.load(tmp_path / "v.npz").modality == want
 
     def test_visual_passes_relations_then_objects(self):
         passes = ModalityConfig().visual_passes()
@@ -603,3 +655,67 @@ class TestCarnGradients:
         # gradient coverage: every trainable tensor appears in the report
         model, _, _ = _mini_setup(np.random.default_rng(0))
         assert set(rep.worst) == set(model.params)
+
+
+class TestCheckpointRoundTrip:
+    """Property: any small model survives save/load bit for bit, and any
+    non-finite, missing or reshaped tensor is refused."""
+
+    @staticmethod
+    def draw_model(data):
+        heads = data.draw(st.sampled_from([1, 2]))
+        config = ModelConfig(
+            d_model=heads * data.draw(st.integers(1, 4)), d_ff=data.draw(st.integers(1, 6)),
+            d_h1=data.draw(st.integers(1, 5)), heads=heads,
+            enc_layers=data.draw(st.integers(1, 2)), dec_layers=data.draw(st.integers(1, 2)),
+            ans_layers=data.draw(st.integers(1, 2)), d_f=data.draw(st.integers(1, 4)),
+            epsilon=data.draw(st.floats(0.0, 0.5)))
+        words = data.draw(st.lists(st.text("abcdefg", min_size=1, max_size=4),
+                                   min_size=1, max_size=6, unique=True))
+        names = data.draw(st.lists(st.text("ABCDEF", min_size=1, max_size=3),
+                                   max_size=3, unique=True))
+        cast = CastList(tuple(names), tuple(range(len(names), 0, -1)))
+        chars = tuple(sorted({ch for tok in (*words, *cast.label_names()) for ch in tok}))
+        vocab = Vocab(tuple(sorted(words)), cast.label_names(), chars)
+        modality = ModalityConfig.from_label(data.draw(st.sampled_from(VARIANT_LABELS)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        model = Model(vocab, cast, config, rng=rng, modality=modality)
+        face = FaceDetection(0, 0, BBox(1, 1, 4, 4), rng.standard_normal(config.d_f))
+        frame = Frame(0, 0.0, [face], [], [(words[0], None)], [])
+        line = SubtitleLine(names[0] if names else "Zed", words[-1:], 0.0, 1.0)
+        qa = QAItem(list(words), [[words[i % len(words)]] for i in range(5)], 0, (0.0, 1.0))
+        return model, Clip("p", [frame], [line], [qa], None), qa
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_save_load_is_exact_and_corruption_is_refused(self, data):
+        model, clip, qa = self.draw_model(data)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.npz"
+            model.save(path)
+            loaded = Model.load(path)
+            assert (loaded.vocab, loaded.cast, loaded.config, loaded.modality) == (
+                model.vocab, model.cast, model.config, model.modality)
+            assert loaded.params.keys() == model.params.keys()
+            for k, v in model.params.items():
+                got = loaded.params[k]
+                assert got.dtype == v.dtype and got.shape == v.shape
+                assert got.tobytes() == v.tobytes(), k
+            names = model.name_assignments(clip)
+            assert loaded.name_assignments(clip) == names
+            assert np.array_equal(loaded.score(clip, qa, model.modality, names),
+                                  model.score(clip, qa, model.modality, names))
+
+            key = data.draw(st.sampled_from(sorted(model.params)))
+            fault = data.draw(st.sampled_from(["nan", "inf", "-inf", "drop", "reshape"]))
+            blob = dict(np.load(path, allow_pickle=False))
+            if fault == "drop":
+                del blob[key]
+            elif fault == "reshape":
+                blob[key] = blob[key].reshape(blob[key].shape + (1,))
+            else:
+                blob[key] = blob[key].copy()
+                blob[key].flat[data.draw(st.integers(0, blob[key].size - 1))] = float(fault)
+            np.savez(Path(tmp) / "bad.npz", **blob)
+            with pytest.raises(CheckpointError, match=re.escape(repr(key))):
+                Model.load(Path(tmp) / "bad.npz")

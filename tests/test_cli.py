@@ -211,6 +211,36 @@ class TestTrainEval:
                 assert "not a charqa checkpoint" in err, (argv, err)
 
 
+    def test_non_finite_checkpoint_one_line_error(self, workdir, tmp_path, capsys):
+        corpus = str(workdir / "corpus.jsonl")
+        for key, index in (("naming.w1", (0, 0)), ("enc.l0.ffn.w1", ...)):
+            blob = dict(np.load(workdir / "model.npz", allow_pickle=False))
+            blob[key][index] = np.nan
+            ckpt = tmp_path / "nan.npz"
+            np.savez(ckpt, **blob)
+            for argv in (["eval", "--checkpoint", str(ckpt), "--corpus", corpus],
+                         ["naming", "eval", "--checkpoint", str(ckpt), "--corpus", corpus]):
+                rc = main(argv)
+                captured = capsys.readouterr()
+                assert rc == 1, argv
+                assert captured.err == f"error: {ckpt}: tensor {key!r} must hold finite floats\n"
+                assert captured.out == ""
+
+    def test_eval_defaults_to_the_trained_variant(self, workdir, tmp_path, capsys):
+        corpus = str(workdir / "corpus.jsonl")
+        rc = main(["train", "--corpus", corpus, "--out", str(tmp_path / "sub.npz"),
+                   "--config", str(workdir / "train.json"), "--modality", "Sub"])
+        assert rc == 0
+        for name, extra in (("default.csv", []), ("sub.csv", ["--modality", "Sub"])):
+            rc = main(["eval", "--checkpoint", str(tmp_path / "sub.npz"), "--corpus", corpus,
+                       "--out", str(tmp_path / name)] + extra)
+            assert rc == 0
+        capsys.readouterr()
+        default = (tmp_path / "default.csv").read_text(encoding="utf-8")
+        assert default == (tmp_path / "sub.csv").read_text(encoding="utf-8")
+        assert [row.split(",")[0] for row in default.splitlines()[1:]] == ["Sub", "Sub"]
+
+
 class TestAblateReport:
     def test_grid_csv_and_table(self, workdir, capsys):
         out = workdir / "grid.csv"

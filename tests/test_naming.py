@@ -7,16 +7,21 @@ from charqa.castlist import CastList
 from charqa.corpus import BBox, Clip, FaceDetection, Frame, SubtitleLine
 from charqa.errors import NonFiniteLossError, ShapeError
 from charqa.harness import grad_check
-from charqa.naming import (NameDistributionSeq, NamingParams, TargetSeq,
-                           assign_names, broadcast_targets, face_accuracy,
-                           frame_speaker, kl_divergence, naming_forward,
+from charqa.naming import (NameDistributionSeq, TargetSeq, assign_names,
+                           broadcast_targets, face_accuracy, frame_speaker,
+                           init_naming, kl_divergence, naming_forward,
                            rkl_loss_with_grad, smoothed_onehot)
 from oracles import oracle_rkl, random_rkl_instance
 
 
 def predict_name_distributions(embeddings, params):
-    rows, _ = naming_forward(params, embeddings)
+    rows = naming_forward(params, embeddings)
     return NameDistributionSeq(tuple(range(len(rows))), rows)
+
+
+def head(w1, b1, w2, b2):
+    """The naming FFN of a flat parameter store."""
+    return {"naming.w1": w1, "naming.b1": b1, "naming.w2": w2, "naming.b2": b2}
 
 
 def rkl_loss(preds, targets):
@@ -31,14 +36,14 @@ def unit_face(fid, frame_id, d=4):
 
 class TestPredict:
     def test_zero_params_give_uniform(self):
-        params = NamingParams(np.zeros((4, 3)), np.zeros(3),
-                              np.zeros((3, 4)), np.zeros(4))
+        params = head(np.zeros((4, 3)), np.zeros(3), np.zeros((3, 4)), np.zeros(4))
         preds = predict_name_distributions(np.eye(4), params)
         assert np.allclose(preds.rows, 0.25)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
-        params = NamingParams.init(rng, 6, 5, 4)
+        params = {}
+        init_naming(rng, params, 6, 5, 4)
         preds = predict_name_distributions(rng.standard_normal((9, 6)), params)
         assert np.allclose(preds.rows.sum(axis=1), 1.0)
         assert np.all(preds.rows >= 0)
@@ -46,10 +51,10 @@ class TestPredict:
     def test_hand_case_matches_scalar_arithmetic(self):
         # d_f=2, d_h1=2, two classes; every number recomputed with plain
         # floats below, no linear algebra.
-        params = NamingParams(np.array([[1.0, -1.0], [0.5, 2.0]]),
-                              np.array([0.1, -0.2]),
-                              np.array([[0.3, -0.4], [1.5, 0.2]]),
-                              np.array([0.05, -0.05]))
+        params = head(np.array([[1.0, -1.0], [0.5, 2.0]]),
+                      np.array([0.1, -0.2]),
+                      np.array([[0.3, -0.4], [1.5, 0.2]]),
+                      np.array([0.05, -0.05]))
         f = np.array([[1.0, 0.0]])
         preds = predict_name_distributions(f, params)
 
@@ -62,8 +67,7 @@ class TestPredict:
                                               abs=1e-12)
 
     def test_dimension_mismatch(self):
-        params = NamingParams(np.zeros((4, 3)), np.zeros(3),
-                              np.zeros((3, 2)), np.zeros(2))
+        params = head(np.zeros((4, 3)), np.zeros(3), np.zeros((3, 2)), np.zeros(2))
         with pytest.raises(ShapeError):
             predict_name_distributions(np.zeros((2, 5)), params)
 
@@ -224,4 +228,4 @@ class TestNamingGradients:
     def test_fd_check_passes(self):
         (rep,) = grad_check("naming", tolerance=1e-4, n_configs=3, seed=0)
         assert rep.passed, rep.format()
-        assert set(rep.worst) == {"w1", "b1", "w2", "b2"}
+        assert set(rep.worst) == {"naming.w1", "naming.b1", "naming.w2", "naming.b2"}

@@ -1,14 +1,10 @@
 import numpy as np
-import pytest
 
 from charqa.corpus import BBox, FaceDetection, Frame, RelationTriple
-from charqa.semantics import (FaceHumanAssignment, SemanticStream, UNMATCHED,
+from charqa.semantics import (FaceHumanAssignment, UNMATCHED,
                               augment_objects_with_names, build_semantic_stream,
-                              flatten_relations, frame_names,
-                              match_faces_to_humans, object_tokens,
+                              frame_names, match_faces_to_humans, object_tokens,
                               overlap_score, replace_names)
-
-HUMAN_WORDS = ("man", "woman", "person", "boy", "girl", "guy", "lady", "people")
 
 
 def face(fid, box):
@@ -75,27 +71,27 @@ class TestReplaceNames:
         human = BBox(0, 0, 50, 100)
         t = RelationTriple("man", "holds", "bottle", human)
         a = FaceHumanAssignment((human,), (0,))
-        out = replace_names([t], a, {0: "Ted"}, HUMAN_WORDS)
+        out = replace_names([t], a, {0: "Ted"})
         assert out[0].tokens == ("Ted", "holds", "bottle")
         assert out[0].predicate == "holds"
 
     def test_non_human_triple_unchanged(self):
         t = RelationTriple("table", "under", "window")
-        out = replace_names([t], FaceHumanAssignment((), ()), {}, HUMAN_WORDS)
+        out = replace_names([t], FaceHumanAssignment((), ()), {})
         assert out[0] is t
 
     def test_unmatched_box_left_alone(self):
         human = BBox(0, 0, 50, 100)
         t = RelationTriple("woman", "sits", "couch", human)
         a = FaceHumanAssignment((human,), (UNMATCHED,))
-        out = replace_names([t], a, {0: "Penny"}, HUMAN_WORDS)
+        out = replace_names([t], a, {0: "Penny"})
         assert out[0].tokens == ("woman", "sits", "couch")
 
     def test_unnamed_face_left_alone(self):
         human = BBox(0, 0, 50, 100)
         t = RelationTriple("man", "holds", "cup", human)
         a = FaceHumanAssignment((human,), (0,))
-        out = replace_names([t], a, {}, HUMAN_WORDS)
+        out = replace_names([t], a, {})
         assert out[0].tokens == ("man", "holds", "cup")
 
     def test_idempotent_and_token_count_preserving(self):
@@ -104,8 +100,8 @@ class TestReplaceNames:
                    RelationTriple("cup", "on", "table"),
                    RelationTriple("woman", "near", "man", human, human)]
         a = FaceHumanAssignment((human,), (0,))
-        once = replace_names(triples, a, {0: "Ted"}, HUMAN_WORDS)
-        twice = replace_names(once, a, {0: "Ted"}, HUMAN_WORDS)
+        once = replace_names(triples, a, {0: "Ted"})
+        twice = replace_names(once, a, {0: "Ted"})
         assert once == twice
         assert len(once) == len(triples)
         for before, after in zip(triples, once):
@@ -115,7 +111,7 @@ class TestReplaceNames:
         human = BBox(0, 0, 50, 100)
         t = RelationTriple("dude", "holds", "cup", human)
         a = FaceHumanAssignment((human,), (0,))
-        out = replace_names([t], a, {0: "Ted"}, HUMAN_WORDS)
+        out = replace_names([t], a, {0: "Ted"})
         assert out[0].subject == "dude"
 
 
@@ -143,19 +139,10 @@ class TestObjectAugmentation:
         assert names == ["Ben", "Ada"]
 
 
-class TestFlatten:
-    def test_two_triples_six_tokens(self):
-        fr = Frame(0, 0.0, [], [], [],
-                   [RelationTriple("a", "p", "b"), RelationTriple("c", "q", "d")])
-        assert flatten_relations([fr]) == ["a", "p", "b", "c", "q", "d"]
-
-    def test_empty(self):
-        assert flatten_relations([Frame(0, 0.0)]) == []
-
-    def test_frame_order(self):
-        f1 = Frame(1, 1.0, [], [], [], [RelationTriple("x", "p", "y")])
-        f0 = Frame(0, 0.0, [], [], [], [RelationTriple("a", "p", "b")])
-        assert flatten_relations([f0, f1]) == ["a", "p", "b", "x", "p", "y"]
+def relations(frames):
+    """The relation run alone, without names: (tokens, flags)."""
+    return build_semantic_stream(frames, {}, use_objs=False, use_rels=True,
+                                 objs_names=False, rels_names=False)
 
 
 class TestStream:
@@ -166,43 +153,53 @@ class TestStream:
                      [("cup", None), ("vase", "blue")],
                      [RelationTriple("man", "hold", "cup", human)])
 
+    def test_two_triples_six_tokens(self):
+        fr = Frame(0, 0.0, [], [], [],
+                   [RelationTriple("a", "p", "b"), RelationTriple("c", "q", "d")])
+        assert relations([fr]) == (["a", "p", "b", "c", "q", "d"], [False] * 6)
+
+    def test_empty(self):
+        assert relations([Frame(0, 0.0)]) == ([], [])
+
+    def test_frame_order(self):
+        f1 = Frame(1, 1.0, [], [], [], [RelationTriple("x", "p", "y")])
+        f0 = Frame(0, 0.0, [], [], [], [RelationTriple("a", "p", "b")])
+        assert relations([f1, f0])[0] == ["a", "p", "b", "x", "p", "y"]
+
     def test_relation_tokens_multiple_of_three(self):
         fr = self.make_frame()
-        s = build_semantic_stream([fr], {0: "Ada"}, HUMAN_WORDS,
-                                  use_objs=True, use_rels=True,
-                                  objs_names=True, rels_names=True,
-                                  name_set=frozenset({"Ada"}))
-        assert len(s.relation_tokens) % 3 == 0
-        assert len(s.tokens) == len(s.name_flags)
+        kw = dict(use_rels=True, rels_names=True, name_set=frozenset({"Ada"}))
+        toks, flags = build_semantic_stream([fr], {0: "Ada"}, use_objs=True,
+                                            objs_names=True, **kw)
+        rel_toks, _ = build_semantic_stream([fr], {0: "Ada"}, use_objs=False,
+                                            objs_names=False, **kw)
+        assert len(rel_toks) % 3 == 0
+        assert toks[len(toks) - len(rel_toks):] == rel_toks
+        assert len(toks) == len(flags)
 
     def test_name_injection_and_flags(self):
         fr = self.make_frame()
-        s = build_semantic_stream([fr], {0: "Ada"}, HUMAN_WORDS,
-                                  use_objs=True, use_rels=True,
-                                  objs_names=True, rels_names=True,
-                                  name_set=frozenset({"Ada"}))
-        assert s.relation_tokens == ("Ada", "hold", "cup")
-        assert s.relation_flags == (True, False, False)
-        assert s.object_tokens == ("cup", "Ada", "blue", "vase", "Ada")
+        toks, flags = build_semantic_stream([fr], {0: "Ada"},
+                                            use_objs=True, use_rels=True,
+                                            objs_names=True, rels_names=True,
+                                            name_set=frozenset({"Ada"}))
+        # The object run, then the relation run.
+        assert toks == ["cup", "Ada", "blue", "vase", "Ada", "Ada", "hold", "cup"]
+        assert flags == [False, True, False, False, True, True, False, False]
 
     def test_names_off_keeps_human_words(self):
         fr = self.make_frame()
-        s = build_semantic_stream([fr], {0: "Ada"}, HUMAN_WORDS,
-                                  use_objs=True, use_rels=True,
-                                  objs_names=False, rels_names=False,
-                                  name_set=frozenset({"Ada"}))
-        assert s.relation_tokens == ("man", "hold", "cup")
-        assert s.object_tokens == ("cup", "blue", "vase")
-        assert not any(s.name_flags)
+        toks, flags = build_semantic_stream([fr], {0: "Ada"},
+                                            use_objs=True, use_rels=True,
+                                            objs_names=False, rels_names=False,
+                                            name_set=frozenset({"Ada"}))
+        assert toks == ["cup", "blue", "vase", "man", "hold", "cup"]
+        assert not any(flags)
 
     def test_deterministic(self):
         fr = self.make_frame()
         kw = dict(use_objs=True, use_rels=True, objs_names=True,
                   rels_names=True, name_set=frozenset({"Ada"}))
-        a = build_semantic_stream([fr], {0: "Ada"}, HUMAN_WORDS, **kw)
-        b = build_semantic_stream([fr], {0: "Ada"}, HUMAN_WORDS, **kw)
+        a = build_semantic_stream([fr], {0: "Ada"}, **kw)
+        b = build_semantic_stream([fr], {0: "Ada"}, **kw)
         assert a == b
-
-    def test_stream_validates_alignment(self):
-        with pytest.raises(ValueError):
-            SemanticStream(("a",), (False, True), (), ())
