@@ -11,7 +11,7 @@ where the answers actually come from.
 import tempfile
 from pathlib import Path
 
-from charqa.carn import ModalityConfig, Model, ModelConfig
+from charqa.carn import Model, ModelConfig
 from charqa.corpus import GenConfig, generate_corpus
 from charqa.harness import (TrainConfig, ablate, evaluate, format_report,
                             metrics_csv_text, train)
@@ -28,16 +28,18 @@ print(f"variant {report.variant!r}, per-epoch loss "
 print(f"qa_acc={report.qa_acc:.3f} (visual {report.qa_acc_visual:.3f}, "
       f"textual {report.qa_acc_textual:.3f}), face_acc={report.face_acc:.3f}")
 
-# Checkpoints round-trip through .npz; evaluation is read-only.
+# Checkpoints round-trip through .npz with the model's variant and training
+# seed; evaluation reads both from the model and is read-only.
 with tempfile.TemporaryDirectory() as tmp:
     model.save(Path(tmp) / "demo_model.npz")
     loaded = Model.load(Path(tmp) / "demo_model.npz")
-again = evaluate(loaded, corpus, use_ts=True, modality=config.modality)
+print(f"checkpoint variant {loaded.modality.label()!r}, seed {loaded.seed}")
+again = evaluate(loaded, corpus, use_ts=True)
 print(f"reloaded checkpoint reproduces the row: {again.row() == report.row()}")
 
 # The w/-ts protocol windows each item to its evidence interval; w/o ts
 # the model reads the whole clip.
-wo = evaluate(loaded, corpus, use_ts=False, modality=config.modality)
+wo = evaluate(loaded, corpus, use_ts=False)
 print(f"w/ ts {report.qa_acc:.3f} vs w/o ts {wo.qa_acc:.3f}")
 
 # A 3-variant slice of the 9-variant grid (each trains its own model, so

@@ -333,15 +333,18 @@ class ItemResult:
 class Model:
     """Parameters + vocabulary + cast; forward/backward for batches of items.
 
-    `modality` is the variant the model was trained on; checkpoints record
-    it, and `charqa eval` runs it unless told otherwise."""
+    `modality` is the variant the network runs and `seed` the seed of the
+    training run that made the parameters; checkpoints record both, and
+    evaluation reads both from here."""
 
     def __init__(self, vocab: Vocab, cast: CastList, config: ModelConfig = ModelConfig(),
-                 rng=None, params=None, modality: ModalityConfig = ModalityConfig()):
+                 rng=None, params=None, modality: ModalityConfig = ModalityConfig(),
+                 seed: int = 0):
         self.vocab = vocab
         self.cast = cast
         self.config = config
         self.modality = modality
+        self.seed = seed
         if params is not None:
             self.params = params
         elif config.d_f is None:
@@ -405,11 +408,11 @@ class Model:
         for plan, dx_i in zip(plans, dx):  # zip stops before each pad row
             embed_backward(grads, self.params, plan, dx_i)
 
-    def forward_item(self, batch, modality: ModalityConfig, keep_cache: bool = True):
-        """Answer probabilities (B, 5) for a batch of (view, qa, face_names)
-        items, plus the backward cache (None with keep_cache False: then no
-        activation is kept for backward, and a forward-only batch holds one
-        block's activations at a time).
+    def forward_item(self, batch, keep_cache: bool = True):
+        """Answer probabilities (B, 5) under the model's own variant for a
+        batch of (view, qa, face_names) items, plus the backward cache (None
+        with keep_cache False: then no activation is kept for backward, and a
+        forward-only batch holds one block's activations at a time).
 
         Every item's context streams are built, then deduplicated per pass
         by (tokens, flags): each distinct stream is encoded once, all of a
@@ -430,6 +433,7 @@ class Model:
         """
         c = self.config
         p = self.params
+        modality = self.modality
         # (decoder, visual run or None for the subtitles) per pass, in order
         passes = ([("dec_v", run) for run in modality.visual_passes()]
                   + [("dec_s", None)] * modality.use_sub)
@@ -531,7 +535,7 @@ class Model:
             naming_backward(self.params, table, rows, weight * drows, grads)
         return rkl
 
-    def loss_and_grads(self, batch, modality: ModalityConfig, lam: float = 1.0,
+    def loss_and_grads(self, batch, lam: float = 1.0,
                        grads: dict | None = None) -> list[ItemResult]:
         """The joint objective CE + lambda * clip RKL of each item of a batch
         of (clip, view, qa, face_names, targets); targets None are built
@@ -542,8 +546,7 @@ class Model:
         its gradient is scaled by the clip's item count. face_names is the
         current discrete assignment; no gradient flows through it.
         """
-        p_a, cache = self.forward_item([(view, qa, names) for _, view, qa, names, _ in batch],
-                                       modality)
+        p_a, cache = self.forward_item([(view, qa, names) for _, view, qa, names, _ in batch])
         clips = {}  # id(clip) -> [clip, targets, item count], in batch order
         for clip, _, _, _, targets in batch:
             clips.setdefault(id(clip), [clip, targets, 0])[2] += 1
@@ -563,17 +566,14 @@ class Model:
         return results
 
     def item_loss_and_grads(self, clip: Clip, view: Clip, qa: QAItem,
-                            modality: ModalityConfig, face_names: dict[int, str],
-                            lam: float = 1.0, grads: dict | None = None,
-                            targets=None) -> ItemResult:
+                            face_names: dict[int, str], lam: float = 1.0,
+                            grads: dict | None = None, targets=None) -> ItemResult:
         """loss_and_grads of a batch of one item."""
-        return self.loss_and_grads([(clip, view, qa, face_names, targets)], modality,
-                                   lam, grads)[0]
+        return self.loss_and_grads([(clip, view, qa, face_names, targets)], lam, grads)[0]
 
-    def score(self, view: Clip, qa: QAItem, modality: ModalityConfig,
-              face_names: dict[int, str]) -> np.ndarray:
+    def score(self, view: Clip, qa: QAItem, face_names: dict[int, str]) -> np.ndarray:
         """Answer probabilities of one item: forward_item on a batch of one."""
-        return self.forward_item([(view, qa, face_names)], modality, keep_cache=False)[0][0]
+        return self.forward_item([(view, qa, face_names)], keep_cache=False)[0][0]
 
     # -- persistence -----------------------------------------------------
 
@@ -585,6 +585,7 @@ class Model:
                       "chars": list(self.vocab.chars)},
             "cast": self.cast.to_dict(),
             "variant": self.modality.label(),
+            "seed": self.seed,
         }
         np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
                  **self.params)
@@ -609,12 +610,16 @@ class Model:
                           tuple(meta["vocab"]["chars"]))
             cast = CastList.from_dict(meta["cast"])
             config = ModelConfig(**meta["config"])
-            # Checkpoints written before the variant was recorded are of the
-            # full variant, the training default.
+            # Checkpoints written before the variant and the seed were
+            # recorded are of the full variant, the training default, and are
+            # evaluated as seed 0.
             variant = meta.get("variant", FULL_VARIANT)
             if not isinstance(variant, str):
                 raise TypeError(f"variant must be a string, got {variant!r}")
             modality = ModalityConfig.from_label(variant)
+            seed = meta.get("seed", 0)
+            if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+                raise TypeError(f"seed must be an integer >= 0, got {seed!r}")
         except KeyError as e:
             raise CheckpointError(f"{path}: checkpoint meta lacks {e.args[0]!r}") from None
         except (TypeError, ConfigError) as e:
@@ -631,7 +636,7 @@ class Model:
                     f"{None if want is None else want.shape}")
             if got.dtype.kind != "f" or not np.isfinite(got).all():
                 raise CheckpointError(f"{path}: tensor {key!r} must hold finite floats")
-        return cls(vocab, cast, config, params=params, modality=modality)
+        return cls(vocab, cast, config, params=params, modality=modality, seed=seed)
 
 
 __all__ = [

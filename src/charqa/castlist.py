@@ -75,14 +75,17 @@ def count_speakers(clips) -> dict[str, int]:
 
 
 def build_cast_list(counts: dict[str, int],
-                    min_count: int = DEFAULT_MIN_COUNT,
+                    min_count: int | None = DEFAULT_MIN_COUNT,
                     max_ratio: float = DEFAULT_MAX_RATIO) -> CastList:
     """Select principals: count > min_count and count >= max_ratio * max count.
 
-    The ratio uses the maximum over all speakers, not just survivors of the
-    first filter.  Principals are ordered by count descending, ties broken
-    lexicographically by name.
+    min_count None scales the full-season rule to the counted lines (see
+    scaled_min_count). The ratio uses the maximum over all speakers, not just
+    survivors of the first filter.  Principals are ordered by count
+    descending, ties broken lexicographically by name.
     """
+    if min_count is None:
+        min_count = scaled_min_count(sum(counts.values()))
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
     if not 0.0 < max_ratio <= 1.0:

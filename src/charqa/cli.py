@@ -14,8 +14,8 @@ import sys
 from dataclasses import fields, replace
 
 from . import harness
-from .carn import ModalityConfig, Model, build_vocab, visual_stream, subtitle_stream
-from .castlist import build_cast_list, count_speakers, scaled_min_count
+from .carn import ModalityConfig, Model, subtitle_stream, visual_stream
+from .castlist import DEFAULT_MAX_RATIO, build_cast_list, count_speakers
 from .corpus import GenConfig, clip_view, generate_corpus, read_corpus, write_corpus
 from .errors import CharqaError, ConfigError
 from .harness import (TrainConfig, config_kwargs, evaluate, grad_check, train,
@@ -77,11 +77,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_castlist(args) -> int:
     clips = read_corpus(args.corpus)
-    counts = count_speakers(clips)
-    min_count = args.min_count
-    if min_count is None:
-        min_count = scaled_min_count(sum(counts.values()))
-    cast = build_cast_list(counts, min_count=min_count, max_ratio=args.max_ratio)
+    cast = build_cast_list(count_speakers(clips), min_count=args.min_count,
+                           max_ratio=args.max_ratio)
     payload = cast.to_dict()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -109,9 +106,10 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     model = Model.load(args.checkpoint)
     clips = read_corpus(args.corpus)
-    modality = ModalityConfig.from_label(args.modality) if args.modality else model.modality
+    if args.modality:
+        model.modality = ModalityConfig.from_label(args.modality)
     settings = [args.use_ts] if args.use_ts is not None else [True, False]
-    reports = [evaluate(model, clips, use_ts=ts, modality=modality) for ts in settings]
+    reports = [evaluate(model, clips, use_ts=ts) for ts in settings]
     if args.out:
         write_metrics_csv(reports, args.out)
     for r in reports:
@@ -176,8 +174,7 @@ def _cmd_semantics_dump(args) -> int:
     if model is not None:
         cast = model.cast
     else:
-        counts = count_speakers(clips)
-        cast = build_cast_list(counts, min_count=scaled_min_count(sum(counts.values())))
+        cast = build_cast_list(count_speakers(clips), min_count=None)
     with open(args.out, "w", encoding="utf-8") as fh:
         for clip in clips:
             if model is not None:
@@ -232,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("castlist", help="build the principal character list")
     p.add_argument("--corpus", required=True)
     p.add_argument("--min-count", type=int, dest="min_count")
-    p.add_argument("--max-ratio", type=float, dest="max_ratio", default=1.0 / 10.0)
+    p.add_argument("--max-ratio", type=float, dest="max_ratio", default=DEFAULT_MAX_RATIO)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_castlist)
 

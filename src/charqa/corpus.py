@@ -204,6 +204,10 @@ class GenConfig:
                           ("frames_per_clip", 1), ("d_f", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}")
+        # Two clip actors split the frames into one scene block each.
+        if self.frames_per_clip < min(2, self.k_principals):
+            raise ConfigError("frames_per_clip must be >= 2 when k_principals >= 2, "
+                              "one scene per clip actor")
         # Each frame speaks a distinct dialogue word.
         if self.frames_per_clip > len(DEFAULT_DIALOGUE_VOCAB):
             raise ConfigError(f"frames_per_clip must be <= {len(DEFAULT_DIALOGUE_VOCAB)}, "
@@ -478,8 +482,46 @@ def _box_to_list(b: BBox | None):
     return None if b is None else [b.x0, b.y0, b.x1, b.y1]
 
 
-def _box_from_list(v):
-    return None if v is None else BBox(*v)
+# Field types of a parsed record. JSON gives exact Python types, so a type
+# test excludes bool from the numbers, and a string is never taken for a
+# list (it would iterate as one-letter tokens).
+_NUMBER = (int, float)
+_TYPE_NAMES = {int: "an integer", _NUMBER: "a number", str: "a string", list: "a list",
+               (str, type(None)): "a string or null", (dict, type(None)): "an object or null"}
+
+
+def _shown(v) -> str:
+    text = json.dumps(v)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _of(v, kind, what: str):
+    """v if its type is kind (a type or a tuple of types); TypeError naming
+    the field otherwise."""
+    if type(v) not in (kind if type(kind) is tuple else (kind,)):
+        raise TypeError(f"{what} must be {_TYPE_NAMES[kind]}, got {_shown(v)}")
+    return v
+
+
+def _strings(v, what: str) -> list[str]:
+    if type(v) is list:
+        try:
+            "".join(v)  # the type check of every item, at C speed
+            return v
+        except TypeError:
+            pass
+    raise TypeError(f"{what} must be a list of strings, got {_shown(v)}")
+
+
+def _box_from_list(v, what: str) -> BBox:
+    return BBox(*_of(v, list, what))
+
+
+def _embedding(v) -> np.ndarray:
+    e = np.asarray(_of(v, list, "face embedding"))
+    if e.ndim != 1 or e.dtype.kind not in "if":
+        raise TypeError(f"face embedding must be a flat list of numbers, got {_shown(v)}")
+    return e.astype(np.float64, copy=False)
 
 
 def clip_to_dict(clip: Clip) -> dict:
@@ -532,36 +574,58 @@ def clip_to_dict(clip: Clip) -> dict:
     }
 
 
+def _ts_interval(v) -> tuple[float, float]:
+    if type(v) is not list or len(v) != 2 or not all(type(t) in _NUMBER for t in v):
+        raise TypeError(f"ts_interval must be a pair of numbers, got {_shown(v)}")
+    return v[0], v[1]
+
+
 def clip_from_dict(d: dict) -> Clip:
+    """The clip of a parsed corpus record, each field checked for its JSON
+    type as it is read; KeyError, TypeError or ValueError on the first bad
+    field. validate_clip checks what relates fields to each other."""
     frames = [
         Frame(
-            f["frame_id"],
-            f["time"],
+            _of(f["frame_id"], int, "frame_id"),
+            _of(f["time"], _NUMBER, "frame time"),
             [
-                FaceDetection(fc["face_id"], fc["frame_id"], _box_from_list(fc["box"]),
-                              np.asarray(fc["embedding"], dtype=np.float64))
-                for fc in f["faces"]
+                FaceDetection(_of(fc["face_id"], int, "face_id"),
+                              _of(fc["frame_id"], int, "face frame_id"),
+                              _box_from_list(fc["box"], "face box"),
+                              _embedding(fc["embedding"]))
+                for fc in _of(f["faces"], list, "faces")
             ],
-            [(_box_from_list(h["box"]), h["word"]) for h in f["human_boxes"]],
-            [(o["label"], o["attribute"]) for o in f["objects"]],
+            [(_box_from_list(h["box"], "human box"), _of(h["word"], str, "human word"))
+             for h in _of(f["human_boxes"], list, "human_boxes")],
+            [(_of(o["label"], str, "object label"),
+              _of(o["attribute"], (str, type(None)), "object attribute"))
+             for o in _of(f["objects"], list, "objects")],
             [
-                RelationTriple(t["subject"], t["predicate"], t["object"],
-                               _box_from_list(t["subject_box"]), _box_from_list(t["object_box"]))
-                for t in f["triples"]
+                RelationTriple(*_strings([t["subject"], t["predicate"], t["object"]],
+                                         "triple tokens"),
+                               *(None if t[k] is None else _box_from_list(t[k], k)
+                                 for k in ("subject_box", "object_box")))
+                for t in _of(f["triples"], list, "triples")
             ],
         )
-        for f in d["frames"]
+        for f in _of(d["frames"], list, "frames")
     ]
-    subtitles = [SubtitleLine(s["speaker"], list(s["tokens"]), s["t_start"], s["t_end"]) for s in d["subtitles"]]
+    subtitles = [SubtitleLine(_of(s["speaker"], str, "speaker"),
+                              _strings(s["tokens"], "subtitle tokens"),
+                              _of(s["t_start"], _NUMBER, "t_start"),
+                              _of(s["t_end"], _NUMBER, "t_end"))
+                 for s in _of(d["subtitles"], list, "subtitles")]
     qas = [
-        QAItem(list(q["question"]), [list(a) for a in q["answers"]], q["correct_index"],
-               (q["ts_interval"][0], q["ts_interval"][1]), q.get("qtype", "textual"))
-        for q in d["qas"]
+        QAItem(_strings(q["question"], "question"),
+               [_strings(a, "answer") for a in _of(q["answers"], list, "answers")],
+               _of(q["correct_index"], int, "correct_index"),
+               _ts_interval(q["ts_interval"]), _of(q.get("qtype", "textual"), str, "qtype"))
+        for q in _of(d["qas"], list, "qas")
     ]
-    truth = d["truth"]
+    truth = _of(d["truth"], (dict, type(None)), "truth")
     if truth is not None:
-        truth = {int(k): v for k, v in truth.items()}
-    return Clip(d["clip_id"], frames, subtitles, qas, truth)
+        truth = {int(k): _of(v, str, "truth name") for k, v in truth.items()}
+    return Clip(_of(d["clip_id"], str, "clip_id"), frames, subtitles, qas, truth)
 
 
 def write_corpus(clips: list[Clip], path) -> None:
@@ -591,7 +655,7 @@ def read_corpus(path) -> list[Clip]:
             try:
                 clip = clip_from_dict(d)
                 validate_clip(clip)
-            except (KeyError, TypeError, ValueError) as e:
+            except (KeyError, IndexError, AttributeError, TypeError, ValueError) as e:
                 raise CorpusParseError(line_no, f"bad clip record: {e}") from e
             clips.append(clip)
     return clips
@@ -632,7 +696,7 @@ def validate_clip(clip: Clip) -> None:
             if fc.frame_id != f.frame_id:
                 raise ValueError(f"{clip.clip_id}: face {fc.face_id} frame_id mismatch")
             n = np.linalg.norm(fc.embedding)
-            if abs(n - 1.0) > 1e-6:
+            if not abs(n - 1.0) <= 1e-6:  # NaN fails too
                 raise ValueError(f"{clip.clip_id}: face {fc.face_id} embedding norm {n}")
     if clip.truth is not None:
         if set(clip.truth) != set(face_ids):

@@ -19,9 +19,8 @@ from functools import partial
 import numpy as np
 
 from . import nn
-from .carn import (FULL_VARIANT, VARIANT_LABELS, ModalityConfig, Model, ModelConfig,
-                   Vocab, build_vocab)
-from .castlist import CastList, build_cast_list, count_speakers, scaled_min_count
+from .carn import VARIANT_LABELS, ModalityConfig, Model, ModelConfig, Vocab, build_vocab
+from .castlist import DEFAULT_MAX_RATIO, CastList, build_cast_list, count_speakers
 from .corpus import (BBox, Clip, FaceDetection, Frame, QAItem, RelationTriple,
                      SubtitleLine, clip_view)
 from .errors import ConfigError, EmptyInputError, NonFiniteLossError, ShapeError
@@ -51,7 +50,7 @@ class TrainConfig:
     modality: ModalityConfig = ModalityConfig()
     model: ModelConfig = ModelConfig()
     min_count: int | None = None  # None: scale the 500-line rule to corpus size
-    max_ratio: float = 1.0 / 10.0
+    max_ratio: float = DEFAULT_MAX_RATIO
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -166,13 +165,6 @@ def write_metrics_csv(reports, path) -> None:
         fh.write(metrics_csv_text(reports))
 
 
-def _build_cast(clips, config: TrainConfig) -> CastList:
-    counts = count_speakers(clips)
-    total = sum(counts.values())
-    min_count = config.min_count if config.min_count is not None else scaled_min_count(total)
-    return build_cast_list(counts, min_count=min_count, max_ratio=config.max_ratio)
-
-
 def _face_dim(corpus, model: ModelConfig) -> int:
     """The size of the corpus' face embeddings, which the naming head reads;
     ConfigError if model.d_f is set and disagrees. A corpus without faces
@@ -202,12 +194,14 @@ def train(corpus: list[Clip], config: TrainConfig = TrainConfig()):
     if not items:
         raise EmptyInputError("corpus has no QA items")
 
-    cast = _build_cast(corpus, config)
+    cast = build_cast_list(count_speakers(corpus), min_count=config.min_count,
+                           max_ratio=config.max_ratio)
     vocab = build_vocab(corpus, cast)
     model_cfg = replace(config.model, d_f=_face_dim(corpus, config.model))
     master = np.random.SeedSequence(config.seed)
     init_rng, shuffle_rng = [np.random.default_rng(s) for s in master.spawn(2)]
-    model = Model(vocab, cast, model_cfg, rng=init_rng, modality=config.modality)
+    model = Model(vocab, cast, model_cfg, rng=init_rng, modality=config.modality,
+                  seed=config.seed)
     optimizer = nn.Adam(lr=config.learning_rate)
 
     # Static per-clip structures: broadcast targets and per-item views.
@@ -233,7 +227,7 @@ def train(corpus: list[Clip], config: TrainConfig = TrainConfig()):
                 results = model.loss_and_grads(
                     [(corpus[ci], views[(ci, qi)], corpus[ci].qas[qi], names[ci], targets[ci])
                      for ci, qi in micro],
-                    config.modality, lam=config.lam, grads=grads)
+                    lam=config.lam, grads=grads)
                 for (ci, _), res in zip(micro, results):
                     if not math.isfinite(res.loss):
                         raise NonFiniteLossError(
@@ -251,19 +245,17 @@ def train(corpus: list[Clip], config: TrainConfig = TrainConfig()):
     # it stays pinned; without a full collection, the peak memory of repeated
     # trainings in one process (an ablation grid) ratchets up with each one.
     gc.collect()
-    report = evaluate(model, corpus, use_ts=config.use_ts, modality=config.modality,
-                      seed=config.seed)
-    report.variant = config.modality.label()
+    report = evaluate(model, corpus, use_ts=config.use_ts)
     report.config_hash = config.hash()
     report.losses = losses
     report.warnings = {"clamped": clamped, "empty_context": empty_ctx}
     return model, report
 
 
-def evaluate(model: Model, corpus: list[Clip], use_ts: bool,
-             modality: ModalityConfig = ModalityConfig(), seed: int = 0) -> MetricsReport:
-    """Top-1 QA accuracy (overall and per question type) plus face naming
-    accuracy against the truth sidecar. Read-only on the model."""
+def evaluate(model: Model, corpus: list[Clip], use_ts: bool) -> MetricsReport:
+    """Top-1 QA accuracy (overall and per question type) of the model's own
+    variant, plus face naming accuracy against the truth sidecar; the report
+    carries the model's variant and seed. Read-only on the model."""
     if not corpus:
         raise EmptyInputError("corpus is empty")
     correct = {"all": 0, "visual": 0, "textual": 0}
@@ -273,7 +265,7 @@ def evaluate(model: Model, corpus: list[Clip], use_ts: bool,
             continue
         face_names = model.name_assignments(clip)
         p_a, _ = model.forward_item([(clip_view(clip, qa, use_ts)[0], qa, face_names)
-                                     for qa in clip.qas], modality, keep_cache=False)
+                                     for qa in clip.qas], keep_cache=False)
         for qa, p in zip(clip.qas, p_a):
             hit = int(np.argmax(p)) == qa.correct_index
             totals["all"] += 1
@@ -289,10 +281,10 @@ def evaluate(model: Model, corpus: list[Clip], use_ts: bool,
         return correct[tag] / totals[tag] if totals[tag] else 0.0
 
     return MetricsReport(
-        variant=modality.label(), use_ts=use_ts, qa_acc=acc("all"),
+        variant=model.modality.label(), use_ts=use_ts, qa_acc=acc("all"),
         qa_acc_visual=acc("visual"), qa_acc_textual=acc("textual"),
         face_acc=face_correct / face_total if face_total else 0.0,
-        seed=seed, n_items=totals["all"], n_visual=totals["visual"],
+        seed=model.seed, n_items=totals["all"], n_visual=totals["visual"],
         n_textual=totals["textual"], n_faces=face_total,
     )
 
@@ -314,15 +306,15 @@ def ablate(corpus: list[Clip], config: TrainConfig = TrainConfig(),
     """Train each ablation variant once, evaluate w/ and w/o time stamps.
 
     Returns a list of MetricsReports, two per variant (use_ts True, False),
-    in grid order.
+    in grid order. The report of config.use_ts is the one training made; only
+    the other protocol is evaluated again.
     """
     reports = []
     for label in variants:
         cfg = replace(config, modality=ModalityConfig.from_label(label))
-        model, _ = train(corpus, cfg)
+        model, trained = train(corpus, cfg)
         for use_ts in (True, False):
-            r = evaluate(model, corpus, use_ts=use_ts, modality=cfg.modality,
-                         seed=cfg.seed)
+            r = trained if use_ts == cfg.use_ts else evaluate(model, corpus, use_ts=use_ts)
             r.config_hash = cfg.hash()
             reports.append(r)
         del model  # the next variant trains without this one's parameters alive
@@ -517,17 +509,16 @@ def check_full(rng, tolerance: float = 1e-4, max_entries_per_tensor: int = 2):
     then summed over a batch of two items from each of two clips."""
     model, clip, qa = _mini_setup(rng)
     lam = float(rng.choice([0.5, 1.0, 2.0]))
-    modality = ModalityConfig()
     report = GradCheckReport("full", tolerance)
     for pairs in ([(clip, qa)], _mini_batch(clip, qa)):
         batch = [(c, c, q, model.name_assignments(c),
                   broadcast_targets(c, model.cast, model.config.epsilon)) for c, q in pairs]
 
         def loss():
-            return sum(r.loss for r in model.loss_and_grads(batch, modality, lam=lam))
+            return sum(r.loss for r in model.loss_and_grads(batch, lam=lam))
 
         grads: dict[str, np.ndarray] = {}
-        model.loss_and_grads(batch, modality, lam=lam, grads=grads)
+        model.loss_and_grads(batch, lam=lam, grads=grads)
         report.merge(*nn.check_gradients(loss, model.params, grads, keys=sorted(model.params),
                                         max_entries_per_tensor=max_entries_per_tensor,
                                         rng=rng, tolerance=tolerance))

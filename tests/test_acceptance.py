@@ -121,8 +121,7 @@ def test_criterion_5_timestamp_protocol(reference_runs, corpus):
     for seed in SEEDS:
         model, report = reference_runs[FULL, seed]
         with_ts.append(report.qa_acc)  # training protocol evaluates w/ ts
-        wo = evaluate(model, corpus, use_ts=False,
-                      modality=ModalityConfig.from_label(FULL), seed=seed)
+        wo = evaluate(model, corpus, use_ts=False)
         without_ts.append(wo.qa_acc)
     w, wo = statistics.median(with_ts), statistics.median(without_ts)
     diff = statistics.median(a - b for a, b in zip(with_ts, without_ts))
@@ -173,14 +172,14 @@ def test_criterion_7_invariant_suite():
     names = model.name_assignments(clip)
     p_rows = model.predict_faces(clip).rows
     assert np.allclose(p_rows.sum(axis=1), 1.0, atol=1e-12)
-    p_a = model.score(clip, qa, cfg.modality, names)
+    p_a = model.score(clip, qa, names)
     assert np.isclose(p_a.sum(), 1.0, atol=1e-12)
     checks.append("softmax normalization")
 
     perm = [3, 0, 4, 1, 2]
     shuffled = QAItem([*qa.question], [qa.answers[j] for j in perm],
                       perm.index(qa.correct_index), qa.ts_interval, qa.qtype)
-    p_b = model.score(clip, shuffled, cfg.modality, names)
+    p_b = model.score(clip, shuffled, names)
     assert np.allclose(p_a[perm], p_b, atol=1e-9)
     checks.append("answer-permutation equivariance")
 
@@ -221,8 +220,8 @@ def test_criterion_7_invariant_suite():
     assert sorted(m1.params) == sorted(m2.params)
     for key in m1.params:
         assert m1.params[key].tobytes() == m2.params[key].tobytes()
-    e1 = evaluate(m1, small, use_ts=True, modality=cfg.modality)
-    e2 = evaluate(m2, small, use_ts=True, modality=cfg.modality)
+    e1 = evaluate(m1, small, use_ts=True)
+    e2 = evaluate(m2, small, use_ts=True)
     assert e1.row() == e2.row()
     checks.append("seeded byte-level train/eval determinism")
 

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 from charqa import nn
 from charqa.carn import (FULL_VARIANT, ModalityConfig, Model, ModelConfig,
                          VARIANT_LABELS, Vocab, build_vocab, embed_sequence,
-                         joint_loss, prepare_sequence, qa_stream, subtitle_stream)
-from charqa.castlist import CastList, build_cast_list
-from charqa.corpus import (BBox, Clip, FaceDetection, Frame, GenConfig, QAItem, SubtitleLine,
-                           clip_view, generate_corpus)
+                         joint_loss, prepare_sequence)
+from charqa.castlist import CastList, build_cast_list, count_speakers
+from charqa.corpus import BBox, Clip, FaceDetection, Frame, QAItem, SubtitleLine, clip_view
 from charqa.errors import (CheckpointError, ConfigError, EmptyInputError, ShapeError,
                            VocabError)
-from charqa.harness import TrainConfig, _build_cast, _mini_setup, grad_check
+from charqa.harness import _mini_setup, grad_check
 
 
 def stack_params(prefix="enc", d_model=8, d_ff=12, heads=4, seed=0):
@@ -342,7 +341,7 @@ class TestForward:
     def test_p_a_is_distribution(self, mini):
         model, clip, qa = mini
         names = model.name_assignments(clip)
-        p_a = model.score(clip, qa, ModalityConfig(), names)
+        p_a = model.score(clip, qa, names)
         assert p_a.shape == (5,)
         assert p_a.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(p_a >= 0)
@@ -351,27 +350,27 @@ class TestForward:
         model, clip, qa = mini
         same = QAItem(qa.question, [list(qa.answers[0])] * 5, 0, qa.ts_interval)
         names = model.name_assignments(clip)
-        p_a = model.score(clip, same, ModalityConfig(), names)
+        p_a = model.score(clip, same, names)
         assert np.allclose(p_a, 0.2, atol=1e-9)
 
     def test_candidate_permutation_equivariance(self, mini):
         model, clip, qa = mini
         names = model.name_assignments(clip)
-        base = model.score(clip, qa, ModalityConfig(), names)
+        base = model.score(clip, qa, names)
         perm = [3, 0, 4, 1, 2]
         permuted = QAItem(qa.question, [qa.answers[i] for i in perm],
                           perm.index(qa.correct_index), qa.ts_interval)
-        p_perm = model.score(clip, permuted, ModalityConfig(), names)
+        p_perm = model.score(clip, permuted, names)
         assert np.allclose(p_perm, base[perm], atol=1e-9)
 
     def test_swap_first_two_answers(self, mini):
         model, clip, qa = mini
         names = model.name_assignments(clip)
-        base = model.score(clip, qa, ModalityConfig(), names)
+        base = model.score(clip, qa, names)
         swapped = QAItem(qa.question,
                          [qa.answers[1], qa.answers[0]] + list(qa.answers[2:]),
                          qa.correct_index, qa.ts_interval)
-        p_sw = model.score(clip, swapped, ModalityConfig(), names)
+        p_sw = model.score(clip, swapped, names)
         assert p_sw[0] == pytest.approx(base[1], abs=1e-9)
         assert p_sw[1] == pytest.approx(base[0], abs=1e-9)
         assert np.allclose(p_sw[2:], base[2:], atol=1e-9)
@@ -380,21 +379,21 @@ class TestForward:
         model, clip, qa = mini
         empty = QAItem([], [[]] + [list(a) for a in qa.answers[1:]], 0, qa.ts_interval)
         with pytest.raises(EmptyInputError):
-            model.score(clip, empty, ModalityConfig(), model.name_assignments(clip))
+            model.score(clip, empty, model.name_assignments(clip))
 
     def test_sub_only_ignores_frames(self, mini):
         model, clip, qa = mini
         names = model.name_assignments(clip)
-        sub_only = ModalityConfig.from_label("Sub")
-        p1 = model.score(clip, qa, sub_only, names)
+        model.modality = ModalityConfig.from_label("Sub")
+        p1 = model.score(clip, qa, names)
         stripped = type(clip)(clip.clip_id, [], clip.subtitles, clip.qas, None)
-        p2 = model.score(stripped, qa, sub_only, names)
+        p2 = model.score(stripped, qa, names)
         assert np.allclose(p1, p2, atol=1e-12)
 
     def test_checkpoint_round_trip(self, mini, tmp_path):
         model, clip, qa = mini
         names = model.name_assignments(clip)
-        base = model.score(clip, qa, ModalityConfig(), names)
+        base = model.score(clip, qa, names)
         path = tmp_path / "m.npz"
         model.save(path)
         loaded = Model.load(path)
@@ -403,7 +402,7 @@ class TestForward:
         assert loaded.config == model.config
         for k, v in model.params.items():
             assert np.array_equal(loaded.params[k], v)
-        p2 = loaded.score(clip, qa, ModalityConfig(), names)
+        p2 = loaded.score(clip, qa, names)
         assert np.array_equal(base, p2)
 
     def test_checkpoint_with_human_words_record_loads(self, mini, tmp_path):
@@ -423,8 +422,8 @@ class TestForward:
                                          dtype=np.uint8).copy()
         np.savez(tmp_path / "old.npz", **blob)
         loaded = Model.load(tmp_path / "old.npz")
-        assert np.array_equal(loaded.score(clip, qa, ModalityConfig(), names),
-                              model.score(clip, qa, ModalityConfig(), names))
+        assert np.array_equal(loaded.score(clip, qa, names),
+                              model.score(clip, qa, names))
 
     def test_checkpoint_version_guard(self, mini, tmp_path):
         import json
@@ -500,6 +499,31 @@ class TestForward:
             else:
                 assert Model.load(tmp_path / "v.npz").modality == want
 
+    def test_checkpoint_records_the_seed(self, mini, tmp_path):
+        import json
+        model, _, _ = mini
+        seeded = Model(model.vocab, model.cast, model.config, params=model.params, seed=5)
+        path = tmp_path / "m.npz"
+        seeded.save(path)
+        assert Model.load(path).seed == 5
+        # A meta without the record loads as seed 0; a seed that is not an
+        # integer >= 0 is a checkpoint error.
+        for seed, want in ((None, 0), (-1, None), (1.5, None), ("3", None), (True, None)):
+            blob = dict(np.load(path, allow_pickle=False))
+            meta = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
+            if seed is None:
+                del meta["seed"]
+            else:
+                meta["seed"] = seed
+            blob["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
+                                             dtype=np.uint8).copy()
+            np.savez(tmp_path / "s.npz", **blob)
+            if want is None:
+                with pytest.raises(CheckpointError, match="seed must be"):
+                    Model.load(tmp_path / "s.npz")
+            else:
+                assert Model.load(tmp_path / "s.npz").seed == want
+
     def test_visual_passes_relations_then_objects(self):
         passes = ModalityConfig().visual_passes()
         assert [m.label() for m in passes] == ["Sub + Rels_nm", "Sub + Objs_nm"]
@@ -518,8 +542,7 @@ class TestForward:
             return type(clip)(clip.clip_id, [f], clip.subtitles, clip.qas, None)
 
         def empty_count(view):
-            return model.item_loss_and_grads(clip, view, qa, ModalityConfig(),
-                                             names).empty_context
+            return model.item_loss_and_grads(clip, view, qa, names).empty_context
 
         assert frame.objects and frame.triples
         assert empty_count(clip) == 0
@@ -533,8 +556,8 @@ class TestForward:
         (frame,) = clip.frames
         assert frame.objects and frame.triples and clip.subtitles
         for label in ("Sub", "Objs_nm + Rels_nm"):
-            res = model.item_loss_and_grads(clip, clip, qa, ModalityConfig.from_label(label),
-                                            names)
+            model.modality = ModalityConfig.from_label(label)
+            res = model.item_loss_and_grads(clip, clip, qa, names)
             assert res.empty_context == 0, label
 
 
@@ -544,7 +567,7 @@ class TestBatch:
 
     @pytest.fixture(scope="class")
     def setup(self, small_corpus):
-        cast = _build_cast(small_corpus, TrainConfig())
+        cast = build_cast_list(count_speakers(small_corpus), min_count=None)
         model = Model(build_vocab(small_corpus, cast), cast,
                       ModelConfig(d_model=8, d_ff=12, d_h1=6, heads=2, d_f=16),
                       rng=np.random.default_rng(3))
@@ -566,9 +589,9 @@ class TestBatch:
     def test_batch_equals_items_alone(self, setup):
         model, items = setup
         grads = {}
-        results = model.loss_and_grads(items, ModalityConfig(), lam=0.7, grads=grads)
+        results = model.loss_and_grads(items, lam=0.7, grads=grads)
         alone_grads = {}
-        alone = [model.loss_and_grads([it], ModalityConfig(), lam=0.7, grads=alone_grads)[0]
+        alone = [model.loss_and_grads([it], lam=0.7, grads=alone_grads)[0]
                  for it in items]
         assert [r.empty_context for r in alone] == [0, 0, 0, 0, 0, 0, 0, 0, 1, 2]
         assert [r.empty_context for r in results] == [r.empty_context for r in alone]
@@ -583,9 +606,8 @@ class TestBatch:
         model, items = setup
         perm = np.random.default_rng(0).permutation(len(items))
         grads, perm_grads = {}, {}
-        base = model.loss_and_grads(items, ModalityConfig(), grads=grads)
-        permuted = model.loss_and_grads([items[i] for i in perm], ModalityConfig(),
-                                        grads=perm_grads)
+        base = model.loss_and_grads(items, grads=grads)
+        permuted = model.loss_and_grads([items[i] for i in perm], grads=perm_grads)
         for j, i in enumerate(perm):
             assert np.max(np.abs(permuted[j].p_a - base[i].p_a)) <= 1e-12
             assert permuted[j].empty_context == base[i].empty_context
@@ -617,7 +639,7 @@ class TestBatch:
 
         monkeypatch.setattr(nn, "stack_forward", recording_forward)
         monkeypatch.setattr(nn, "stack_backward", checking_backward)
-        model.loss_and_grads(items, ModalityConfig(), grads={})
+        model.loss_and_grads(items, grads={})
         assert {p for p, n in checked if n} >= {"enc", "dec_v", "dec_s"}
 
     def test_whole_clip_batch_encodes_each_context_once(self, setup, small_corpus,
@@ -635,7 +657,7 @@ class TestBatch:
             return y, cache
 
         monkeypatch.setattr(nn, "stack_forward", counting_forward)
-        p_a, _ = model.forward_item([(clip, qa, names) for qa in clip.qas], ModalityConfig(),
+        p_a, _ = model.forward_item([(clip, qa, names) for qa in clip.qas],
                                     keep_cache=False)
         # One QA batch of 5 candidates per item, then one encode of the one
         # distinct stream of each context pass (relations, objects, subtitles).
@@ -679,7 +701,8 @@ class TestCheckpointRoundTrip:
         vocab = Vocab(tuple(sorted(words)), cast.label_names(), chars)
         modality = ModalityConfig.from_label(data.draw(st.sampled_from(VARIANT_LABELS)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-        model = Model(vocab, cast, config, rng=rng, modality=modality)
+        model = Model(vocab, cast, config, rng=rng, modality=modality,
+                      seed=data.draw(st.integers(0, 2**40)))
         face = FaceDetection(0, 0, BBox(1, 1, 4, 4), rng.standard_normal(config.d_f))
         frame = Frame(0, 0.0, [face], [], [(words[0], None)], [])
         line = SubtitleLine(names[0] if names else "Zed", words[-1:], 0.0, 1.0)
@@ -694,8 +717,9 @@ class TestCheckpointRoundTrip:
             path = Path(tmp) / "m.npz"
             model.save(path)
             loaded = Model.load(path)
-            assert (loaded.vocab, loaded.cast, loaded.config, loaded.modality) == (
-                model.vocab, model.cast, model.config, model.modality)
+            assert (loaded.vocab, loaded.cast, loaded.config, loaded.modality,
+                    loaded.seed) == (model.vocab, model.cast, model.config,
+                                     model.modality, model.seed)
             assert loaded.params.keys() == model.params.keys()
             for k, v in model.params.items():
                 got = loaded.params[k]
@@ -703,8 +727,8 @@ class TestCheckpointRoundTrip:
                 assert got.tobytes() == v.tobytes(), k
             names = model.name_assignments(clip)
             assert loaded.name_assignments(clip) == names
-            assert np.array_equal(loaded.score(clip, qa, model.modality, names),
-                                  model.score(clip, qa, model.modality, names))
+            assert np.array_equal(loaded.score(clip, qa, names),
+                                  model.score(clip, qa, names))
 
             key = data.draw(st.sampled_from(sorted(model.params)))
             fault = data.draw(st.sampled_from(["nan", "inf", "-inf", "drop", "reshape"]))

@@ -48,6 +48,14 @@ class TestBuildCastList:
             build_cast_list({"A": 500})
         assert build_cast_list({"A": 501}).names == ("A",)
 
+    def test_none_scales_min_count_to_the_counted_lines(self):
+        # 8 lines scale the 500-line rule to its floor of 2.
+        counts = {"A": 5, "B": 3}
+        assert scaled_min_count(sum(counts.values())) == 2
+        assert build_cast_list(counts, min_count=None).names == ("A", "B")
+        with pytest.raises(EmptyCastError):
+            build_cast_list({"A": 2}, min_count=None)
+
     def test_ratio_boundary_is_inclusive(self):
         counts = {"A": 1000, "B": 100, "C": 99}
         cast = build_cast_list(counts, min_count=50, max_ratio=0.1)

@@ -1,17 +1,18 @@
 """End-to-end runs of every CLI subcommand on a micro corpus."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from dataclasses import fields
 
-from charqa.carn import Model
+from charqa.carn import FULL_VARIANT, ModalityConfig, Model
 from charqa.castlist import build_cast_list, count_speakers, scaled_min_count
 from charqa.cli import build_parser, main
 from charqa.corpus import GenConfig, read_corpus
-from charqa.harness import METRICS_COLUMNS, evaluate
+from charqa.harness import METRICS_COLUMNS, evaluate, metrics_csv_text
 
 TRAIN_JSON = {
     "epochs": 2,
@@ -164,6 +165,31 @@ class TestTrainEval:
         assert "duplicate face_ids" in err
         assert not (tmp_path / "m.npz").exists()
 
+    @pytest.mark.parametrize("path, value", [
+        (("qas", 0, "ts_interval"), [0]),
+        (("truth",), [1]),
+        (("qas", 0, "question"), [1, 2]),
+        (("frames", 0, "faces", 0, "embedding"), [[1.0], [0.0], [0.0], [0.0]]),
+        (("subtitles", 0, "tokens"), "abc"),
+        (("frames", 0, "objects", 0, "label"), 7),
+        (("qas", 0, "correct_index"), True),
+    ])
+    def test_mistyped_corpus_field_one_line_error(self, workdir, tmp_path, capsys,
+                                                  path, value):
+        lines = (workdir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[0])
+        field = record
+        for key in path[:-1]:
+            field = field[key]
+        field[path[-1]] = value
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n", encoding="utf-8")
+        rc = main(["train", "--corpus", str(bad), "--out", str(tmp_path / "m.npz"),
+                   "--config", str(workdir / "train.json"), "--epochs", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1, err
+        assert re.match(f"error: line 1: bad clip record: [a-z ]*{path[-1]} must be", err), err
+
     def test_train_outputs(self, workdir):
         report = json.loads((workdir / "train_report.json").read_text(encoding="utf-8"))
         assert report["variant"]
@@ -239,6 +265,36 @@ class TestTrainEval:
         default = (tmp_path / "default.csv").read_text(encoding="utf-8")
         assert default == (tmp_path / "sub.csv").read_text(encoding="utf-8")
         assert [row.split(",")[0] for row in default.splitlines()[1:]] == ["Sub", "Sub"]
+
+    def test_eval_labels_the_trained_seed(self, workdir, tmp_path, capsys):
+        corpus = str(workdir / "corpus.jsonl")
+        rc = main(["train", "--corpus", corpus, "--out", str(tmp_path / "s5.npz"),
+                   "--config", str(workdir / "train.json"), "--epochs", "1", "--seed", "5",
+                   "--metrics", str(tmp_path / "s5.json")])
+        assert rc == 0
+        assert json.loads((tmp_path / "s5.json").read_text(encoding="utf-8"))["seed"] == 5
+        rc = main(["eval", "--checkpoint", str(tmp_path / "s5.npz"), "--corpus", corpus,
+                   "--out", str(tmp_path / "s5.csv")])
+        assert rc == 0
+        capsys.readouterr()
+        rows = (tmp_path / "s5.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["5", "5"]
+
+    def test_eval_modality_flag_runs_that_variant(self, workdir, tmp_path, capsys):
+        # --modality makes the loaded full-variant model score and label
+        # itself as Sub, the same rows as setting the variant on the model.
+        ckpt = workdir / "model.npz"
+        assert Model.load(ckpt).modality.label() == FULL_VARIANT
+        rc = main(["eval", "--checkpoint", str(ckpt), "--corpus", str(workdir / "corpus.jsonl"),
+                   "--modality", "Sub", "--out", str(tmp_path / "sub.csv")])
+        assert rc == 0
+        capsys.readouterr()
+        model = Model.load(ckpt)
+        model.modality = ModalityConfig.from_label("Sub")
+        clips = read_corpus(workdir / "corpus.jsonl")
+        want = metrics_csv_text([evaluate(model, clips, use_ts=ts) for ts in (True, False)])
+        assert (tmp_path / "sub.csv").read_text(encoding="utf-8") == want
+        assert [row.split(",")[0] for row in want.splitlines()[1:]] == ["Sub", "Sub"]
 
 
 class TestAblateReport:

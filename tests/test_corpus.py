@@ -1,17 +1,23 @@
+import copy
 import hashlib
 import json
+import tempfile
 from dataclasses import fields
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from charqa.corpus import (BBox, Clip, FaceDetection, Frame, GenConfig, QAItem,
-                           RelationTriple, SCHEMA_VERSION, SubtitleLine,
-                           clip_from_dict, clip_to_dict, clip_view,
-                           generate_corpus, read_corpus,
-                           validate_clip, write_corpus)
+from charqa.corpus import (BBox, Clip, Frame, GenConfig, QAItem, SCHEMA_VERSION,
+                           SubtitleLine, clip_from_dict, clip_to_dict, clip_view,
+                           generate_corpus, read_corpus, validate_clip, write_corpus)
 from charqa import corpus
-from charqa.errors import ConfigError, CorpusParseError, SchemaVersionError
+from charqa.carn import ModelConfig
+from charqa.errors import CharqaError, ConfigError, CorpusParseError, SchemaVersionError
+from charqa.harness import TrainConfig, train
 
 
 def corpus_bytes(clips, tmp_path, name):
@@ -130,6 +136,10 @@ class TestGenerate:
         GenConfig(frames_per_clip=len(corpus.DEFAULT_DIALOGUE_VOCAB))
         with pytest.raises(ConfigError, match="frames_per_clip must be <= 6"):
             GenConfig(frames_per_clip=len(corpus.DEFAULT_DIALOGUE_VOCAB) + 1)
+        # Two clip actors need a scene each; a single principal needs one.
+        assert generate_corpus(GenConfig(k_principals=1, n_clips=1, frames_per_clip=1, d_f=2))
+        with pytest.raises(ConfigError, match="frames_per_clip must be >= 2"):
+            GenConfig(k_principals=2, frames_per_clip=1)
         with pytest.raises(ConfigError, match="seed"):
             GenConfig(seed=-1)
         assert [f.name for f in fields(GenConfig)] == [
@@ -200,6 +210,85 @@ class TestSerialization:
         assert d["schema_version"] == SCHEMA_VERSION
         for key in ("clip_id", "frames", "subtitles", "qas", "truth"):
             assert key in d
+
+
+class TestSerializationProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_write_read_write_is_exact(self, data):
+        k = data.draw(st.integers(1, 4))
+        clips = generate_corpus(GenConfig(
+            k_principals=k, n_extras=data.draw(st.integers(0, 2)),
+            n_clips=data.draw(st.integers(1, 3)),
+            frames_per_clip=data.draw(st.integers(min(2, k), 6)),
+            d_f=data.draw(st.integers(1, 8)), noise_sigma=data.draw(st.floats(0.0, 0.5)),
+            cooccur_rho=data.draw(st.floats(0.0, 1.0)), seed=data.draw(st.integers(0, 2**16))))
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.jsonl", Path(tmp) / "b.jsonl"
+            write_corpus(clips, first)
+            back = read_corpus(first)
+            write_corpus(back, second)
+            assert back == clips
+            assert first.read_bytes() == second.read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mistyped_field_raises_only_charqa_errors(self, data):
+        records, fields_ = fuzz_base()
+        field = data.draw(st.sampled_from(list(fields_)))
+        path = data.draw(st.sampled_from(fields_[field]))
+        mutated = copy.deepcopy(records)
+        owner = mutated[0]
+        for key in path[:-1]:
+            owner = owner[key]
+        kind = json_kind(owner[path[-1]])
+        owner[path[-1]] = data.draw(JSON_VALUES.filter(lambda v: json_kind(v) != kind))
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "m.jsonl"
+            p.write_text("".join(json.dumps(r) + "\n" for r in mutated), encoding="utf-8")
+            try:
+                clips = read_corpus(p)
+                train(clips, TrainConfig(epochs=1, batch_size=4,
+                                         model=ModelConfig(d_model=4, d_ff=4, d_h1=2,
+                                                           heads=1)))
+            except CharqaError:
+                pass
+
+
+@lru_cache(maxsize=1)
+def fuzz_base():
+    """Two clip records, and every path into the first one grouped by its
+    field (list indices as "*"), so that each field is drawn alike."""
+    records = [clip_to_dict(c) for c in generate_corpus(
+        GenConfig(k_principals=2, n_extras=1, n_clips=2, frames_per_clip=4, d_f=4, seed=3))]
+    fields_ = {}
+
+    def walk(value, path):
+        items = (value.items() if isinstance(value, dict)
+                 else enumerate(value) if isinstance(value, list) else ())
+        for key, child in items:
+            field = tuple("*" if isinstance(k, int) else k for k in path + (key,))
+            fields_.setdefault(field, []).append(path + (key,))
+            walk(child, path + (key,))
+
+    walk(records[0], ())
+    return records, {f: tuple(paths) for f, paths in sorted(fields_.items())}
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2.0, 2.0)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=4)
+
+
+def json_kind(value) -> str:
+    for kind, types in (("boolean", bool), ("number", (int, float)), ("string", str),
+                        ("array", list), ("object", dict)):
+        if isinstance(value, types):
+            return kind
+    return "null"
 
 
 class TestClipView:

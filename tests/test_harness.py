@@ -4,7 +4,7 @@ runner."""
 import numpy as np
 import pytest
 
-from charqa import nn
+from charqa import harness, nn
 from charqa.carn import VARIANT_LABELS, ModalityConfig, Model, ModelConfig
 from charqa.corpus import Clip, GenConfig, QAItem, generate_corpus
 from charqa.errors import ConfigError, EmptyInputError
@@ -78,8 +78,7 @@ class TestTrain:
         model, report, config = trained
         path = tmp_path / "model.npz"
         model.save(path)
-        again = evaluate(Model.load(path), small_corpus, use_ts=config.use_ts,
-                         modality=config.modality, seed=config.seed)
+        again = evaluate(Model.load(path), small_corpus, use_ts=config.use_ts)
         assert again.row() == report.row()
 
     def test_zero_epochs_is_chance(self, chance_corpus):
@@ -101,7 +100,7 @@ class TestEvaluate:
     def test_forced_gold_is_perfect(self, small_corpus, trained):
         model, _, config = trained
 
-        def gold(batch, modality, keep_cache=True):
+        def gold(batch, keep_cache=True):
             p = np.zeros((len(batch), 5))
             for b, (_, qa, _) in enumerate(batch):
                 p[b, qa.correct_index] = 1.0
@@ -110,8 +109,7 @@ class TestEvaluate:
         original = model.forward_item
         model.forward_item = gold
         try:
-            report = evaluate(model, small_corpus, use_ts=True,
-                              modality=config.modality)
+            report = evaluate(model, small_corpus, use_ts=True)
         finally:
             model.forward_item = original
         assert report.qa_acc == 1.0
@@ -120,8 +118,8 @@ class TestEvaluate:
 
     def test_use_ts_marks_rows(self, small_corpus, trained):
         model, _, config = trained
-        w = evaluate(model, small_corpus, use_ts=True, modality=config.modality)
-        wo = evaluate(model, small_corpus, use_ts=False, modality=config.modality)
+        w = evaluate(model, small_corpus, use_ts=True)
+        wo = evaluate(model, small_corpus, use_ts=False)
         assert w.use_ts and not wo.use_ts
         assert w.row().split(",")[1] == "1"
         assert wo.row().split(",")[1] == "0"
@@ -161,6 +159,33 @@ class TestAblate:
     def test_hash_differs_across_variants(self, grid_reports):
         hashes = {r.config_hash for r in grid_reports}
         assert len(hashes) == len(VARIANT_LABELS)
+
+    def test_each_protocol_is_evaluated_once(self, monkeypatch):
+        # Training evaluates its own protocol; the grid reuses that report
+        # and evaluates only the other one, with the same rows as evaluating
+        # both afresh.
+        corpus = generate_corpus(GenConfig(k_principals=2, n_extras=1, n_clips=3,
+                                           d_f=12, seed=4))
+        config = TrainConfig(epochs=1, batch_size=8,
+                             model=ModelConfig(d_model=8, d_ff=12, d_h1=6, heads=2, d_f=12))
+        variants = ("Sub", "Sub + Objs_nm + Rels_nm")
+        calls = []
+        original = harness.evaluate
+
+        def counting(model, corpus_, use_ts):
+            calls.append(use_ts)
+            return original(model, corpus_, use_ts)
+
+        monkeypatch.setattr(harness, "evaluate", counting)
+        reports = ablate(corpus, config, variants)
+        assert calls == [True, False] * len(variants)
+        monkeypatch.undo()
+        fresh = []
+        for label in variants:
+            model, _ = train(corpus, TrainConfig(**{**config.__dict__,
+                                                    "modality": ModalityConfig.from_label(label)}))
+            fresh += [evaluate(model, corpus, use_ts=ts) for ts in (True, False)]
+        assert metrics_csv_text(reports) == metrics_csv_text(fresh)
 
     def test_format_report(self, grid_reports):
         text = format_report(grid_reports)
@@ -235,12 +260,12 @@ class TestGradCheckRunner:
         targets = broadcast_targets(clip, model.cast, model.config.epsilon)
 
         def loss():
-            return model.item_loss_and_grads(clip, clip, qa, ModalityConfig(), names,
-                                             lam=lam, targets=targets).loss
+            return model.item_loss_and_grads(clip, clip, qa, names, lam=lam,
+                                             targets=targets).loss
 
         grads = {}
-        model.item_loss_and_grads(clip, clip, qa, ModalityConfig(), names, lam=lam,
-                                  grads=grads, targets=targets)
+        model.item_loss_and_grads(clip, clip, qa, names, lam=lam, grads=grads,
+                                  targets=targets)
         key = "enc.l0.ffn.b2"
         central = nn.fd_gradient_entry(loss, model.params, key, (4,))
         assert nn.relative_error(grads[key][4], central) > 1e-2

@@ -1,17 +1,21 @@
-"""Names that code outside the package reaches by attribute lookup.
+"""Names that code outside the package reaches by attribute lookup, and
+names that nothing reads.
 
 The benchmark's tracer (`perfbench/tracer.py`) replaces charqa functions by
 name with `getattr`/`setattr`, so a renamed or removed function breaks every
-traced run; the public `__all__` lists promise names to importers.
+traced run; the public `__all__` lists promise names to importers. An
+imported name that its module never reads is dead code.
 """
 
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
 
 import charqa
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_tracer_hooks_restore_and_exports_resolve(monkeypatch):
@@ -35,3 +39,60 @@ def test_tracer_hooks_restore_and_exports_resolve(monkeypatch):
         missing += [f"{info.name}.{name}" for name in getattr(module, "__all__", ())
                     if not hasattr(module, name)]
     assert not missing
+
+
+def unused_imports(source: str, is_init: bool = False) -> list[str]:
+    """The names a module imports but never reads, as "line: name". Names
+    listed in a literal __all__ are exempt, and so is every import of an
+    __init__.py, whose imports are the package's re-exports."""
+    tree = ast.parse(source)
+    imported = {}
+    exported = set()
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and not is_init:
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif (isinstance(node, ast.ImportFrom) and node.module != "__future__"
+              and not is_init):
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            exported.update(ast.literal_eval(node.value))
+        # A quoted annotation reads the names inside its quotes.
+        annotations = []
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                read.update(n.id for n in ast.walk(ast.parse(ann.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+    return [f"{line}: {name}" for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+            if name not in read and name not in exported]
+
+
+def test_unused_imports_are_caught():
+    assert unused_imports("import os\nfrom a import b, c as d\nprint(d)\n") == [
+        "1: os", "2: b"]
+    assert unused_imports("from a import b\n__all__ = ['b']\n") == []
+    assert unused_imports("from a import b\n", is_init=True) == []
+    assert unused_imports("from a import b\ndef f() -> 'b': pass\n") == []
+    assert unused_imports("from a import b\nb = 1\n") == ["1: b"]
+
+
+def test_every_import_is_read():
+    dead = {}
+    for folder in ("src/charqa", "tests", "demos"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            found = unused_imports(path.read_text(encoding="utf-8"),
+                                   is_init=path.name == "__init__.py")
+            if found:
+                dead[str(path.relative_to(ROOT))] = found
+    assert not dead, dead

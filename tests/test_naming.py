@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from charqa.castlist import CastList
 from charqa.corpus import BBox, Clip, FaceDetection, Frame, SubtitleLine
 from charqa.errors import NonFiniteLossError, ShapeError
 from charqa.harness import grad_check
 from charqa.naming import (NameDistributionSeq, TargetSeq, assign_names,
                            broadcast_targets, face_accuracy, frame_speaker,
-                           init_naming, kl_divergence, naming_forward,
+                           init_naming, naming_forward,
                            rkl_loss_with_grad, smoothed_onehot)
 from oracles import oracle_rkl, random_rkl_instance
 
