@@ -14,11 +14,16 @@ encoder. The five pooled candidate vectors of each item pass through one
 self-attention block and a shared scalar head, softmaxed into answer
 probabilities. Name tokens live in their own embedding table, trained from
 scratch, separate from words; words missing from the vocabulary embed as
-the mean of their character vectors.
+the mean of their character vectors. The vocabulary resolves each (token,
+name flag) once to a row of one table, so a pass is embedded by one gather
+and its gradient scattered back by one np.add.at.
 
 The QA loss is cross-entropy on the gold option; the naming head trains
-jointly through the regularized-KL term, weighted by lambda, run once per
-clip of a batch.
+jointly through the regularized-KL term, weighted by lambda. The head runs
+once per distinct clip of a batch: its rows give both the clip's name
+assignment and its RKL term, whose gradient is weighted by the clip's item
+count. The QA part may run in several micro-batches under the same
+parameters.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import json
 import zipfile
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -130,19 +136,63 @@ FULL_VARIANT = VARIANT_LABELS[-1]
 
 @dataclass(frozen=True)
 class Vocab:
+    """The word, name and character tables' entries.
+
+    `rows` maps each (token, name flag) resolved so far to its row of
+    embedding_table: a name-flagged cast name to its name row, a word to its
+    word row, and any other token to an out-of-vocabulary row, the mean of
+    its characters' vectors; `oov` holds those rows' character indices."""
+
     words: tuple[str, ...]
     names: tuple[str, ...]  # cast names + UNKNAME, the name-table rows
     chars: tuple[str, ...]
     word_index: dict = field(init=False, repr=False, compare=False)
     name_index: dict = field(init=False, repr=False, compare=False)
     char_index: dict = field(init=False, repr=False, compare=False)
+    rows: dict = field(init=False, repr=False, compare=False)
+    oov: list = field(init=False, repr=False, compare=False)
+    _oov_mean: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "word_index", {w: i for i, w in enumerate(self.words)})
         object.__setattr__(self, "name_index", {n: i for i, n in enumerate(self.names)})
         object.__setattr__(self, "char_index", {c: i for i, c in enumerate(self.chars)})
+        object.__setattr__(self, "rows", {})
+        object.__setattr__(self, "oov", [])
+        object.__setattr__(self, "_oov_mean", np.zeros((0, len(self.chars))))
         if set(self.words) & set(self.names):
             raise VocabError("word and name index spaces must be disjoint")
+
+    def resolve(self, token: str, is_name: bool) -> int:
+        """The embedding-table row of a token not resolved before; VocabError
+        for an empty token or a character outside the character table."""
+        if not token:
+            raise VocabError("empty token cannot be embedded")
+        if is_name and token in self.name_index:
+            row = len(self.words) + self.name_index[token]
+        elif token in self.word_index:
+            row = self.word_index[token]
+        else:
+            ids = []
+            for ch in token:
+                j = self.char_index.get(ch)
+                if j is None:
+                    raise VocabError(f"token {token!r}: character {ch!r} not in character table")
+                ids.append(j)
+            row = len(self.words) + len(self.names) + len(self.oov)
+            self.oov.append(ids)
+        self.rows[token, bool(is_name)] = row
+        return row
+
+    def oov_mean(self) -> np.ndarray:
+        """(out-of-vocabulary rows, chars) averaging matrix: embed.char maps
+        through it to the out-of-vocabulary rows."""
+        if self._oov_mean.shape[0] != len(self.oov):
+            a = np.zeros((len(self.oov), len(self.chars)))
+            for i, ids in enumerate(self.oov):
+                np.add.at(a[i], ids, 1.0 / len(ids))
+            object.__setattr__(self, "_oov_mean", a)
+        return self._oov_mean
 
 
 def build_vocab(clips: list[Clip], cast: CastList) -> Vocab:
@@ -212,74 +262,61 @@ def visual_stream(frames, modality: ModalityConfig, face_names, cast: CastList):
 # ---------------------------------------------------------------------------
 # Embedding (word / name / character tables)
 
-_WORD, _NAME, _CHAR = 0, 1, 2
-
-
-def embed_sequence(params, vocab: Vocab, tokens, flags):
-    """(n, d_model) embedding matrix plus a scatter plan for backward."""
-    word_t = params["embed.word"]
-    name_t = params["embed.name"]
-    char_t = params["embed.char"]
-    rows = []
-    plan = []
-    for tok, is_name in zip(tokens, flags):
-        if not tok:
-            raise VocabError("empty token cannot be embedded")
-        if is_name and tok in vocab.name_index:
-            i = vocab.name_index[tok]
-            rows.append(name_t[i])
-            plan.append((_NAME, i))
-        elif tok in vocab.word_index:
-            i = vocab.word_index[tok]
-            rows.append(word_t[i])
-            plan.append((_WORD, i))
-        else:
-            ids = []
-            for ch in tok:
-                j = vocab.char_index.get(ch)
-                if j is None:
-                    raise VocabError(f"token {tok!r}: character {ch!r} not in character table")
-                ids.append(j)
-            rows.append(char_t[ids].mean(axis=0))
-            plan.append((_CHAR, tuple(ids)))
-    d = word_t.shape[1]
-    x = np.stack(rows) if rows else np.zeros((0, d))
-    return x, plan
-
-
-def embed_backward(grads, params, plan, dx):
-    gw = grads.setdefault("embed.word", np.zeros_like(params["embed.word"]))
-    gn = grads.setdefault("embed.name", np.zeros_like(params["embed.name"]))
-    gc = grads.setdefault("embed.char", np.zeros_like(params["embed.char"]))
-    for (kind, ref), drow in zip(plan, dx):
-        if kind == _WORD:
-            gw[ref] += drow
-        elif kind == _NAME:
-            gn[ref] += drow
-        else:
-            share = drow / len(ref)
-            for j in ref:
-                gc[j] += share
-
-
 @lru_cache(maxsize=256)
 def _pe(n: int, d: int) -> np.ndarray:
     return nn.sinusoidal_positions(n, d)
 
 
-def prepare_sequence(params, vocab: Vocab, tokens, flags, n_pad: int = 0):
-    """Embed + sinusoidal positional encoding; optional all-zero pad rows.
+def embedding_table(params, vocab: Vocab) -> np.ndarray:
+    """[embed.word; embed.name; out-of-vocabulary character means; a zero
+    row], the table whose rows Vocab.rows names; the zero row, row -1,
+    embeds pads."""
+    word = params["embed.word"]
+    return np.concatenate([word, params["embed.name"], vocab.oov_mean() @ params["embed.char"],
+                           np.zeros((1, word.shape[1]))])
 
-    Pads embed to the zero vector (no positional encoding either) and are
-    reported as False in the mask.
-    """
-    x, plan = embed_sequence(params, vocab, tokens, flags)
-    n, d = x.shape
-    x = x + _pe(n, d) if n else x
-    if n_pad:
-        x = np.concatenate([x, np.zeros((n_pad, d))], axis=0)
-    mask = np.concatenate([np.ones(n, dtype=bool), np.zeros(n_pad, dtype=bool)])
-    return x, mask, plan
+
+def prepare_sequence(params, vocab: Vocab, tokens, flags) -> list[int]:
+    """The rows of embedding_table(params, vocab) that embed a stream's
+    tokens, each (token, flag) resolved through the vocabulary once."""
+    rows = vocab.rows
+    try:
+        return [rows[key] for key in zip(tokens, flags)]
+    except KeyError:
+        pass
+    return [rows[key] if key in rows else vocab.resolve(*key) for key in zip(tokens, flags)]
+
+
+def embed(params, vocab: Vocab, streams):
+    """Embedding + sinusoidal positional encoding of (tokens, flags) streams
+    as one padded (n, L, d) batch, by one gather from embedding_table. Returns
+    it with its (n, L) mask and the (n, L) table rows, -1 at pads: pads embed
+    to the zero vector, without positional encoding."""
+    rows = [prepare_sequence(params, vocab, toks, flags) for toks, flags in streams]
+    lengths = np.array([len(r) for r in rows])
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    idx = np.full(mask.shape, -1)
+    idx[mask] = np.fromiter(chain.from_iterable(rows), int, lengths.sum())
+    x = embedding_table(params, vocab)[idx]
+    x += _pe(*x.shape[1:])
+    x[~mask] = 0.0
+    return x, mask, idx
+
+
+def embed_backward(grads, params, vocab: Vocab, idx, dx) -> None:
+    """Accumulate into the three tables' gradients dx, the gradient of
+    embed's (n, L, d) batch at its table rows idx; pad rows (-1) carry
+    none."""
+    n_words, n_names = len(vocab.words), len(vocab.names)
+    # One scatter into the word and name gradients as they stand, so each
+    # row's sum runs in the order of the batch's rows.
+    g = np.concatenate([grads.get("embed.word", np.zeros_like(params["embed.word"])),
+                        grads.get("embed.name", np.zeros_like(params["embed.name"])),
+                        np.zeros((len(vocab.oov) + 1, dx.shape[-1]))])
+    np.add.at(g, idx, dx)
+    grads["embed.word"], grads["embed.name"] = g[:n_words], g[n_words:n_words + n_names]
+    grads["embed.char"] = (grads.get("embed.char", 0)
+                           + vocab.oov_mean().T @ g[n_words + n_names:-1])
 
 
 def joint_loss(p_a: np.ndarray, gold: int, rkl: float, lam: float = 1.0):
@@ -383,30 +420,26 @@ class Model:
             return NameDistributionSeq((), np.zeros((0, self.cast.size)))
         return NameDistributionSeq(ids, naming_forward(self.params, table))
 
-    def name_assignments(self, clip: Clip) -> dict[int, str]:
-        if not any(True for _ in clip.all_faces()):
-            return {}
-        return assign_names(self.predict_faces(clip), self.cast)
+    def name_assignments(self, clip: Clip, preds: NameDistributionSeq | None = None
+                         ) -> dict[int, str]:
+        """Face id -> argmax name (UNKNAME faces omitted), from preds, the
+        head's predictions on the clip, or else from a forward of the head."""
+        return assign_names(self.predict_faces(clip) if preds is None else preds, self.cast)
 
     # -- QA forward ------------------------------------------------------
 
     def _encode(self, streams, keep_cache: bool):
         """Embed + PE + shared encoder over (tokens, flags) streams, padded
         to one (n, L, d) key-masked batch."""
-        width = max(len(toks) for toks, _ in streams)
-        xs, masks, plans = zip(*(prepare_sequence(self.params, self.vocab, toks, flags,
-                                                  n_pad=width - len(toks))
-                                 for toks, flags in streams))
-        mask = np.stack(masks)
-        h, cache = nn.stack_forward(self.params, "enc", self.config.enc_layers,
-                                    np.stack(xs), key_mask=mask, keep_cache=keep_cache)
-        return h, mask, (plans, cache)
+        x, mask, idx = embed(self.params, self.vocab, streams)
+        h, cache = nn.stack_forward(self.params, "enc", self.config.enc_layers, x,
+                                    key_mask=mask, keep_cache=keep_cache)
+        return h, mask, (idx, cache)
 
     def _encode_backward(self, cache, dh, grads):
-        plans, enc_cache = cache
+        idx, enc_cache = cache
         dx, _ = nn.stack_backward(self.params, "enc", enc_cache, dh, grads)
-        for plan, dx_i in zip(plans, dx):  # zip stops before each pad row
-            embed_backward(grads, self.params, plan, dx_i)
+        embed_backward(grads, self.params, self.vocab, idx, dx)
 
     def forward_item(self, batch, keep_cache: bool = True):
         """Answer probabilities (B, 5) under the model's own variant for a
@@ -521,48 +554,63 @@ class Model:
 
     # -- joint loss ------------------------------------------------------
 
-    def _clip_rkl(self, clip: Clip, targets, weight: float, grads: dict | None) -> float:
-        """The clip's RKL term; with grads, accumulates weight * its gradient
-        into the naming head."""
-        ids, table = self.face_table(clip)
+    def _clip_rkl(self, clip: Clip, preds: NameDistributionSeq, targets, weight: float,
+                  grads: dict | None) -> float:
+        """The clip's RKL term from the head's predictions preds on it; with
+        grads, accumulates weight * its gradient into the naming head."""
         if targets is None:
             targets = broadcast_targets(clip, self.cast, self.config.epsilon)
-        if not (ids and targets.entries):
+        if not (preds.face_ids and targets.frame_ids):
             return 0.0
-        rows = naming_forward(self.params, table)
-        rkl, drows = rkl_loss_with_grad(NameDistributionSeq(ids, rows), targets)
+        rkl, drows = rkl_loss_with_grad(preds, targets)
         if grads is not None and weight != 0.0:
-            naming_backward(self.params, table, rows, weight * drows, grads)
+            naming_backward(self.params, self.face_table(clip)[1], preds.rows, weight * drows,
+                            grads)
         return rkl
 
-    def loss_and_grads(self, batch, lam: float = 1.0,
-                       grads: dict | None = None) -> list[ItemResult]:
+    def loss_and_grads(self, batch, lam: float = 1.0, grads: dict | None = None,
+                       micro_batch: int | None = None) -> list[ItemResult]:
         """The joint objective CE + lambda * clip RKL of each item of a batch
         of (clip, view, qa, face_names, targets); targets None are built
         from the clip. With grads, accumulates the batch's summed gradient.
 
-        The RKL term always runs over the full clip (naming supervision does
-        not depend on the QA window), so it runs once per distinct clip and
-        its gradient is scaled by the clip's item count. face_names is the
-        current discrete assignment; no gradient flows through it.
+        The naming head runs once per distinct clip of the batch. Its rows
+        give the clip's RKL term, which always runs over the full clip
+        (naming supervision does not depend on the QA window), with its
+        gradient weighted by the clip's item count; they also give the name
+        assignment of the items whose face_names is None. face_names is the
+        discrete assignment the visual streams use; no gradient flows
+        through it. The QA part runs as consecutive forward/backward passes
+        of micro_batch items (one pass when None); the parameters do not
+        change within a call, so the split moves results only by summation
+        order.
         """
-        p_a, cache = self.forward_item([(view, qa, names) for _, view, qa, names, _ in batch])
         clips = {}  # id(clip) -> [clip, targets, item count], in batch order
         for clip, _, _, _, targets in batch:
             clips.setdefault(id(clip), [clip, targets, 0])[2] += 1
-        rkl = {key: self._clip_rkl(clip, targets, lam * count, grads)
-               for key, (clip, targets, count) in clips.items()}
-        gold = [qa.correct_index for _, _, qa, _, _ in batch]
+        names, rkl = {}, {}
+        for key, (clip, targets, count) in clips.items():
+            preds = self.predict_faces(clip)
+            names[key] = self.name_assignments(clip, preds)
+            rkl[key] = self._clip_rkl(clip, preds, targets, lam * count, grads)
+        step = micro_batch or len(batch)
         results = []
-        for b, (clip, *_) in enumerate(batch):
-            loss, ce, clamped = joint_loss(p_a[b], gold[b], rkl[id(clip)], lam)
-            results.append(ItemResult(loss, ce, rkl[id(clip)], p_a[b],
-                                      correct=int(np.argmax(p_a[b])) == gold[b],
-                                      clamped=clamped, empty_context=cache[-1][b]))
-        if grads is not None:
-            dlogits = p_a.copy()
-            dlogits[np.arange(len(batch)), gold] -= 1.0
-            self.backward_item(cache, dlogits, grads)
+        for m0 in range(0, len(batch), step):
+            micro = batch[m0:m0 + step]
+            p_a, cache = self.forward_item(
+                [(view, qa, names[id(clip)] if face_names is None else face_names)
+                 for clip, view, qa, face_names, _ in micro])
+            gold = [qa.correct_index for _, _, qa, _, _ in micro]
+            for b, (clip, *_) in enumerate(micro):
+                loss, ce, clamped = joint_loss(p_a[b], gold[b], rkl[id(clip)], lam)
+                results.append(ItemResult(loss, ce, rkl[id(clip)], p_a[b],
+                                          correct=int(np.argmax(p_a[b])) == gold[b],
+                                          clamped=clamped, empty_context=cache[-1][b]))
+            if grads is not None:
+                dlogits = p_a.copy()
+                dlogits[np.arange(len(micro)), gold] -= 1.0
+                self.backward_item(cache, dlogits, grads)
+            del cache  # free this pass's activations before the next forward
         return results
 
     def item_loss_and_grads(self, clip: Clip, view: Clip, qa: QAItem,
@@ -642,6 +690,6 @@ class Model:
 __all__ = [
     "CHECKPOINT_VERSION", "PROB_FLOOR", "ModalityConfig", "VARIANT_LABELS",
     "FULL_VARIANT", "Vocab", "build_vocab", "subtitle_stream", "qa_stream",
-    "visual_stream", "embed_sequence", "embed_backward", "prepare_sequence",
+    "visual_stream", "embedding_table", "prepare_sequence", "embed", "embed_backward",
     "joint_loss", "ModelConfig", "ItemResult", "Model",
 ]

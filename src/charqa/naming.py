@@ -7,7 +7,9 @@ indirect: each subtitle line's speaker name is broadcast to every face in
 the frames it overlaps, and the loss takes, per frame, the minimum KL
 divergence between any face's prediction and the smoothed one-hot speaker
 target. Only the argmin face receives gradient, in the spirit of
-multiple-instance learning.
+multiple-instance learning. The targets of a clip are grouped by frame once,
+into a padded (frames x faces) array, so the loss is one gather, one
+row-wise KL and a masked argmin per frame.
 """
 
 from __future__ import annotations
@@ -44,20 +46,35 @@ class NameDistributionSeq:
             raise ValueError("rows must be distributions")
 
 
-@dataclass(frozen=True)
 class TargetSeq:
-    """(face_id, frame_id, target row) per broadcast-supervised face."""
+    """A clip's broadcast targets, grouped by frame once, in frame_id order:
+    row i of `faces` holds frame `frame_ids[i]`'s face ids in face_id order,
+    padded with -1 to the widest frame, and row i of `targets` the frame's
+    target (that of its lowest face_id)."""
 
-    entries: tuple[tuple[int, int, np.ndarray], ...]
+    def __init__(self, entries):
+        """entries: (face_id, frame_id, target row) per broadcast-supervised face."""
+        by_frame: dict[int, list[tuple[int, np.ndarray]]] = {}
+        for face_id, frame_id, g in entries:
+            by_frame.setdefault(frame_id, []).append((face_id, g))
+        self.frame_ids = sorted(by_frame)
+        frames = [sorted(by_frame[frame_id], key=lambda item: item[0])
+                  for frame_id in self.frame_ids]
+        self.faces = np.full((len(frames), max(map(len, frames), default=0)), -1)
+        for i, items in enumerate(frames):
+            self.faces[i, :len(items)] = [fid for fid, _ in items]
+        self.targets = (np.array([items[0][1] for items in frames]) if frames
+                        else np.zeros((0, 0)))
+
+    @property
+    def entries(self) -> tuple[tuple[int, int, np.ndarray], ...]:
+        """(face_id, frame_id, target row) per face, frame by frame."""
+        return tuple((fid, frame_id, g) for frame_id, faces, g in self.frames() for fid in faces)
 
     def frames(self):
-        """Group entries by frame: yields (frame_id, face_ids, target)."""
-        by_frame: dict[int, list[tuple[int, np.ndarray]]] = {}
-        for face_id, frame_id, g in self.entries:
-            by_frame.setdefault(frame_id, []).append((face_id, g))
-        for frame_id in sorted(by_frame):
-            items = sorted(by_frame[frame_id])
-            yield frame_id, [fid for fid, _ in items], items[0][1]
+        """Yields (frame_id, face_ids, target) per frame, in frame_id order."""
+        for frame_id, faces, g in zip(self.frame_ids, self.faces, self.targets):
+            yield frame_id, faces[faces >= 0].tolist(), g
 
 
 def naming_forward(params, embeddings: np.ndarray) -> np.ndarray:
@@ -128,53 +145,52 @@ def broadcast_targets(clip: Clip, cast: CastList, epsilon: float) -> TargetSeq:
 # Regularized KL multi-instance loss
 
 
-def kl_divergence(p: np.ndarray, g: np.ndarray) -> float:
-    """sum_c p_c ln(p_c/g_c) with the 0 ln 0 convention."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * (np.log(p) - np.log(g)), 0.0)
-    return float(np.sum(terms))
-
-
 def rkl_loss_with_grad(preds: NameDistributionSeq, targets: TargetSeq):
-    """Sum over frames of the min-over-faces KL to the frame target.
+    """Sum over frames of the min-over-faces KL to the frame target, with
+    the 0 ln 0 convention.
 
     Returns (loss, dloss/drows). The min is hard: only the argmin face per
     frame carries gradient; ties resolve to the lowest face_id.
     """
-    index = {fid: i for i, fid in enumerate(preds.face_ids)}
-    total = 0.0
     drows = np.zeros_like(preds.rows)
-    for _, face_ids, g in targets.frames():
-        best_i = None
-        best_kl = np.inf
-        for fid in face_ids:
-            i = index[fid]
-            kl = kl_divergence(preds.rows[i], g)
-            if kl < best_kl:
-                best_kl = kl
-                best_i = i
-        if not np.isfinite(best_kl):
+    if not targets.frame_ids:
+        return 0.0, drows
+    if not preds.face_ids:
+        raise ShapeError("targets name faces but there are no prediction rows")
+    ids = np.asarray(preds.face_ids)
+    valid = targets.faces >= 0
+    faces = np.where(valid, targets.faces, targets.faces[:, :1])  # pads repeat a real face
+    order = np.argsort(ids)
+    pos = order[np.minimum(np.searchsorted(ids, faces, sorter=order), len(ids) - 1)]
+    if not np.array_equal(ids[pos], faces):
+        raise ShapeError("targets name a face that has no prediction row")
+    p = preds.rows[pos]  # (frames, faces, classes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_g = np.log(targets.targets)[:, None, :]
+        log_p = np.log(p)
+        kl = np.where(p > 0, p * (log_p - log_g), 0.0).sum(axis=-1)
+        kl[~valid] = np.inf
+        best = np.argmin(kl, axis=1)  # the first minimum: the lowest face_id
+        frames = np.arange(len(best))
+        best_kl = kl[frames, best]
+        if not np.all(np.isfinite(best_kl)):
             raise NonFiniteLossError(
                 "KL divergence is non-finite; a zero-probability target class "
                 "received prediction mass (use epsilon > 0)"
             )
-        total += best_kl
-        p = preds.rows[best_i]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dkl = np.where(p > 0, np.log(p) - np.log(g) + 1.0, 0.0)
-        drows[best_i] += dkl
-    return float(total), drows
+        p_best = p[frames, best]
+        dkl = np.where(p_best > 0, log_p[frames, best] - log_g[:, 0] + 1.0, 0.0)
+    np.add.at(drows, pos[frames, best], dkl)
+    # cumsum adds the frames one by one, in frame order
+    return float(np.cumsum(best_kl)[-1]), drows
 
 
 def assign_names(preds: NameDistributionSeq, cast: CastList) -> dict[int, str]:
     """argmax class per face (ties to the lowest index); UNKNAME faces are
     omitted from the map."""
-    out = {}
-    for fid, row in zip(preds.face_ids, preds.rows):
-        c = int(np.argmax(row))
-        if c != cast.unk_index:
-            out[fid] = cast.names[c]
-    return out
+    classes = np.argmax(preds.rows, axis=1).tolist()
+    return {fid: cast.names[c] for fid, c in zip(preds.face_ids, classes)
+            if c != cast.unk_index}
 
 
 def face_accuracy(preds: NameDistributionSeq, truth: dict[int, str],
@@ -183,15 +199,15 @@ def face_accuracy(preds: NameDistributionSeq, truth: dict[int, str],
     correct counts those whose argmax class matches the label mapped through
     the cast (off-cast truth names count as UNKNAME)."""
     correct = total = 0
-    for fid, row in zip(preds.face_ids, preds.rows):
+    for fid, c in zip(preds.face_ids, np.argmax(preds.rows, axis=1).tolist()):
         if fid in truth:
             total += 1
-            correct += int(np.argmax(row)) == map_speaker(truth[fid], cast)
+            correct += c == map_speaker(truth[fid], cast)
     return correct, total
 
 
 __all__ = [
     "init_naming", "NameDistributionSeq", "TargetSeq", "naming_forward",
     "naming_backward", "frame_speaker", "smoothed_onehot", "broadcast_targets",
-    "kl_divergence", "rkl_loss_with_grad", "assign_names", "face_accuracy",
+    "rkl_loss_with_grad", "assign_names", "face_accuracy",
 ]

@@ -68,3 +68,36 @@ def random_rkl_instance(rng, max_faces=20, max_k=6):
         frame_groups.append((members, [float(v) for v in g]))
     targets = TargetSeq(tuple(entries))
     return preds, targets, rows_by_face, frame_groups
+
+
+def oracle_embed(params, vocab, tokens, flags):
+    """Token-by-token embedding rows, without positional encoding: a
+    name-flagged cast name takes its name row, a word its word row, and any
+    other token the mean of its characters' rows."""
+    rows = []
+    for tok, is_name in zip(tokens, flags):
+        if is_name and tok in vocab.names:
+            rows.append([float(v) for v in params["embed.name"][vocab.names.index(tok)]])
+        elif tok in vocab.words:
+            rows.append([float(v) for v in params["embed.word"][vocab.words.index(tok)]])
+        else:
+            chars = [params["embed.char"][vocab.chars.index(ch)] for ch in tok]
+            rows.append([sum(float(c[k]) for c in chars) / len(chars)
+                         for k in range(len(chars[0]))])
+    return rows
+
+
+def oracle_embed_backward(params, vocab, tokens, flags, drows, grads):
+    """Add each token's row gradient to the table rows oracle_embed read;
+    grads maps each table name to a list of row lists."""
+    for tok, is_name, drow in zip(tokens, flags, drows):
+        if is_name and tok in vocab.names:
+            targets = [(grads["embed.name"][vocab.names.index(tok)], 1.0)]
+        elif tok in vocab.words:
+            targets = [(grads["embed.word"][vocab.words.index(tok)], 1.0)]
+        else:
+            targets = [(grads["embed.char"][vocab.chars.index(ch)], 1.0 / len(tok))
+                       for ch in tok]
+        for row, share in targets:
+            for k in range(len(row)):
+                row[k] += float(drow[k]) * share

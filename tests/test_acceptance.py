@@ -153,7 +153,7 @@ def test_criterion_6_cast_list_rule():
 
 def test_criterion_7_invariant_suite():
     from charqa import nn
-    from charqa.carn import prepare_sequence
+    from charqa.carn import embed
     from charqa.corpus import QAItem
     from charqa.semantics import match_faces_to_humans, replace_names
 
@@ -187,10 +187,12 @@ def test_criterion_7_invariant_suite():
     toks = ["who", "says", "coffee"]
     flags = [False, False, False]
     n_layers = cfg.model.enc_layers
-    x, mask, _ = prepare_sequence(model.params, model.vocab, toks, flags, n_pad=4)
-    y_pad = nn.stack_forward(model.params, "enc", n_layers, x, key_mask=mask)[0][:3]
-    x0, _, _ = prepare_sequence(model.params, model.vocab, toks, flags)
-    y0 = nn.stack_forward(model.params, "enc", n_layers, x0)[0]
+    # A second stream, 4 tokens longer, pads the first by 4 rows.
+    x, mask, _ = embed(model.params, model.vocab,
+                       [(toks, flags), (toks + toks[:1] * 4, flags + flags[:1] * 4)])
+    y_pad = nn.stack_forward(model.params, "enc", n_layers, x[0], key_mask=mask[0])[0][:3]
+    x0, _, _ = embed(model.params, model.vocab, [(toks, flags)])
+    y0 = nn.stack_forward(model.params, "enc", n_layers, x0[0])[0]
     assert np.max(np.abs(y_pad - y0)) <= 1e-6
     checks.append("pad invariance")
 

@@ -8,15 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charqa import nn
+from charqa import carn, nn
 from charqa.carn import (FULL_VARIANT, ModalityConfig, Model, ModelConfig,
-                         VARIANT_LABELS, Vocab, build_vocab, embed_sequence,
-                         joint_loss, prepare_sequence)
+                         VARIANT_LABELS, Vocab, build_vocab, embed, embed_backward,
+                         embedding_table, joint_loss, prepare_sequence)
 from charqa.castlist import CastList, build_cast_list, count_speakers
 from charqa.corpus import BBox, Clip, FaceDetection, Frame, QAItem, SubtitleLine, clip_view
 from charqa.errors import (CheckpointError, ConfigError, EmptyInputError, ShapeError,
                            VocabError)
 from charqa.harness import _mini_setup, grad_check
+from oracles import oracle_embed, oracle_embed_backward
 
 
 def stack_params(prefix="enc", d_model=8, d_ff=12, heads=4, seed=0):
@@ -82,27 +83,78 @@ class TestVocabAndEmbedding:
 
     def test_name_flag_selects_name_table(self, setup):
         vocab, params = setup
-        x, _ = embed_sequence(params, vocab, ["Ada"], [True])
-        assert np.array_equal(x[0], params["embed.name"][vocab.name_index["Ada"]])
+        (row,) = prepare_sequence(params, vocab, ["Ada"], [True])
+        assert np.array_equal(embedding_table(params, vocab)[row],
+                              params["embed.name"][vocab.name_index["Ada"]])
 
     def test_oov_word_uses_char_mean(self, setup):
         vocab, params = setup
-        x, _ = embed_sequence(params, vocab, ["zyx"], [False])
+        (row,) = prepare_sequence(params, vocab, ["zyx"], [False])
         rows = [params["embed.char"][vocab.char_index[c]] for c in "zyx"]
-        assert np.allclose(x[0], np.mean(rows, axis=0))
+        assert np.allclose(embedding_table(params, vocab)[row], np.mean(rows, axis=0))
 
     def test_unknown_char_raises(self, setup):
         vocab, params = setup
         with pytest.raises(VocabError, match="9"):
-            embed_sequence(params, vocab, ["cup9"], [False])
+            prepare_sequence(params, vocab, ["cup9"], [False])
 
     def test_pad_rows_are_zero_and_masked(self, setup):
         vocab, params = setup
-        x, mask, _ = prepare_sequence(params, vocab, ["cup", "hold"],
-                                      [False, False], n_pad=3)
-        assert x.shape[0] == 5
-        assert np.all(x[2:] == 0.0)
-        assert mask.tolist() == [True, True, False, False, False]
+        x, mask, _ = embed(params, vocab, [(["cup", "hold"], [False, False]),
+                                           (["cup"] * 5, [False] * 5)])
+        assert x.shape[1] == 5
+        assert np.all(x[0, 2:] == 0.0)
+        assert mask[0].tolist() == [True, True, False, False, False]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.lists(st.tuples(st.sampled_from(["word", "name", "name as word",
+                                                        "oov"]),
+                                       st.integers(0, 50)),
+                             min_size=1, max_size=6),
+                    min_size=1, max_size=4))
+    def test_gather_embedding_matches_token_by_token(self, seed, streams):
+        # Words, names, a name flagged as a non-name and out-of-vocabulary
+        # words, against the token-by-token reference: the padded batch's
+        # valid rows are the reference rows plus positions, pads are zero and
+        # pass no gradient to any table, and the scattered gradient is the
+        # reference's row by row.
+        vocab = Vocab(("cup", "hold", "what"), CastList(("Ada", "Ben"), (10, 5)).label_names(),
+                      tuple(sorted(set("cupholdwhatAdaBenUNKNAME" "zyx"))))
+        rng = np.random.default_rng(seed)
+        d = 6
+        params = {"embed.word": rng.standard_normal((3, d)),
+                  "embed.name": rng.standard_normal((3, d)),
+                  "embed.char": rng.standard_normal((len(vocab.chars), d))}
+        oov = ["zyx", "cupz", "Adah", "x", "whatz"]
+        pick = {"word": (vocab.words, False), "name": (vocab.names, True),
+                "name as word": (vocab.names, False), "oov": (oov, False)}
+        streams = [([pick[kind][0][i % len(pick[kind][0])] for kind, i in spec],
+                    [pick[kind][1] for kind, _ in spec]) for spec in streams]
+        x, mask, idx = embed(params, vocab, streams)
+        width = max(len(toks) for toks, _ in streams)
+        pe = nn.sinusoidal_positions(width, d)
+        assert x.shape == (len(streams), width, d)
+        for i, (toks, flags) in enumerate(streams):
+            n = len(toks)
+            assert mask[i].tolist() == [True] * n + [False] * (width - n)
+            want = np.array(oracle_embed(params, vocab, toks, flags)) + pe[:n]
+            assert np.max(np.abs(x[i, :n] - want)) <= 1e-12
+            assert np.all(x[i, n:] == 0.0)
+
+        dx = rng.standard_normal(x.shape)
+        start = {k: rng.standard_normal(v.shape) for k, v in params.items()}
+        grads = {k: v.copy() for k, v in start.items()}
+        embed_backward(grads, params, vocab, idx, dx)
+        ref = {k: [[float(e) for e in row] for row in v] for k, v in start.items()}
+        for i, (toks, flags) in enumerate(streams):
+            oracle_embed_backward(params, vocab, toks, flags, dx[i, :len(toks)], ref)
+        for k in params:
+            assert np.max(np.abs(grads[k] - np.array(ref[k]))) <= 1e-12, k
+
+        for bad in ("cup9", ""):
+            with pytest.raises(VocabError):
+                embed(params, vocab, streams + [(["cup", bad], [False, False])])
 
     def test_build_vocab_covers_corpus(self, small_corpus):
         cast = build_cast_list({"Ada": 10, "Ben": 8}, min_count=2, max_ratio=0.1)
@@ -613,6 +665,35 @@ class TestBatch:
             assert permuted[j].empty_context == base[i].empty_context
         for k in grads:
             assert np.max(np.abs(grads[k] - perm_grads[k])) <= 1e-12, k
+
+    def test_naming_head_runs_once_per_clip_of_a_batch(self, setup, monkeypatch):
+        # Micro-batches of 3 split two clips' items over two micro-batches
+        # each (counts 1 + 1 and 3 + 1). The naming head runs once per
+        # distinct clip of the whole batch, with its RKL gradient weighted by
+        # the clip's item count; that equals the rule of running each
+        # micro-batch as its own batch (once per clip of a micro-batch), and
+        # items without face names take the assignment of that one forward.
+        model, items = setup
+        batch = [(clip, view, qa, None, targets) for clip, view, qa, _, targets in items]
+        heads, named = [], []
+        forward_item, naming_forward = Model.forward_item, carn.naming_forward
+        monkeypatch.setattr(carn, "naming_forward",
+                            lambda *a: heads.append(1) or naming_forward(*a))
+        monkeypatch.setattr(model, "forward_item", lambda b, **kw: (
+            named.extend(names for _, _, names in b) or forward_item(model, b, **kw)))
+        grads = {}
+        results = model.loss_and_grads(batch, lam=0.7, grads=grads, micro_batch=3)
+        assert len(heads) == 4
+        assert named == [names for _, _, _, names, _ in items]
+        ref_grads = {}
+        ref = [r for m0 in range(0, len(items), 3)
+               for r in model.loss_and_grads(items[m0:m0 + 3], lam=0.7, grads=ref_grads)]
+        assert len(heads) == 4 + 2 + 2 + 1 + 1
+        assert [r.rkl for r in results] == [r.rkl for r in ref]
+        assert [r.loss for r in results] == [r.loss for r in ref]
+        assert set(grads) == set(ref_grads)
+        for k in grads:
+            assert np.max(np.abs(grads[k] - ref_grads[k])) <= 1e-12, k
 
     def test_pad_rows_get_zero_gradient(self, setup, monkeypatch):
         # Every key-masked stack call: the input gradient of each pad row,

@@ -41,6 +41,27 @@ def test_tracer_hooks_restore_and_exports_resolve(monkeypatch):
     assert not missing
 
 
+def test_traced_unit_runs_every_hook(monkeypatch, tmp_path):
+    # One tiny traced train_ref unit: every wrapper, and every counter hook
+    # reading the arguments of the call it wraps, runs on the training and
+    # evaluation path and the unit's outputs still pass their checks.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # run.py sets these on import; restored afterwards
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = importlib.import_module("run")
+    monkeypatch.setattr(run, "ROOT", tmp_path)
+    monkeypatch.setattr(run, "OUT_DIR", tmp_path / "out")
+    result, code = run.run("train_ref", 3, 1, True, clips=6)
+    assert code == 0 and result["correct"], result
+    metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    for name in ("carn.prepare_sequence.calls", "carn.name_assignments.calls",
+                 "naming.forward.calls", "naming.backward.calls", "naming.rkl.calls",
+                 "carn.embed_backward.self_s", "naming.broadcast_targets.self_s",
+                 "carn.tokens.qa_mean", "carn.tokens.subtitle_mean", "carn.tokens.visual_mean",
+                 "carn.stream_encode_unique_ratio"):
+        assert metrics[name] > 0, name
+
+
 def unused_imports(source: str, is_init: bool = False) -> list[str]:
     """The names a module imports but never reads, as "line: name". Names
     listed in a literal __all__ are exempt, and so is every import of an
