@@ -34,9 +34,9 @@ print(f"cast {cast.label_names()}")
 # overlaps a principal's line inherits that speaker's target.
 clip = corpus[0]
 targets = broadcast_targets(clip, cast, epsilon=0.05)
-for frame_id, face_ids, g in list(targets.frames())[:4]:
+for frame_id, faces, g in list(zip(targets.frame_ids, targets.faces, targets.targets))[:4]:
     spk = cast.label_names()[int(np.argmax(g))]
-    print(f"  frame {frame_id}: faces {face_ids} <- speaker {spk}")
+    print(f"  frame {frame_id}: faces {faces[faces >= 0].tolist()} <- speaker {spk}")
 
 # The loss takes the best face per frame; a perfect prediction on one face
 # zeroes that frame's term even if the other faces disagree.

@@ -15,15 +15,16 @@ self-attention block and a shared scalar head, softmaxed into answer
 probabilities. Name tokens live in their own embedding table, trained from
 scratch, separate from words; words missing from the vocabulary embed as
 the mean of their character vectors. The vocabulary resolves each (token,
-name flag) once to a row of one table, so a pass is embedded by one gather
-and its gradient scattered back by one np.add.at.
+name flag) once to a row; a pass is embedded by one gather from one table,
+the word and name tables plus the character means of the pass's own
+out-of-vocabulary words, and its gradient scattered back by one np.add.at.
 
 The QA loss is cross-entropy on the gold option; the naming head trains
 jointly through the regularized-KL term, weighted by lambda. The head runs
 once per distinct clip of a batch: its rows give both the clip's name
 assignment and its RKL term, whose gradient is weighted by the clip's item
-count. The QA part may run in several micro-batches under the same
-parameters.
+count. The QA part runs in micro-batches of MICRO_BATCH items under the
+same parameters.
 """
 
 from __future__ import annotations
@@ -47,6 +48,15 @@ from .semantics import build_semantic_stream
 
 CHECKPOINT_VERSION = "charqa-ckpt-2"
 PROB_FLOOR = 1e-12
+
+# Items per forward/backward pass of the QA part in training. Larger passes
+# amortize numpy's per-call overhead over more rows but hold more activation
+# caches at once (about 0.3 MB per item at d_model 32). Measured on the
+# benchmark's reference workloads: 6 items gave 12% more ablate_grid and 9%
+# more train_ref throughput than 3, but raised ablate_grid peak memory 5.7%
+# over one-item passes, where 3 raised it 2.1%. 3 is the largest size that
+# kept that rise within a 3% budget.
+MICRO_BATCH = 3
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +148,11 @@ FULL_VARIANT = VARIANT_LABELS[-1]
 class Vocab:
     """The word, name and character tables' entries.
 
-    `rows` maps each (token, name flag) resolved so far to its row of
-    embedding_table: a name-flagged cast name to its name row, a word to its
-    word row, and any other token to an out-of-vocabulary row, the mean of
-    its characters' vectors; `oov` holds those rows' character indices."""
+    `rows` maps each (token, name flag) resolved so far to its vocabulary
+    row: a name-flagged cast name to its name row, a word to its word row,
+    and any other token to an out-of-vocabulary row, past the name rows,
+    which embeds as the mean of its characters' vectors; `oov` holds those
+    rows' character indices."""
 
     words: tuple[str, ...]
     names: tuple[str, ...]  # cast names + UNKNAME, the name-table rows
@@ -151,7 +162,6 @@ class Vocab:
     char_index: dict = field(init=False, repr=False, compare=False)
     rows: dict = field(init=False, repr=False, compare=False)
     oov: list = field(init=False, repr=False, compare=False)
-    _oov_mean: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "word_index", {w: i for i, w in enumerate(self.words)})
@@ -159,13 +169,12 @@ class Vocab:
         object.__setattr__(self, "char_index", {c: i for i, c in enumerate(self.chars)})
         object.__setattr__(self, "rows", {})
         object.__setattr__(self, "oov", [])
-        object.__setattr__(self, "_oov_mean", np.zeros((0, len(self.chars))))
         if set(self.words) & set(self.names):
             raise VocabError("word and name index spaces must be disjoint")
 
     def resolve(self, token: str, is_name: bool) -> int:
-        """The embedding-table row of a token not resolved before; VocabError
-        for an empty token or a character outside the character table."""
+        """The vocabulary row of a token not resolved before; VocabError for
+        an empty token or a character outside the character table."""
         if not token:
             raise VocabError("empty token cannot be embedded")
         if is_name and token in self.name_index:
@@ -184,15 +193,15 @@ class Vocab:
         self.rows[token, bool(is_name)] = row
         return row
 
-    def oov_mean(self) -> np.ndarray:
-        """(out-of-vocabulary rows, chars) averaging matrix: embed.char maps
-        through it to the out-of-vocabulary rows."""
-        if self._oov_mean.shape[0] != len(self.oov):
-            a = np.zeros((len(self.oov), len(self.chars)))
-            for i, ids in enumerate(self.oov):
-                np.add.at(a[i], ids, 1.0 / len(ids))
-            object.__setattr__(self, "_oov_mean", a)
-        return self._oov_mean
+    def char_means(self, rows) -> np.ndarray:
+        """(len(rows), chars) averaging matrix of out-of-vocabulary rows:
+        embed.char maps through it to their character means."""
+        first = len(self.words) + len(self.names)
+        a = np.zeros((len(rows), len(self.chars)))
+        for i, row in enumerate(rows):
+            ids = self.oov[row - first]
+            np.add.at(a[i], ids, 1.0 / len(ids))
+        return a
 
 
 def build_vocab(clips: list[Clip], cast: CastList) -> Vocab:
@@ -267,18 +276,27 @@ def _pe(n: int, d: int) -> np.ndarray:
     return nn.sinusoidal_positions(n, d)
 
 
-def embedding_table(params, vocab: Vocab) -> np.ndarray:
-    """[embed.word; embed.name; out-of-vocabulary character means; a zero
-    row], the table whose rows Vocab.rows names; the zero row, row -1,
-    embeds pads."""
+def embedding_table(params, vocab: Vocab, idx):
+    """The table an encoder pass gathers from, for its tokens' vocabulary
+    rows idx (-1 at pads): [embed.word; embed.name; the character means of
+    the pass's distinct out-of-vocabulary tokens; a zero row], the zero row,
+    row -1, embedding pads. Returns it with idx mapped into it and the
+    averaging matrix of those means; their count is the pass's, however many
+    out-of-vocabulary tokens the vocabulary has resolved."""
     word = params["embed.word"]
-    return np.concatenate([word, params["embed.name"], vocab.oov_mean() @ params["embed.char"],
-                           np.zeros((1, word.shape[1]))])
+    first = len(vocab.words) + len(vocab.names)
+    is_oov = idx >= first
+    oov = sorted(set(idx[is_oov].tolist())) if is_oov.any() else []
+    a = vocab.char_means(oov)
+    if oov:
+        idx = np.where(is_oov, first + np.searchsorted(oov, idx), idx)
+    return (np.concatenate([word, params["embed.name"], a @ params["embed.char"],
+                            np.zeros((1, word.shape[1]))]), idx, a)
 
 
 def prepare_sequence(params, vocab: Vocab, tokens, flags) -> list[int]:
-    """The rows of embedding_table(params, vocab) that embed a stream's
-    tokens, each (token, flag) resolved through the vocabulary once."""
+    """The vocabulary rows of a stream's tokens, each (token, flag) resolved
+    through the vocabulary once."""
     rows = vocab.rows
     try:
         return [rows[key] for key in zip(tokens, flags)]
@@ -290,33 +308,35 @@ def prepare_sequence(params, vocab: Vocab, tokens, flags) -> list[int]:
 def embed(params, vocab: Vocab, streams):
     """Embedding + sinusoidal positional encoding of (tokens, flags) streams
     as one padded (n, L, d) batch, by one gather from embedding_table. Returns
-    it with its (n, L) mask and the (n, L) table rows, -1 at pads: pads embed
-    to the zero vector, without positional encoding."""
+    it with its (n, L) mask and the gather's (table rows, averaging matrix),
+    the rows -1 at pads: pads embed to the zero vector, without positional
+    encoding."""
     rows = [prepare_sequence(params, vocab, toks, flags) for toks, flags in streams]
     lengths = np.array([len(r) for r in rows])
     mask = np.arange(lengths.max()) < lengths[:, None]
     idx = np.full(mask.shape, -1)
     idx[mask] = np.fromiter(chain.from_iterable(rows), int, lengths.sum())
-    x = embedding_table(params, vocab)[idx]
+    table, idx, a = embedding_table(params, vocab, idx)
+    x = table[idx]
     x += _pe(*x.shape[1:])
     x[~mask] = 0.0
-    return x, mask, idx
+    return x, mask, (idx, a)
 
 
-def embed_backward(grads, params, vocab: Vocab, idx, dx) -> None:
+def embed_backward(grads, params, gather, dx) -> None:
     """Accumulate into the three tables' gradients dx, the gradient of
-    embed's (n, L, d) batch at its table rows idx; pad rows (-1) carry
-    none."""
-    n_words, n_names = len(vocab.words), len(vocab.names)
+    embed's (n, L, d) batch, through its gather (table rows, averaging
+    matrix); pad rows (-1) carry none."""
+    idx, a = gather
+    n_words, n_names = len(params["embed.word"]), len(params["embed.name"])
     # One scatter into the word and name gradients as they stand, so each
     # row's sum runs in the order of the batch's rows.
     g = np.concatenate([grads.get("embed.word", np.zeros_like(params["embed.word"])),
                         grads.get("embed.name", np.zeros_like(params["embed.name"])),
-                        np.zeros((len(vocab.oov) + 1, dx.shape[-1]))])
+                        np.zeros((len(a) + 1, dx.shape[-1]))])
     np.add.at(g, idx, dx)
     grads["embed.word"], grads["embed.name"] = g[:n_words], g[n_words:n_words + n_names]
-    grads["embed.char"] = (grads.get("embed.char", 0)
-                           + vocab.oov_mean().T @ g[n_words + n_names:-1])
+    grads["embed.char"] = grads.get("embed.char", 0) + a.T @ g[n_words + n_names:-1]
 
 
 def joint_loss(p_a: np.ndarray, gold: int, rkl: float, lam: float = 1.0):
@@ -431,15 +451,15 @@ class Model:
     def _encode(self, streams, keep_cache: bool):
         """Embed + PE + shared encoder over (tokens, flags) streams, padded
         to one (n, L, d) key-masked batch."""
-        x, mask, idx = embed(self.params, self.vocab, streams)
+        x, mask, gather = embed(self.params, self.vocab, streams)
         h, cache = nn.stack_forward(self.params, "enc", self.config.enc_layers, x,
                                     key_mask=mask, keep_cache=keep_cache)
-        return h, mask, (idx, cache)
+        return h, mask, (gather, cache)
 
     def _encode_backward(self, cache, dh, grads):
-        idx, enc_cache = cache
+        gather, enc_cache = cache
         dx, _ = nn.stack_backward(self.params, "enc", enc_cache, dh, grads)
-        embed_backward(grads, self.params, self.vocab, idx, dx)
+        embed_backward(grads, self.params, gather, dx)
 
     def forward_item(self, batch, keep_cache: bool = True):
         """Answer probabilities (B, 5) under the model's own variant for a
@@ -568,8 +588,8 @@ class Model:
                             grads)
         return rkl
 
-    def loss_and_grads(self, batch, lam: float = 1.0, grads: dict | None = None,
-                       micro_batch: int | None = None) -> list[ItemResult]:
+    def loss_and_grads(self, batch, lam: float = 1.0,
+                       grads: dict | None = None) -> list[ItemResult]:
         """The joint objective CE + lambda * clip RKL of each item of a batch
         of (clip, view, qa, face_names, targets); targets None are built
         from the clip. With grads, accumulates the batch's summed gradient.
@@ -581,9 +601,8 @@ class Model:
         assignment of the items whose face_names is None. face_names is the
         discrete assignment the visual streams use; no gradient flows
         through it. The QA part runs as consecutive forward/backward passes
-        of micro_batch items (one pass when None); the parameters do not
-        change within a call, so the split moves results only by summation
-        order.
+        of MICRO_BATCH items; the parameters do not change within a call,
+        so the split moves results only by summation order.
         """
         clips = {}  # id(clip) -> [clip, targets, item count], in batch order
         for clip, _, _, _, targets in batch:
@@ -593,10 +612,9 @@ class Model:
             preds = self.predict_faces(clip)
             names[key] = self.name_assignments(clip, preds)
             rkl[key] = self._clip_rkl(clip, preds, targets, lam * count, grads)
-        step = micro_batch or len(batch)
         results = []
-        for m0 in range(0, len(batch), step):
-            micro = batch[m0:m0 + step]
+        for m0 in range(0, len(batch), MICRO_BATCH):
+            micro = batch[m0:m0 + MICRO_BATCH]
             p_a, cache = self.forward_item(
                 [(view, qa, names[id(clip)] if face_names is None else face_names)
                  for clip, view, qa, face_names, _ in micro])
@@ -688,8 +706,8 @@ class Model:
 
 
 __all__ = [
-    "CHECKPOINT_VERSION", "PROB_FLOOR", "ModalityConfig", "VARIANT_LABELS",
-    "FULL_VARIANT", "Vocab", "build_vocab", "subtitle_stream", "qa_stream",
-    "visual_stream", "embedding_table", "prepare_sequence", "embed", "embed_backward",
-    "joint_loss", "ModelConfig", "ItemResult", "Model",
+    "CHECKPOINT_VERSION", "PROB_FLOOR", "MICRO_BATCH", "ModalityConfig",
+    "VARIANT_LABELS", "FULL_VARIANT", "Vocab", "build_vocab", "subtitle_stream",
+    "qa_stream", "visual_stream", "embedding_table", "prepare_sequence", "embed",
+    "embed_backward", "joint_loss", "ModelConfig", "ItemResult", "Model",
 ]

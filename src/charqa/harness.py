@@ -28,15 +28,6 @@ from .naming import (NameDistributionSeq, TargetSeq, broadcast_targets, face_acc
                      init_naming, naming_backward, naming_forward, rkl_loss_with_grad,
                      smoothed_onehot)
 
-# Items per forward/backward pass in training. Larger passes amortize numpy's
-# per-call overhead over more rows but hold more activation caches at once
-# (about 0.3 MB per item at d_model 32). Measured on the benchmark's
-# reference workloads: 6 items gave 12% more ablate_grid and 9% more
-# train_ref throughput than 3, but raised ablate_grid peak memory 5.7% over
-# one-item passes, where 3 raised it 2.1%. 3 is the largest size that kept
-# that rise within a 3% budget.
-MICRO_BATCH = 3
-
 METRICS_COLUMNS = ("variant", "use_ts", "qa_acc", "qa_acc_visual",
                    "qa_acc_textual", "face_acc", "seed")
 
@@ -190,7 +181,7 @@ def train(corpus: list[Clip], config: TrainConfig = TrainConfig()):
     Returns (model, MetricsReport). Each optimizer batch runs the naming
     head once per distinct clip, which gives the name assignments feeding
     the semantic streams and the clip's RKL term, then the QA part in
-    micro-batches of MICRO_BATCH items.
+    micro-batches of carn.MICRO_BATCH items.
     """
     if not corpus:
         raise EmptyInputError("corpus is empty")
@@ -228,7 +219,7 @@ def train(corpus: list[Clip], config: TrainConfig = TrainConfig()):
             results = model.loss_and_grads(
                 [(corpus[ci], views[(ci, qi)], corpus[ci].qas[qi], None, targets[ci])
                  for ci, qi in batch],
-                lam=config.lam, grads=grads, micro_batch=MICRO_BATCH)
+                lam=config.lam, grads=grads)
             for (ci, _), res in zip(batch, results):
                 if not math.isfinite(res.loss):
                     raise NonFiniteLossError(
@@ -266,10 +257,9 @@ def evaluate(model: Model, corpus: list[Clip], use_ts: bool) -> MetricsReport:
         if not (clip.qas or clip.truth):
             continue
         preds = model.predict_faces(clip)  # one head forward gives names and face accuracy
-        if clip.truth:
-            c, n = face_accuracy(preds, clip.truth, model.cast)
-            face_correct += c
-            face_total += n
+        c, n = clip_face_counts(model, clip, preds)
+        face_correct += c
+        face_total += n
         if not clip.qas:
             continue
         face_names = model.name_assignments(clip, preds)
@@ -297,16 +287,22 @@ def evaluate(model: Model, corpus: list[Clip], use_ts: bool) -> MetricsReport:
     )
 
 
+def clip_face_counts(model: Model, clip: Clip, preds: NameDistributionSeq | None = None
+                     ) -> tuple[int, int]:
+    """(correct, total) over the clip's faces that carry a truth label, (0, 0)
+    without a truth sidecar: total counts them, correct those whose argmax
+    name matches the label. Reads preds, the head's predictions on the clip,
+    or else runs the head."""
+    if not clip.truth:
+        return 0, 0
+    return face_accuracy(model.predict_faces(clip) if preds is None else preds, clip.truth,
+                         model.cast)
+
+
 def face_naming_counts(model: Model, corpus: list[Clip]) -> tuple[int, int]:
-    """(correct, total) over the faces that carry a truth label: total counts
-    them, correct those whose argmax name matches the label."""
-    correct = total = 0
-    for clip in corpus:
-        if clip.truth:
-            c, n = face_accuracy(model.predict_faces(clip), clip.truth, model.cast)
-            correct += c
-            total += n
-    return correct, total
+    """clip_face_counts summed over a corpus."""
+    counts = [clip_face_counts(model, clip) for clip in corpus]
+    return sum(c for c, _ in counts), sum(n for _, n in counts)
 
 
 def ablate(corpus: list[Clip], config: TrainConfig = TrainConfig(),
@@ -515,7 +511,7 @@ def _mini_batch(clip: Clip, qa: QAItem):
 def check_full(rng, tolerance: float = 1e-4, max_entries_per_tensor: int = 2):
     """One random config: joint CE + lambda*RKL on a tiny handmade item,
     then summed over a batch of two items from each of two clips, run as
-    training runs it (micro-batches of MICRO_BATCH, so the second clip's
+    training runs it (micro-batches of carn.MICRO_BATCH, so the second clip's
     items fall into two of them)."""
     model, clip, qa = _mini_setup(rng)
     lam = float(rng.choice([0.5, 1.0, 2.0]))
@@ -525,11 +521,10 @@ def check_full(rng, tolerance: float = 1e-4, max_entries_per_tensor: int = 2):
                   broadcast_targets(c, model.cast, model.config.epsilon)) for c, q in pairs]
 
         def loss():
-            return sum(r.loss for r in model.loss_and_grads(batch, lam=lam,
-                                                            micro_batch=MICRO_BATCH))
+            return sum(r.loss for r in model.loss_and_grads(batch, lam=lam))
 
         grads: dict[str, np.ndarray] = {}
-        model.loss_and_grads(batch, lam=lam, grads=grads, micro_batch=MICRO_BATCH)
+        model.loss_and_grads(batch, lam=lam, grads=grads)
         report.merge(*nn.check_gradients(loss, model.params, grads, keys=sorted(model.params),
                                         max_entries_per_tensor=max_entries_per_tensor,
                                         rng=rng, tolerance=tolerance))
@@ -564,6 +559,6 @@ def grad_check(component: str = "all", tolerance: float = 1e-4,
 __all__ = [
     "METRICS_COLUMNS", "TrainConfig", "config_kwargs", "MetricsReport",
     "write_metrics_csv", "metrics_csv_text", "train", "evaluate",
-    "face_naming_counts", "ablate", "format_report", "GradCheckReport",
+    "clip_face_counts", "face_naming_counts", "ablate", "format_report", "GradCheckReport",
     "check_naming", "check_stack", "check_full", "grad_check", "GRAD_CHECKS",
 ]

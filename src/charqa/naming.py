@@ -66,16 +66,6 @@ class TargetSeq:
         self.targets = (np.array([items[0][1] for items in frames]) if frames
                         else np.zeros((0, 0)))
 
-    @property
-    def entries(self) -> tuple[tuple[int, int, np.ndarray], ...]:
-        """(face_id, frame_id, target row) per face, frame by frame."""
-        return tuple((fid, frame_id, g) for frame_id, faces, g in self.frames() for fid in faces)
-
-    def frames(self):
-        """Yields (frame_id, face_ids, target) per frame, in frame_id order."""
-        for frame_id, faces, g in zip(self.frame_ids, self.faces, self.targets):
-            yield frame_id, faces[faces >= 0].tolist(), g
-
 
 def naming_forward(params, embeddings: np.ndarray) -> np.ndarray:
     """Rows of softmax(relu(F W1 + b1) W2 + b2), the "naming" FFN of the

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import tempfile
@@ -83,15 +84,35 @@ class TestVocabAndEmbedding:
 
     def test_name_flag_selects_name_table(self, setup):
         vocab, params = setup
-        (row,) = prepare_sequence(params, vocab, ["Ada"], [True])
-        assert np.array_equal(embedding_table(params, vocab)[row],
-                              params["embed.name"][vocab.name_index["Ada"]])
+        rows = np.array(prepare_sequence(params, vocab, ["Ada"], [True]))
+        table, idx, _ = embedding_table(params, vocab, rows)
+        assert np.array_equal(table[idx[0]], params["embed.name"][vocab.name_index["Ada"]])
 
     def test_oov_word_uses_char_mean(self, setup):
         vocab, params = setup
-        (row,) = prepare_sequence(params, vocab, ["zyx"], [False])
-        rows = [params["embed.char"][vocab.char_index[c]] for c in "zyx"]
-        assert np.allclose(embedding_table(params, vocab)[row], np.mean(rows, axis=0))
+        rows = np.array(prepare_sequence(params, vocab, ["zyx"], [False]))
+        table, idx, _ = embedding_table(params, vocab, rows)
+        chars = [params["embed.char"][vocab.char_index[c]] for c in "zyx"]
+        assert np.allclose(table[idx[0]], np.mean(chars, axis=0))
+
+    def test_pass_table_holds_only_the_pass_out_of_vocabulary_tokens(self, setup):
+        # A vocabulary that has already resolved many out-of-vocabulary
+        # tokens (an evaluation corpus unlike the training one) builds, for
+        # a pass, character means of that pass's distinct ones only.
+        vocab, params = setup
+        seen = ["".join(p) for p in itertools.product("zyxcup", repeat=4)]
+        prepare_sequence(params, vocab, seen, [False] * len(seen))
+        assert len(vocab.oov) == len(seen)
+        toks = ["zyx", "cup", "yyzz", "zyx", "Ada"]
+        flags = [tok == "Ada" for tok in toks]
+        rows = np.array([prepare_sequence(params, vocab, toks, flags), [-1] * 5])
+        table, idx, a = embedding_table(params, vocab, rows)
+        assert a.shape == (2, len(vocab.chars))
+        assert table.shape[0] == len(vocab.words) + len(vocab.names) + 2 + 1
+        for tok, row in zip(toks, idx[0]):
+            want = oracle_embed(params, vocab, [tok], [tok == "Ada"])[0]
+            assert np.max(np.abs(table[row] - want)) <= 1e-12
+        assert np.all(table[idx[1]] == 0.0)
 
     def test_unknown_char_raises(self, setup):
         vocab, params = setup
@@ -131,7 +152,7 @@ class TestVocabAndEmbedding:
                 "name as word": (vocab.names, False), "oov": (oov, False)}
         streams = [([pick[kind][0][i % len(pick[kind][0])] for kind, i in spec],
                     [pick[kind][1] for kind, _ in spec]) for spec in streams]
-        x, mask, idx = embed(params, vocab, streams)
+        x, mask, gather = embed(params, vocab, streams)
         width = max(len(toks) for toks, _ in streams)
         pe = nn.sinusoidal_positions(width, d)
         assert x.shape == (len(streams), width, d)
@@ -145,7 +166,7 @@ class TestVocabAndEmbedding:
         dx = rng.standard_normal(x.shape)
         start = {k: rng.standard_normal(v.shape) for k, v in params.items()}
         grads = {k: v.copy() for k, v in start.items()}
-        embed_backward(grads, params, vocab, idx, dx)
+        embed_backward(grads, params, gather, dx)
         ref = {k: [[float(e) for e in row] for row in v] for k, v in start.items()}
         for i, (toks, flags) in enumerate(streams):
             oracle_embed_backward(params, vocab, toks, flags, dx[i, :len(toks)], ref)
@@ -667,8 +688,8 @@ class TestBatch:
             assert np.max(np.abs(grads[k] - perm_grads[k])) <= 1e-12, k
 
     def test_naming_head_runs_once_per_clip_of_a_batch(self, setup, monkeypatch):
-        # Micro-batches of 3 split two clips' items over two micro-batches
-        # each (counts 1 + 1 and 3 + 1). The naming head runs once per
+        # Micro-batches of MICRO_BATCH (3) items split two clips' items over
+        # two micro-batches each (counts 1 + 1 and 3 + 1). The naming head runs once per
         # distinct clip of the whole batch, with its RKL gradient weighted by
         # the clip's item count; that equals the rule of running each
         # micro-batch as its own batch (once per clip of a micro-batch), and
@@ -682,10 +703,11 @@ class TestBatch:
         monkeypatch.setattr(model, "forward_item", lambda b, **kw: (
             named.extend(names for _, _, names in b) or forward_item(model, b, **kw)))
         grads = {}
-        results = model.loss_and_grads(batch, lam=0.7, grads=grads, micro_batch=3)
+        results = model.loss_and_grads(batch, lam=0.7, grads=grads)
         assert len(heads) == 4
         assert named == [names for _, _, _, names, _ in items]
         ref_grads = {}
+        assert carn.MICRO_BATCH == 3
         ref = [r for m0 in range(0, len(items), 3)
                for r in model.loss_and_grads(items[m0:m0 + 3], lam=0.7, grads=ref_grads)]
         assert len(heads) == 4 + 2 + 2 + 1 + 1

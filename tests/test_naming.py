@@ -79,28 +79,28 @@ class TestBroadcast:
         return Clip("b", [frame], [line], [], None)
 
     def test_speaker_broadcast_to_all_faces(self, tiny_cast):
+        # One frame row holding all three faces, with one shared target.
         ts = broadcast_targets(self.make_clip(), tiny_cast, 0.05)
-        assert len(ts.entries) == 3
-        g0 = ts.entries[0][2]
+        assert ts.frame_ids == [0]
+        assert ts.faces.tolist() == [[0, 1, 2]]
+        assert ts.targets.shape == (1, 3)
         expected = (1 - 0.05) * np.eye(3)[0] + 0.05 / 3
-        assert np.allclose(g0, expected)
-        for _, _, g in ts.entries:
-            assert np.array_equal(g, g0)
-            assert g.sum() == pytest.approx(1.0)
+        assert np.allclose(ts.targets[0], expected)
+        assert ts.targets[0].sum() == pytest.approx(1.0)
 
     def test_unkname_speaker_emits_nothing(self, tiny_cast):
         ts = broadcast_targets(self.make_clip(speaker="Stranger"), tiny_cast, 0.05)
-        assert ts.entries == ()
+        assert ts.frame_ids == [] and ts.faces.size == 0 and ts.targets.size == 0
 
     def test_epsilon_zero_exact_onehot(self, tiny_cast):
         ts = broadcast_targets(self.make_clip(speaker="Ben"), tiny_cast, 0.0)
-        assert np.array_equal(ts.entries[0][2], [0.0, 1.0, 0.0])
+        assert np.array_equal(ts.targets, [[0.0, 1.0, 0.0]])
 
     def test_faceless_and_silent_frames_skipped(self, tiny_cast):
         frames = [Frame(0, 0.0, [], [], [], []),
                   Frame(5, 5.0, [unit_face(0, 5)], [], [], [])]
         clip = Clip("b", frames, [SubtitleLine("Ada", ["x"], 0.0, 0.9)], [], None)
-        assert broadcast_targets(clip, tiny_cast, 0.05).entries == ()
+        assert broadcast_targets(clip, tiny_cast, 0.05).frame_ids == []
 
     def test_overlapping_lines_latest_start_wins(self):
         clip = Clip("s", [], [SubtitleLine("Ada", ["x"], 0.0, 2.0),
