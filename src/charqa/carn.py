@@ -14,10 +14,10 @@ encoder. The five pooled candidate vectors of each item pass through one
 self-attention block and a shared scalar head, softmaxed into answer
 probabilities. Name tokens live in their own embedding table, trained from
 scratch, separate from words; words missing from the vocabulary embed as
-the mean of their character vectors. The vocabulary resolves each (token,
-name flag) once to a row; a pass is embedded by one gather from one table,
-the word and name tables plus the character means of the pass's own
-out-of-vocabulary words, and its gradient scattered back by one np.add.at.
+the mean of their character vectors. The vocabulary is fixed when it is
+built; a pass is embedded by one gather from one table, the word and name
+tables plus the character means of the pass's own out-of-vocabulary words,
+and its gradient scattered back by one np.add.at.
 
 The QA loss is cross-entropy on the gold option; the naming head trains
 jointly through the regularized-KL term, weighted by lambda. The head runs
@@ -148,58 +148,40 @@ FULL_VARIANT = VARIANT_LABELS[-1]
 class Vocab:
     """The word, name and character tables' entries.
 
-    `rows` maps each (token, name flag) resolved so far to its vocabulary
-    row: a name-flagged cast name to its name row, a word to its word row,
-    and any other token to an out-of-vocabulary row, past the name rows,
-    which embeds as the mean of its characters' vectors; `oov` holds those
-    rows' character indices."""
+    `rows` maps each (token, name flag) that has a table row to it: a word,
+    flagged or not, to its word row, and a name-flagged cast name to its
+    name row, past the word rows. Any other token is out of the vocabulary
+    and embeds as the mean of its characters' vectors."""
 
     words: tuple[str, ...]
     names: tuple[str, ...]  # cast names + UNKNAME, the name-table rows
     chars: tuple[str, ...]
-    word_index: dict = field(init=False, repr=False, compare=False)
-    name_index: dict = field(init=False, repr=False, compare=False)
     char_index: dict = field(init=False, repr=False, compare=False)
     rows: dict = field(init=False, repr=False, compare=False)
-    oov: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "word_index", {w: i for i, w in enumerate(self.words)})
-        object.__setattr__(self, "name_index", {n: i for i, n in enumerate(self.names)})
-        object.__setattr__(self, "char_index", {c: i for i, c in enumerate(self.chars)})
-        object.__setattr__(self, "rows", {})
-        object.__setattr__(self, "oov", [])
         if set(self.words) & set(self.names):
             raise VocabError("word and name index spaces must be disjoint")
+        object.__setattr__(self, "char_index", {c: i for i, c in enumerate(self.chars)})
+        # The empty token has no row, so that embedding it raises.
+        rows = {(w, flag): i for i, w in enumerate(self.words) if w for flag in (False, True)}
+        rows.update({(n, True): i for i, n in enumerate(self.names, len(self.words)) if n})
+        object.__setattr__(self, "rows", rows)
 
-    def resolve(self, token: str, is_name: bool) -> int:
-        """The vocabulary row of a token not resolved before; VocabError for
+    def char_means(self, tokens) -> np.ndarray:
+        """(len(tokens), chars) averaging matrix of out-of-vocabulary tokens:
+        embed.char maps through it to their character means. VocabError for
         an empty token or a character outside the character table."""
-        if not token:
-            raise VocabError("empty token cannot be embedded")
-        if is_name and token in self.name_index:
-            row = len(self.words) + self.name_index[token]
-        elif token in self.word_index:
-            row = self.word_index[token]
-        else:
+        a = np.zeros((len(tokens), len(self.chars)))
+        for i, token in enumerate(tokens):
+            if not token:
+                raise VocabError("empty token cannot be embedded")
             ids = []
             for ch in token:
                 j = self.char_index.get(ch)
                 if j is None:
                     raise VocabError(f"token {token!r}: character {ch!r} not in character table")
                 ids.append(j)
-            row = len(self.words) + len(self.names) + len(self.oov)
-            self.oov.append(ids)
-        self.rows[token, bool(is_name)] = row
-        return row
-
-    def char_means(self, rows) -> np.ndarray:
-        """(len(rows), chars) averaging matrix of out-of-vocabulary rows:
-        embed.char maps through it to their character means."""
-        first = len(self.words) + len(self.names)
-        a = np.zeros((len(rows), len(self.chars)))
-        for i, row in enumerate(rows):
-            ids = self.oov[row - first]
             np.add.at(a[i], ids, 1.0 / len(ids))
         return a
 
@@ -276,47 +258,34 @@ def _pe(n: int, d: int) -> np.ndarray:
     return nn.sinusoidal_positions(n, d)
 
 
-def embedding_table(params, vocab: Vocab, idx):
-    """The table an encoder pass gathers from, for its tokens' vocabulary
-    rows idx (-1 at pads): [embed.word; embed.name; the character means of
-    the pass's distinct out-of-vocabulary tokens; a zero row], the zero row,
-    row -1, embedding pads. Returns it with idx mapped into it and the
-    averaging matrix of those means; their count is the pass's, however many
-    out-of-vocabulary tokens the vocabulary has resolved."""
-    word = params["embed.word"]
-    first = len(vocab.words) + len(vocab.names)
-    is_oov = idx >= first
-    oov = sorted(set(idx[is_oov].tolist())) if is_oov.any() else []
-    a = vocab.char_means(oov)
-    if oov:
-        idx = np.where(is_oov, first + np.searchsorted(oov, idx), idx)
-    return (np.concatenate([word, params["embed.name"], a @ params["embed.char"],
-                            np.zeros((1, word.shape[1]))]), idx, a)
-
-
-def prepare_sequence(params, vocab: Vocab, tokens, flags) -> list[int]:
-    """The vocabulary rows of a stream's tokens, each (token, flag) resolved
-    through the vocabulary once."""
+def prepare_sequence(params, vocab: Vocab, tokens, flags, oov: dict) -> list[int]:
+    """The embedding-table rows of a stream's tokens: its vocabulary row for
+    a token that has one; for any other, its row in oov, the pass's
+    out-of-vocabulary token -> row dict, which a token new to the pass
+    extends by the next row past the word and name rows."""
     rows = vocab.rows
-    try:
-        return [rows[key] for key in zip(tokens, flags)]
-    except KeyError:
-        pass
-    return [rows[key] if key in rows else vocab.resolve(*key) for key in zip(tokens, flags)]
+    first = len(vocab.words) + len(vocab.names)
+    return [rows[key] if key in rows else oov.setdefault(key[0], first + len(oov))
+            for key in zip(tokens, flags)]
 
 
 def embed(params, vocab: Vocab, streams):
     """Embedding + sinusoidal positional encoding of (tokens, flags) streams
-    as one padded (n, L, d) batch, by one gather from embedding_table. Returns
-    it with its (n, L) mask and the gather's (table rows, averaging matrix),
-    the rows -1 at pads: pads embed to the zero vector, without positional
-    encoding."""
-    rows = [prepare_sequence(params, vocab, toks, flags) for toks, flags in streams]
+    as one padded (n, L, d) batch, by one gather from the pass's table
+    [embed.word; embed.name; the character means of the pass's distinct
+    out-of-vocabulary tokens; a zero row]. Returns it with its (n, L) mask
+    and the gather's (table rows, averaging matrix of those means), the rows
+    -1 at pads: pads gather the zero row, without positional encoding."""
+    oov = {}
+    rows = [prepare_sequence(params, vocab, toks, flags, oov) for toks, flags in streams]
     lengths = np.array([len(r) for r in rows])
     mask = np.arange(lengths.max()) < lengths[:, None]
     idx = np.full(mask.shape, -1)
     idx[mask] = np.fromiter(chain.from_iterable(rows), int, lengths.sum())
-    table, idx, a = embedding_table(params, vocab, idx)
+    a = vocab.char_means(list(oov))
+    word = params["embed.word"]
+    table = np.concatenate([word, params["embed.name"], a @ params["embed.char"],
+                            np.zeros((1, word.shape[1]))])
     x = table[idx]
     x += _pe(*x.shape[1:])
     x[~mask] = 0.0
@@ -708,6 +677,6 @@ class Model:
 __all__ = [
     "CHECKPOINT_VERSION", "PROB_FLOOR", "MICRO_BATCH", "ModalityConfig",
     "VARIANT_LABELS", "FULL_VARIANT", "Vocab", "build_vocab", "subtitle_stream",
-    "qa_stream", "visual_stream", "embedding_table", "prepare_sequence", "embed",
+    "qa_stream", "visual_stream", "prepare_sequence", "embed",
     "embed_backward", "joint_loss", "ModelConfig", "ItemResult", "Model",
 ]

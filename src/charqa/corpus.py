@@ -503,13 +503,24 @@ def _of(v, kind, what: str):
     return v
 
 
+def _token(v, what: str, kind=str):
+    """_of(v, kind, what), refusing the empty string: an empty token has no
+    embedding."""
+    if _of(v, kind, what) == "":
+        raise ValueError(f"{what} must not be empty")
+    return v
+
+
 def _strings(v, what: str) -> list[str]:
     if type(v) is list:
         try:
             "".join(v)  # the type check of every item, at C speed
-            return v
         except TypeError:
             pass
+        else:
+            if "" in v:
+                raise ValueError(f"{what} must not hold an empty token, got {_shown(v)}")
+            return v
     raise TypeError(f"{what} must be a list of strings, got {_shown(v)}")
 
 
@@ -582,8 +593,9 @@ def _ts_interval(v) -> tuple[float, float]:
 
 def clip_from_dict(d: dict) -> Clip:
     """The clip of a parsed corpus record, each field checked for its JSON
-    type as it is read; KeyError, TypeError or ValueError on the first bad
-    field. validate_clip checks what relates fields to each other."""
+    type and each token for being non-empty as it is read; KeyError,
+    TypeError or ValueError on the first bad field. validate_clip checks
+    what relates fields to each other."""
     frames = [
         Frame(
             _of(f["frame_id"], int, "frame_id"),
@@ -595,10 +607,10 @@ def clip_from_dict(d: dict) -> Clip:
                               _embedding(fc["embedding"]))
                 for fc in _of(f["faces"], list, "faces")
             ],
-            [(_box_from_list(h["box"], "human box"), _of(h["word"], str, "human word"))
+            [(_box_from_list(h["box"], "human box"), _token(h["word"], "human word"))
              for h in _of(f["human_boxes"], list, "human_boxes")],
-            [(_of(o["label"], str, "object label"),
-              _of(o["attribute"], (str, type(None)), "object attribute"))
+            [(_token(o["label"], "object label"),
+              _token(o["attribute"], "object attribute", (str, type(None))))
              for o in _of(f["objects"], list, "objects")],
             [
                 RelationTriple(*_strings([t["subject"], t["predicate"], t["object"]],

@@ -13,7 +13,7 @@ import gc
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -138,14 +138,7 @@ class MetricsReport:
         ])
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant, "use_ts": self.use_ts, "qa_acc": self.qa_acc,
-            "qa_acc_visual": self.qa_acc_visual, "qa_acc_textual": self.qa_acc_textual,
-            "face_acc": self.face_acc, "seed": self.seed, "config_hash": self.config_hash,
-            "n_items": self.n_items, "n_visual": self.n_visual,
-            "n_textual": self.n_textual, "n_faces": self.n_faces,
-            "losses": self.losses, "warnings": self.warnings,
-        }
+        return asdict(self)
 
 
 def metrics_csv_text(reports) -> str:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from charqa import carn, nn
 from charqa.carn import (FULL_VARIANT, ModalityConfig, Model, ModelConfig,
                          VARIANT_LABELS, Vocab, build_vocab, embed, embed_backward,
-                         embedding_table, joint_loss, prepare_sequence)
+                         joint_loss)
 from charqa.castlist import CastList, build_cast_list, count_speakers
 from charqa.corpus import BBox, Clip, FaceDetection, Frame, QAItem, SubtitleLine, clip_view
 from charqa.errors import (CheckpointError, ConfigError, EmptyInputError, ShapeError,
@@ -84,40 +84,49 @@ class TestVocabAndEmbedding:
 
     def test_name_flag_selects_name_table(self, setup):
         vocab, params = setup
-        rows = np.array(prepare_sequence(params, vocab, ["Ada"], [True]))
-        table, idx, _ = embedding_table(params, vocab, rows)
-        assert np.array_equal(table[idx[0]], params["embed.name"][vocab.name_index["Ada"]])
+        x, _, _ = embed(params, vocab, [(["Ada"], [True])])
+        want = params["embed.name"][vocab.names.index("Ada")] + nn.sinusoidal_positions(1, 6)[0]
+        assert np.array_equal(x[0, 0], want)
 
     def test_oov_word_uses_char_mean(self, setup):
         vocab, params = setup
-        rows = np.array(prepare_sequence(params, vocab, ["zyx"], [False]))
-        table, idx, _ = embedding_table(params, vocab, rows)
+        x, _, _ = embed(params, vocab, [(["zyx"], [False])])
         chars = [params["embed.char"][vocab.char_index[c]] for c in "zyx"]
-        assert np.allclose(table[idx[0]], np.mean(chars, axis=0))
+        assert np.allclose(x[0, 0] - nn.sinusoidal_positions(1, 6)[0], np.mean(chars, axis=0))
 
     def test_pass_table_holds_only_the_pass_out_of_vocabulary_tokens(self, setup):
-        # A vocabulary that has already resolved many out-of-vocabulary
-        # tokens (an evaluation corpus unlike the training one) builds, for
-        # a pass, character means of that pass's distinct ones only.
+        # However many out-of-vocabulary tokens earlier passes held (an
+        # evaluation corpus unlike the training one), a pass gathers from
+        # the word and name rows, the character means of its own distinct
+        # out-of-vocabulary tokens and the pad row.
         vocab, params = setup
         seen = ["".join(p) for p in itertools.product("zyxcup", repeat=4)]
-        prepare_sequence(params, vocab, seen, [False] * len(seen))
-        assert len(vocab.oov) == len(seen)
+        embed(params, vocab, [(seen, [False] * len(seen))])
         toks = ["zyx", "cup", "yyzz", "zyx", "Ada"]
         flags = [tok == "Ada" for tok in toks]
-        rows = np.array([prepare_sequence(params, vocab, toks, flags), [-1] * 5])
-        table, idx, a = embedding_table(params, vocab, rows)
+        x, _, (idx, a) = embed(params, vocab, [(toks, flags), (["cup"], [False])])
+        first = len(vocab.words) + len(vocab.names)
         assert a.shape == (2, len(vocab.chars))
-        assert table.shape[0] == len(vocab.words) + len(vocab.names) + 2 + 1
-        for tok, row in zip(toks, idx[0]):
-            want = oracle_embed(params, vocab, [tok], [tok == "Ada"])[0]
-            assert np.max(np.abs(table[row] - want)) <= 1e-12
-        assert np.all(table[idx[1]] == 0.0)
+        assert idx[0].tolist() == [first, vocab.words.index("cup"), first + 1, first,
+                                   len(vocab.words) + vocab.names.index("Ada")]
+        assert idx[1].tolist() == [vocab.words.index("cup"), -1, -1, -1, -1]
+        pe = nn.sinusoidal_positions(len(toks), 6)
+        for i, tok in enumerate(toks):
+            want = oracle_embed(params, vocab, [tok], [tok == "Ada"])[0] + pe[i]
+            assert np.max(np.abs(x[0, i] - want)) <= 1e-12
+        assert np.all(x[1, 1:] == 0.0)
+
+    def test_embedding_leaves_the_vocabulary_as_built(self, setup):
+        vocab, params = setup
+        fresh = Vocab(vocab.words, vocab.names, vocab.chars)
+        for tok in ("zyx", "cupz", "Adah", "Ada"):
+            embed(params, vocab, [([tok, "cup", "Ada"], [False, False, True]), ([tok], [True])])
+        assert vocab.rows == fresh.rows
 
     def test_unknown_char_raises(self, setup):
         vocab, params = setup
         with pytest.raises(VocabError, match="9"):
-            prepare_sequence(params, vocab, ["cup9"], [False])
+            embed(params, vocab, [(["cup9"], [False])])
 
     def test_pad_rows_are_zero_and_masked(self, setup):
         vocab, params = setup

@@ -195,6 +195,28 @@ class TestSerialization:
         with pytest.raises(CorpusParseError, match="line 3: .*duplicate face_ids"):
             read_corpus(p)
 
+    @pytest.mark.parametrize("what, path", [
+        ("subtitle tokens", ("subtitles", 1, "tokens", 1)),
+        ("question", ("qas", 0, "question", 2)),
+        ("answer", ("qas", 0, "answers", 3, 0)),
+        ("object label", ("frames", 0, "objects", 0, "label")),
+        ("object attribute", ("frames", 0, "objects", 0, "attribute")),
+        ("human word", ("frames", 0, "human_boxes", 0, "word")),
+        ("triple tokens", ("frames", 0, "triples", 0, "predicate")),
+    ])
+    def test_empty_token_is_parse_error_with_line_number(self, tmp_path, tiny_clip, what, path):
+        d = copy.deepcopy(clip_to_dict(tiny_clip))  # it shares the clip's token lists
+        owner = d
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = ""
+        p = tmp_path / "empty.jsonl"
+        write_corpus([tiny_clip], p)
+        with open(p, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(d) + "\n")
+        with pytest.raises(CorpusParseError, match=f"line 2: .*{what} must not"):
+            read_corpus(p)
+
     def test_unknown_schema_version(self, tmp_path, tiny_clip):
         d = clip_to_dict(tiny_clip)
         d["schema_version"] = "999"
