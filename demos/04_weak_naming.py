@@ -14,8 +14,8 @@ import numpy as np
 from charqa.carn import ModelConfig
 from charqa.corpus import GenConfig, generate_corpus
 from charqa.harness import TrainConfig, train
-from charqa.naming import (NameDistributionSeq, broadcast_targets,
-                           face_accuracy, rkl_loss_with_grad, smoothed_onehot)
+from charqa.naming import (broadcast_targets, face_accuracy, face_table,
+                           rkl_loss_with_grad, smoothed_onehot)
 
 # The target for a frame is a smoothed one-hot over cast labels + UNKNAME.
 g = smoothed_onehot(1, 3, epsilon=0.05)
@@ -31,18 +31,18 @@ cast = model.cast
 print(f"cast {cast.label_names()}")
 
 # What broadcasting produced for one clip: every face in a frame that
-# overlaps a principal's line inherits that speaker's target.
+# overlaps a principal's line inherits that speaker's target. The targets
+# name faces by their rows of the clip's face table.
 clip = corpus[0]
+face_ids, _ = face_table(clip)
 targets = broadcast_targets(clip, cast, epsilon=0.05)
-for frame_id, faces, g in list(zip(targets.frame_ids, targets.faces, targets.targets))[:4]:
+for frame_id, rows, g in list(zip(targets.frame_ids, targets.face_rows, targets.targets))[:4]:
     spk = cast.label_names()[int(np.argmax(g))]
-    print(f"  frame {frame_id}: faces {faces[faces >= 0].tolist()} <- speaker {spk}")
+    print(f"  frame {frame_id}: faces {[face_ids[r] for r in rows if r >= 0]} <- speaker {spk}")
 
 # The loss takes the best face per frame; a perfect prediction on one face
 # zeroes that frame's term even if the other faces disagree.
-preds = model.predict_faces(clip)
-loss, _ = rkl_loss_with_grad(
-    NameDistributionSeq(preds.face_ids, preds.rows), targets)
+loss, _ = rkl_loss_with_grad(model.predict_faces(clip).rows, targets)
 print(f"clip rkl after training: {loss:.4f}")
 
 # Predicted names vs the withheld truth sidecar.
@@ -52,6 +52,6 @@ for fid in sorted(clip.truth)[:8]:
     print(f"  face {fid}: predicted {assigned.get(fid, '-'):>8}  "
           f"truth {clip.truth[fid]:>8}  {hit}")
 
-correct, total = face_accuracy(preds, clip.truth, cast)
+correct, total = face_accuracy(assigned, clip.truth, cast)
 print(f"\nclip face accuracy {correct}/{total}; corpus-level {report.face_acc:.3f} "
       f"after {config.epochs} epochs (no face label ever seen)")

@@ -42,8 +42,8 @@ from .castlist import CastList, map_speaker
 from .corpus import Clip, QAItem
 from .errors import (CheckpointError, ConfigError, EmptyInputError, SchemaVersionError,
                      VocabError)
-from .naming import (NameDistributionSeq, assign_names, broadcast_targets, init_naming,
-                     naming_backward, naming_forward, rkl_loss_with_grad)
+from .naming import (NameDistributionSeq, assign_names, broadcast_targets, face_table,
+                     init_naming, naming_backward, naming_forward, rkl_loss_with_grad)
 from .semantics import build_semantic_stream
 
 CHECKPOINT_VERSION = "charqa-ckpt-2"
@@ -395,16 +395,8 @@ class Model:
 
     # -- naming ----------------------------------------------------------
 
-    @staticmethod
-    def face_table(clip: Clip):
-        faces = sorted(clip.all_faces(), key=lambda f: f.face_id)
-        ids = tuple(f.face_id for f in faces)
-        if not faces:
-            return ids, np.zeros((0, 1))
-        return ids, np.stack([f.embedding for f in faces])
-
     def predict_faces(self, clip: Clip) -> NameDistributionSeq:
-        ids, table = self.face_table(clip)
+        ids, table = face_table(clip)
         if not ids:
             return NameDistributionSeq((), np.zeros((0, self.cast.size)))
         return NameDistributionSeq(ids, naming_forward(self.params, table))
@@ -545,23 +537,21 @@ class Model:
 
     def _clip_rkl(self, clip: Clip, preds: NameDistributionSeq, targets, weight: float,
                   grads: dict | None) -> float:
-        """The clip's RKL term from the head's predictions preds on it; with
-        grads, accumulates weight * its gradient into the naming head."""
-        if targets is None:
-            targets = broadcast_targets(clip, self.cast, self.config.epsilon)
-        if not (preds.face_ids and targets.frame_ids):
+        """The clip's RKL term from the head's predictions preds on it and its
+        broadcast targets; with grads, accumulates weight * its gradient into
+        the naming head."""
+        if not targets.frame_ids:
             return 0.0
-        rkl, drows = rkl_loss_with_grad(preds, targets)
+        rkl, drows = rkl_loss_with_grad(preds.rows, targets)
         if grads is not None and weight != 0.0:
-            naming_backward(self.params, self.face_table(clip)[1], preds.rows, weight * drows,
-                            grads)
+            naming_backward(self.params, face_table(clip)[1], preds.rows, weight * drows, grads)
         return rkl
 
     def loss_and_grads(self, batch, lam: float = 1.0,
                        grads: dict | None = None) -> list[ItemResult]:
         """The joint objective CE + lambda * clip RKL of each item of a batch
-        of (clip, view, qa, face_names, targets); targets None are built
-        from the clip. With grads, accumulates the batch's summed gradient.
+        of (clip, view, qa, face_names, targets), targets being the clip's
+        broadcast_targets. With grads, accumulates the batch's summed gradient.
 
         The naming head runs once per distinct clip of the batch. Its rows
         give the clip's RKL term, which always runs over the full clip
@@ -603,7 +593,10 @@ class Model:
     def item_loss_and_grads(self, clip: Clip, view: Clip, qa: QAItem,
                             face_names: dict[int, str], lam: float = 1.0,
                             grads: dict | None = None, targets=None) -> ItemResult:
-        """loss_and_grads of a batch of one item."""
+        """loss_and_grads of a batch of one item; targets None are built from
+        the clip."""
+        if targets is None:
+            targets = broadcast_targets(clip, self.cast, self.config.epsilon)
         return self.loss_and_grads([(clip, view, qa, face_names, targets)], lam, grads)[0]
 
     def score(self, view: Clip, qa: QAItem, face_names: dict[int, str]) -> np.ndarray:

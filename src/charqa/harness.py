@@ -24,9 +24,8 @@ from .castlist import DEFAULT_MAX_RATIO, CastList, build_cast_list, count_speake
 from .corpus import (BBox, Clip, FaceDetection, Frame, QAItem, RelationTriple,
                      SubtitleLine, clip_view)
 from .errors import ConfigError, EmptyInputError, NonFiniteLossError, ShapeError
-from .naming import (NameDistributionSeq, TargetSeq, broadcast_targets, face_accuracy,
-                     init_naming, naming_backward, naming_forward, rkl_loss_with_grad,
-                     smoothed_onehot)
+from .naming import (TargetSeq, broadcast_targets, face_accuracy, init_naming,
+                     naming_backward, naming_forward, rkl_loss_with_grad, smoothed_onehot)
 
 METRICS_COLUMNS = ("variant", "use_ts", "qa_acc", "qa_acc_visual",
                    "qa_acc_textual", "face_acc", "seed")
@@ -239,8 +238,9 @@ def train(corpus: list[Clip], config: TrainConfig = TrainConfig()):
 
 def evaluate(model: Model, corpus: list[Clip], use_ts: bool) -> MetricsReport:
     """Top-1 QA accuracy (overall and per question type) of the model's own
-    variant, plus face naming accuracy against the truth sidecar; the report
-    carries the model's variant and seed. Read-only on the model."""
+    variant, plus the face accuracy of its name assignment against the truth
+    sidecar; the report carries the model's variant and seed. Read-only on
+    the model."""
     if not corpus:
         raise EmptyInputError("corpus is empty")
     correct = {"all": 0, "visual": 0, "textual": 0}
@@ -249,13 +249,12 @@ def evaluate(model: Model, corpus: list[Clip], use_ts: bool) -> MetricsReport:
     for clip in corpus:
         if not (clip.qas or clip.truth):
             continue
-        preds = model.predict_faces(clip)  # one head forward gives names and face accuracy
-        c, n = clip_face_counts(model, clip, preds)
+        face_names = model.name_assignments(clip)  # one head forward per clip
+        c, n = face_accuracy(face_names, clip.truth or {}, model.cast)
         face_correct += c
         face_total += n
         if not clip.qas:
             continue
-        face_names = model.name_assignments(clip, preds)
         p_a, _ = model.forward_item([(clip_view(clip, qa, use_ts)[0], qa, face_names)
                                      for qa in clip.qas], keep_cache=False)
         for qa, p in zip(clip.qas, p_a):
@@ -280,21 +279,11 @@ def evaluate(model: Model, corpus: list[Clip], use_ts: bool) -> MetricsReport:
     )
 
 
-def clip_face_counts(model: Model, clip: Clip, preds: NameDistributionSeq | None = None
-                     ) -> tuple[int, int]:
-    """(correct, total) over the clip's faces that carry a truth label, (0, 0)
-    without a truth sidecar: total counts them, correct those whose argmax
-    name matches the label. Reads preds, the head's predictions on the clip,
-    or else runs the head."""
-    if not clip.truth:
-        return 0, 0
-    return face_accuracy(model.predict_faces(clip) if preds is None else preds, clip.truth,
-                         model.cast)
-
-
 def face_naming_counts(model: Model, corpus: list[Clip]) -> tuple[int, int]:
-    """clip_face_counts summed over a corpus."""
-    counts = [clip_face_counts(model, clip) for clip in corpus]
+    """face_accuracy of the model's name assignments, summed over a corpus'
+    clips that carry a truth sidecar."""
+    counts = [face_accuracy(model.name_assignments(clip), clip.truth, model.cast)
+              for clip in corpus if clip.truth]
     return sum(c for c, _ in counts), sum(n for _, n in counts)
 
 
@@ -381,16 +370,16 @@ class GradCheckReport:
 
 
 def _random_distribution_instance(rng, n_faces, n_classes, epsilon):
-    """Faces partitioned over frames, one smoothed target per frame."""
+    """Faces partitioned over frames, one smoothed target per frame; face i
+    is row i of the embeddings."""
     embeddings = rng.standard_normal((n_faces, int(rng.integers(2, 6))))
     frame_of = rng.integers(0, max(1, n_faces // 2) + 1, size=n_faces)
-    entries = []
+    groups = []
     for fr in sorted(set(int(f) for f in frame_of)):
         cls = int(rng.integers(0, n_classes))
-        g = smoothed_onehot(cls, n_classes, epsilon)
-        for i in np.flatnonzero(frame_of == fr):
-            entries.append((int(i), fr, g))
-    return embeddings, TargetSeq(tuple(entries))
+        groups.append((fr, np.flatnonzero(frame_of == fr),
+                       smoothed_onehot(cls, n_classes, epsilon)))
+    return embeddings, TargetSeq(groups)
 
 
 def check_naming(rng, tolerance: float = 1e-4):
@@ -402,14 +391,12 @@ def check_naming(rng, tolerance: float = 1e-4):
     d_f = embeddings.shape[1]
     params: dict[str, np.ndarray] = {}
     init_naming(rng, params, d_f, int(rng.integers(2, 6)), n_classes)
-    faces = tuple(range(n_faces))
 
     def loss():
-        preds = NameDistributionSeq(faces, naming_forward(params, embeddings))
-        return rkl_loss_with_grad(preds, targets)[0]
+        return rkl_loss_with_grad(naming_forward(params, embeddings), targets)[0]
 
     rows = naming_forward(params, embeddings)
-    _, drows = rkl_loss_with_grad(NameDistributionSeq(faces, rows), targets)
+    _, drows = rkl_loss_with_grad(rows, targets)
     analytic: dict[str, np.ndarray] = {}
     naming_backward(params, embeddings, rows, drows, analytic)
     return nn.check_gradients(loss, params, analytic, tolerance=tolerance)
@@ -552,6 +539,6 @@ def grad_check(component: str = "all", tolerance: float = 1e-4,
 __all__ = [
     "METRICS_COLUMNS", "TrainConfig", "config_kwargs", "MetricsReport",
     "write_metrics_csv", "metrics_csv_text", "train", "evaluate",
-    "clip_face_counts", "face_naming_counts", "ablate", "format_report", "GradCheckReport",
+    "face_naming_counts", "ablate", "format_report", "GradCheckReport",
     "check_naming", "check_stack", "check_full", "grad_check", "GRAD_CHECKS",
 ]

@@ -7,9 +7,13 @@ indirect: each subtitle line's speaker name is broadcast to every face in
 the frames it overlaps, and the loss takes, per frame, the minimum KL
 divergence between any face's prediction and the smoothed one-hot speaker
 target. Only the argmin face receives gradient, in the spirit of
-multiple-instance learning. The targets of a clip are grouped by frame once,
-into a padded (frames x faces) array, so the loss is one gather, one
-row-wise KL and a masked argmin per frame.
+multiple-instance learning.
+
+This module owns a clip's face order: `face_table` lists its faces in
+face_id order, and the head's rows, the targets and the name assignment,
+which face accuracy scores, follow it. The targets hold each supervised
+frame's rows of that table in one padded (frames x faces) array, so the
+loss is one gather, one row-wise KL and a masked argmin per frame.
 """
 
 from __future__ import annotations
@@ -47,24 +51,30 @@ class NameDistributionSeq:
 
 
 class TargetSeq:
-    """A clip's broadcast targets, grouped by frame once, in frame_id order:
-    row i of `faces` holds frame `frame_ids[i]`'s face ids in face_id order,
-    padded with -1 to the widest frame, and row i of `targets` the frame's
-    target (that of its lowest face_id)."""
+    """A clip's broadcast targets, one group per supervised frame, in the
+    clip's frame order: row i of `face_rows` holds frame `frame_ids[i]`'s
+    rows of the clip's face table (see face_table), padded with -1 to the
+    widest frame, and row i of `targets` the frame's target."""
 
-    def __init__(self, entries):
-        """entries: (face_id, frame_id, target row) per broadcast-supervised face."""
-        by_frame: dict[int, list[tuple[int, np.ndarray]]] = {}
-        for face_id, frame_id, g in entries:
-            by_frame.setdefault(frame_id, []).append((face_id, g))
-        self.frame_ids = sorted(by_frame)
-        frames = [sorted(by_frame[frame_id], key=lambda item: item[0])
-                  for frame_id in self.frame_ids]
-        self.faces = np.full((len(frames), max(map(len, frames), default=0)), -1)
-        for i, items in enumerate(frames):
-            self.faces[i, :len(items)] = [fid for fid, _ in items]
-        self.targets = (np.array([items[0][1] for items in frames]) if frames
-                        else np.zeros((0, 0)))
+    def __init__(self, groups):
+        """groups: (frame_id, face-table rows, target row) per supervised frame."""
+        self.frame_ids = [frame_id for frame_id, _, _ in groups]
+        width = max((len(rows) for _, rows, _ in groups), default=0)
+        self.face_rows = np.full((len(groups), width), -1)
+        for i, (_, rows, _) in enumerate(groups):
+            self.face_rows[i, :len(rows)] = rows
+        self.targets = np.array([g for _, _, g in groups]) if groups else np.zeros((0, 0))
+
+
+def face_table(clip: Clip):
+    """The clip's face order: (face ids, (faces, d_f) embeddings), in face_id
+    order. The head's rows, the targets' face rows and the name assignment
+    all follow it. A clip without faces gives a (0, 1) table."""
+    faces = sorted(clip.all_faces(), key=lambda f: f.face_id)
+    ids = tuple(f.face_id for f in faces)
+    if not faces:
+        return ids, np.zeros((0, 1))
+    return ids, np.stack([f.embedding for f in faces])
 
 
 def naming_forward(params, embeddings: np.ndarray) -> np.ndarray:
@@ -107,15 +117,16 @@ def smoothed_onehot(index: int, n_classes: int, epsilon: float) -> np.ndarray:
 
 
 def broadcast_targets(clip: Clip, cast: CastList, epsilon: float) -> TargetSeq:
-    """Duplicate each frame's speaker name over all faces in that frame.
+    """Duplicate each frame's speaker name over all faces in that frame, the
+    faces given by their rows of face_table(clip), in ascending order.
 
     Frames whose speaker maps to UNKNAME (or that have no overlapping line,
     or no faces) contribute nothing.
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("epsilon must lie in [0, 1)")
-    n_classes = cast.size
-    entries = []
+    row = {face_id: i for i, face_id in enumerate(face_table(clip)[0])}
+    groups = []
     for frame in clip.frames:
         if not frame.faces:
             continue
@@ -125,42 +136,35 @@ def broadcast_targets(clip: Clip, cast: CastList, epsilon: float) -> TargetSeq:
         idx = map_speaker(speaker, cast)
         if idx == cast.unk_index:
             continue
-        g = smoothed_onehot(idx, n_classes, epsilon)
-        for fc in sorted(frame.faces, key=lambda f: f.face_id):
-            entries.append((fc.face_id, frame.frame_id, g))
-    return TargetSeq(tuple(entries))
+        groups.append((frame.frame_id, sorted(row[fc.face_id] for fc in frame.faces),
+                       smoothed_onehot(idx, cast.size, epsilon)))
+    return TargetSeq(groups)
 
 
 # ---------------------------------------------------------------------------
 # Regularized KL multi-instance loss
 
 
-def rkl_loss_with_grad(preds: NameDistributionSeq, targets: TargetSeq):
+def rkl_loss_with_grad(rows: np.ndarray, targets: TargetSeq):
     """Sum over frames of the min-over-faces KL to the frame target, with
-    the 0 ln 0 convention.
+    the 0 ln 0 convention. rows are the head's (faces, classes) predictions
+    on the clip's face table, which targets' face rows index.
 
     Returns (loss, dloss/drows). The min is hard: only the argmin face per
-    frame carries gradient; ties resolve to the lowest face_id.
+    frame carries gradient; ties resolve to the frame's first row, which
+    broadcast_targets makes its lowest face_id.
     """
-    drows = np.zeros_like(preds.rows)
+    drows = np.zeros_like(rows)
     if not targets.frame_ids:
         return 0.0, drows
-    if not preds.face_ids:
-        raise ShapeError("targets name faces but there are no prediction rows")
-    ids = np.asarray(preds.face_ids)
-    valid = targets.faces >= 0
-    faces = np.where(valid, targets.faces, targets.faces[:, :1])  # pads repeat a real face
-    order = np.argsort(ids)
-    pos = order[np.minimum(np.searchsorted(ids, faces, sorter=order), len(ids) - 1)]
-    if not np.array_equal(ids[pos], faces):
-        raise ShapeError("targets name a face that has no prediction row")
-    p = preds.rows[pos]  # (frames, faces, classes)
+    valid = targets.face_rows >= 0
+    p = rows[targets.face_rows]  # (frames, faces, classes); pads gather the last row
     with np.errstate(divide="ignore", invalid="ignore"):
         log_g = np.log(targets.targets)[:, None, :]
         log_p = np.log(p)
         kl = np.where(p > 0, p * (log_p - log_g), 0.0).sum(axis=-1)
         kl[~valid] = np.inf
-        best = np.argmin(kl, axis=1)  # the first minimum: the lowest face_id
+        best = np.argmin(kl, axis=1)  # the first minimum
         frames = np.arange(len(best))
         best_kl = kl[frames, best]
         if not np.all(np.isfinite(best_kl)):
@@ -170,7 +174,7 @@ def rkl_loss_with_grad(preds: NameDistributionSeq, targets: TargetSeq):
             )
         p_best = p[frames, best]
         dkl = np.where(p_best > 0, log_p[frames, best] - log_g[:, 0] + 1.0, 0.0)
-    np.add.at(drows, pos[frames, best], dkl)
+    np.add.at(drows, targets.face_rows[frames, best], dkl)
     # cumsum adds the frames one by one, in frame order
     return float(np.cumsum(best_kl)[-1]), drows
 
@@ -183,21 +187,18 @@ def assign_names(preds: NameDistributionSeq, cast: CastList) -> dict[int, str]:
             if c != cast.unk_index}
 
 
-def face_accuracy(preds: NameDistributionSeq, truth: dict[int, str],
+def face_accuracy(names: dict[int, str], truth: dict[int, str],
                   cast: CastList) -> tuple[int, int]:
-    """(correct, total) over the predicted faces that have a truth label:
-    correct counts those whose argmax class matches the label mapped through
-    the cast (off-cast truth names count as UNKNAME)."""
-    correct = total = 0
-    for fid, c in zip(preds.face_ids, np.argmax(preds.rows, axis=1).tolist()):
-        if fid in truth:
-            total += 1
-            correct += c == map_speaker(truth[fid], cast)
-    return correct, total
+    """(correct, total) over the faces truth labels, given names, a clip's
+    name assignment (assign_names): a face is right when its assigned name is
+    its label, or when it has none and its label is off the cast."""
+    correct = sum(names[fid] == label if fid in names else label not in cast
+                  for fid, label in truth.items())
+    return correct, len(truth)
 
 
 __all__ = [
-    "init_naming", "NameDistributionSeq", "TargetSeq", "naming_forward",
+    "init_naming", "NameDistributionSeq", "TargetSeq", "face_table", "naming_forward",
     "naming_backward", "frame_speaker", "smoothed_onehot", "broadcast_targets",
     "rkl_loss_with_grad", "assign_names", "face_accuracy",
 ]

@@ -41,7 +41,8 @@ def random_rkl_instance(rng, max_faces=20, max_k=6):
 
     Faces are partitioned over frames (matching the generator's contract
     that a face_id occurs in exactly one frame); face_ids are shuffled and
-    non-contiguous to exercise the id->row indirection.
+    non-contiguous, and the targets give each frame's faces as their rows
+    of that shuffled prediction table.
     """
     n_faces = int(rng.integers(1, max_faces + 1))
     n_classes = int(rng.integers(2, max_k + 2))  # cast size k+1
@@ -56,17 +57,17 @@ def random_rkl_instance(rng, max_faces=20, max_k=6):
 
     n_frames = int(rng.integers(1, n_faces + 1))
     frame_of = rng.integers(0, n_frames, size=n_faces)
-    entries = []
+    groups = []
     frame_groups = []
     for fr in sorted(set(int(x) for x in frame_of)):
         cls = int(rng.integers(0, n_classes))
         g = np.full(n_classes, epsilon / n_classes)
         g[cls] += 1.0 - epsilon
         members = [face_ids[i] for i in np.flatnonzero(frame_of == fr)]
-        for fid in sorted(members):
-            entries.append((fid, fr, g))
+        # The frame's rows of the prediction table, lowest face_id first.
+        groups.append((fr, [face_ids.index(fid) for fid in sorted(members)], g))
         frame_groups.append((members, [float(v) for v in g]))
-    targets = TargetSeq(tuple(entries))
+    targets = TargetSeq(groups)
     return preds, targets, rows_by_face, frame_groups
 
 

@@ -66,7 +66,7 @@ def test_criterion_1_rkl_matches_triple_loop_oracle():
     worst = 0.0
     for _ in range(100):
         preds, targets, rows_by_face, frame_groups = random_rkl_instance(rng)
-        ours, _ = rkl_loss_with_grad(preds, targets)
+        ours, _ = rkl_loss_with_grad(preds.rows, targets)
         ref = oracle_rkl(rows_by_face, frame_groups)
         worst = max(worst, abs(ours - ref))
     dt = time.perf_counter() - t0

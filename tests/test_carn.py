@@ -18,6 +18,7 @@ from charqa.corpus import BBox, Clip, FaceDetection, Frame, QAItem, SubtitleLine
 from charqa.errors import (CheckpointError, ConfigError, EmptyInputError, ShapeError,
                            VocabError)
 from charqa.harness import _mini_setup, grad_check
+from charqa.naming import broadcast_targets
 from oracles import oracle_embed, oracle_embed_backward
 
 
@@ -656,16 +657,18 @@ class TestBatch:
         items = []
         for clip in small_corpus[:3]:
             names = model.name_assignments(clip)
+            targets = broadcast_targets(clip, cast, model.config.epsilon)
             for qa in clip.qas[:2]:
-                items.append((clip, clip_view(clip, qa, True)[0], qa, names, None))
+                items.append((clip, clip_view(clip, qa, True)[0], qa, names, targets))
         # Two items whose contexts repeat (the whole clip), one without
         # frames (empty visual context) and one without anything.
         clip = small_corpus[3]
         names = model.name_assignments(clip)
+        targets = broadcast_targets(clip, cast, model.config.epsilon)
         bare = type(clip)(clip.clip_id, [], clip.subtitles, clip.qas, clip.truth)
         empty = type(clip)(clip.clip_id, [], [], clip.qas, clip.truth)
-        items += [(clip, clip, clip.qas[0], names, None), (clip, clip, clip.qas[1], names, None),
-                  (clip, bare, clip.qas[2], names, None), (clip, empty, clip.qas[3], names, None)]
+        items += [(clip, view, qa, names, targets)
+                  for view, qa in zip((clip, clip, bare, empty), clip.qas)]
         return model, items
 
     def test_batch_equals_items_alone(self, setup):

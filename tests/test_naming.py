@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from charqa.corpus import BBox, Clip, FaceDetection, Frame, SubtitleLine
+from charqa.castlist import build_cast_list, count_speakers, map_speaker
+from charqa.corpus import (BBox, Clip, FaceDetection, Frame, GenConfig, SubtitleLine,
+                           generate_corpus)
 from charqa.errors import NonFiniteLossError, ShapeError
 from charqa.harness import grad_check
 from charqa.naming import (NameDistributionSeq, TargetSeq, assign_names,
-                           broadcast_targets, face_accuracy, frame_speaker,
+                           broadcast_targets, face_accuracy, face_table, frame_speaker,
                            init_naming, naming_forward,
                            rkl_loss_with_grad, smoothed_onehot)
 from oracles import oracle_rkl, random_rkl_instance
@@ -24,7 +26,7 @@ def head(w1, b1, w2, b2):
 
 
 def rkl_loss(preds, targets):
-    return rkl_loss_with_grad(preds, targets)[0]
+    return rkl_loss_with_grad(preds.rows, targets)[0]
 
 
 def unit_face(fid, frame_id, d=4):
@@ -82,7 +84,7 @@ class TestBroadcast:
         # One frame row holding all three faces, with one shared target.
         ts = broadcast_targets(self.make_clip(), tiny_cast, 0.05)
         assert ts.frame_ids == [0]
-        assert ts.faces.tolist() == [[0, 1, 2]]
+        assert ts.face_rows.tolist() == [[0, 1, 2]]
         assert ts.targets.shape == (1, 3)
         expected = (1 - 0.05) * np.eye(3)[0] + 0.05 / 3
         assert np.allclose(ts.targets[0], expected)
@@ -90,7 +92,7 @@ class TestBroadcast:
 
     def test_unkname_speaker_emits_nothing(self, tiny_cast):
         ts = broadcast_targets(self.make_clip(speaker="Stranger"), tiny_cast, 0.05)
-        assert ts.frame_ids == [] and ts.faces.size == 0 and ts.targets.size == 0
+        assert ts.frame_ids == [] and ts.face_rows.size == 0 and ts.targets.size == 0
 
     def test_epsilon_zero_exact_onehot(self, tiny_cast):
         ts = broadcast_targets(self.make_clip(speaker="Ben"), tiny_cast, 0.0)
@@ -101,6 +103,21 @@ class TestBroadcast:
                   Frame(5, 5.0, [unit_face(0, 5)], [], [], [])]
         clip = Clip("b", frames, [SubtitleLine("Ada", ["x"], 0.0, 0.9)], [], None)
         assert broadcast_targets(clip, tiny_cast, 0.05).frame_ids == []
+
+    def test_rows_map_back_to_each_frames_face_ids(self):
+        corpus = generate_corpus(GenConfig(k_principals=3, n_extras=2, n_clips=12, d_f=8,
+                                           seed=5))
+        cast = build_cast_list(count_speakers(corpus), min_count=None)
+        supervised = 0
+        for clip in corpus:
+            ids, _ = face_table(clip)
+            faces = {f.frame_id: sorted(fc.face_id for fc in f.faces) for f in clip.frames}
+            ts = broadcast_targets(clip, cast, 0.05)
+            assert ts.face_rows.shape[0] == len(ts.frame_ids) == len(ts.targets)
+            for frame_id, rows in zip(ts.frame_ids, ts.face_rows):
+                assert [ids[r] for r in rows if r >= 0] == faces[frame_id]
+            supervised += len(ts.frame_ids)
+        assert supervised > 0
 
     def test_overlapping_lines_latest_start_wins(self):
         clip = Clip("s", [], [SubtitleLine("Ada", ["x"], 0.0, 2.0),
@@ -114,7 +131,7 @@ class TestRklLoss:
     def test_perfect_prediction_gives_zero(self):
         g = smoothed_onehot(1, 3, 0.05)
         preds = NameDistributionSeq((7,), g[None, :].copy())
-        targets = TargetSeq(((7, 0, g),))
+        targets = TargetSeq(((0, [0], g),))
         assert rkl_loss(preds, targets) == pytest.approx(0.0, abs=1e-15)
 
     def test_single_frame_matches_scalar_oracle(self):
@@ -123,7 +140,7 @@ class TestRklLoss:
         g = [0.95 + 0.05 / 3, 0.05 / 3, 0.05 / 3]
         expected = sum(pc * math.log(pc / gc) for pc, gc in zip(p, g))
         preds = NameDistributionSeq((0,), np.full((1, 3), 1 / 3))
-        targets = TargetSeq(((0, 0, np.array(g)),))
+        targets = TargetSeq(((0, [0], np.array(g)),))
         assert rkl_loss(preds, targets) == pytest.approx(expected, abs=1e-12)
 
     def test_two_frames_sum(self):
@@ -153,7 +170,7 @@ class TestRklLoss:
 
     def test_unsmoothed_target_off_support_raises(self):
         preds = NameDistributionSeq((0,), np.array([[0.5, 0.5]]))
-        targets = TargetSeq(((0, 0, np.array([1.0, 0.0])),))
+        targets = TargetSeq(((0, [0], np.array([1.0, 0.0])),))
         with pytest.raises(NonFiniteLossError):
             rkl_loss(preds, targets)
 
@@ -175,21 +192,22 @@ class TestRklLoss:
     def test_gradient_flows_only_to_argmin(self):
         g = smoothed_onehot(0, 3, 0.05)
         rows = np.array([g.copy(), [1 / 3, 1 / 3, 1 / 3]])
-        preds = NameDistributionSeq((4, 9), rows)
-        targets = TargetSeq(((4, 0, g), (9, 0, g)))
-        _, drows = rkl_loss_with_grad(preds, targets)
+        targets = TargetSeq(((0, [0, 1], g),))
+        _, drows = rkl_loss_with_grad(rows, targets)
         assert np.any(drows[0] != 0)
         assert np.all(drows[1] == 0)
 
-    def test_tie_gradient_to_lowest_face_id(self):
-        g = smoothed_onehot(0, 3, 0.05)
-        rows = np.full((2, 3), 1 / 3)
-        preds = NameDistributionSeq((2, 1), rows)
-        targets = TargetSeq(((1, 0, g), (2, 0, g)))
-        _, drows = rkl_loss_with_grad(preds, targets)
-        # face_id 1 sits at row index 1
-        assert np.any(drows[1] != 0)
-        assert np.all(drows[0] == 0)
+    def test_tie_gradient_to_lowest_face_id(self, tiny_cast):
+        # The frame lists face 2 before face 1; the face table puts face 1
+        # at row 0, and the tie goes to it.
+        frame = Frame(0, 0.0, [unit_face(2, 0), unit_face(1, 0)], [], [], [])
+        clip = Clip("t", [frame], [SubtitleLine("Ada", ["hi"], 0.0, 0.9)], [], None)
+        ids, _ = face_table(clip)
+        assert ids == (1, 2)
+        targets = broadcast_targets(clip, tiny_cast, 0.05)
+        _, drows = rkl_loss_with_grad(np.full((2, 3), 1 / 3), targets)
+        assert np.any(drows[ids.index(1)] != 0)
+        assert np.all(drows[ids.index(2)] == 0)
 
 
 class TestAssignNames:
@@ -209,18 +227,34 @@ class TestAssignNames:
 
 class TestFaceAccuracy:
     def test_counts_matches_through_cast(self, tiny_cast):
-        rows = np.array([[0.8, 0.1, 0.1],   # Ada, truth Ada -> hit
-                         [0.1, 0.8, 0.1],   # Ben, truth Ada -> miss
-                         [0.1, 0.1, 0.8]])  # UNKNAME, truth Guest1 -> hit
-        preds = NameDistributionSeq((0, 1, 2), rows)
+        # Face 0 is named Ada, truth Ada -> hit; face 1 Ben, truth Ada ->
+        # miss; face 2 has no name (UNKNAME), truth Guest1 -> hit.
+        names = {0: "Ada", 1: "Ben"}
         truth = {0: "Ada", 1: "Ada", 2: "Guest1"}
-        assert face_accuracy(preds, truth, tiny_cast) == (2, 3)
+        assert face_accuracy(names, truth, tiny_cast) == (2, 3)
         # Faces without a truth label are not counted.
-        assert face_accuracy(preds, {0: "Ada", 1: "Ada"}, tiny_cast) == (1, 2)
+        assert face_accuracy(names, {0: "Ada", 1: "Ada"}, tiny_cast) == (1, 2)
 
     def test_empty_truth(self, tiny_cast):
-        preds = NameDistributionSeq((), np.zeros((0, 3)))
-        assert face_accuracy(preds, {}, tiny_cast) == (0, 0)
+        assert face_accuracy({}, {}, tiny_cast) == (0, 0)
+
+    def test_scores_the_name_assignment_as_argmax_over_rows(self, tiny_cast):
+        # Random head rows, ties included; the assignment's score equals an
+        # oracle count of argmax class against the label mapped through the cast.
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            n = int(rng.integers(0, 8))
+            rows = rng.integers(0, 3, size=(n, 3)) + 0.5
+            rows /= rows.sum(axis=1, keepdims=True)
+            ids = tuple(int(i) for i in rng.permutation(3 * n)[:n])
+            truth = {fid: str(rng.choice(["Ada", "Ben", "Guest1", "UNKNAME"]))
+                     for fid in ids}
+            names = assign_names(NameDistributionSeq(ids, rows), tiny_cast)
+            expected = 0
+            for fid, row in zip(ids, rows):
+                best = max(range(3), key=lambda c: (row[c], -c))
+                expected += best == map_speaker(truth[fid], tiny_cast)
+            assert face_accuracy(names, truth, tiny_cast) == (expected, n)
 
 
 class TestNamingGradients:
