@@ -335,12 +335,12 @@ class ModelConfig:
     epsilon: float = 0.05
 
     def __post_init__(self):
-        if self.d_model % self.heads != 0:
-            raise ConfigError("d_model must be divisible by heads")
         for name in ("d_model", "d_ff", "d_h1", "heads", "enc_layers",
                      "dec_layers", "ans_layers", "d_f"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.d_model % self.heads != 0:
+            raise ConfigError("d_model must be divisible by heads")
         if not 0.0 <= self.epsilon < 1.0:
             raise ConfigError("epsilon must lie in [0, 1)")
 

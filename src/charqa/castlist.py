@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import EmptyCastError
+from .errors import ConfigError, EmptyCastError
 
 UNKNAME = "UNKNAME"
 
@@ -84,12 +84,9 @@ def build_cast_list(counts: dict[str, int],
     survivors of the first filter.  Principals are ordered by count
     descending, ties broken lexicographically by name.
     """
+    check_thresholds(min_count, max_ratio)
     if min_count is None:
         min_count = scaled_min_count(sum(counts.values()))
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
-    if not 0.0 < max_ratio <= 1.0:
-        raise ValueError("max_ratio must lie in (0, 1]")
     if not counts:
         raise EmptyCastError("no speakers counted")
     max_count = max(counts.values())
@@ -108,6 +105,14 @@ def build_cast_list(counts: dict[str, int],
     return CastList(names, kept)
 
 
+def check_thresholds(min_count: int | None, max_ratio: float) -> None:
+    """ConfigError unless min_count is None or >= 1 and max_ratio lies in (0, 1]."""
+    if min_count is not None and min_count < 1:
+        raise ConfigError("min_count must be >= 1")
+    if not 0.0 < max_ratio <= 1.0:
+        raise ConfigError("max_ratio must lie in (0, 1]")
+
+
 def map_speaker(name: str, cast: CastList) -> int:
     """Exact-string match to a principal's index; anything else is UNKNAME."""
     return cast._index.get(name, cast.unk_index)
@@ -122,5 +127,6 @@ def scaled_min_count(total_lines: int) -> int:
 
 __all__ = [
     "UNKNAME", "DEFAULT_MIN_COUNT", "DEFAULT_MAX_RATIO", "REFERENCE_TOTAL_LINES",
-    "CastList", "count_speakers", "build_cast_list", "map_speaker", "scaled_min_count",
+    "CastList", "count_speakers", "build_cast_list", "check_thresholds", "map_speaker",
+    "scaled_min_count",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -212,7 +213,8 @@ class GenConfig:
         if self.frames_per_clip > len(DEFAULT_DIALOGUE_VOCAB):
             raise ConfigError(f"frames_per_clip must be <= {len(DEFAULT_DIALOGUE_VOCAB)}, "
                               "the size of the dialogue vocabulary")
-        if not (self.noise_sigma >= 0 and math.isfinite(self.noise_sigma)):
+        # math.isfinite would raise OverflowError for an integer too large for a float.
+        if not 0 <= self.noise_sigma <= sys.float_info.max:
             raise ConfigError("noise_sigma must be a finite value >= 0")
         if not 0.0 <= self.cooccur_rho <= 1.0:
             raise ConfigError("cooccur_rho must lie in [0, 1]")
@@ -536,6 +538,7 @@ def _embedding(v) -> np.ndarray:
 
 
 def clip_to_dict(clip: Clip) -> dict:
+    """The clip's JSON record; it shares no list with the clip."""
     return {
         "schema_version": SCHEMA_VERSION,
         "clip_id": clip.clip_id,
@@ -568,13 +571,14 @@ def clip_to_dict(clip: Clip) -> dict:
             for f in clip.frames
         ],
         "subtitles": [
-            {"speaker": s.speaker, "tokens": s.tokens, "t_start": s.t_start, "t_end": s.t_end}
+            {"speaker": s.speaker, "tokens": list(s.tokens), "t_start": s.t_start,
+             "t_end": s.t_end}
             for s in clip.subtitles
         ],
         "qas": [
             {
-                "question": q.question,
-                "answers": q.answers,
+                "question": list(q.question),
+                "answers": [list(a) for a in q.answers],
                 "correct_index": q.correct_index,
                 "ts_interval": [q.ts_interval[0], q.ts_interval[1]],
                 "qtype": q.qtype,

@@ -13,6 +13,7 @@ import gc
 import hashlib
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
@@ -20,7 +21,8 @@ import numpy as np
 
 from . import nn
 from .carn import VARIANT_LABELS, ModalityConfig, Model, ModelConfig, Vocab, build_vocab
-from .castlist import DEFAULT_MAX_RATIO, CastList, build_cast_list, count_speakers
+from .castlist import (DEFAULT_MAX_RATIO, CastList, build_cast_list, check_thresholds,
+                       count_speakers)
 from .corpus import (BBox, Clip, FaceDetection, Frame, QAItem, RelationTriple,
                      SubtitleLine, clip_view)
 from .errors import ConfigError, EmptyInputError, NonFiniteLossError, ShapeError
@@ -47,14 +49,17 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
+        # Comparisons, not math.isfinite, which raises OverflowError for an
+        # integer too large for a float; NaN fails every comparison.
+        if not 0 < self.learning_rate <= sys.float_info.max:
+            raise ConfigError("learning_rate must be a finite number > 0")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if self.lam < 0:
-            raise ConfigError("lam must be >= 0")
+        if not 0 <= self.lam <= sys.float_info.max:
+            raise ConfigError("lam must be a finite number >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        check_thresholds(self.min_count, self.max_ratio)
 
     def to_dict(self) -> dict:
         d = dict(self.__dict__)

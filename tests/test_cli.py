@@ -92,6 +92,42 @@ class TestGen:
         assert not (workdir / "nope.npz").exists()
 
 
+@pytest.mark.parametrize("argv, config, field", [
+    pytest.param(["train"], '{"model": {"heads": 0}}', "heads", id="heads-0"),
+    pytest.param(["train"], '{"learning_rate": NaN}', "learning_rate", id="lr-nan"),
+    pytest.param(["train"], '{"learning_rate": Infinity}', "learning_rate", id="lr-inf"),
+    pytest.param(["train"], '{"lam": Infinity}', "lam", id="lam-inf"),
+    pytest.param(["train"], '{"max_ratio": 2.0}', "max_ratio", id="max-ratio-2"),
+    pytest.param(["train", "--max-ratio", "2"], None, "max_ratio", id="max-ratio-flag-2"),
+    pytest.param(["train"], '{"min_count": 0}', "min_count", id="min-count-0"),
+    pytest.param(["castlist", "--min-count", "0"], None, "min_count",
+                 id="castlist-min-count-0"),
+    pytest.param(["castlist", "--max-ratio", "2"], None, "max_ratio",
+                 id="castlist-max-ratio-2"),
+    pytest.param(["gen"], '{"noise_sigma": 1' + "0" * 400 + "}", "noise_sigma",
+                 id="noise-sigma-huge-int"),
+])
+def test_out_of_range_setting_is_one_line_error(workdir, tmp_path, capsys, argv, config,
+                                                 field):
+    # Python's json reads NaN and Infinity; neither, nor a number out of its
+    # field's range, gets past the boundary.
+    out = tmp_path / "out"
+    argv = argv[:1] + (["--out", str(out)] if argv[0] != "castlist" else []) + argv[1:]
+    if argv[0] != "gen":
+        argv += ["--corpus", str(workdir / "corpus.jsonl")]
+    if argv[0] == "train":
+        argv += ["--epochs", "1"]  # a value that only poisons the parameters would still save
+    if config is not None:
+        (tmp_path / "config.json").write_text(config, encoding="utf-8")
+        argv += ["--config", str(tmp_path / "config.json")]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert field in err, err
+    assert not out.exists()
+
+
 def test_train_takes_d_f_from_corpus(tmp_path, capsys):
     corpus = str(tmp_path / "corpus.jsonl")
     assert main(["gen", "--out", corpus, "--k", "2", "--extras", "1", "--clips", "4",

@@ -170,6 +170,15 @@ class TestSerialization:
     def test_dict_round_trip_preserves_truth(self, tiny_clip):
         assert clip_from_dict(clip_to_dict(tiny_clip)) == tiny_clip
 
+    def test_record_shares_no_list_with_the_clip(self, tiny_clip):
+        before = copy.deepcopy(tiny_clip)
+        d = clip_to_dict(tiny_clip)
+        d["subtitles"][0]["tokens"][0] = "edited"
+        d["qas"][0]["question"][0] = "edited"
+        d["qas"][0]["answers"][0][0] = "edited"
+        d["qas"][0]["answers"].append(["more"])
+        assert tiny_clip == before
+
     def test_empty_object_line_is_parse_error_at_line_1(self, tmp_path):
         p = tmp_path / "bad.jsonl"
         p.write_text("{}\n")
@@ -205,7 +214,7 @@ class TestSerialization:
         ("triple tokens", ("frames", 0, "triples", 0, "predicate")),
     ])
     def test_empty_token_is_parse_error_with_line_number(self, tmp_path, tiny_clip, what, path):
-        d = copy.deepcopy(clip_to_dict(tiny_clip))  # it shares the clip's token lists
+        d = clip_to_dict(tiny_clip)
         owner = d
         for key in path[:-1]:
             owner = owner[key]

@@ -1,16 +1,21 @@
 """Training loop, evaluation, ablation grid, metrics files, gradient-check
 runner."""
 
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from charqa import harness, nn
 from charqa.carn import VARIANT_LABELS, ModalityConfig, Model, ModelConfig
-from charqa.corpus import Clip, GenConfig, QAItem, generate_corpus
+from charqa.corpus import DEFAULT_DIALOGUE_VOCAB, Clip, GenConfig, QAItem, generate_corpus
 from charqa.errors import ConfigError, EmptyInputError
 from charqa.harness import (METRICS_COLUMNS, GradCheckReport, TrainConfig, _mini_setup,
-                            ablate, broadcast_targets, evaluate, format_report, grad_check,
-                            metrics_csv_text, train, write_metrics_csv)
+                            ablate, broadcast_targets, config_kwargs, evaluate, format_report,
+                            grad_check, metrics_csv_text, train, write_metrics_csv)
 
 SMALL_MODEL = ModelConfig(d_model=16, d_ff=24, d_h1=8, heads=2, d_f=16)
 
@@ -45,6 +50,99 @@ class TestTrainConfig:
         a = small_config()
         assert a.hash() == small_config().hash()
         assert a.hash() != small_config(seed=1).hash()
+
+
+def _finite(v):
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+# What a config may hold, per numeric field.
+TRAIN_RANGES = {
+    "batch_size": lambda v: v >= 1,
+    "learning_rate": lambda v: _finite(v) and v > 0,
+    "epochs": lambda v: v >= 0,
+    "lam": lambda v: _finite(v) and v >= 0,
+    "seed": lambda v: v >= 0,
+    "min_count": lambda v: v is None or v >= 1,
+    "max_ratio": lambda v: _finite(v) and 0 < v <= 1,
+}
+MODEL_RANGES = {
+    **{name: lambda v: v >= 1 for name in ("d_model", "d_ff", "d_h1", "heads", "enc_layers",
+                                           "dec_layers", "ans_layers")},
+    "d_f": lambda v: v is None or v >= 1,
+    "epsilon": lambda v: _finite(v) and 0 <= v < 1,
+}
+GEN_RANGES = {
+    "k_principals": lambda v: v >= 1,
+    "n_extras": lambda v: v >= 0,
+    "n_clips": lambda v: v >= 1,
+    "frames_per_clip": lambda v: 1 <= v <= len(DEFAULT_DIALOGUE_VOCAB),
+    "d_f": lambda v: v >= 1,
+    "noise_sigma": lambda v: _finite(v) and v >= 0,
+    "cooccur_rho": lambda v: _finite(v) and 0 <= v <= 1,
+    "seed": lambda v: v >= 0,
+}
+
+JSON_SCALARS = st.one_of(
+    st.integers(-3, 3), st.integers(), st.sampled_from([10 ** 400, -10 ** 400]),
+    st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([0.5, 1.0, 2.0]),
+    st.booleans(), st.text(max_size=6), st.none())
+JSON_VALUES = st.recursive(
+    JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=4)
+
+
+def json_objects(cls, **nested):
+    """JSON objects over the fields of cls, any subset, each value drawn from
+    nested[name] or else from any JSON value."""
+    return st.fixed_dictionaries({}, optional={
+        f.name: nested.get(f.name, JSON_VALUES) for f in fields(cls)})
+
+
+def assert_in_range(config, ranges):
+    numeric = {f.name for f in fields(config)
+               if f.type.removesuffix(" | None") in ("int", "float")}
+    assert set(ranges) == numeric
+    for name, ok in ranges.items():
+        v = getattr(config, name)
+        assert v is None or (isinstance(v, (int, float)) and not isinstance(v, bool)), name
+        assert ok(v), (name, v)
+
+
+class TestConfigFileProperties:
+    """A --config file either gives a ConfigError or a config whose every
+    numeric field is finite and in range."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_objects(TrainConfig,
+                        model=json_objects(ModelConfig) | JSON_VALUES,
+                        modality=st.sampled_from(VARIANT_LABELS) | JSON_VALUES))
+    @example({"model": {"heads": 0}})
+    @example({"learning_rate": math.nan})
+    @example({"lam": math.inf})
+    @example({"min_count": 0})
+    @example({"max_ratio": 2.0})
+    def test_train_config(self, d):
+        try:
+            config = TrainConfig.from_dict(d)
+        except ConfigError:
+            return
+        assert_in_range(config, TRAIN_RANGES)
+        assert_in_range(config.model, MODEL_RANGES)
+        assert config.model.d_model % config.model.heads == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_objects(GenConfig))
+    @example({"noise_sigma": 10 ** 400})
+    def test_gen_config(self, d):
+        try:
+            config = GenConfig(**config_kwargs(GenConfig, d, "gen config"))
+        except ConfigError:
+            return
+        assert_in_range(config, GEN_RANGES)
 
 
 class TestTrain:
