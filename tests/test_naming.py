@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from charqa.carn import Model, ModelConfig, build_vocab
 from charqa.castlist import build_cast_list, count_speakers, map_speaker
 from charqa.corpus import (BBox, Clip, FaceDetection, Frame, GenConfig, SubtitleLine,
                            generate_corpus)
@@ -238,9 +239,31 @@ class TestFaceAccuracy:
     def test_empty_truth(self, tiny_cast):
         assert face_accuracy({}, {}, tiny_cast) == (0, 0)
 
-    def test_scores_the_name_assignment_as_argmax_over_rows(self, tiny_cast):
-        # Random head rows, ties included; the assignment's score equals an
-        # oracle count of argmax class against the label mapped through the cast.
+    @staticmethod
+    def oracle_counts(face_ids, rows, truth, cast):
+        """(correct, total): argmax class of each labelled face's row (ties to
+        the lowest class) against its label mapped through the cast."""
+        correct = 0
+        for fid, row in zip(face_ids, rows):
+            best = max(range(len(row)), key=lambda c: (row[c], -c))
+            correct += best == map_speaker(truth[fid], cast)
+        return correct, len(truth)
+
+    def test_model_names_score_as_argmax_over_rows(self, small_corpus):
+        cast = build_cast_list(count_speakers(small_corpus), min_count=None)
+        model = Model(build_vocab(small_corpus, cast), cast,
+                      ModelConfig(d_model=8, d_ff=12, d_h1=6, heads=2, d_f=16),
+                      rng=np.random.default_rng(3))
+        named = 0
+        for clip in small_corpus:
+            preds = model.predict_faces(clip)
+            names = model.name_assignments(clip)
+            named += len(names)
+            assert face_accuracy(names, clip.truth, cast) == self.oracle_counts(
+                preds.face_ids, preds.rows, clip.truth, cast)
+        assert 0 < named < sum(len(clip.truth) for clip in small_corpus)  # UNKNAME too
+
+    def test_ties_score_as_argmax_over_rows(self, tiny_cast):
         rng = np.random.default_rng(4)
         for _ in range(20):
             n = int(rng.integers(0, 8))
@@ -250,11 +273,8 @@ class TestFaceAccuracy:
             truth = {fid: str(rng.choice(["Ada", "Ben", "Guest1", "UNKNAME"]))
                      for fid in ids}
             names = assign_names(NameDistributionSeq(ids, rows), tiny_cast)
-            expected = 0
-            for fid, row in zip(ids, rows):
-                best = max(range(3), key=lambda c: (row[c], -c))
-                expected += best == map_speaker(truth[fid], tiny_cast)
-            assert face_accuracy(names, truth, tiny_cast) == (expected, n)
+            assert face_accuracy(names, truth, tiny_cast) == self.oracle_counts(
+                ids, rows, truth, tiny_cast)
 
 
 class TestNamingGradients:
