@@ -9,7 +9,6 @@ that weak-supervision experiments can be scored exactly.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -68,10 +67,10 @@ class BBox:
 
     def __post_init__(self):
         vals = (self.x0, self.y0, self.x1, self.y1)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"non-finite box coordinates {vals}")
-        if min(vals) < 0:
-            raise ValueError(f"negative box coordinates {vals}")
+        # Comparisons, not math.isfinite, which raises OverflowError for an
+        # integer too large for a float; they also refuse NaN.
+        if not all(0 <= v <= sys.float_info.max for v in vals):
+            raise ValueError(f"box coordinates must be finite and >= 0, got {vals}")
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise ValueError(f"box has no positive area {vals}")
 

@@ -226,6 +226,21 @@ class TestTrainEval:
         assert rc == 1 and err.count("\n") == 1, err
         assert re.match(f"error: line 1: bad clip record: [a-z ]*{path[-1]} must be", err), err
 
+    @pytest.mark.parametrize("where", ["face", "human"])
+    def test_box_too_large_for_a_float_one_line_error(self, workdir, tmp_path, capsys,
+                                                      where):
+        lines = (workdir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[0])
+        frame = record["frames"][0]
+        box = frame["faces"][0]["box"] if where == "face" else frame["human_boxes"][0]["box"]
+        box[2] = 10 ** 400
+        bad = tmp_path / "huge.jsonl"
+        bad.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n", encoding="utf-8")
+        rc = main(["castlist", "--corpus", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1, err
+        assert err.startswith("error: line 1: bad clip record:"), err
+
     def test_train_outputs(self, workdir):
         report = json.loads((workdir / "train_report.json").read_text(encoding="utf-8"))
         assert report["variant"]

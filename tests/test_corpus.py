@@ -40,6 +40,14 @@ class TestBBox:
         with pytest.raises(ValueError):
             BBox(5, 5, 5, 10)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 10 ** 400],
+                             ids=["nan", "inf", "int_too_large_for_a_float"])
+    def test_rejects_non_finite_as_value_error(self, bad):
+        # An integer too large for a float is a ValueError too, not the
+        # OverflowError that math.isfinite raises for it.
+        with pytest.raises(ValueError, match="must be finite"):
+            BBox(0, 0, bad, 10)
+
 
 class TestGenerate:
     def test_structure_k3_two_clips(self):
