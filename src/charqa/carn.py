@@ -51,12 +51,12 @@ PROB_FLOOR = 1e-12
 
 # Items per forward/backward pass of the QA part in training. Larger passes
 # amortize numpy's per-call overhead over more rows but hold more activation
-# caches at once (about 0.3 MB per item at d_model 32). Measured on the
-# benchmark's reference workloads: 6 items gave 12% more ablate_grid and 9%
-# more train_ref throughput than 3, but raised ablate_grid peak memory 5.7%
-# over one-item passes, where 3 raised it 2.1%. 3 is the largest size that
-# kept that rise within a 3% budget.
-MICRO_BATCH = 3
+# caches at once. Caches hold no attention weights (backward recomputes
+# them), and backward frees each cache once it has used it. Measured with
+# tracemalloc on one 64-item optimizer batch of 60 reference clips at
+# d_model 32: the peak is 2.48 MB at 6 items, against 2.21 MB at 3 items and
+# 3.70 MB at 6 items with the weights cached.
+MICRO_BATCH = 6
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +508,9 @@ class Model:
     def backward_item(self, cache, dlogits: np.ndarray, grads: dict) -> None:
         """Accumulate the parameter gradients of a batch, given dL/dlogits
         (B, 5). A context stream shared by several items gets the sum of
-        their context gradients before its one encoder backward."""
+        their context gradients before its one encoder backward. The cache
+        is used up: each pass's decoder and context-encoder caches are
+        dropped once the pass has run."""
         p = self.params
         mask, q_mask, enc_cache, passes, dec_caches, ans_cache, a, _ = cache
         d = a.shape[-1]
@@ -520,15 +522,17 @@ class Model:
         lengths = mask.sum(axis=1)
         dv = np.zeros(q_mask.shape + (d,))
         dv[q_mask] = np.repeat(dm.reshape(-1, d) / lengths[:, None], lengths, axis=0)
-        for (prefix, _), pass_cache in zip(reversed(passes), reversed(dec_caches)):
+        for prefix, _ in reversed(passes):
+            pass_cache = dec_caches.pop()
             if pass_cache is None:
                 continue
             items, u, h_shape, ctx_cache, dec_cache = pass_cache
-            dq, dctx = nn.stack_backward(p, prefix, dec_cache, dv[items], grads)
-            dv[items] = dq
+            dv[items], dctx = nn.stack_backward(p, prefix, dec_cache, dv[items], grads)
             dh = np.zeros(h_shape)
             np.add.at(dh, u, dctx)
             self._encode_backward(ctx_cache, dh, grads)
+            # Nothing of the pass outlives it: its caches go once it has run.
+            del pass_cache, ctx_cache, dec_cache, dctx, dh
         dh_q = np.zeros(mask.shape + (d,))
         dh_q[mask] = dv[q_mask]
         self._encode_backward(enc_cache, dh_q, grads)

@@ -474,9 +474,10 @@ def _mini_setup(rng):
 
 
 def _mini_batch(clip: Clip, qa: QAItem):
-    """Two items from each of two clips: _mini_setup's clip with a second
-    question, and a clip whose streams are longer, so that the contexts of
-    a batch pad and each clip's context is shared by two items."""
+    """Seven items: three of _mini_setup's clip and four of a clip whose
+    streams are longer, so that the contexts of a batch pad, each clip's
+    context is shared by several items, and the batch is longer than one
+    micro-batch."""
     (frame,) = clip.frames
     (face,) = frame.faces
     human = frame.human_boxes[0][0]
@@ -486,16 +487,21 @@ def _mini_batch(clip: Clip, qa: QAItem):
                     RelationTriple("man", "holds", "story", human)])
     lines = [SubtitleLine("Ben", ["so", "story", "so"], 0.0, 0.9),
              SubtitleLine("Ada", ["story"], 0.5, 0.9)]
-    qa2 = QAItem(["who", "holds", "story"],
-                 [["so"], ["story", "cup"], ["Ben"], ["Ada"], ["man"]], 2, (0.0, 0.9))
-    other = Clip("mini2", [frame2], lines, [qa, qa2], {1: "Ben"})
-    first = Clip(clip.clip_id, clip.frames, clip.subtitles, [qa, qa2], clip.truth)
+    qas = [qa,
+           QAItem(["who", "holds", "story"],
+                  [["so"], ["story", "cup"], ["Ben"], ["Ada"], ["man"]], 2, (0.0, 0.9)),
+           QAItem(["who", "so"], [["man"], ["Ben", "so"], ["story"], ["Ada"], ["cup"]], 3,
+                  (0.0, 0.9)),
+           QAItem(["so", "cup"], [["holds"], ["Ada", "story"], ["man", "so", "cup"], ["who"],
+                                  ["Ben"]], 1, (0.0, 0.9))]
+    other = Clip("mini2", [frame2], lines, qas, {1: "Ben"})
+    first = Clip(clip.clip_id, clip.frames, clip.subtitles, qas[:3], clip.truth)
     return [(c, q) for c in (first, other) for q in c.qas]
 
 
 def check_full(rng, tolerance: float = 1e-4, max_entries_per_tensor: int = 2):
     """One random config: joint CE + lambda*RKL on a tiny handmade item,
-    then summed over a batch of two items from each of two clips, run as
+    then summed over _mini_batch's seven items from two clips, run as
     training runs it (micro-batches of carn.MICRO_BATCH, so the second clip's
     items fall into two of them)."""
     model, clip, qa = _mini_setup(rng)

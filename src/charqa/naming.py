@@ -89,7 +89,8 @@ def naming_forward(params, embeddings: np.ndarray) -> np.ndarray:
 def naming_backward(params, embeddings: np.ndarray, rows: np.ndarray, drows: np.ndarray,
                     grads: dict) -> None:
     """Accumulate into grads the "naming.*" gradients of a loss whose
-    gradient with respect to naming_forward's rows is drows."""
+    gradient with respect to naming_forward's rows is drows, which the
+    softmax backward overwrites."""
     ffn_backward(params, "naming", embeddings, softmax_backward(rows, drows), grads)
 
 

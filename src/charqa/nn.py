@@ -4,9 +4,11 @@ reasoning network uses, plus Adam and finite-difference helpers.
 Everything is written against a flat dict[str, ndarray] parameter store with
 dotted key prefixes ("enc.l0.attn.wq", ...). Each forward returns (output,
 cache); each backward consumes the cache and accumulates parameter gradients
-into a same-keyed dict while returning input gradients. Gradients are exact,
-which the finite-difference suite checks, so keep any new op differentiable
-or route it around the tape the way the hard min in the naming loss is.
+into a same-keyed dict while returning input gradients. A cache is used
+once: stack_backward pops each block's cache as it runs the block, so its
+memory goes as backward goes. Gradients are exact, which the
+finite-difference suite checks, so keep any new op differentiable or route
+it around the tape the way the hard min in the naming loss is.
 
 Every op takes leading batch axes: a (n, d) sequence and a (B, n, d) batch
 of equal-length (padded) sequences run through the same code, and weight
@@ -15,9 +17,12 @@ the valid keys of each sequence. The ops are sized for batches of many
 short rows, where numpy's cost per call dominates: reductions over the
 short last axis (the softmax row max and row sums, the layer-norm means)
 run as a max over a contiguous transpose or as one matrix-vector product
-with a constant column, and caches keep only what backward cannot
-recompute elementwise or with one gemm, because a training batch holds
-every block's cache at once.
+with a constant column. Caches keep only what backward cannot recompute
+elementwise or with one gemm, because a training batch holds every block's
+cache at once: no cache holds attention weights, which backward recomputes
+from the cached block input with one gemm and one softmax. The attention
+scores are scaled, masked and normalized in place in one array, and the
+softmax backward overwrites the gradient it is given.
 
 Attention follows the convention of reusing the projected keys as values:
 Attention(Q, K) = softmax(QK^T/sqrt(d_h)) K, with per-head projections for
@@ -68,14 +73,20 @@ def row_mean(x: np.ndarray) -> np.ndarray:
     return row_sum(x, 1.0 / x.shape[-1])
 
 
-def softmax(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis."""
-    e = np.exp(x - row_max(x))
-    return e / row_sum(e)
+def softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis, written into out if given (out may be x)."""
+    out = np.subtract(x, row_max(x), out=out)
+    np.exp(out, out=out)
+    out /= row_sum(out)
+    return out
 
 
 def softmax_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
-    return p * (dp - row_sum(dp * p))
+    """The gradient of the softmax input, given the softmax output p and the
+    gradient dp of its output; written into dp, which it returns."""
+    dp -= row_sum(dp * p)
+    dp *= p
+    return dp
 
 
 def layernorm_forward(x, g, b, eps: float = 1e-5):
@@ -98,25 +109,30 @@ def layernorm_backward(cache, dy):
 # Attention (keys double as values)
 
 
-def attention_forward(q, k, key_mask=None):
-    """softmax(QK^T/sqrt(d_h)) K, plus the cache for backward. key_mask marks
-    VALID key rows (True=keep)."""
+def attention_weights(q, k, key_mask=None):
+    """softmax(QK^T/sqrt(d_h)) over the valid keys: key_mask marks VALID key
+    rows (True=keep). The scores are scaled, masked and normalized in place."""
     if q.ndim < 2 or k.ndim < 2:
         raise ShapeError(f"attention expects arrays of rank >= 2, got {q.shape} and {k.shape}")
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"feature dims differ: {q.shape[-1]} vs {k.shape[-1]}")
     if k.shape[-2] == 0:
         raise EmptyInputError("attention needs at least one key")
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    s = (q @ k.swapaxes(-1, -2)) * scale
+    s = q @ k.swapaxes(-1, -2)
+    s *= 1.0 / math.sqrt(q.shape[-1])
     if key_mask is not None:
-        s = np.where(key_mask[..., None, :], s, MASK_FILL)
-    p = softmax(s)
-    return p @ k, (q, k, p, scale)
+        np.copyto(s, MASK_FILL, where=~key_mask[..., None, :])
+    return softmax(s, out=s)
 
 
-def attention_backward(cache, dy):
-    q, k, p, scale = cache
+def attention_forward(q, k, key_mask=None):
+    """softmax(QK^T/sqrt(d_h)) K. No cache: backward recomputes the weights."""
+    return attention_weights(q, k, key_mask) @ k
+
+
+def attention_backward(q, k, p, dy):
+    """(dL/dq, dL/dk) of attention_forward, given its attention weights p."""
+    scale = 1.0 / math.sqrt(q.shape[-1])
     dp = dy @ k.swapaxes(-1, -2)
     dk = p.swapaxes(-1, -2) @ dy
     ds = softmax_backward(p, dp)  # masked cols have p=0 -> ds=0
@@ -142,30 +158,31 @@ def _project_backward(x, w, dy):
     return gw, dx.reshape(x.shape)
 
 
+def _per_head(key_mask):
+    return None if key_mask is None else key_mask[..., None, :]  # one row for every head
+
+
 def mha_forward(params, prefix, xq, xk, key_mask=None):
     """Multi-head: per-head q/k projections, concat of per-head outputs.
 
     All heads run as one (..., H, n, d_h) matmul; head h fills columns
-    h*d_h:(h+1)*d_h of the output. The cache keeps the inputs and the
-    attention weights; backward recomputes the projections.
+    h*d_h:(h+1)*d_h of the output. The cache keeps the inputs and the key
+    mask; backward recomputes the projections and the attention weights.
     """
-    wq = params[prefix + ".wq"]  # (H, d_model, d_h)
-    wk = params[prefix + ".wk"]
-    if key_mask is not None:
-        key_mask = key_mask[..., None, :]  # one mask row for every head
-    y, (_, _, p, _) = attention_forward(_project(xq, wq), _project(xk, wk), key_mask)
-    y = y.swapaxes(-3, -2)
-    return y.reshape(y.shape[:-2] + (-1,)), (xq, xk, p)
+    q = _project(xq, params[prefix + ".wq"])  # wq: (H, d_model, d_h)
+    k = _project(xk, params[prefix + ".wk"])
+    y = attention_forward(q, k, _per_head(key_mask)).swapaxes(-3, -2)
+    return y.reshape(y.shape[:-2] + (-1,)), (xq, xk, key_mask)
 
 
 def mha_backward(params, prefix, cache, dy, grads):
-    xq, xk, p = cache
+    xq, xk, key_mask = cache
     wq = params[prefix + ".wq"]
     wk = params[prefix + ".wk"]
     n_heads, _, d_h = wq.shape
     q, k = _project(xq, wq), _project(xk, wk)
     dy = dy.reshape(dy.shape[:-1] + (n_heads, d_h)).swapaxes(-3, -2)
-    dq, dk = attention_backward((q, k, p, 1.0 / math.sqrt(d_h)), dy)
+    dq, dk = attention_backward(q, k, attention_weights(q, k, _per_head(key_mask)), dy)
     gq, dxq = _project_backward(xq, wq, dq)
     gk, dxk = _project_backward(xk, wk, dk)
     grads[prefix + ".wq"] = grads.get(prefix + ".wq", 0) + gq
@@ -203,17 +220,17 @@ def block_forward(params, prefix, x, context=None, key_mask=None):
     """x = x + MHA(LN1(x), C); x = x + FFN(LN2(x)). Self-attention when
     context is None (C = LN1(x)), cross-attention otherwise (C = context).
 
-    The cache keeps the two layer norms' caches, the attention weights and
-    the context: backward recomputes the layer-norm outputs elementwise and
-    the projections and the FFN pre-activation with one gemm each, since a
-    training batch holds every block's cache at once."""
+    The cache keeps the two layer norms' caches, the context and the key
+    mask: backward recomputes the layer-norm outputs elementwise, the
+    projections and the FFN pre-activation with one gemm each, and the
+    attention weights with one gemm and one softmax, since a training batch
+    holds every block's cache at once."""
     u, ln1c = layernorm_forward(x, params[prefix + ".ln1.g"], params[prefix + ".ln1.b"])
-    a, (_, _, p) = mha_forward(params, prefix + ".attn", u, u if context is None else context,
-                               key_mask)
+    a, _ = mha_forward(params, prefix + ".attn", u, u if context is None else context, key_mask)
     x1 = x + a
     v, ln2c = layernorm_forward(x1, params[prefix + ".ln2.g"], params[prefix + ".ln2.b"])
     f, _ = ffn_forward(params, prefix + ".ffn", v)
-    return x1 + f, (ln1c, p, ln2c, context)
+    return x1 + f, (ln1c, ln2c, context, key_mask)
 
 
 def _layernorm_output(params, prefix, cache):
@@ -222,7 +239,7 @@ def _layernorm_output(params, prefix, cache):
 
 
 def block_backward(params, prefix, cache, dy, grads):
-    ln1c, p, ln2c, context = cache
+    ln1c, ln2c, context, key_mask = cache
     v = _layernorm_output(params, prefix + ".ln2", ln2c)
     dv = ffn_backward(params, prefix + ".ffn", v, dy, grads)
     dxx, dg2, db2 = layernorm_backward(ln2c, dv)
@@ -231,7 +248,7 @@ def block_backward(params, prefix, cache, dy, grads):
     dx1 = dy + dxx
     u = _layernorm_output(params, prefix + ".ln1", ln1c)
     du, dctx = mha_backward(params, prefix + ".attn",
-                            (u, u if context is None else context, p), dx1, grads)
+                            (u, u if context is None else context, key_mask), dx1, grads)
     if context is None:
         du = du + dctx
         dctx = None
@@ -258,13 +275,16 @@ def stack_forward(params, prefix, n_layers, x, context=None, key_mask=None,
 
 
 def stack_backward(params, prefix, cache, dy, grads):
+    """Backward of stack_forward. Each block's cache is popped as it is
+    consumed, so its memory goes as soon as the block is done, and a second
+    backward over the same cache raises IndexError."""
     caches, lnc, n_layers = cache
     dx, dg, db = layernorm_backward(lnc, dy)
     grads[prefix + ".lnf.g"] = grads.get(prefix + ".lnf.g", 0) + dg
     grads[prefix + ".lnf.b"] = grads.get(prefix + ".lnf.b", 0) + db
     dctx_total = None
     for i in reversed(range(n_layers)):
-        dx, dctx = block_backward(params, f"{prefix}.l{i}", caches[i], dx, grads)
+        dx, dctx = block_backward(params, f"{prefix}.l{i}", caches.pop(), dx, grads)
         if dctx is not None:
             dctx_total = dctx if dctx_total is None else dctx_total + dctx
     return dx, dctx_total
@@ -428,8 +448,8 @@ def check_gradients(fun, params, analytic: dict, keys=None, step=1e-5,
 
 __all__ = [
     "MASK_FILL", "row_max", "row_sum", "row_mean", "softmax", "softmax_backward",
-    "layernorm_forward", "layernorm_backward", "attention_forward", "attention_backward",
-    "mha_forward", "mha_backward", "ffn_forward", "ffn_backward",
+    "layernorm_forward", "layernorm_backward", "attention_weights", "attention_forward",
+    "attention_backward", "mha_forward", "mha_backward", "ffn_forward", "ffn_backward",
     "block_forward", "block_backward", "stack_forward", "stack_backward",
     "init_block", "init_stack", "sinusoidal_positions", "Adam",
     "fd_gradient_entry", "relative_error", "check_gradients",

@@ -3,6 +3,7 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from charqa.carn import (FULL_VARIANT, ModalityConfig, Model, ModelConfig,
                          VARIANT_LABELS, Vocab, build_vocab, embed, embed_backward,
                          joint_loss)
 from charqa.castlist import CastList, build_cast_list, count_speakers
-from charqa.corpus import BBox, Clip, FaceDetection, Frame, QAItem, SubtitleLine, clip_view
+from charqa.corpus import (BBox, Clip, FaceDetection, Frame, GenConfig, QAItem, SubtitleLine,
+                           clip_view, generate_corpus)
 from charqa.errors import (CheckpointError, ConfigError, EmptyInputError, ShapeError,
                            VocabError)
 from charqa.harness import _mini_setup, grad_check
@@ -31,7 +33,7 @@ def stack_params(prefix="enc", d_model=8, d_ff=12, heads=4, seed=0):
 
 # The ops the model runs, output only.
 def attention(q, k, key_mask=None):
-    return nn.attention_forward(q, k, key_mask)[0]
+    return nn.attention_forward(q, k, key_mask)
 
 
 def encode(x, params, key_mask=None):
@@ -700,13 +702,23 @@ class TestBatch:
             assert np.max(np.abs(grads[k] - perm_grads[k])) <= 1e-12, k
 
     def test_naming_head_runs_once_per_clip_of_a_batch(self, setup, monkeypatch):
-        # Micro-batches of MICRO_BATCH (3) items split two clips' items over
-        # two micro-batches each (counts 1 + 1 and 3 + 1). The naming head runs once per
-        # distinct clip of the whole batch, with its RKL gradient weighted by
-        # the clip's item count; that equals the rule of running each
-        # micro-batch as its own batch (once per clip of a micro-batch), and
-        # items without face names take the assignment of that one forward.
+        # The batch is ordered so that two clips (the first, of two items, and
+        # the last, of four) have items on both sides of the first
+        # micro-batch boundary. The naming head runs once per distinct clip
+        # of the whole batch, with its RKL gradient weighted by the clip's
+        # item count; that equals the rule of running each micro-batch as its
+        # own batch (once per clip of a micro-batch), and items without face
+        # names take the assignment of that one forward.
         model, items = setup
+        m = carn.MICRO_BATCH
+        rest = [2, 3, 4, 5, 8, 9]
+        assert 2 <= m <= len(rest) + 2
+        items = [items[i] for i in rest[:m - 2] + [6, 0, 1, 7] + rest[m - 2:]]
+        micro = [items[m0:m0 + m] for m0 in range(0, len(items), m)]
+        clips_per_micro = [{id(clip) for clip, *_ in mb} for mb in micro]
+        crossing = {c for i, a in enumerate(clips_per_micro) for b in clips_per_micro[i + 1:]
+                    for c in a & b}
+        assert len(crossing) >= 2
         batch = [(clip, view, qa, None, targets) for clip, view, qa, _, targets in items]
         heads, named = [], []
         forward_item, naming_forward = Model.forward_item, carn.naming_forward
@@ -716,13 +728,12 @@ class TestBatch:
             named.extend(names for _, _, names in b) or forward_item(model, b, **kw)))
         grads = {}
         results = model.loss_and_grads(batch, lam=0.7, grads=grads)
-        assert len(heads) == 4
+        n_clips = len({id(clip) for clip, *_ in items})
+        assert len(heads) == n_clips
         assert named == [names for _, _, _, names, _ in items]
         ref_grads = {}
-        assert carn.MICRO_BATCH == 3
-        ref = [r for m0 in range(0, len(items), 3)
-               for r in model.loss_and_grads(items[m0:m0 + 3], lam=0.7, grads=ref_grads)]
-        assert len(heads) == 4 + 2 + 2 + 1 + 1
+        ref = [r for mb in micro for r in model.loss_and_grads(mb, lam=0.7, grads=ref_grads)]
+        assert len(heads) == n_clips + sum(len(c) for c in clips_per_micro)
         assert [r.rkl for r in results] == [r.rkl for r in ref]
         assert [r.loss for r in results] == [r.loss for r in ref]
         assert set(grads) == set(ref_grads)
@@ -778,6 +789,81 @@ class TestBatch:
         # distinct stream of each context pass (relations, objects, subtitles).
         assert calls == [5 * len(clip.qas), 1, 1, 1]
         assert p_a.shape == (len(clip.qas), 5)
+
+
+class TestBatchProperties:
+    """TestBatch's invariants on drawn corpora, variants, batches and
+    permutations, through loss_and_grads as training runs it: the draws
+    include batches of one item and batches of several micro-batches."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_batch_invariants(self, data):
+        corpus = generate_corpus(GenConfig(
+            k_principals=data.draw(st.integers(2, 3)), n_extras=1,
+            n_clips=data.draw(st.integers(2, 4)), frames_per_clip=data.draw(st.integers(3, 4)),
+            d_f=6, seed=data.draw(st.integers(0, 2**16))))
+        # At least six lines among at most four speakers: one speaks twice.
+        cast = build_cast_list(count_speakers(corpus), min_count=1)
+        model = Model(build_vocab(corpus, cast), cast,
+                      ModelConfig(d_model=8, d_ff=12, d_h1=6, heads=2, d_f=6),
+                      rng=np.random.default_rng(data.draw(st.integers(0, 2**16))),
+                      modality=ModalityConfig.from_label(data.draw(st.sampled_from(
+                          VARIANT_LABELS))))
+        use_ts = data.draw(st.booleans())
+        targets = {id(c): broadcast_targets(c, cast, model.config.epsilon) for c in corpus}
+        pool = [(c, clip_view(c, qa, use_ts)[0], qa, None, targets[id(c)])
+                for c in corpus for qa in c.qas]
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                                   max_size=min(10, len(pool)), unique=True))
+        items = [pool[i] for i in picks]
+        perm = data.draw(st.permutations(range(len(items))))
+
+        # Every key-masked stack call: the input gradient of each pad row,
+        # and the context gradient of each pad key, are exactly zero.
+        forward, backward = nn.stack_forward, nn.stack_backward
+        masks, checked = {}, []
+
+        def recording_forward(params, prefix, n_layers, x, context=None, key_mask=None,
+                              keep_cache=True):
+            y, cache = forward(params, prefix, n_layers, x, context, key_mask, keep_cache)
+            if key_mask is not None:
+                masks[id(cache)] = (context is None, key_mask, cache)
+            return y, cache
+
+        def checking_backward(params, prefix, cache, dy, grads):
+            dx, dctx = backward(params, prefix, cache, dy, grads)
+            if id(cache) in masks:
+                is_self, key_mask, _ = masks.pop(id(cache))
+                pads = dx[~key_mask] if is_self else dctx[~key_mask]
+                assert np.all(pads == 0.0), prefix
+                checked.append(int((~key_mask).sum()))
+            return dx, dctx
+
+        with mock.patch.object(nn, "stack_forward", recording_forward), \
+                mock.patch.object(nn, "stack_backward", checking_backward):
+            grads = {}
+            results = model.loss_and_grads(items, lam=0.7, grads=grads)
+        assert checked and not masks
+
+        alone_grads = {}
+        alone = [model.loss_and_grads([it], lam=0.7, grads=alone_grads)[0] for it in items]
+        for r, a in zip(results, alone):
+            assert np.max(np.abs(r.p_a - a.p_a)) <= 1e-12
+            assert abs(r.loss - a.loss) <= 1e-12
+            assert r.empty_context == a.empty_context
+        assert set(grads) == set(alone_grads)
+        for k in grads:
+            assert np.max(np.abs(grads[k] - alone_grads[k])) <= 1e-12, k
+
+        perm_grads = {}
+        permuted = model.loss_and_grads([items[i] for i in perm], lam=0.7, grads=perm_grads)
+        for j, i in enumerate(perm):
+            assert np.max(np.abs(permuted[j].p_a - results[i].p_a)) <= 1e-12
+            assert abs(permuted[j].loss - results[i].loss) <= 1e-12
+        assert set(perm_grads) == set(grads)
+        for k in grads:
+            assert np.max(np.abs(grads[k] - perm_grads[k])) <= 1e-12, k
 
 
 class TestCarnGradients:

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charqa import harness, nn
+from charqa import carn, harness, nn
 from charqa.carn import VARIANT_LABELS, ModalityConfig, Model, ModelConfig
 from charqa.corpus import DEFAULT_DIALOGUE_VOCAB, Clip, GenConfig, QAItem, generate_corpus
 from charqa.errors import ConfigError, EmptyInputError
-from charqa.harness import (METRICS_COLUMNS, GradCheckReport, TrainConfig, _mini_setup,
-                            ablate, broadcast_targets, config_kwargs, evaluate, format_report,
-                            grad_check, metrics_csv_text, train, write_metrics_csv)
+from charqa.harness import (METRICS_COLUMNS, GradCheckReport, TrainConfig, _mini_batch,
+                            _mini_setup, ablate, broadcast_targets, config_kwargs, evaluate,
+                            format_report, grad_check, metrics_csv_text, train,
+                            write_metrics_csv)
 
 SMALL_MODEL = ModelConfig(d_model=16, d_ff=24, d_h1=8, heads=2, d_f=16)
 
@@ -311,6 +312,16 @@ class TestGradCheckRunner:
                                                   "coattention", "full"]
         for rep in reports:
             assert rep.passed, rep.format()
+
+    def test_full_check_batch_spans_micro_batches(self):
+        # The full check sums gradients over micro-batches only if its batch
+        # is longer than one, with a clip's items on both sides of a split.
+        _, clip, qa = _mini_setup(np.random.default_rng(0))
+        pairs = _mini_batch(clip, qa)
+        m = carn.MICRO_BATCH
+        assert len(pairs) > m
+        split = [{c.clip_id for c, _ in pairs[m0:m0 + m]} for m0 in range(0, len(pairs), m)]
+        assert set.intersection(*split[:2])
 
     def test_detects_corrupted_gradient(self):
         rng = np.random.default_rng(0)
