@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import re
@@ -42,6 +43,37 @@ def encode(x, params, key_mask=None):
 
 def co_attend(x, context, params):
     return nn.stack_forward(params, "dec", 2, x, context)[0]
+
+
+@contextlib.contextmanager
+def pad_gradients_checked():
+    """Every key-masked stack call inside the block asserts that the input
+    gradient of each pad row, and the context gradient of each pad key, are
+    exactly zero. Yields the list of (prefix, pad count) checked; on exit,
+    every recorded cache has been through backward."""
+    forward, backward = nn.stack_forward, nn.stack_backward
+    masks, checked = {}, []
+
+    def recording_forward(params, prefix, n_layers, x, context=None, key_mask=None,
+                          keep_cache=True):
+        y, cache = forward(params, prefix, n_layers, x, context, key_mask, keep_cache)
+        if key_mask is not None:
+            masks[id(cache)] = (context is None, key_mask, cache)
+        return y, cache
+
+    def checking_backward(params, prefix, cache, dy, grads):
+        dx, dctx = backward(params, prefix, cache, dy, grads)
+        if id(cache) in masks:
+            is_self, key_mask, _ = masks.pop(id(cache))
+            pads = dx[~key_mask] if is_self else dctx[~key_mask]
+            assert np.all(pads == 0.0), prefix
+            checked.append((prefix, int((~key_mask).sum())))
+        return dx, dctx
+
+    with mock.patch.object(nn, "stack_forward", recording_forward), \
+            mock.patch.object(nn, "stack_backward", checking_backward):
+        yield checked
+    assert not masks
 
 
 class TestModalityConfig:
@@ -740,32 +772,10 @@ class TestBatch:
         for k in grads:
             assert np.max(np.abs(grads[k] - ref_grads[k])) <= 1e-12, k
 
-    def test_pad_rows_get_zero_gradient(self, setup, monkeypatch):
-        # Every key-masked stack call: the input gradient of each pad row,
-        # and the context gradient of each pad key, are exactly zero.
+    def test_pad_rows_get_zero_gradient(self, setup):
         model, items = setup
-        forward, backward = nn.stack_forward, nn.stack_backward
-        masks, checked = {}, []
-
-        def recording_forward(params, prefix, n_layers, x, context=None, key_mask=None,
-                              keep_cache=True):
-            y, cache = forward(params, prefix, n_layers, x, context, key_mask, keep_cache)
-            if key_mask is not None:
-                masks[id(cache)] = (context is None, key_mask, cache)
-            return y, cache
-
-        def checking_backward(params, prefix, cache, dy, grads):
-            dx, dctx = backward(params, prefix, cache, dy, grads)
-            if id(cache) in masks:
-                is_self, key_mask, _ = masks[id(cache)]
-                pads = dx[~key_mask] if is_self else dctx[~key_mask]
-                assert np.all(pads == 0.0), prefix
-                checked.append((prefix, int((~key_mask).sum())))
-            return dx, dctx
-
-        monkeypatch.setattr(nn, "stack_forward", recording_forward)
-        monkeypatch.setattr(nn, "stack_backward", checking_backward)
-        model.loss_and_grads(items, grads={})
+        with pad_gradients_checked() as checked:
+            model.loss_and_grads(items, grads={})
         assert {p for p, n in checked if n} >= {"enc", "dec_v", "dec_s"}
 
     def test_whole_clip_batch_encodes_each_context_once(self, setup, small_corpus,
@@ -819,32 +829,10 @@ class TestBatchProperties:
         items = [pool[i] for i in picks]
         perm = data.draw(st.permutations(range(len(items))))
 
-        # Every key-masked stack call: the input gradient of each pad row,
-        # and the context gradient of each pad key, are exactly zero.
-        forward, backward = nn.stack_forward, nn.stack_backward
-        masks, checked = {}, []
-
-        def recording_forward(params, prefix, n_layers, x, context=None, key_mask=None,
-                              keep_cache=True):
-            y, cache = forward(params, prefix, n_layers, x, context, key_mask, keep_cache)
-            if key_mask is not None:
-                masks[id(cache)] = (context is None, key_mask, cache)
-            return y, cache
-
-        def checking_backward(params, prefix, cache, dy, grads):
-            dx, dctx = backward(params, prefix, cache, dy, grads)
-            if id(cache) in masks:
-                is_self, key_mask, _ = masks.pop(id(cache))
-                pads = dx[~key_mask] if is_self else dctx[~key_mask]
-                assert np.all(pads == 0.0), prefix
-                checked.append(int((~key_mask).sum()))
-            return dx, dctx
-
-        with mock.patch.object(nn, "stack_forward", recording_forward), \
-                mock.patch.object(nn, "stack_backward", checking_backward):
-            grads = {}
+        grads = {}
+        with pad_gradients_checked() as checked:
             results = model.loss_and_grads(items, lam=0.7, grads=grads)
-        assert checked and not masks
+        assert checked
 
         alone_grads = {}
         alone = [model.loss_and_grads([it], lam=0.7, grads=alone_grads)[0] for it in items]
