@@ -14,7 +14,7 @@ import numpy as np
 from charqa.carn import ModelConfig
 from charqa.corpus import GenConfig, generate_corpus
 from charqa.harness import TrainConfig, train
-from charqa.naming import (broadcast_targets, face_accuracy, face_table,
+from charqa.naming import (broadcast_targets, face_accuracy, face_table, naming_forward,
                            rkl_loss_with_grad, smoothed_onehot)
 
 # The target for a frame is a smoothed one-hot over cast labels + UNKNAME.
@@ -42,7 +42,8 @@ for frame_id, rows, g in list(zip(targets.frame_ids, targets.face_rows, targets.
 
 # The loss takes the best face per frame; a perfect prediction on one face
 # zeroes that frame's term even if the other faces disagree.
-loss, _ = rkl_loss_with_grad(model.predict_faces(clip).rows, targets)
+rows = naming_forward(model.params, face_table(clip)[1])  # the head's rows on the table
+loss, _ = rkl_loss_with_grad(rows, targets)
 print(f"clip rkl after training: {loss:.4f}")
 
 # Predicted names vs the withheld truth sidecar.

@@ -14,8 +14,8 @@ from .castlist import (UNKNAME, CastList, build_cast_list, count_speakers, map_s
 from .corpus import (BBox, Clip, FaceDetection, Frame, GenConfig, QAItem, RelationTriple,
                      SubtitleLine, clip_view, generate_corpus, read_corpus, write_corpus)
 from .errors import CharqaError
-from .naming import (NameDistributionSeq, assign_names, broadcast_targets, face_accuracy,
-                     naming_forward, rkl_loss_with_grad)
+from .naming import (assign_names, broadcast_targets, face_accuracy, naming_forward,
+                     rkl_loss_with_grad)
 from .semantics import (FaceHumanAssignment, augment_objects_with_names, match_faces_to_humans,
                         replace_names)
 
@@ -24,8 +24,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BBox", "CastList", "CharqaError", "Clip", "FaceDetection",
     "FaceHumanAssignment", "Frame", "FULL_VARIANT", "GenConfig",
-    "ModalityConfig", "Model", "ModelConfig", "NameDistributionSeq",
-    "QAItem", "RelationTriple", "SubtitleLine", "UNKNAME",
+    "ModalityConfig", "Model", "ModelConfig", "QAItem", "RelationTriple",
+    "SubtitleLine", "UNKNAME",
     "VARIANT_LABELS", "Vocab", "assign_names", "augment_objects_with_names",
     "broadcast_targets", "build_cast_list", "build_vocab", "clip_view",
     "count_speakers", "face_accuracy", "generate_corpus",

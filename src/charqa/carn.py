@@ -42,8 +42,8 @@ from .castlist import CastList, map_speaker
 from .corpus import Clip, QAItem
 from .errors import (CheckpointError, ConfigError, EmptyInputError, SchemaVersionError,
                      VocabError)
-from .naming import (NameDistributionSeq, assign_names, broadcast_targets, face_table,
-                     init_naming, naming_backward, naming_forward, rkl_loss_with_grad)
+from .naming import (assign_names, broadcast_targets, face_table, init_naming,
+                     naming_backward, naming_forward, rkl_loss_with_grad)
 from .semantics import build_semantic_stream
 
 CHECKPOINT_VERSION = "charqa-ckpt-2"
@@ -266,6 +266,7 @@ def prepare_sequence(params, vocab: Vocab, tokens, flags, oov: dict) -> list[int
     a token that has one; for any other, its row in oov, the pass's
     out-of-vocabulary token -> row dict, which a token new to the pass
     extends by the next row past the word and name rows."""
+    # params is unread; perfbench's tracer reads tokens, flags as positional args 2, 3.
     rows = vocab.rows
     first = len(vocab.words) + len(vocab.names)
     return [rows[key] if key in rows else oov.setdefault(key[0], first + len(oov))
@@ -398,17 +399,16 @@ class Model:
 
     # -- naming ----------------------------------------------------------
 
-    def predict_faces(self, clip: Clip) -> NameDistributionSeq:
+    def _name_faces(self, clip: Clip):
+        """(face table, the head's (faces, classes) rows on it, their name
+        assignment) of one head forward on a clip; a clip without faces runs none."""
         ids, table = face_table(clip)
-        if not ids:
-            return NameDistributionSeq((), np.zeros((0, self.cast.size)))
-        return NameDistributionSeq(ids, naming_forward(self.params, table))
+        rows = naming_forward(self.params, table) if ids else np.zeros((0, self.cast.size))
+        return table, rows, assign_names(ids, rows, self.cast)
 
-    def name_assignments(self, clip: Clip, preds: NameDistributionSeq | None = None
-                         ) -> dict[int, str]:
-        """Face id -> argmax name (UNKNAME faces omitted), from preds, the
-        head's predictions on the clip, or else from a forward of the head."""
-        return assign_names(self.predict_faces(clip) if preds is None else preds, self.cast)
+    def name_assignments(self, clip: Clip) -> dict[int, str]:
+        """Face id -> argmax name (UNKNAME faces omitted) of one head forward on the clip."""
+        return self._name_faces(clip)[2]
 
     # -- QA forward ------------------------------------------------------
 
@@ -452,8 +452,8 @@ class Model:
         p = self.params
         modality = self.modality
         # (decoder, visual run or None for the subtitles) per pass, in order
-        passes = ([("dec_v", run) for run in modality.visual_passes()]
-                  + [("dec_s", None)] * modality.use_sub)
+        visual_runs = modality.visual_passes()
+        passes = [("dec_v", run) for run in visual_runs] + [("dec_s", None)] * modality.use_sub
         distinct = [{} for _ in passes]  # (tokens, flags) -> distinct stream index
         streams = [[] for _ in passes]
         users = [[] for _ in passes]  # (item, distinct stream index)
@@ -475,7 +475,7 @@ class Model:
                 if u == len(streams[i]):
                     streams[i].append((toks, flags))
                 users[i].append((b, u))
-            empty_context.append(int(bool(modality.visual_passes()) and not has_visual)
+            empty_context.append(int(bool(visual_runs) and not has_visual)
                                  + int(modality.use_sub and not has_sub))
 
         qa_streams = [qa_stream(qa.question, ans, self.cast)
@@ -542,29 +542,18 @@ class Model:
 
     # -- joint loss ------------------------------------------------------
 
-    def _clip_rkl(self, clip: Clip, preds: NameDistributionSeq, targets, weight: float,
-                  grads: dict | None) -> float:
-        """The clip's RKL term from the head's predictions preds on it and its
-        broadcast targets; with grads, accumulates weight * its gradient into
-        the naming head."""
-        if not targets.frame_ids:
-            return 0.0
-        rkl, drows = rkl_loss_with_grad(preds.rows, targets)
-        if grads is not None and weight != 0.0:
-            naming_backward(self.params, face_table(clip)[1], preds.rows, weight * drows, grads)
-        return rkl
-
     def loss_and_grads(self, batch, lam: float = 1.0,
                        grads: dict | None = None) -> list[ItemResult]:
         """The joint objective CE + lambda * clip RKL of each item of a batch
         of (clip, view, qa, face_names, targets), targets being the clip's
         broadcast_targets. With grads, accumulates the batch's summed gradient.
 
-        The naming head runs once per distinct clip of the batch. Its rows
-        give the clip's RKL term, which always runs over the full clip
-        (naming supervision does not depend on the QA window), with its
-        gradient weighted by the clip's item count; they also give the name
-        assignment of the items whose face_names is None. face_names is the
+        The naming step runs once per distinct clip of the batch: one face
+        table and one head forward (_name_faces). Its rows give the clip's RKL
+        term, which always runs over the full clip (naming supervision does
+        not depend on the QA window), with its gradient weighted by the clip's
+        item count; they also give the name assignment of the items whose
+        face_names is None. face_names is the
         discrete assignment the visual streams use; no gradient flows
         through it. The QA part runs as consecutive forward/backward passes
         of MICRO_BATCH items; the parameters do not change within a call,
@@ -573,11 +562,14 @@ class Model:
         clips = {}  # id(clip) -> [clip, targets, item count], in batch order
         for clip, _, _, _, targets in batch:
             clips.setdefault(id(clip), [clip, targets, 0])[2] += 1
-        names, rkl = {}, {}
+        names, rkl = {}, dict.fromkeys(clips, 0.0)
         for key, (clip, targets, count) in clips.items():
-            preds = self.predict_faces(clip)
-            names[key] = self.name_assignments(clip, preds)
-            rkl[key] = self._clip_rkl(clip, preds, targets, lam * count, grads)
+            table, rows, names[key] = self._name_faces(clip)
+            # No targets or a zero weight: no "naming.*" key, so Adam steps no zero gradient.
+            if targets.frame_ids:
+                rkl[key], drows = rkl_loss_with_grad(rows, targets)
+                if grads is not None and lam * count != 0.0:
+                    naming_backward(self.params, table, rows, lam * count * drows, grads)
         results = []
         for m0 in range(0, len(batch), MICRO_BATCH):
             micro = batch[m0:m0 + MICRO_BATCH]
@@ -602,12 +594,14 @@ class Model:
                             grads: dict | None = None, targets=None) -> ItemResult:
         """loss_and_grads of a batch of one item; targets None are built from
         the clip."""
+        # Only tests call this; perfbench's tracer wraps it by name as its item span.
         if targets is None:
             targets = broadcast_targets(clip, self.cast, self.config.epsilon)
         return self.loss_and_grads([(clip, view, qa, face_names, targets)], lam, grads)[0]
 
     def score(self, view: Clip, qa: QAItem, face_names: dict[int, str]) -> np.ndarray:
         """Answer probabilities of one item: forward_item on a batch of one."""
+        # Only tests call this; perfbench's tracer wraps it by name as its item span.
         return self.forward_item([(view, qa, face_names)], keep_cache=False)[0][0]
 
     # -- persistence -----------------------------------------------------

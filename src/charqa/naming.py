@@ -10,15 +10,14 @@ target. Only the argmin face receives gradient, in the spirit of
 multiple-instance learning.
 
 This module owns a clip's face order: `face_table` lists its faces in
-face_id order, and the head's rows, the targets and the name assignment,
-which face accuracy scores, follow it. The targets hold each supervised
-frame's rows of that table in one padded (frames x faces) array, so the
-loss is one gather, one row-wise KL and a masked argmin per frame.
+face_id order, and the head's rows, a plain (faces, classes) array, the
+targets and the name assignment, which face accuracy scores, follow it.
+The targets hold each supervised frame's rows of that table in one padded
+(frames x faces) array, so the loss is one gather, one row-wise KL and a
+masked argmin per frame; `assign_names` pairs the rows with the table's ids.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,19 +34,6 @@ def init_naming(rng, params, d_f: int, d_h1: int, n_classes: int) -> None:
     params["naming.b1"] = np.zeros(d_h1)
     params["naming.w2"] = rng.standard_normal((d_h1, n_classes)) / np.sqrt(d_h1)
     params["naming.b2"] = np.zeros(n_classes)
-
-
-@dataclass(frozen=True)
-class NameDistributionSeq:
-    face_ids: tuple[int, ...]
-    rows: np.ndarray  # (n, k+1)
-
-    def __post_init__(self):
-        if self.rows.ndim != 2 or self.rows.shape[0] != len(self.face_ids):
-            raise ShapeError("rows must align with face_ids")
-        if self.rows.size and (np.any(self.rows < 0)
-                               or np.max(np.abs(self.rows.sum(axis=1) - 1.0)) > 1e-6):
-            raise ValueError("rows must be distributions")
 
 
 class TargetSeq:
@@ -180,12 +166,11 @@ def rkl_loss_with_grad(rows: np.ndarray, targets: TargetSeq):
     return float(np.cumsum(best_kl)[-1]), drows
 
 
-def assign_names(preds: NameDistributionSeq, cast: CastList) -> dict[int, str]:
-    """argmax class per face (ties to the lowest index); UNKNAME faces are
-    omitted from the map."""
-    classes = np.argmax(preds.rows, axis=1).tolist()
-    return {fid: cast.names[c] for fid, c in zip(preds.face_ids, classes)
-            if c != cast.unk_index}
+def assign_names(face_ids, rows: np.ndarray, cast: CastList) -> dict[int, str]:
+    """Face id -> argmax class name (ties to the lowest index) of the head's
+    rows on a clip's face table of face_ids; UNKNAME faces are omitted."""
+    classes = np.argmax(rows, axis=1).tolist()
+    return {fid: cast.names[c] for fid, c in zip(face_ids, classes) if c != cast.unk_index}
 
 
 def face_accuracy(names: dict[int, str], truth: dict[int, str],
@@ -199,7 +184,7 @@ def face_accuracy(names: dict[int, str], truth: dict[int, str],
 
 
 __all__ = [
-    "init_naming", "NameDistributionSeq", "TargetSeq", "face_table", "naming_forward",
+    "init_naming", "TargetSeq", "face_table", "naming_forward",
     "naming_backward", "frame_speaker", "smoothed_onehot", "broadcast_targets",
     "rkl_loss_with_grad", "assign_names", "face_accuracy",
 ]

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from charqa.naming import NameDistributionSeq, TargetSeq
+from charqa.naming import TargetSeq
 
 
 def oracle_kl(p, g):
@@ -37,7 +37,8 @@ def oracle_rkl(rows_by_face, frame_groups):
 
 
 def random_rkl_instance(rng, max_faces=20, max_k=6):
-    """A random prediction/target pair plus the oracle's view of it.
+    """A random prediction/target pair plus the oracle's view of it:
+    (face_ids, rows, targets, rows_by_face, frame_groups).
 
     Faces are partitioned over frames (matching the generator's contract
     that a face_id occurs in exactly one frame); face_ids are shuffled and
@@ -51,7 +52,6 @@ def random_rkl_instance(rng, max_faces=20, max_k=6):
 
     raw = rng.random((n_faces, n_classes)) + 1e-3
     rows = raw / raw.sum(axis=1, keepdims=True)
-    preds = NameDistributionSeq(tuple(face_ids), rows)
     rows_by_face = {fid: [float(v) for v in rows[i]]
                     for i, fid in enumerate(face_ids)}
 
@@ -68,7 +68,7 @@ def random_rkl_instance(rng, max_faces=20, max_k=6):
         groups.append((fr, [face_ids.index(fid) for fid in sorted(members)], g))
         frame_groups.append((members, [float(v) for v in g]))
     targets = TargetSeq(groups)
-    return preds, targets, rows_by_face, frame_groups
+    return face_ids, rows, targets, rows_by_face, frame_groups
 
 
 def oracle_embed(params, vocab, tokens, flags):

@@ -772,6 +772,36 @@ class TestBatch:
         for k in grads:
             assert np.max(np.abs(grads[k] - ref_grads[k])) <= 1e-12, k
 
+    def test_face_table_built_once_per_clip(self, setup, monkeypatch):
+        # One naming step per distinct clip: the table that the head's
+        # forward reads is the one its backward reads.
+        model, items = setup
+        assert any(targets.frame_ids for *_, targets in items)
+        tables = []
+        face_table = carn.face_table
+        monkeypatch.setattr(carn, "face_table", lambda clip: tables.append(clip.clip_id)
+                            or face_table(clip))
+        model.loss_and_grads(items, lam=0.7, grads={})
+        assert sorted(tables) == sorted({clip.clip_id for clip, *_ in items})
+
+    def test_faceless_clip_adds_no_naming_term(self, setup, small_corpus, monkeypatch):
+        model, _ = setup
+        clip = small_corpus[0]
+        frames = [Frame(f.frame_id, f.time, [], f.human_boxes, f.objects, f.triples)
+                  for f in clip.frames]
+        faceless = type(clip)(clip.clip_id, frames, clip.subtitles, clip.qas, None)
+        targets = broadcast_targets(faceless, model.cast, model.config.epsilon)
+        named = []
+        forward_item = Model.forward_item
+        monkeypatch.setattr(model, "forward_item", lambda b, **kw: (
+            named.extend(names for _, _, names in b) or forward_item(model, b, **kw)))
+        grads = {}
+        results = model.loss_and_grads([(faceless, faceless, qa, None, targets)
+                                        for qa in faceless.qas], lam=0.7, grads=grads)
+        assert [r.rkl for r in results] == [0.0] * len(faceless.qas)
+        assert named == [{}] * len(faceless.qas)
+        assert grads and not [k for k in grads if k.startswith("naming.")]
+
     def test_pad_rows_get_zero_gradient(self, setup):
         model, items = setup
         with pad_gradients_checked() as checked:

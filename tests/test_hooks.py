@@ -117,3 +117,43 @@ def test_every_import_is_read():
             if found:
                 dead[str(path.relative_to(ROOT))] = found
     assert not dead, dead
+
+
+def names_read(source: str) -> set[str]:
+    """The names a module reads: loaded names, attributes, and string
+    constants (the tracer's getattr targets, quoted annotations), but not
+    the strings of its own __all__ list."""
+    tree = ast.parse(source)
+    listed = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            listed.update(id(n) for n in ast.walk(node.value))
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            read.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in listed):
+            read.add(node.value)
+    return read
+
+
+def test_names_read_skips_own_exports():
+    source = "import m\n__all__ = ['f', 'g']\ndef f(): pass\nm.h('k', g)\nx = 1\n"
+    assert names_read(source) == {"m", "h", "k", "g"}
+
+
+def test_every_export_is_read_outside_the_tests():
+    # A name that only tests read belongs in the tests, not in the package.
+    read = set()
+    for folder in ("src/charqa", "demos", "perfbench"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            read |= names_read(path.read_text(encoding="utf-8"))
+    unread = [f"{info.name}.{name}" for info in pkgutil.iter_modules(charqa.__path__)
+              for name in getattr(importlib.import_module(f"charqa.{info.name}"), "__all__", ())
+              if name not in read]
+    unread += [name for name in charqa.__all__ if name not in read]
+    assert not unread, unread

@@ -9,16 +9,10 @@ from charqa.corpus import (BBox, Clip, FaceDetection, Frame, GenConfig, Subtitle
                            generate_corpus)
 from charqa.errors import NonFiniteLossError, ShapeError
 from charqa.harness import grad_check
-from charqa.naming import (NameDistributionSeq, TargetSeq, assign_names,
-                           broadcast_targets, face_accuracy, face_table, frame_speaker,
-                           init_naming, naming_forward,
+from charqa.naming import (TargetSeq, assign_names, broadcast_targets, face_accuracy,
+                           face_table, frame_speaker, init_naming, naming_forward,
                            rkl_loss_with_grad, smoothed_onehot)
 from oracles import oracle_rkl, random_rkl_instance
-
-
-def predict_name_distributions(embeddings, params):
-    rows = naming_forward(params, embeddings)
-    return NameDistributionSeq(tuple(range(len(rows))), rows)
 
 
 def head(w1, b1, w2, b2):
@@ -26,8 +20,8 @@ def head(w1, b1, w2, b2):
     return {"naming.w1": w1, "naming.b1": b1, "naming.w2": w2, "naming.b2": b2}
 
 
-def rkl_loss(preds, targets):
-    return rkl_loss_with_grad(preds.rows, targets)[0]
+def rkl_loss(rows, targets):
+    return rkl_loss_with_grad(rows, targets)[0]
 
 
 def unit_face(fid, frame_id, d=4):
@@ -39,16 +33,16 @@ def unit_face(fid, frame_id, d=4):
 class TestPredict:
     def test_zero_params_give_uniform(self):
         params = head(np.zeros((4, 3)), np.zeros(3), np.zeros((3, 4)), np.zeros(4))
-        preds = predict_name_distributions(np.eye(4), params)
-        assert np.allclose(preds.rows, 0.25)
+        rows = naming_forward(params, np.eye(4))
+        assert np.allclose(rows, 0.25)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         params = {}
         init_naming(rng, params, 6, 5, 4)
-        preds = predict_name_distributions(rng.standard_normal((9, 6)), params)
-        assert np.allclose(preds.rows.sum(axis=1), 1.0)
-        assert np.all(preds.rows >= 0)
+        rows = naming_forward(params, rng.standard_normal((9, 6)))
+        assert np.allclose(rows.sum(axis=1), 1.0)
+        assert np.all(rows >= 0)
 
     def test_hand_case_matches_scalar_arithmetic(self):
         # d_f=2, d_h1=2, two classes; every number recomputed with plain
@@ -58,20 +52,20 @@ class TestPredict:
                       np.array([[0.3, -0.4], [1.5, 0.2]]),
                       np.array([0.05, -0.05]))
         f = np.array([[1.0, 0.0]])
-        preds = predict_name_distributions(f, params)
+        rows = naming_forward(params, f)
 
         h1 = max(1.0 * 1.0 + 0.0 * 0.5 + 0.1, 0.0)
         h2 = max(1.0 * -1.0 + 0.0 * 2.0 + -0.2, 0.0)
         l1 = h1 * 0.3 + h2 * 1.5 + 0.05
         l2 = h1 * -0.4 + h2 * 0.2 + -0.05
         z = math.exp(l1) + math.exp(l2)
-        assert preds.rows[0] == pytest.approx([math.exp(l1) / z, math.exp(l2) / z],
+        assert rows[0] == pytest.approx([math.exp(l1) / z, math.exp(l2) / z],
                                               abs=1e-12)
 
     def test_dimension_mismatch(self):
         params = head(np.zeros((4, 3)), np.zeros(3), np.zeros((3, 2)), np.zeros(2))
         with pytest.raises(ShapeError):
-            predict_name_distributions(np.zeros((2, 5)), params)
+            naming_forward(params, np.zeros((2, 5)))
 
 
 class TestBroadcast:
@@ -131,63 +125,59 @@ class TestBroadcast:
 class TestRklLoss:
     def test_perfect_prediction_gives_zero(self):
         g = smoothed_onehot(1, 3, 0.05)
-        preds = NameDistributionSeq((7,), g[None, :].copy())
         targets = TargetSeq(((0, [0], g),))
-        assert rkl_loss(preds, targets) == pytest.approx(0.0, abs=1e-15)
+        assert rkl_loss(g[None, :].copy(), targets) == pytest.approx(0.0, abs=1e-15)
 
     def test_single_frame_matches_scalar_oracle(self):
         # One face, uniform over 3 classes, target smoothed-one-hot(0).
         p = [1 / 3, 1 / 3, 1 / 3]
         g = [0.95 + 0.05 / 3, 0.05 / 3, 0.05 / 3]
         expected = sum(pc * math.log(pc / gc) for pc, gc in zip(p, g))
-        preds = NameDistributionSeq((0,), np.full((1, 3), 1 / 3))
         targets = TargetSeq(((0, [0], np.array(g)),))
-        assert rkl_loss(preds, targets) == pytest.approx(expected, abs=1e-12)
+        assert rkl_loss(np.full((1, 3), 1 / 3), targets) == pytest.approx(expected, abs=1e-12)
 
     def test_two_frames_sum(self):
         rng = np.random.default_rng(3)
-        preds, targets, rows_by_face, groups = random_rkl_instance(rng)
+        _, rows, targets, rows_by_face, groups = random_rkl_instance(rng)
         while len(groups) < 2:
-            preds, targets, rows_by_face, groups = random_rkl_instance(rng)
+            _, rows, targets, rows_by_face, groups = random_rkl_instance(rng)
         per_frame = [oracle_rkl(rows_by_face, [grp]) for grp in groups]
-        assert rkl_loss(preds, targets) == pytest.approx(sum(per_frame), abs=1e-9)
+        assert rkl_loss(rows, targets) == pytest.approx(sum(per_frame), abs=1e-9)
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
-            preds, targets, rows_by_face, groups = random_rkl_instance(rng)
+            _, rows, targets, rows_by_face, groups = random_rkl_instance(rng)
             expected = oracle_rkl(rows_by_face, groups)
-            assert abs(rkl_loss(preds, targets) - expected) <= 1e-9
+            assert abs(rkl_loss(rows, targets) - expected) <= 1e-9
 
     def test_empty_targets_zero(self):
-        preds = NameDistributionSeq((0,), np.full((1, 2), 0.5))
-        assert rkl_loss(preds, TargetSeq(())) == 0.0
+        assert rkl_loss(np.full((1, 2), 0.5), TargetSeq(())) == 0.0
 
     def test_nonnegative(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            preds, targets, _, _ = random_rkl_instance(rng)
-            assert rkl_loss(preds, targets) >= 0.0
+            _, rows, targets, _, _ = random_rkl_instance(rng)
+            assert rkl_loss(rows, targets) >= 0.0
 
     def test_unsmoothed_target_off_support_raises(self):
-        preds = NameDistributionSeq((0,), np.array([[0.5, 0.5]]))
         targets = TargetSeq(((0, [0], np.array([1.0, 0.0])),))
         with pytest.raises(NonFiniteLossError):
-            rkl_loss(preds, targets)
+            rkl_loss(np.array([[0.5, 0.5]]), targets)
 
     def test_improving_winner_never_raises_loss(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            preds, targets, rows_by_face, groups = random_rkl_instance(rng)
-            before = rkl_loss(preds, targets)
+            face_ids, rows, targets, rows_by_face, groups = random_rkl_instance(rng)
+            before = rkl_loss(rows, targets)
             # move the first frame's argmin face toward its target
             members, g = groups[0]
             kls = {fid: oracle_rkl(rows_by_face, [([fid], g)]) for fid in members}
             winner = min(kls, key=lambda f: (kls[f], f))
-            i = preds.face_ids.index(winner)
-            rows = preds.rows.copy()
-            rows[i] = 0.7 * rows[i] + 0.3 * np.asarray(g)
-            after = rkl_loss(NameDistributionSeq(preds.face_ids, rows), targets)
+            i = face_ids.index(winner)
+            moved = rows.copy()
+            moved[i] = 0.7 * rows[i] + 0.3 * np.asarray(g)
+            after = rkl_loss(moved, targets)
             assert after <= before + 1e-12
 
     def test_gradient_flows_only_to_argmin(self):
@@ -213,17 +203,15 @@ class TestRklLoss:
 
 class TestAssignNames:
     def test_argmax(self, tiny_cast):
-        preds = NameDistributionSeq((0,), np.array([[0.1, 0.7, 0.2]]))
-        assert assign_names(preds, tiny_cast) == {0: "Ben"}
+        assert assign_names((0,), np.array([[0.1, 0.7, 0.2]]), tiny_cast) == {0: "Ben"}
 
     def test_uniform_ties_to_class_zero(self, tiny_cast):
-        preds = NameDistributionSeq((3,), np.full((1, 3), 1 / 3))
-        assert assign_names(preds, tiny_cast) == {3: "Ada"}
+        assert assign_names((3,), np.full((1, 3), 1 / 3), tiny_cast) == {3: "Ada"}
 
     def test_unk_argmax_omitted(self, tiny_cast):
-        preds = NameDistributionSeq((0, 1), np.array([[0.1, 0.2, 0.7],
-                                                      [0.8, 0.1, 0.1]]))
-        assert assign_names(preds, tiny_cast) == {1: "Ada"}
+        rows = np.array([[0.1, 0.2, 0.7],
+                         [0.8, 0.1, 0.1]])
+        assert assign_names((0, 1), rows, tiny_cast) == {1: "Ada"}
 
 
 class TestFaceAccuracy:
@@ -256,11 +244,12 @@ class TestFaceAccuracy:
                       rng=np.random.default_rng(3))
         named = 0
         for clip in small_corpus:
-            preds = model.predict_faces(clip)
+            ids, table = face_table(clip)
+            rows = naming_forward(model.params, table)
             names = model.name_assignments(clip)
             named += len(names)
             assert face_accuracy(names, clip.truth, cast) == self.oracle_counts(
-                preds.face_ids, preds.rows, clip.truth, cast)
+                ids, rows, clip.truth, cast)
         assert 0 < named < sum(len(clip.truth) for clip in small_corpus)  # UNKNAME too
 
     def test_ties_score_as_argmax_over_rows(self, tiny_cast):
@@ -272,7 +261,7 @@ class TestFaceAccuracy:
             ids = tuple(int(i) for i in rng.permutation(3 * n)[:n])
             truth = {fid: str(rng.choice(["Ada", "Ben", "Guest1", "UNKNAME"]))
                      for fid in ids}
-            names = assign_names(NameDistributionSeq(ids, rows), tiny_cast)
+            names = assign_names(ids, rows, tiny_cast)
             assert face_accuracy(names, truth, tiny_cast) == self.oracle_counts(
                 ids, rows, truth, tiny_cast)
 
