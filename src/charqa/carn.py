@@ -355,7 +355,6 @@ class ItemResult:
     ce: float
     rkl: float
     p_a: np.ndarray
-    correct: bool
     clamped: bool = False
     empty_context: int = 0
 
@@ -545,22 +544,21 @@ class Model:
     def loss_and_grads(self, batch, lam: float = 1.0,
                        grads: dict | None = None) -> list[ItemResult]:
         """The joint objective CE + lambda * clip RKL of each item of a batch
-        of (clip, view, qa, face_names, targets), targets being the clip's
-        broadcast_targets. With grads, accumulates the batch's summed gradient.
+        of (clip, view, qa, targets), targets being the clip's broadcast_targets.
+        With grads, accumulates the batch's summed gradient.
 
         The naming step runs once per distinct clip of the batch: one face
         table and one head forward (_name_faces). Its rows give the clip's RKL
         term, which always runs over the full clip (naming supervision does
         not depend on the QA window), with its gradient weighted by the clip's
-        item count; they also give the name assignment of the items whose
-        face_names is None. face_names is the
-        discrete assignment the visual streams use; no gradient flows
-        through it. The QA part runs as consecutive forward/backward passes
-        of MICRO_BATCH items; the parameters do not change within a call,
-        so the split moves results only by summation order.
+        item count; they also give the clip's name assignment, the only names
+        its items' visual streams use. The assignment is discrete: no gradient
+        flows through it. The QA part runs as consecutive forward/backward
+        passes of MICRO_BATCH items; the parameters do not change within a
+        call, so the split moves results only by summation order.
         """
         clips = {}  # id(clip) -> [clip, targets, item count], in batch order
-        for clip, _, _, _, targets in batch:
+        for clip, _, _, targets in batch:
             clips.setdefault(id(clip), [clip, targets, 0])[2] += 1
         names, rkl = {}, dict.fromkeys(clips, 0.0)
         for key, (clip, targets, count) in clips.items():
@@ -573,15 +571,13 @@ class Model:
         results = []
         for m0 in range(0, len(batch), MICRO_BATCH):
             micro = batch[m0:m0 + MICRO_BATCH]
-            p_a, cache = self.forward_item(
-                [(view, qa, names[id(clip)] if face_names is None else face_names)
-                 for clip, view, qa, face_names, _ in micro])
-            gold = [qa.correct_index for _, _, qa, _, _ in micro]
+            p_a, cache = self.forward_item([(view, qa, names[id(clip)])
+                                            for clip, view, qa, _ in micro])
+            gold = [qa.correct_index for _, _, qa, _ in micro]
             for b, (clip, *_) in enumerate(micro):
                 loss, ce, clamped = joint_loss(p_a[b], gold[b], rkl[id(clip)], lam)
-                results.append(ItemResult(loss, ce, rkl[id(clip)], p_a[b],
-                                          correct=int(np.argmax(p_a[b])) == gold[b],
-                                          clamped=clamped, empty_context=cache[-1][b]))
+                results.append(ItemResult(loss, ce, rkl[id(clip)], p_a[b], clamped=clamped,
+                                          empty_context=cache[-1][b]))
             if grads is not None:
                 dlogits = p_a.copy()
                 dlogits[np.arange(len(micro)), gold] -= 1.0
@@ -589,15 +585,12 @@ class Model:
             del cache  # free this pass's activations before the next forward
         return results
 
-    def item_loss_and_grads(self, clip: Clip, view: Clip, qa: QAItem,
-                            face_names: dict[int, str], lam: float = 1.0,
-                            grads: dict | None = None, targets=None) -> ItemResult:
-        """loss_and_grads of a batch of one item; targets None are built from
-        the clip."""
+    def item_loss_and_grads(self, clip: Clip, view: Clip, qa: QAItem, lam: float = 1.0,
+                            grads: dict | None = None) -> ItemResult:
+        """loss_and_grads of a batch of one item, its targets built from the clip."""
         # Only tests call this; perfbench's tracer wraps it by name as its item span.
-        if targets is None:
-            targets = broadcast_targets(clip, self.cast, self.config.epsilon)
-        return self.loss_and_grads([(clip, view, qa, face_names, targets)], lam, grads)[0]
+        targets = broadcast_targets(clip, self.cast, self.config.epsilon)
+        return self.loss_and_grads([(clip, view, qa, targets)], lam, grads)[0]
 
     def score(self, view: Clip, qa: QAItem, face_names: dict[int, str]) -> np.ndarray:
         """Answer probabilities of one item: forward_item on a batch of one."""

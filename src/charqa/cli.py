@@ -47,13 +47,10 @@ def _read_config(path):
 
 def _train_config(args) -> TrainConfig:
     cfg = TrainConfig.from_dict(_read_config(args.config)) if args.config else TrainConfig()
-    overrides = {}
-    for name in ("epochs", "batch_size", "learning_rate", "lam",
-                 "seed", "use_ts", "min_count", "max_ratio"):
-        v = getattr(args, name, None)
-        if v is not None:
-            overrides[name] = v
-    if args.modality:
+    # Each field but model has a flag of the same dest; --modality gives a label.
+    overrides = {f.name: getattr(args, f.name) for f in fields(TrainConfig)
+                 if getattr(args, f.name, None) is not None}
+    if args.modality is not None:
         overrides["modality"] = ModalityConfig.from_label(args.modality)
     if args.epsilon is not None:
         overrides["model"] = replace(cfg.model, epsilon=args.epsilon)
@@ -200,7 +197,8 @@ def _cmd_semantics_dump(args) -> int:
 
 def _cmd_naming_eval(args) -> int:
     model = Model.load(args.checkpoint)
-    correct, total = harness.face_naming_counts(model, read_corpus(args.corpus))
+    counts = [n for *_, n in harness.name_clips(model, read_corpus(args.corpus))]
+    correct, total = sum(c for c, _ in counts), sum(n for _, n in counts)
     if total == 0:
         raise CharqaError("corpus has no faces with truth labels")
     print(f"face_acc={correct / total:.4f} over {total} faces")
@@ -291,10 +289,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CharqaError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (CharqaError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

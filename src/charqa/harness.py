@@ -182,8 +182,7 @@ def train(corpus: list[Clip], config: TrainConfig = TrainConfig()):
     """
     if not corpus:
         raise EmptyInputError("corpus is empty")
-    items = [(ci, qi) for ci, clip in enumerate(corpus) for qi in range(len(clip.qas))]
-    if not items:
+    if not any(clip.qas for clip in corpus):
         raise EmptyInputError("corpus has no QA items")
 
     cast = build_cast_list(count_speakers(corpus), min_count=config.min_count,
@@ -196,12 +195,12 @@ def train(corpus: list[Clip], config: TrainConfig = TrainConfig()):
                   seed=config.seed)
     optimizer = nn.Adam(lr=config.learning_rate)
 
-    # Static per-clip structures: broadcast targets and per-item views.
-    targets = [broadcast_targets(clip, cast, model_cfg.epsilon) for clip in corpus]
-    views = {}
-    for ci, qi in items:
-        view, _ = clip_view(corpus[ci], corpus[ci].qas[qi], config.use_ts)
-        views[(ci, qi)] = view
+    # Every item as loss_and_grads takes it: (clip, view, qa, clip targets).
+    items = []
+    for clip in corpus:
+        targets = broadcast_targets(clip, cast, model_cfg.epsilon)
+        items += [(clip, clip_view(clip, qa, config.use_ts)[0], qa, targets)
+                  for qa in clip.qas]
 
     batch_size = min(config.batch_size, len(items))
     losses = []
@@ -213,14 +212,10 @@ def train(corpus: list[Clip], config: TrainConfig = TrainConfig()):
         for start in range(0, len(items), batch_size):
             batch = [items[int(i)] for i in order[start:start + batch_size]]
             grads: dict[str, np.ndarray] = {}
-            results = model.loss_and_grads(
-                [(corpus[ci], views[(ci, qi)], corpus[ci].qas[qi], None, targets[ci])
-                 for ci, qi in batch],
-                lam=config.lam, grads=grads)
-            for (ci, _), res in zip(batch, results):
+            results = model.loss_and_grads(batch, lam=config.lam, grads=grads)
+            for (clip, *_), res in zip(batch, results):
                 if not math.isfinite(res.loss):
-                    raise NonFiniteLossError(
-                        f"loss became non-finite on clip {corpus[ci].clip_id}")
+                    raise NonFiniteLossError(f"loss became non-finite on clip {clip.clip_id}")
                 epoch_loss += res.loss
                 clamped += res.clamped
                 empty_ctx += res.empty_context
@@ -241,21 +236,28 @@ def train(corpus: list[Clip], config: TrainConfig = TrainConfig()):
     return model, report
 
 
+def name_clips(model: Model, corpus: list[Clip]):
+    """The naming pass over a corpus: each clip that has QA items or a truth
+    sidecar, with the model's name assignment (one head forward) and its
+    face_accuracy (correct, total) against the sidecar, (0, 0) without one."""
+    for clip in corpus:
+        if clip.qas or clip.truth:
+            names = model.name_assignments(clip)
+            yield clip, names, face_accuracy(names, clip.truth or {}, model.cast)
+
+
 def evaluate(model: Model, corpus: list[Clip], use_ts: bool) -> MetricsReport:
     """Top-1 QA accuracy (overall and per question type) of the model's own
     variant, plus the face accuracy of its name assignment against the truth
-    sidecar; the report carries the model's variant and seed. Read-only on
-    the model."""
+    sidecar; the report carries the model's variant and seed. One name_clips
+    pass gives each clip's names, which its items' visual streams use, and
+    its face counts. Read-only on the model."""
     if not corpus:
         raise EmptyInputError("corpus is empty")
     correct = {"all": 0, "visual": 0, "textual": 0}
     totals = {"all": 0, "visual": 0, "textual": 0}
     face_correct = face_total = 0
-    for clip in corpus:
-        if not (clip.qas or clip.truth):
-            continue
-        face_names = model.name_assignments(clip)  # one head forward per clip
-        c, n = face_accuracy(face_names, clip.truth or {}, model.cast)
+    for clip, face_names, (c, n) in name_clips(model, corpus):
         face_correct += c
         face_total += n
         if not clip.qas:
@@ -282,14 +284,6 @@ def evaluate(model: Model, corpus: list[Clip], use_ts: bool) -> MetricsReport:
         seed=model.seed, n_items=totals["all"], n_visual=totals["visual"],
         n_textual=totals["textual"], n_faces=face_total,
     )
-
-
-def face_naming_counts(model: Model, corpus: list[Clip]) -> tuple[int, int]:
-    """face_accuracy of the model's name assignments, summed over a corpus'
-    clips that carry a truth sidecar."""
-    counts = [face_accuracy(model.name_assignments(clip), clip.truth, model.cast)
-              for clip in corpus if clip.truth]
-    return sum(c for c, _ in counts), sum(n for _, n in counts)
 
 
 def ablate(corpus: list[Clip], config: TrainConfig = TrainConfig(),
@@ -508,8 +502,8 @@ def check_full(rng, tolerance: float = 1e-4, max_entries_per_tensor: int = 2):
     lam = float(rng.choice([0.5, 1.0, 2.0]))
     report = GradCheckReport("full", tolerance)
     for pairs in ([(clip, qa)], _mini_batch(clip, qa)):
-        batch = [(c, c, q, model.name_assignments(c),
-                  broadcast_targets(c, model.cast, model.config.epsilon)) for c, q in pairs]
+        batch = [(c, c, q, broadcast_targets(c, model.cast, model.config.epsilon))
+                 for c, q in pairs]
 
         def loss():
             return sum(r.loss for r in model.loss_and_grads(batch, lam=lam))
@@ -549,7 +543,7 @@ def grad_check(component: str = "all", tolerance: float = 1e-4,
 
 __all__ = [
     "METRICS_COLUMNS", "TrainConfig", "config_kwargs", "MetricsReport",
-    "write_metrics_csv", "metrics_csv_text", "train", "evaluate",
-    "face_naming_counts", "ablate", "format_report", "GradCheckReport",
+    "write_metrics_csv", "metrics_csv_text", "train", "name_clips", "evaluate",
+    "ablate", "format_report", "GradCheckReport",
     "check_naming", "check_stack", "check_full", "grad_check", "GRAD_CHECKS",
 ]

@@ -112,7 +112,7 @@ def broadcast_targets(clip: Clip, cast: CastList, epsilon: float) -> TargetSeq:
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("epsilon must lie in [0, 1)")
-    row = {face_id: i for i, face_id in enumerate(face_table(clip)[0])}
+    row = {face_id: i for i, face_id in enumerate(sorted(f.face_id for f in clip.all_faces()))}
     groups = []
     for frame in clip.frames:
         if not frame.faces:

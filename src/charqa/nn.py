@@ -364,7 +364,6 @@ class Adam:
                 self.v[k] = np.zeros_like(params[k])
             self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
             self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * (g * g)
-        for k in sorted(grads):
             mhat = self.m[k] / b1t
             vhat = self.v[k] / b2t
             params[k] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)

@@ -159,10 +159,8 @@ def build_semantic_stream(frames: list[Frame],
     flags: list[bool] = []
     if use_objs:
         for frame in ordered:
-            if objs_names:
-                run = augment_objects_with_names(frame.objects, frame_names(frame, face_names))
-            else:
-                run = object_tokens(frame.objects)
+            names = frame_names(frame, face_names) if objs_names else []
+            run = augment_objects_with_names(frame.objects, names)
             toks.extend(t for t, _ in run)
             flags.extend(f for _, f in run)
     if use_rels:

@@ -650,7 +650,6 @@ class TestForward:
 
     def test_empty_context_needs_both_visual_runs_empty(self, mini):
         model, clip, qa = mini
-        names = model.name_assignments(clip)
         (frame,) = clip.frames
 
         def view_with(objects, triples):
@@ -659,7 +658,7 @@ class TestForward:
             return type(clip)(clip.clip_id, [f], clip.subtitles, clip.qas, None)
 
         def empty_count(view):
-            return model.item_loss_and_grads(clip, view, qa, names).empty_context
+            return model.item_loss_and_grads(clip, view, qa).empty_context
 
         assert frame.objects and frame.triples
         assert empty_count(clip) == 0
@@ -669,12 +668,11 @@ class TestForward:
 
     def test_switched_off_modality_is_not_an_empty_context(self, mini):
         model, clip, qa = mini
-        names = model.name_assignments(clip)
         (frame,) = clip.frames
         assert frame.objects and frame.triples and clip.subtitles
         for label in ("Sub", "Objs_nm + Rels_nm"):
             model.modality = ModalityConfig.from_label(label)
-            res = model.item_loss_and_grads(clip, clip, qa, names)
+            res = model.item_loss_and_grads(clip, clip, qa)
             assert res.empty_context == 0, label
 
 
@@ -690,18 +688,16 @@ class TestBatch:
                       rng=np.random.default_rng(3))
         items = []
         for clip in small_corpus[:3]:
-            names = model.name_assignments(clip)
             targets = broadcast_targets(clip, cast, model.config.epsilon)
             for qa in clip.qas[:2]:
-                items.append((clip, clip_view(clip, qa, True)[0], qa, names, targets))
+                items.append((clip, clip_view(clip, qa, True)[0], qa, targets))
         # Two items whose contexts repeat (the whole clip), one without
         # frames (empty visual context) and one without anything.
         clip = small_corpus[3]
-        names = model.name_assignments(clip)
         targets = broadcast_targets(clip, cast, model.config.epsilon)
         bare = type(clip)(clip.clip_id, [], clip.subtitles, clip.qas, clip.truth)
         empty = type(clip)(clip.clip_id, [], [], clip.qas, clip.truth)
-        items += [(clip, view, qa, names, targets)
+        items += [(clip, view, qa, targets)
                   for view, qa in zip((clip, clip, bare, empty), clip.qas)]
         return model, items
 
@@ -739,8 +735,8 @@ class TestBatch:
         # micro-batch boundary. The naming head runs once per distinct clip
         # of the whole batch, with its RKL gradient weighted by the clip's
         # item count; that equals the rule of running each micro-batch as its
-        # own batch (once per clip of a micro-batch), and items without face
-        # names take the assignment of that one forward.
+        # own batch (once per clip of a micro-batch). Every item is forwarded
+        # with its own clip's assignment, the one of that head forward.
         model, items = setup
         m = carn.MICRO_BATCH
         rest = [2, 3, 4, 5, 8, 9]
@@ -751,7 +747,8 @@ class TestBatch:
         crossing = {c for i, a in enumerate(clips_per_micro) for b in clips_per_micro[i + 1:]
                     for c in a & b}
         assert len(crossing) >= 2
-        batch = [(clip, view, qa, None, targets) for clip, view, qa, _, targets in items]
+        own_names = [model.name_assignments(clip) for clip, *_ in items]
+        assert len({tuple(sorted(names.items())) for names in own_names}) > 1
         heads, named = [], []
         forward_item, naming_forward = Model.forward_item, carn.naming_forward
         monkeypatch.setattr(carn, "naming_forward",
@@ -759,10 +756,10 @@ class TestBatch:
         monkeypatch.setattr(model, "forward_item", lambda b, **kw: (
             named.extend(names for _, _, names in b) or forward_item(model, b, **kw)))
         grads = {}
-        results = model.loss_and_grads(batch, lam=0.7, grads=grads)
+        results = model.loss_and_grads(items, lam=0.7, grads=grads)
         n_clips = len({id(clip) for clip, *_ in items})
         assert len(heads) == n_clips
-        assert named == [names for _, _, _, names, _ in items]
+        assert named == own_names
         ref_grads = {}
         ref = [r for mb in micro for r in model.loss_and_grads(mb, lam=0.7, grads=ref_grads)]
         assert len(heads) == n_clips + sum(len(c) for c in clips_per_micro)
@@ -796,7 +793,7 @@ class TestBatch:
         monkeypatch.setattr(model, "forward_item", lambda b, **kw: (
             named.extend(names for _, _, names in b) or forward_item(model, b, **kw)))
         grads = {}
-        results = model.loss_and_grads([(faceless, faceless, qa, None, targets)
+        results = model.loss_and_grads([(faceless, faceless, qa, targets)
                                         for qa in faceless.qas], lam=0.7, grads=grads)
         assert [r.rkl for r in results] == [0.0] * len(faceless.qas)
         assert named == [{}] * len(faceless.qas)
@@ -852,7 +849,7 @@ class TestBatchProperties:
                           VARIANT_LABELS))))
         use_ts = data.draw(st.booleans())
         targets = {id(c): broadcast_targets(c, cast, model.config.epsilon) for c in corpus}
-        pool = [(c, clip_view(c, qa, use_ts)[0], qa, None, targets[id(c)])
+        pool = [(c, clip_view(c, qa, use_ts)[0], qa, targets[id(c)])
                 for c in corpus for qa in c.qas]
         picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
                                    max_size=min(10, len(pool)), unique=True))

@@ -466,3 +466,14 @@ class TestNamingEval:
         report = evaluate(Model.load(workdir / "model.npz"),
                           read_corpus(workdir / "corpus.jsonl"), use_ts=True)
         assert out.startswith(f"face_acc={report.face_acc:.4f} over {report.n_faces} faces")
+
+    def test_names_each_clip_once_without_a_qa_forward(self, workdir, capsys, monkeypatch):
+        named = []
+        name_assignments = Model.name_assignments
+        monkeypatch.setattr(Model, "name_assignments", lambda self, clip: (
+            named.append(clip.clip_id) or name_assignments(self, clip)))
+        monkeypatch.setattr(Model, "forward_item", None)  # calling it raises
+        rc = main(["naming", "eval", "--checkpoint", str(workdir / "model.npz"),
+                   "--corpus", str(workdir / "corpus.jsonl")])
+        assert rc == 0, capsys.readouterr().err
+        assert named == [clip.clip_id for clip in read_corpus(workdir / "corpus.jsonl")]

@@ -14,9 +14,8 @@ from charqa.carn import VARIANT_LABELS, ModalityConfig, Model, ModelConfig
 from charqa.corpus import DEFAULT_DIALOGUE_VOCAB, Clip, GenConfig, QAItem, generate_corpus
 from charqa.errors import ConfigError, EmptyInputError
 from charqa.harness import (METRICS_COLUMNS, GradCheckReport, TrainConfig, _mini_batch,
-                            _mini_setup, ablate, broadcast_targets, config_kwargs, evaluate,
-                            format_report, grad_check, metrics_csv_text, train,
-                            write_metrics_csv)
+                            _mini_setup, ablate, config_kwargs, evaluate, format_report,
+                            grad_check, metrics_csv_text, train, write_metrics_csv)
 
 SMALL_MODEL = ModelConfig(d_model=16, d_ff=24, d_h1=8, heads=2, d_f=16)
 
@@ -215,6 +214,22 @@ class TestEvaluate:
         assert report.qa_acc_visual == 1.0
         assert report.qa_acc_textual == 1.0
 
+    def test_names_each_clip_once(self, small_corpus, trained, monkeypatch):
+        # One naming pass: each clip's one assignment feeds its items'
+        # streams and its face count.
+        model, _, _ = trained
+        named, forwarded = [], []
+        name_assignments, forward_item = Model.name_assignments, Model.forward_item
+        monkeypatch.setattr(model, "name_assignments", lambda clip: (
+            named.append(clip.clip_id) or name_assignments(model, clip)))
+        monkeypatch.setattr(model, "forward_item", lambda batch, **kw: (
+            forwarded.extend(names for _, _, names in batch) or forward_item(model, batch, **kw)))
+        report = evaluate(model, small_corpus, use_ts=True)
+        assert named == [clip.clip_id for clip in small_corpus]
+        assert forwarded == [name_assignments(model, clip)
+                             for clip in small_corpus for _ in clip.qas]
+        assert report.n_faces == sum(len(clip.truth) for clip in small_corpus)
+
     def test_use_ts_marks_rows(self, small_corpus, trained):
         model, _, config = trained
         w = evaluate(model, small_corpus, use_ts=True)
@@ -365,16 +380,12 @@ class TestGradCheckRunner:
         qa = QAItem(qa.question, [["Ada"], ["Ben"], ["cup"], ["so", "story"], ["story"]],
                     0, qa.ts_interval)
         clip = Clip(clip.clip_id, clip.frames, clip.subtitles, [qa], clip.truth)
-        names = model.name_assignments(clip)
-        targets = broadcast_targets(clip, model.cast, model.config.epsilon)
 
         def loss():
-            return model.item_loss_and_grads(clip, clip, qa, names, lam=lam,
-                                             targets=targets).loss
+            return model.item_loss_and_grads(clip, clip, qa, lam=lam).loss
 
         grads = {}
-        model.item_loss_and_grads(clip, clip, qa, names, lam=lam, grads=grads,
-                                  targets=targets)
+        model.item_loss_and_grads(clip, clip, qa, lam=lam, grads=grads)
         key = "enc.l0.ffn.b2"
         central = nn.fd_gradient_entry(loss, model.params, key, (4,))
         assert nn.relative_error(grads[key][4], central) > 1e-2

@@ -119,6 +119,46 @@ def test_every_import_is_read():
     assert not dead, dead
 
 
+def unread_parameters(source: str) -> list[str]:
+    """The parameters that a module's functions and lambdas never read in
+    their bodies, as "function(parameter)". A read in a nested function
+    counts."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"{getattr(node, 'name', '<lambda>')}({p})" for p in params if p not in read]
+    return found
+
+
+def test_unread_parameters_are_caught():
+    source = ("def f(a, b, *c, d=1, **e):\n    def g(x):\n        return a\n    return g\n"
+              "h = lambda y, z: z\n")
+    assert sorted(unread_parameters(source)) == [
+        "<lambda>(y)", "f(b)", "f(c)", "f(d)", "f(e)", "g(x)"]
+    assert unread_parameters("class A:\n    def m(self, v):\n        return self.v\n") == [
+        "m(v)"]
+
+
+# perfbench/tracer.py reads prepare_sequence's tokens and flags as positional
+# arguments 2 and 3, so its first parameter stays though nothing reads it.
+UNREAD_PARAMETERS_ALLOWED = {"carn.py": ["prepare_sequence(params)"]}
+
+
+def test_every_parameter_is_read():
+    unread = {}
+    for path in sorted((ROOT / "src/charqa").glob("*.py")):
+        found = unread_parameters(path.read_text(encoding="utf-8"))
+        if found != UNREAD_PARAMETERS_ALLOWED.get(path.name, []):
+            unread[path.name] = found
+    assert not unread, unread
+
+
 def names_read(source: str) -> set[str]:
     """The names a module reads: loaded names, attributes, and string
     constants (the tracer's getattr targets, quoted annotations), but not
