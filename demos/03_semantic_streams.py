@@ -9,11 +9,11 @@ names present in the frame. These token streams are what the reasoning
 network actually reads.
 """
 
-from charqa.carn import ModalityConfig, subtitle_stream, visual_stream
+from charqa.carn import ModalityConfig, subtitle_stream
 from charqa.castlist import CastList
 from charqa.corpus import GenConfig, generate_corpus
 from charqa.semantics import (augment_objects_with_names, frame_names,
-                              match_faces_to_humans, replace_names)
+                              match_faces_to_humans, replace_names, visual_stream)
 
 corpus = generate_corpus(GenConfig(k_principals=3, n_extras=1, n_clips=4,
                                    d_f=16, seed=3))
@@ -24,12 +24,13 @@ cast = CastList(tuple(GenConfig(k_principals=3).principal_names()), (30, 20, 10)
 # Step 1: tie each detected human box to the face it contains (overlap
 # ratio over the face area, ties to the lowest face id).
 frame = next(f for f in clip.frames if f.human_boxes and f.triples)
-assignment = match_faces_to_humans(frame.faces, [b for b, _ in frame.human_boxes])
-print(f"frame {frame.frame_id}: human boxes -> faces {assignment.matches}")
+matches = match_faces_to_humans(frame.faces, [b for b, _ in frame.human_boxes])
+print(f"frame {frame.frame_id}: human boxes -> faces {matches}")
 
-# Step 2: rewrite triples through the face names.
+# Step 2: rewrite triples through the face names; replace_names makes the
+# same match itself.
 before = [t.tokens for t in frame.triples]
-after = [t.tokens for t in replace_names(frame.triples, assignment, names)]
+after = [t.tokens for t in replace_names(frame, names)]
 for b, a in zip(before, after):
     mark = "->" if a != b else "  (unchanged)"
     print(f"  {b} {mark} {a if a != b else ''}")

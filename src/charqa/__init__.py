@@ -16,14 +16,13 @@ from .corpus import (BBox, Clip, FaceDetection, Frame, GenConfig, QAItem, Relati
 from .errors import CharqaError
 from .naming import (assign_names, broadcast_targets, face_accuracy, naming_forward,
                      rkl_loss_with_grad)
-from .semantics import (FaceHumanAssignment, augment_objects_with_names, match_faces_to_humans,
-                        replace_names)
+from .semantics import augment_objects_with_names, match_faces_to_humans, replace_names
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BBox", "CastList", "CharqaError", "Clip", "FaceDetection",
-    "FaceHumanAssignment", "Frame", "FULL_VARIANT", "GenConfig",
+    "Frame", "FULL_VARIANT", "GenConfig",
     "ModalityConfig", "Model", "ModelConfig", "QAItem", "RelationTriple",
     "SubtitleLine", "UNKNAME",
     "VARIANT_LABELS", "Vocab", "assign_names", "augment_objects_with_names",

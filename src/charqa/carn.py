@@ -44,7 +44,7 @@ from .errors import (CheckpointError, ConfigError, EmptyInputError, SchemaVersio
                      VocabError)
 from .naming import (assign_names, broadcast_targets, face_table, init_naming,
                      naming_backward, naming_forward, rkl_loss_with_grad)
-from .semantics import build_semantic_stream
+from .semantics import visual_stream
 
 CHECKPOINT_VERSION = "charqa-ckpt-2"
 PROB_FLOOR = 1e-12
@@ -241,16 +241,6 @@ def qa_stream(question, answer, cast: CastList):
     """[question ; answer] token concatenation; cast members are names."""
     toks = list(question) + list(answer)
     return toks, [t in cast for t in toks]
-
-
-def visual_stream(frames, modality: ModalityConfig, face_names, cast: CastList):
-    """The (tokens, name_flags) stream of the frames' enabled visual runs."""
-    return build_semantic_stream(
-        frames, face_names,
-        use_objs=modality.use_objs, use_rels=modality.use_rels,
-        objs_names=modality.objs_names, rels_names=modality.rels_names,
-        name_set=frozenset(cast.names),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +654,6 @@ class Model:
 __all__ = [
     "CHECKPOINT_VERSION", "PROB_FLOOR", "MICRO_BATCH", "ModalityConfig",
     "VARIANT_LABELS", "FULL_VARIANT", "Vocab", "build_vocab", "subtitle_stream",
-    "qa_stream", "visual_stream", "prepare_sequence", "embed",
+    "qa_stream", "prepare_sequence", "embed",
     "embed_backward", "joint_loss", "ModelConfig", "ItemResult", "Model",
 ]

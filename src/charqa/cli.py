@@ -14,12 +14,13 @@ import sys
 from dataclasses import fields, replace
 
 from . import harness
-from .carn import ModalityConfig, Model, subtitle_stream, visual_stream
+from .carn import ModalityConfig, Model, subtitle_stream
 from .castlist import DEFAULT_MAX_RATIO, build_cast_list, count_speakers
 from .corpus import GenConfig, clip_view, generate_corpus, read_corpus, write_corpus
 from .errors import CharqaError, ConfigError
 from .harness import (TrainConfig, config_kwargs, evaluate, grad_check, train,
                       write_metrics_csv)
+from .semantics import visual_stream
 
 
 def _add_train_overrides(p: argparse.ArgumentParser) -> None:
@@ -37,12 +38,16 @@ def _add_train_overrides(p: argparse.ArgumentParser) -> None:
 
 
 def _read_config(path):
-    """The parsed JSON of a --config file; ConfigError if it is malformed."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: malformed JSON ({e})") from None
+    """The parsed JSON of a --config file; ConfigError if it is not UTF-8
+    or malformed."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 ({e})") from None
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{path}: malformed JSON ({e})") from None
 
 
 def _train_config(args) -> TrainConfig:
@@ -103,7 +108,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     model = Model.load(args.checkpoint)
     clips = read_corpus(args.corpus)
-    if args.modality:
+    if args.modality is not None:
         model.modality = ModalityConfig.from_label(args.modality)
     settings = [args.use_ts] if args.use_ts is not None else [True, False]
     reports = [evaluate(model, clips, use_ts=ts) for ts in settings]
@@ -137,27 +142,32 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    reports = []
-    with open(args.metrics, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header != list(harness.METRICS_COLUMNS):
-            raise CharqaError(f"unexpected metrics columns: {header}")
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            v = line.strip().split(",")
-            if len(v) != len(header):
-                raise CharqaError(f"line {line_no}: {len(v)} columns, "
-                                  f"expected {len(header)}")
-            if v[1] not in ("0", "1"):
-                raise CharqaError(f"line {line_no}: use_ts must be 0 or 1, got {v[1]!r}")
+    lines = []
+    with open(args.metrics, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
             try:
-                reports.append(harness.MetricsReport(
-                    variant=v[0], use_ts=v[1] == "1", qa_acc=float(v[2]),
-                    qa_acc_visual=float(v[3]), qa_acc_textual=float(v[4]),
-                    face_acc=float(v[5]), seed=int(v[6])))
-            except ValueError as e:
-                raise CharqaError(f"line {line_no}: {e}") from None
+                lines.append(raw.decode("utf-8").strip())
+            except UnicodeDecodeError as e:
+                raise CharqaError(f"line {line_no}: not UTF-8 ({e})") from None
+    header = (lines[0] if lines else "").split(",")
+    if header != list(harness.METRICS_COLUMNS):
+        raise CharqaError(f"unexpected metrics columns: {header}")
+    reports = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        v = line.split(",")
+        if len(v) != len(header):
+            raise CharqaError(f"line {line_no}: {len(v)} columns, expected {len(header)}")
+        if v[1] not in ("0", "1"):
+            raise CharqaError(f"line {line_no}: use_ts must be 0 or 1, got {v[1]!r}")
+        try:
+            reports.append(harness.MetricsReport(
+                variant=v[0], use_ts=v[1] == "1", qa_acc=float(v[2]),
+                qa_acc_visual=float(v[3]), qa_acc_textual=float(v[4]),
+                face_acc=float(v[5]), seed=int(v[6])))
+        except ValueError as e:
+            raise CharqaError(f"line {line_no}: {e}") from None
     if not reports:
         raise CharqaError("metrics file has no rows")
     print(harness.format_report(reports))

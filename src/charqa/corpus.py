@@ -160,6 +160,8 @@ class QAItem:
             raise ValueError(f"correct_index {self.correct_index} out of range")
         if self.ts_interval[0] > self.ts_interval[1]:
             raise ValueError(f"ts_interval reversed {self.ts_interval}")
+        if self.qtype not in ("visual", "textual"):
+            raise ValueError(f"qtype must be 'visual' or 'textual', got {self.qtype!r}")
 
 
 @dataclass
@@ -652,12 +654,14 @@ def write_corpus(clips: list[Clip], path) -> None:
 
 def read_corpus(path) -> list[Clip]:
     clips = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                d = json.loads(line)
+                d = json.loads(line.decode("utf-8"))
+            except UnicodeDecodeError as e:
+                raise CorpusParseError(line_no, f"not UTF-8 ({e})") from e
             except json.JSONDecodeError as e:
                 raise CorpusParseError(line_no, f"invalid JSON ({e.msg})") from e
             if not isinstance(d, dict) or "schema_version" not in d:

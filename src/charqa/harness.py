@@ -268,9 +268,8 @@ def evaluate(model: Model, corpus: list[Clip], use_ts: bool) -> MetricsReport:
             hit = int(np.argmax(p)) == qa.correct_index
             totals["all"] += 1
             correct["all"] += hit
-            tag = qa.qtype if qa.qtype in ("visual", "textual") else "textual"
-            totals[tag] += 1
-            correct[tag] += hit
+            totals[qa.qtype] += 1
+            correct[qa.qtype] += hit
     if totals["all"] == 0:
         raise EmptyInputError("corpus has no QA items")
 

@@ -7,6 +7,7 @@ and the time-stamp protocol, plus Sub and Sub + Objs for the ablation
 ordering. Medians are over training seeds 0/1/2 on the fixed corpus.
 """
 
+import dataclasses
 import statistics
 import time
 
@@ -155,7 +156,7 @@ def test_criterion_7_invariant_suite():
     from charqa import nn
     from charqa.carn import embed
     from charqa.corpus import QAItem
-    from charqa.semantics import match_faces_to_humans, replace_names
+    from charqa.semantics import replace_names
 
     checks = []
 
@@ -203,10 +204,8 @@ def test_criterion_7_invariant_suite():
             if not frame.triples or seen >= 6:
                 continue
             seen += 1
-            assignment = match_faces_to_humans(frame.faces,
-                                               [b for b, _ in frame.human_boxes])
-            once = replace_names(frame.triples, assignment, c.truth)
-            twice = replace_names(once, assignment, c.truth)
+            once = replace_names(frame, c.truth)
+            twice = replace_names(dataclasses.replace(frame, triples=once), c.truth)
             assert [t.tokens for t in once] == [t.tokens for t in twice]
             assert len(once) == len(frame.triples)
             for a, b in zip(frame.triples, once):

@@ -1,5 +1,6 @@
 """End-to-end runs of every CLI subcommand on a micro corpus."""
 
+import hashlib
 import json
 import re
 
@@ -209,6 +210,7 @@ class TestTrainEval:
         (("subtitles", 0, "tokens"), "abc"),
         (("frames", 0, "objects", 0, "label"), 7),
         (("qas", 0, "correct_index"), True),
+        (("qas", 0, "qtype"), "audio"),
     ])
     def test_mistyped_corpus_field_one_line_error(self, workdir, tmp_path, capsys,
                                                   path, value):
@@ -240,6 +242,32 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert rc == 1 and err.count("\n") == 1, err
         assert err.startswith("error: line 1: bad clip record:"), err
+
+    @pytest.mark.parametrize("reader", ["corpus", "config", "metrics"])
+    def test_bytes_not_utf8_one_line_error(self, workdir, tmp_path, capsys, reader):
+        # A 0xff byte opens the second line of each text input the CLI reads.
+        corpus = str(workdir / "corpus.jsonl")
+        if reader == "config":
+            data = b'{"epochs": 1,\n\xff "seed": 2}\n'
+        else:
+            source = workdir / "corpus.jsonl" if reader == "corpus" else tmp_path / "eval.csv"
+            if reader == "metrics":
+                assert main(["eval", "--checkpoint", str(workdir / "model.npz"),
+                             "--corpus", corpus, "--out", str(source)]) == 0
+            first, rest = source.read_bytes().split(b"\n", 1)
+            data = first + b"\n\xff" + rest
+        bad = tmp_path / "bad"
+        bad.write_bytes(data)
+        argv = {"corpus": ["castlist", "--corpus", str(bad)],
+                "config": ["train", "--corpus", corpus, "--out", str(tmp_path / "m.npz"),
+                           "--config", str(bad)],
+                "metrics": ["report", "--metrics", str(bad)]}[reader]
+        capsys.readouterr()
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1, err
+        want = f"error: {bad}: not UTF-8" if reader == "config" else "error: line 2: not UTF-8"
+        assert err.startswith(want), err
 
     def test_train_outputs(self, workdir):
         report = json.loads((workdir / "train_report.json").read_text(encoding="utf-8"))
@@ -316,6 +344,16 @@ class TestTrainEval:
         default = (tmp_path / "default.csv").read_text(encoding="utf-8")
         assert default == (tmp_path / "sub.csv").read_text(encoding="utf-8")
         assert [row.split(",")[0] for row in default.splitlines()[1:]] == ["Sub", "Sub"]
+
+    def test_eval_empty_modality_one_line_error(self, workdir, tmp_path, capsys):
+        out = tmp_path / "eval.csv"
+        rc = main(["eval", "--checkpoint", str(workdir / "model.npz"),
+                   "--corpus", str(workdir / "corpus.jsonl"), "--modality", "",
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "", captured.out
+        assert captured.err == "error: at least one modality must be enabled\n"
+        assert not out.exists()
 
     def test_eval_labels_the_trained_seed(self, workdir, tmp_path, capsys):
         corpus = str(workdir / "corpus.jsonl")
@@ -455,6 +493,25 @@ class TestSemanticsDump:
         for r in recs:
             for tok, flag in zip(r["visual_tokens"], r["visual_name_flags"]):
                 assert flag == (tok in model.cast)
+
+    def test_dump_bytes_are_pinned(self, tmp_path, capsys):
+        # Digests of the dumps with and without time stamps, recorded before
+        # the stream builder was last restructured; the corpus digest tells a
+        # changed generator from a changed stream.
+        corpus = tmp_path / "corpus.jsonl"
+        assert main(["gen", "--out", str(corpus), "--clips", "12", "--seed", "4"]) == 0
+        digests = {"corpus": hashlib.sha256(corpus.read_bytes()).hexdigest()}
+        for flag in ("--use-ts", "--no-use-ts"):
+            out = tmp_path / f"{flag}.jsonl"
+            rc = main(["semantics", "dump", "--corpus", str(corpus),
+                       "--modality", "objs_nm,rels_nm", "--out", str(out), flag])
+            assert rc == 0, capsys.readouterr().err
+            digests[flag] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digests == {
+            "corpus": "c23e81e40048dcd2f04f3db05a73615d605a8f7ddd4d5f96c93cbc2c33165dfb",
+            "--use-ts": "e2a1e971b992fe67fa9d678906d7bd6addff29b707b24d7ddedea3ccbe1dc5ab",
+            "--no-use-ts": "dc3fe92e2085c3bc5f9613a67b14f49a51d0619b21734594991b19b0eb0b8e8b",
+        }
 
 
 class TestNamingEval:

@@ -197,3 +197,45 @@ def test_every_export_is_read_outside_the_tests():
               if name not in read]
     unread += [name for name in charqa.__all__ if name not in read]
     assert not unread, unread
+
+
+# A module may import only the modules before it; semantics builds the visual
+# stream from a variant without importing carn, which defines the variants.
+MODULE_ORDER = ("errors", "corpus", "castlist", "nn", "naming", "semantics", "carn", "harness",
+                "cli")
+
+
+def later_imports(module: str, source: str) -> list[str]:
+    """The charqa modules that `module` imports and that come after it in
+    MODULE_ORDER, as "line: name"; relative and absolute imports count,
+    wherever they sit in the source."""
+    rank = MODULE_ORDER.index(module)
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        targets = []
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            targets = [node.module] if node.module else [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module == "charqa":
+                targets = [a.name for a in node.names]
+            elif node.module.startswith("charqa."):
+                targets = [node.module.split(".")[1]]
+        elif isinstance(node, ast.Import):
+            targets = [a.name.split(".")[1] for a in node.names if a.name.startswith("charqa.")]
+        found += [f"{node.lineno}: {t}" for t in targets
+                  if t in MODULE_ORDER and MODULE_ORDER.index(t) > rank]
+    return found
+
+
+def test_later_imports_are_caught():
+    source = ("from . import nn, carn\nfrom .cli import main\nimport charqa.harness\n"
+              "from charqa import errors\ndef f():\n    from charqa.carn import Model\n")
+    assert later_imports("semantics", source) == ["1: carn", "2: cli", "3: harness", "6: carn"]
+    assert later_imports("cli", source) == []
+
+
+def test_modules_import_only_earlier_modules():
+    found = {path.name: later_imports(path.stem, path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src/charqa").glob("*.py")) if path.stem != "__init__"}
+    assert sorted(found) == sorted(f"{m}.py" for m in MODULE_ORDER)
+    assert not any(found.values()), found
