@@ -39,7 +39,7 @@ import numpy as np
 
 from . import nn
 from .castlist import CastList, map_speaker
-from .corpus import Clip, QAItem
+from .corpus import Clip, QAItem, config_kwargs, strings, typed
 from .errors import (CheckpointError, ConfigError, EmptyInputError, SchemaVersionError,
                      VocabError)
 from .naming import (assign_names, broadcast_targets, face_table, init_naming,
@@ -618,27 +618,25 @@ class Model:
             raise SchemaVersionError(f"unsupported checkpoint version {version!r}"
                                      f" (expected {CHECKPOINT_VERSION!r})")
         try:
-            vocab = Vocab(tuple(meta["vocab"]["words"]), tuple(meta["vocab"]["names"]),
-                          tuple(meta["vocab"]["chars"]))
+            vocab = Vocab(*(tuple(strings(meta["vocab"][k], f"vocab {k}"))
+                            for k in ("words", "names", "chars")))
             cast = CastList.from_dict(meta["cast"])
-            config = ModelConfig(**meta["config"])
+            config = ModelConfig(**config_kwargs(ModelConfig, meta["config"], "config"))
             # Checkpoints written before the variant and the seed were
             # recorded are of the full variant, the training default, and are
             # evaluated as seed 0.
-            variant = meta.get("variant", FULL_VARIANT)
-            if not isinstance(variant, str):
-                raise TypeError(f"variant must be a string, got {variant!r}")
-            modality = ModalityConfig.from_label(variant)
-            seed = meta.get("seed", 0)
-            if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-                raise TypeError(f"seed must be an integer >= 0, got {seed!r}")
+            modality = ModalityConfig.from_label(
+                typed(meta.get("variant", FULL_VARIANT), str, "variant"))
+            seed = typed(meta.get("seed", 0), int, "seed")
+            if seed < 0:
+                raise ValueError(f"seed must be >= 0, got {seed}")
+            # A fresh model of the same config and vocabulary has every
+            # tensor in the shape the checkpoint must have.
+            expected = cls(vocab, cast, config).params
         except KeyError as e:
             raise CheckpointError(f"{path}: checkpoint meta lacks {e.args[0]!r}") from None
-        except (TypeError, ConfigError) as e:
+        except (TypeError, ValueError, ConfigError, VocabError) as e:
             raise CheckpointError(f"{path}: malformed checkpoint meta ({e})") from None
-        # A fresh model of the same config and vocabulary has every tensor
-        # in the shape the checkpoint must have.
-        expected = cls(vocab, cast, config).params
         for key in sorted(expected.keys() | params.keys()):
             want, got = expected.get(key), params.get(key)
             if want is None or got is None or want.shape != got.shape:

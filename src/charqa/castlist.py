@@ -12,6 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .corpus import strings, typed
 from .errors import ConfigError, EmptyCastError
 
 UNKNAME = "UNKNAME"
@@ -62,7 +63,9 @@ class CastList:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CastList":
-        return cls(tuple(d["names"]), tuple(int(c) for c in d["counts"]))
+        counts = typed(d["counts"], list, "cast counts")
+        return cls(tuple(strings(d["names"], "cast names")),
+                   tuple(typed(c, int, "cast count") for c in counts))
 
 
 def count_speakers(clips) -> dict[str, int]:

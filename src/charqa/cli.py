@@ -16,10 +16,10 @@ from dataclasses import fields, replace
 from . import harness
 from .carn import ModalityConfig, Model, subtitle_stream
 from .castlist import DEFAULT_MAX_RATIO, build_cast_list, count_speakers
-from .corpus import GenConfig, clip_view, generate_corpus, read_corpus, write_corpus
+from .corpus import (GenConfig, clip_view, config_kwargs, generate_corpus, read_corpus,
+                     write_corpus)
 from .errors import CharqaError, ConfigError
-from .harness import (TrainConfig, config_kwargs, evaluate, grad_check, train,
-                      write_metrics_csv)
+from .harness import TrainConfig, evaluate, grad_check, train, write_metrics_csv
 from .semantics import visual_stream
 
 
@@ -63,9 +63,7 @@ def _train_config(args) -> TrainConfig:
 
 
 def _cmd_gen(args) -> int:
-    kw = {}
-    if args.config:
-        kw = config_kwargs(GenConfig, _read_config(args.config), "gen config")
+    kw = config_kwargs(GenConfig, _read_config(args.config), "gen config") if args.config else {}
     for f in fields(GenConfig):  # each field has a flag of the same dest
         v = getattr(args, f.name)
         if v is not None:
@@ -191,7 +189,7 @@ def _cmd_semantics_dump(args) -> int:
             else:
                 names = {}
             for qi, qa in enumerate(clip.qas):
-                view, _ = clip_view(clip, qa, args.use_ts)
+                view = clip_view(clip, qa, args.use_ts)
                 toks, flags = visual_stream(view.frames, modality, names, cast)
                 subs, sub_flags = subtitle_stream(view.subtitles, cast)
                 fh.write(json.dumps({

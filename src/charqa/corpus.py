@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigError, CorpusParseError, SchemaVersionError
+from .errors import ConfigError, CorpusParseError, FieldTypeError, SchemaVersionError
 
 SCHEMA_VERSION = "carn-corpus-1"
 
@@ -485,12 +485,15 @@ def _box_to_list(b: BBox | None):
     return None if b is None else [b.x0, b.y0, b.x1, b.y1]
 
 
-# Field types of a parsed record. JSON gives exact Python types, so a type
-# test excludes bool from the numbers, and a string is never taken for a
-# list (it would iterate as one-letter tokens).
+# The field rule of every JSON input: corpus records, config files and
+# checkpoint meta. JSON gives exact Python types, so a type test excludes
+# bool from the numbers, and a string is never taken for a list (it would
+# iterate as one-letter tokens).
 _NUMBER = (int, float)
 _TYPE_NAMES = {int: "an integer", _NUMBER: "a number", str: "a string", list: "a list",
-               (str, type(None)): "a string or null", (dict, type(None)): "an object or null"}
+               bool: "true or false", dict: "a JSON object",
+               (int, type(None)): "an integer or null", (str, type(None)): "a string or null",
+               (dict, type(None)): "an object or null"}
 
 
 def _shown(v) -> str:
@@ -498,23 +501,24 @@ def _shown(v) -> str:
     return text if len(text) <= 40 else text[:37] + "..."
 
 
-def _of(v, kind, what: str):
-    """v if its type is kind (a type or a tuple of types); TypeError naming
-    the field otherwise."""
+def typed(v, kind, what: str):
+    """v if its type is kind (a type or a tuple of types); FieldTypeError
+    naming the field otherwise."""
     if type(v) not in (kind if type(kind) is tuple else (kind,)):
-        raise TypeError(f"{what} must be {_TYPE_NAMES[kind]}, got {_shown(v)}")
+        raise FieldTypeError(f"{what} must be {_TYPE_NAMES[kind]}, got {_shown(v)}")
     return v
 
 
 def _token(v, what: str, kind=str):
-    """_of(v, kind, what), refusing the empty string: an empty token has no
-    embedding."""
-    if _of(v, kind, what) == "":
+    """typed(v, kind, what), refusing the empty string: an empty token has
+    no embedding."""
+    if typed(v, kind, what) == "":
         raise ValueError(f"{what} must not be empty")
     return v
 
 
-def _strings(v, what: str) -> list[str]:
+def strings(v, what: str) -> list[str]:
+    """v if it is a list of non-empty strings; FieldTypeError or ValueError otherwise."""
     if type(v) is list:
         try:
             "".join(v)  # the type check of every item, at C speed
@@ -524,15 +528,32 @@ def _strings(v, what: str) -> list[str]:
             if "" in v:
                 raise ValueError(f"{what} must not hold an empty token, got {_shown(v)}")
             return v
-    raise TypeError(f"{what} must be a list of strings, got {_shown(v)}")
+    raise FieldTypeError(f"{what} must be a list of strings, got {_shown(v)}")
+
+
+# The JSON kind of each scalar config field's annotation.
+_FIELD_KINDS = {"int": int, "float": _NUMBER, "bool": bool, "int | None": (int, type(None))}
+
+
+def config_kwargs(cls, d, what: str) -> dict:
+    """The keyword arguments that a parsed JSON config gives the dataclass
+    cls; ConfigError unless it is an object whose keys are fields of cls and
+    whose scalar values have the fields' types."""
+    unknown = sorted(set(typed(d, dict, what)) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"{what}: unknown field {unknown[0]!r}")
+    for f in fields(cls):
+        if f.name in d and f.type in _FIELD_KINDS:
+            typed(d[f.name], _FIELD_KINDS[f.type], f"{what}: {f.name}")
+    return dict(d)
 
 
 def _box_from_list(v, what: str) -> BBox:
-    return BBox(*_of(v, list, what))
+    return BBox(*typed(v, list, what))
 
 
 def _embedding(v) -> np.ndarray:
-    e = np.asarray(_of(v, list, "face embedding"))
+    e = np.asarray(typed(v, list, "face embedding"))
     if e.ndim != 1 or e.dtype.kind not in "if":
         raise TypeError(f"face embedding must be a flat list of numbers, got {_shown(v)}")
     return e.astype(np.float64, copy=False)
@@ -590,59 +611,66 @@ def clip_to_dict(clip: Clip) -> dict:
     }
 
 
+def _time(v, what: str):
+    """v if it is a number, finite and >= 0 (the comparison BBox uses)."""
+    if not 0 <= typed(v, _NUMBER, what) <= sys.float_info.max:
+        raise ValueError(f"{what} must be finite and >= 0, got {_shown(v)}")
+    return v
+
+
 def _ts_interval(v) -> tuple[float, float]:
-    if type(v) is not list or len(v) != 2 or not all(type(t) in _NUMBER for t in v):
-        raise TypeError(f"ts_interval must be a pair of numbers, got {_shown(v)}")
-    return v[0], v[1]
+    if type(v) is not list or len(v) != 2:
+        raise FieldTypeError(f"ts_interval must be a pair of numbers, got {_shown(v)}")
+    return _time(v[0], "ts_interval start"), _time(v[1], "ts_interval end")
 
 
 def clip_from_dict(d: dict) -> Clip:
     """The clip of a parsed corpus record, each field checked for its JSON
-    type and each token for being non-empty as it is read; KeyError,
-    TypeError or ValueError on the first bad field. validate_clip checks
-    what relates fields to each other."""
+    type, each token for being non-empty and each time for being finite and
+    >= 0 as it is read; KeyError, TypeError or ValueError on the first bad
+    field. validate_clip checks what relates fields to each other."""
     frames = [
         Frame(
-            _of(f["frame_id"], int, "frame_id"),
-            _of(f["time"], _NUMBER, "frame time"),
+            typed(f["frame_id"], int, "frame_id"),
+            _time(f["time"], "frame time"),
             [
-                FaceDetection(_of(fc["face_id"], int, "face_id"),
-                              _of(fc["frame_id"], int, "face frame_id"),
+                FaceDetection(typed(fc["face_id"], int, "face_id"),
+                              typed(fc["frame_id"], int, "face frame_id"),
                               _box_from_list(fc["box"], "face box"),
                               _embedding(fc["embedding"]))
-                for fc in _of(f["faces"], list, "faces")
+                for fc in typed(f["faces"], list, "faces")
             ],
             [(_box_from_list(h["box"], "human box"), _token(h["word"], "human word"))
-             for h in _of(f["human_boxes"], list, "human_boxes")],
+             for h in typed(f["human_boxes"], list, "human_boxes")],
             [(_token(o["label"], "object label"),
               _token(o["attribute"], "object attribute", (str, type(None))))
-             for o in _of(f["objects"], list, "objects")],
+             for o in typed(f["objects"], list, "objects")],
             [
-                RelationTriple(*_strings([t["subject"], t["predicate"], t["object"]],
-                                         "triple tokens"),
+                RelationTriple(*strings([t["subject"], t["predicate"], t["object"]],
+                                        "triple tokens"),
                                *(None if t[k] is None else _box_from_list(t[k], k)
                                  for k in ("subject_box", "object_box")))
-                for t in _of(f["triples"], list, "triples")
+                for t in typed(f["triples"], list, "triples")
             ],
         )
-        for f in _of(d["frames"], list, "frames")
+        for f in typed(d["frames"], list, "frames")
     ]
-    subtitles = [SubtitleLine(_of(s["speaker"], str, "speaker"),
-                              _strings(s["tokens"], "subtitle tokens"),
-                              _of(s["t_start"], _NUMBER, "t_start"),
-                              _of(s["t_end"], _NUMBER, "t_end"))
-                 for s in _of(d["subtitles"], list, "subtitles")]
+    subtitles = [SubtitleLine(typed(s["speaker"], str, "speaker"),
+                              strings(s["tokens"], "subtitle tokens"),
+                              _time(s["t_start"], "t_start"),
+                              _time(s["t_end"], "t_end"))
+                 for s in typed(d["subtitles"], list, "subtitles")]
     qas = [
-        QAItem(_strings(q["question"], "question"),
-               [_strings(a, "answer") for a in _of(q["answers"], list, "answers")],
-               _of(q["correct_index"], int, "correct_index"),
-               _ts_interval(q["ts_interval"]), _of(q.get("qtype", "textual"), str, "qtype"))
-        for q in _of(d["qas"], list, "qas")
+        QAItem(strings(q["question"], "question"),
+               [strings(a, "answer") for a in typed(q["answers"], list, "answers")],
+               typed(q["correct_index"], int, "correct_index"),
+               _ts_interval(q["ts_interval"]), typed(q.get("qtype", "textual"), str, "qtype"))
+        for q in typed(d["qas"], list, "qas")
     ]
-    truth = _of(d["truth"], (dict, type(None)), "truth")
+    truth = typed(d["truth"], (dict, type(None)), "truth")
     if truth is not None:
-        truth = {int(k): _of(v, str, "truth name") for k, v in truth.items()}
-    return Clip(_of(d["clip_id"], str, "clip_id"), frames, subtitles, qas, truth)
+        truth = {int(k): typed(v, str, "truth name") for k, v in truth.items()}
+    return Clip(typed(d["clip_id"], str, "clip_id"), frames, subtitles, qas, truth)
 
 
 def write_corpus(clips: list[Clip], path) -> None:
@@ -684,22 +712,19 @@ def read_corpus(path) -> list[Clip]:
 # Per-question views
 
 
-def clip_view(clip: Clip, qa: QAItem, use_ts: bool) -> tuple[Clip, bool]:
+def clip_view(clip: Clip, qa: QAItem, use_ts: bool) -> Clip:
     """Restrict a clip to the QA item's time-stamp interval.
 
     With use_ts the view keeps only frames whose time lies inside the interval
-    and subtitle lines whose span intersects it; without, the clip is returned
-    unchanged.  Returns (view, warned) where warned flags a time-stamped view
-    that came back with no frames and no subtitles.
+    and subtitle lines whose span intersects it, possibly none of either;
+    without, the clip is returned unchanged.
     """
     if not use_ts:
-        return clip, False
+        return clip
     t0, t1 = qa.ts_interval
     frames = [f for f in clip.frames if t0 <= f.time <= t1]
     subs = [s for s in clip.subtitles if s.t_start <= t1 and s.t_end >= t0]
-    warned = not frames and not subs
-    view = Clip(clip.clip_id, frames, subs, [qa], clip.truth)
-    return view, warned
+    return Clip(clip.clip_id, frames, subs, [qa], clip.truth)
 
 
 def validate_clip(clip: Clip) -> None:
@@ -730,6 +755,6 @@ __all__ = [
     "SCHEMA_VERSION", "BBox", "FaceDetection", "RelationTriple", "Frame",
     "SubtitleLine", "QAItem", "Clip", "GenConfig", "generate_corpus",
     "write_corpus", "read_corpus", "clip_to_dict", "clip_from_dict",
-    "clip_view", "validate_clip",
+    "clip_view", "validate_clip", "typed", "strings", "config_kwargs",
     "DEFAULT_HUMAN_WORDS",
 ]

@@ -9,6 +9,10 @@ class ConfigError(CharqaError):
     """Invalid configuration value; message names the offending field."""
 
 
+class FieldTypeError(ConfigError, TypeError):
+    """A JSON value not of its field's type; a TypeError too, for the record readers."""
+
+
 class CorpusParseError(CharqaError):
     """Malformed corpus line."""
 

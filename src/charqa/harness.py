@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -24,7 +24,7 @@ from .carn import VARIANT_LABELS, ModalityConfig, Model, ModelConfig, Vocab, bui
 from .castlist import (DEFAULT_MAX_RATIO, CastList, build_cast_list, check_thresholds,
                        count_speakers)
 from .corpus import (BBox, Clip, FaceDetection, Frame, QAItem, RelationTriple,
-                     SubtitleLine, clip_view)
+                     SubtitleLine, clip_view, config_kwargs, typed)
 from .errors import ConfigError, EmptyInputError, NonFiniteLossError, ShapeError
 from .naming import (TargetSeq, broadcast_targets, face_accuracy, init_naming,
                      naming_backward, naming_forward, rkl_loss_with_grad, smoothed_onehot)
@@ -71,10 +71,8 @@ class TrainConfig:
     def from_dict(cls, d: dict) -> "TrainConfig":
         kw = config_kwargs(cls, d, "train config")
         if "modality" in kw:
-            if not isinstance(kw["modality"], str):
-                raise ConfigError("modality must be a variant label string, "
-                                  f"got {kw['modality']!r}")
-            kw["modality"] = ModalityConfig.from_label(kw["modality"])
+            kw["modality"] = ModalityConfig.from_label(
+                typed(kw["modality"], str, "train config: modality"))
         if "model" in kw:
             kw["model"] = ModelConfig(**config_kwargs(ModelConfig, kw["model"], "model"))
         return cls(**kw)
@@ -82,33 +80,6 @@ class TrainConfig:
     def hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-# JSON value checks per field annotation; nested configs check themselves.
-_JSON_TYPES = {
-    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    "float": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
-}
-
-
-def config_kwargs(cls, d, what: str) -> dict:
-    """The keyword arguments that a parsed JSON config gives the dataclass
-    cls; ConfigError unless it is an object whose keys are fields of cls and
-    whose values have the fields' types."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {type(d).__name__}")
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ConfigError(f"{what}: unknown field {unknown[0]!r}")
-    for f in fields(cls):
-        kind, optional = f.type.removesuffix(" | None"), f.type.endswith(" | None")
-        if f.name in d and kind in _JSON_TYPES and not (optional and d[f.name] is None):
-            expected, ok = _JSON_TYPES[kind]
-            if not ok(d[f.name]):
-                raise ConfigError(f"{what}: {f.name} must be {expected}"
-                                  f"{' or null' if optional else ''}, got {d[f.name]!r}")
-    return dict(d)
 
 
 @dataclass
@@ -199,7 +170,7 @@ def train(corpus: list[Clip], config: TrainConfig = TrainConfig()):
     items = []
     for clip in corpus:
         targets = broadcast_targets(clip, cast, model_cfg.epsilon)
-        items += [(clip, clip_view(clip, qa, config.use_ts)[0], qa, targets)
+        items += [(clip, clip_view(clip, qa, config.use_ts), qa, targets)
                   for qa in clip.qas]
 
     batch_size = min(config.batch_size, len(items))
@@ -262,7 +233,7 @@ def evaluate(model: Model, corpus: list[Clip], use_ts: bool) -> MetricsReport:
         face_total += n
         if not clip.qas:
             continue
-        p_a, _ = model.forward_item([(clip_view(clip, qa, use_ts)[0], qa, face_names)
+        p_a, _ = model.forward_item([(clip_view(clip, qa, use_ts), qa, face_names)
                                      for qa in clip.qas], keep_cache=False)
         for qa, p in zip(clip.qas, p_a):
             hit = int(np.argmax(p)) == qa.correct_index
@@ -541,7 +512,7 @@ def grad_check(component: str = "all", tolerance: float = 1e-4,
 
 
 __all__ = [
-    "METRICS_COLUMNS", "TrainConfig", "config_kwargs", "MetricsReport",
+    "METRICS_COLUMNS", "TrainConfig", "MetricsReport",
     "write_metrics_csv", "metrics_csv_text", "train", "name_clips", "evaluate",
     "ablate", "format_report", "GradCheckReport",
     "check_naming", "check_stack", "check_full", "grad_check", "GRAD_CHECKS",

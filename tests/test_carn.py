@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import json
 import math
 import re
 import tempfile
@@ -23,6 +24,7 @@ from charqa.errors import (CheckpointError, ConfigError, EmptyInputError, ShapeE
 from charqa.harness import _mini_setup, grad_check
 from charqa.naming import broadcast_targets
 from oracles import oracle_embed, oracle_embed_backward
+from test_corpus import JSON_VALUES, json_kind, value_at
 
 
 def stack_params(prefix="enc", d_model=8, d_ff=12, heads=4, seed=0):
@@ -690,7 +692,7 @@ class TestBatch:
         for clip in small_corpus[:3]:
             targets = broadcast_targets(clip, cast, model.config.epsilon)
             for qa in clip.qas[:2]:
-                items.append((clip, clip_view(clip, qa, True)[0], qa, targets))
+                items.append((clip, clip_view(clip, qa, True), qa, targets))
         # Two items whose contexts repeat (the whole clip), one without
         # frames (empty visual context) and one without anything.
         clip = small_corpus[3]
@@ -849,7 +851,7 @@ class TestBatchProperties:
                           VARIANT_LABELS))))
         use_ts = data.draw(st.booleans())
         targets = {id(c): broadcast_targets(c, cast, model.config.epsilon) for c in corpus}
-        pool = [(c, clip_view(c, qa, use_ts)[0], qa, targets[id(c)])
+        pool = [(c, clip_view(c, qa, use_ts), qa, targets[id(c)])
                 for c in corpus for qa in c.qas]
         picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
                                    max_size=min(10, len(pool)), unique=True))
@@ -958,4 +960,33 @@ class TestCheckpointRoundTrip:
                 blob[key].flat[data.draw(st.integers(0, blob[key].size - 1))] = float(fault)
             np.savez(Path(tmp) / "bad.npz", **blob)
             with pytest.raises(CheckpointError, match=re.escape(repr(key))):
+                Model.load(Path(tmp) / "bad.npz")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_malformed_meta_is_refused(self, data):
+        # One meta value swapped for a value of another JSON kind, or an
+        # integer size for a float: a CheckpointError, never another error.
+        model, _, _ = self.draw_model(data)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.npz"
+            model.save(path)
+            blob = dict(np.load(path, allow_pickle=False))
+            meta = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
+            paths = [("config", name) for name in meta["config"]] + [("variant",), ("seed",)]
+            for record, key in (("cast", "names"), ("cast", "counts"), ("vocab", "words"),
+                                ("vocab", "names"), ("vocab", "chars")):
+                paths += [(record, key)] + [(record, key, i)
+                                            for i in range(len(meta[record][key]))]
+            where = data.draw(st.sampled_from(paths))
+            owner = value_at(meta, where[:-1])
+            old = owner[where[-1]]
+            new = JSON_VALUES.filter(lambda v: json_kind(v) != json_kind(old))
+            if type(old) is int:
+                new |= st.floats(-4.0, 4.0)
+            owner[where[-1]] = data.draw(new)
+            blob["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
+                                             dtype=np.uint8).copy()
+            np.savez(Path(tmp) / "bad.npz", **blob)
+            with pytest.raises(CheckpointError, match="malformed checkpoint meta"):
                 Model.load(Path(tmp) / "bad.npz")

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import re
 
 import numpy as np
@@ -211,6 +212,13 @@ class TestTrainEval:
         (("frames", 0, "objects", 0, "label"), 7),
         (("qas", 0, "correct_index"), True),
         (("qas", 0, "qtype"), "audio"),
+        pytest.param(("frames", 0, "time"), 10 ** 400, id="time-huge"),
+        pytest.param(("frames", 0, "time"), math.nan, id="time-nan"),
+        pytest.param(("frames", 0, "time"), math.inf, id="time-inf"),
+        pytest.param(("frames", 0, "time"), -3, id="time-negative"),
+        pytest.param(("subtitles", 0, "t_start"), math.nan, id="t_start-nan"),
+        pytest.param(("subtitles", 0, "t_start"), -1, id="t_start-negative"),
+        pytest.param(("subtitles", 0, "t_end"), 10 ** 400, id="t_end-huge"),
     ])
     def test_mistyped_corpus_field_one_line_error(self, workdir, tmp_path, capsys,
                                                   path, value):
@@ -242,6 +250,32 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert rc == 1 and err.count("\n") == 1, err
         assert err.startswith("error: line 1: bad clip record:"), err
+
+    @pytest.mark.parametrize("edit, needle", [
+        pytest.param(lambda m: m["config"].update(d_model=8.0), "config: d_model must be",
+                     id="d_model-float"),
+        pytest.param(lambda m: m["config"].update(heads=2.0), "config: heads must be",
+                     id="heads-float"),
+        pytest.param(lambda m: m["cast"].update(counts=["x"] * len(m["cast"]["counts"])),
+                     "cast count must be", id="cast-counts-string"),
+        pytest.param(lambda m: m["cast"].update(names=m["cast"]["names"][:1] * 2,
+                                                counts=[3, 3]),
+                     "cast names must be unique", id="cast-names-repeat"),
+    ])
+    def test_malformed_checkpoint_meta_one_line_error(self, workdir, tmp_path, capsys, edit,
+                                                      needle):
+        blob = dict(np.load(workdir / "model.npz", allow_pickle=False))
+        meta = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
+        edit(meta)
+        blob["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        ckpt = tmp_path / "meta.npz"
+        np.savez(ckpt, **blob)
+        rc = main(["eval", "--checkpoint", str(ckpt), "--corpus", str(workdir / "corpus.jsonl")])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "", captured
+        assert captured.err.startswith(f"error: {ckpt}: malformed checkpoint meta ({needle}"), \
+            captured
+        assert captured.err.count("\n") == 1, captured
 
     @pytest.mark.parametrize("reader", ["corpus", "config", "metrics"])
     def test_bytes_not_utf8_one_line_error(self, workdir, tmp_path, capsys, reader):

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from charqa import carn, harness, nn
 from charqa.carn import VARIANT_LABELS, ModalityConfig, Model, ModelConfig
-from charqa.corpus import DEFAULT_DIALOGUE_VOCAB, Clip, GenConfig, QAItem, generate_corpus
+from charqa.corpus import (DEFAULT_DIALOGUE_VOCAB, Clip, GenConfig, QAItem, config_kwargs,
+                           generate_corpus)
 from charqa.errors import ConfigError, EmptyInputError
 from charqa.harness import (METRICS_COLUMNS, GradCheckReport, TrainConfig, _mini_batch,
-                            _mini_setup, ablate, config_kwargs, evaluate, format_report,
+                            _mini_setup, ablate, evaluate, format_report,
                             grad_check, metrics_csv_text, train, write_metrics_csv)
 
 SMALL_MODEL = ModelConfig(d_model=16, d_ff=24, d_h1=8, heads=2, d_f=16)

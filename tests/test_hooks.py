@@ -239,3 +239,28 @@ def test_modules_import_only_earlier_modules():
              for path in sorted((ROOT / "src/charqa").glob("*.py")) if path.stem != "__init__"}
     assert sorted(found) == sorted(f"{m}.py" for m in MODULE_ORDER)
     assert not any(found.values()), found
+
+
+def bool_type_tests(source: str) -> list[int]:
+    """The lines that call isinstance(..., bool), with bool alone or in a
+    tuple of types: the hand-rolled test that keeps booleans out of JSON
+    integers. corpus.typed is the one JSON type check."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            found += [node.lineno for k in kinds if isinstance(k, ast.Name) and k.id == "bool"]
+    return sorted(found)
+
+
+def test_bool_type_tests_are_caught():
+    source = ("isinstance(v, bool)\nok = isinstance(v, (int, bool))\nisinstance(v, int)\n"
+              "type(v) is bool\nisinstance(v, bool_like)\n")
+    assert bool_type_tests(source) == [1, 2]
+
+
+def test_one_json_type_check():
+    found = {path.name: bool_type_tests(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src/charqa").glob("*.py"))}
+    assert not any(found.values()), found
