@@ -30,7 +30,6 @@ same parameters.
 from __future__ import annotations
 
 import json
-import zipfile
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import chain
@@ -40,8 +39,7 @@ import numpy as np
 from . import nn
 from .castlist import CastList, map_speaker
 from .corpus import Clip, QAItem, config_kwargs, strings, typed
-from .errors import (CheckpointError, ConfigError, EmptyInputError, SchemaVersionError,
-                     VocabError)
+from .errors import CheckpointError, ConfigError, SchemaVersionError, VocabError
 from .naming import (assign_names, broadcast_targets, face_table, init_naming,
                      naming_backward, naming_forward, rkl_loss_with_grad)
 from .semantics import visual_stream
@@ -190,29 +188,23 @@ class Vocab:
 
 
 def build_vocab(clips: list[Clip], cast: CastList) -> Vocab:
-    """Collect every token the corpus can feed the network.
+    """Collect every token the corpus can feed the network, as the stream
+    builders lay it out: each clip's subtitle stream, its visual stream
+    with both runs and no names injected, and its questions and answers.
 
     Cast names are excluded from the word table (they live in the name
     table); the character table covers every character of every token, so
     unseen words at evaluation time can still embed.
     """
+    unnamed = ModalityConfig(objs_names=False, rels_names=False)
     tokens: set[str] = set()
     for clip in clips:
-        for line in clip.subtitles:
-            tokens.update(line.tokens)
+        tokens.update(subtitle_stream(clip.subtitles, cast)[0])
+        tokens.update(visual_stream(clip.frames, unnamed, {}, cast)[0])
         for qa in clip.qas:
             tokens.update(qa.question)
             for ans in qa.answers:
                 tokens.update(ans)
-        for frame in clip.frames:
-            for label, attr in frame.objects:
-                tokens.add(label)
-                if attr is not None:
-                    tokens.add(attr)
-            for t in frame.triples:
-                tokens.update(t.tokens)
-            for _, word in frame.human_boxes:
-                tokens.add(word)
     names = cast.label_names()
     words = sorted(tokens - set(names))
     chars = sorted({ch for tok in tokens | set(names) for ch in tok})
@@ -469,8 +461,6 @@ class Model:
 
         qa_streams = [qa_stream(qa.question, ans, self.cast)
                       for _, qa, _ in batch for ans in qa.answers]
-        if not all(toks for toks, _ in qa_streams):
-            raise EmptyInputError("enc: empty input sequence")
         h_q, mask, enc_cache = self._encode(qa_streams, keep_cache)
         lengths = mask.sum(axis=1)
         rows = lengths.reshape(-1, 5).sum(axis=1)
@@ -605,13 +595,16 @@ class Model:
     @classmethod
     def load(cls, path) -> "Model":
         try:
-            with np.load(path) as z:
+            with open(path, "rb") as fh, np.load(fh) as z:
                 meta = json.loads(bytes(z["__meta__"]).decode())
                 params = {k: z[k].copy() for k in z.files if k != "__meta__"}
-        except (ValueError, KeyError, TypeError, zipfile.BadZipFile) as e:
-            # numpy refuses to unpickle a non-npz file (ValueError), has no
-            # context manager for a bare .npy array (TypeError), and raises
-            # KeyError for an archive without the meta record.
+        except OSError:
+            raise  # a file that cannot be read is reported as such
+        except Exception as e:
+            # numpy, zipfile and its decompressors raise many kinds of error
+            # on bytes that are not a checkpoint: ValueError, KeyError,
+            # EOFError, NotImplementedError and RuntimeError for a corrupt
+            # zip header, zlib.error, MemoryError for a huge npy shape.
             raise CheckpointError(f"{path}: not a charqa checkpoint ({e})") from None
         version = meta.get("version") if isinstance(meta, dict) else None
         if version != CHECKPOINT_VERSION:
@@ -630,12 +623,16 @@ class Model:
             seed = typed(meta.get("seed", 0), int, "seed")
             if seed < 0:
                 raise ValueError(f"seed must be >= 0, got {seed}")
+            # Faces are named through the name rows in cast order.
+            if vocab.names != cast.label_names():
+                raise ValueError("vocab names differ from the cast's names and UNKNAME")
             # A fresh model of the same config and vocabulary has every
-            # tensor in the shape the checkpoint must have.
+            # tensor in the shape the checkpoint must have; sizes too large
+            # to allocate fail here.
             expected = cls(vocab, cast, config).params
         except KeyError as e:
             raise CheckpointError(f"{path}: checkpoint meta lacks {e.args[0]!r}") from None
-        except (TypeError, ValueError, ConfigError, VocabError) as e:
+        except (TypeError, ValueError, MemoryError, ConfigError, VocabError) as e:
             raise CheckpointError(f"{path}: malformed checkpoint meta ({e})") from None
         for key in sorted(expected.keys() | params.keys()):
             want, got = expected.get(key), params.get(key)

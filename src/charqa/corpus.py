@@ -162,6 +162,10 @@ class QAItem:
             raise ValueError(f"ts_interval reversed {self.ts_interval}")
         if self.qtype not in ("visual", "textual"):
             raise ValueError(f"qtype must be 'visual' or 'textual', got {self.qtype!r}")
+        if not self.question:
+            raise ValueError("question must not be empty")
+        if not all(self.answers):
+            raise ValueError("answer candidates must not be empty")
 
 
 @dataclass
@@ -669,6 +673,9 @@ def clip_from_dict(d: dict) -> Clip:
     ]
     truth = typed(d["truth"], (dict, type(None)), "truth")
     if truth is not None:
+        for k in truth:  # as clip_to_dict writes them; int() also reads " 0 " and "+0"
+            if str(int(k)) != k:
+                raise ValueError(f"truth must be keyed by plain integer face ids, got {_shown(k)}")
         truth = {int(k): typed(v, str, "truth name") for k, v in truth.items()}
     return Clip(typed(d["clip_id"], str, "clip_id"), frames, subtitles, qas, truth)
 

@@ -351,7 +351,7 @@ def _random_distribution_instance(rng, n_faces, n_classes, epsilon):
     return embeddings, TargetSeq(groups)
 
 
-def check_naming(rng, tolerance: float = 1e-4):
+def check_naming(rng, report: GradCheckReport) -> None:
     """One random config: rkl(softmax head) vs finite differences."""
     n_classes = int(rng.integers(2, 8))
     epsilon = float(rng.choice([0.01, 0.05, 0.2]))
@@ -368,10 +368,10 @@ def check_naming(rng, tolerance: float = 1e-4):
     _, drows = rkl_loss_with_grad(rows, targets)
     analytic: dict[str, np.ndarray] = {}
     naming_backward(params, embeddings, rows, drows, analytic)
-    return nn.check_gradients(loss, params, analytic, tolerance=tolerance)
+    report.merge(*nn.check_gradients(loss, params, analytic, tolerance=report.tolerance))
 
 
-def check_stack(rng, tolerance: float = 1e-4, cross: bool = False):
+def check_stack(rng, report: GradCheckReport, cross: bool = False) -> None:
     """One random config: scalar probe of a two-layer stack, self-attention
     over 2-6 rows ("enc") or cross-attention of 2-5 query rows over 2-5
     context rows ("dec"); then the same stack on a batch of 2-3 sequences
@@ -395,19 +395,16 @@ def check_stack(rng, tolerance: float = 1e-4, cross: bool = False):
         _, cache = nn.stack_forward(params, prefix, 2, x, context, key_mask)
         grads: dict[str, np.ndarray] = {}
         nn.stack_backward(params, prefix, cache, probe, grads)
-        return nn.check_gradients(loss, params, grads, tolerance=tolerance)
+        report.merge(*nn.check_gradients(loss, params, grads, tolerance=report.tolerance))
 
-    report = GradCheckReport(prefix, tolerance)
-    report.merge(*probe_check(rng.standard_normal((n, d_model)),
-                             rng.standard_normal((n_c, d_model)) if cross else None, None))
+    probe_check(rng.standard_normal((n, d_model)),
+                rng.standard_normal((n_c, d_model)) if cross else None, None)
     b = int(rng.integers(2, 4))
     n_keys = n_c if cross else n
     key_mask = rng.random((b, n_keys)) < 0.6
     key_mask[np.arange(b), rng.integers(0, n_keys, size=b)] = True
-    report.merge(*probe_check(rng.standard_normal((b, n, d_model)),
-                             rng.standard_normal((b, n_c, d_model)) if cross else None,
-                             key_mask))
-    return report.worst, report.kinks
+    probe_check(rng.standard_normal((b, n, d_model)),
+                rng.standard_normal((b, n_c, d_model)) if cross else None, key_mask)
 
 
 def _mini_setup(rng):
@@ -463,14 +460,13 @@ def _mini_batch(clip: Clip, qa: QAItem):
     return [(c, q) for c in (first, other) for q in c.qas]
 
 
-def check_full(rng, tolerance: float = 1e-4, max_entries_per_tensor: int = 2):
+def check_full(rng, report: GradCheckReport) -> None:
     """One random config: joint CE + lambda*RKL on a tiny handmade item,
     then summed over _mini_batch's seven items from two clips, run as
     training runs it (micro-batches of carn.MICRO_BATCH, so the second clip's
     items fall into two of them)."""
     model, clip, qa = _mini_setup(rng)
     lam = float(rng.choice([0.5, 1.0, 2.0]))
-    report = GradCheckReport("full", tolerance)
     for pairs in ([(clip, qa)], _mini_batch(clip, qa)):
         batch = [(c, c, q, broadcast_targets(c, model.cast, model.config.epsilon))
                  for c, q in pairs]
@@ -481,9 +477,8 @@ def check_full(rng, tolerance: float = 1e-4, max_entries_per_tensor: int = 2):
         grads: dict[str, np.ndarray] = {}
         model.loss_and_grads(batch, lam=lam, grads=grads)
         report.merge(*nn.check_gradients(loss, model.params, grads, keys=sorted(model.params),
-                                        max_entries_per_tensor=max_entries_per_tensor,
-                                        rng=rng, tolerance=tolerance))
-    return report.worst, report.kinks
+                                        max_entries_per_tensor=2, rng=rng,
+                                        tolerance=report.tolerance))
 
 
 GRAD_CHECKS = {
@@ -496,17 +491,16 @@ GRAD_CHECKS = {
 
 def grad_check(component: str = "all", tolerance: float = 1e-4,
                n_configs: int = 10, seed: int = 0):
-    """Run the finite-difference suites; failures are report entries, not
-    exceptions. Returns a list of GradCheckReports."""
+    """Run the finite-difference suites, one GradCheckReport per component
+    that each of its checks merges into; failures are report entries."""
     names = list(GRAD_CHECKS) if component == "all" else [component]
     reports = []
     for name in names:
-        fn = GRAD_CHECKS[name]
         rep = GradCheckReport(name, tolerance)
         spawn = sorted(GRAD_CHECKS).index(name)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(spawn,)))
         for _ in range(n_configs):
-            rep.merge(*fn(rng, tolerance))
+            GRAD_CHECKS[name](rng, rep)
         reports.append(rep)
     return reports
 

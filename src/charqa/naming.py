@@ -69,7 +69,7 @@ def naming_forward(params, embeddings: np.ndarray) -> np.ndarray:
     w1 = params["naming.w1"]
     if embeddings.ndim != 2 or embeddings.shape[1] != w1.shape[0]:
         raise ShapeError(f"embeddings {embeddings.shape} incompatible with W1 {w1.shape}")
-    return softmax(ffn_forward(params, "naming", embeddings)[0])
+    return softmax(ffn_forward(params, "naming", embeddings))
 
 
 def naming_backward(params, embeddings: np.ndarray, rows: np.ndarray, drows: np.ndarray,

@@ -2,13 +2,15 @@
 reasoning network uses, plus Adam and finite-difference helpers.
 
 Everything is written against a flat dict[str, ndarray] parameter store with
-dotted key prefixes ("enc.l0.attn.wq", ...). Each forward returns (output,
-cache); each backward consumes the cache and accumulates parameter gradients
-into a same-keyed dict while returning input gradients. A cache is used
-once: stack_backward pops each block's cache as it runs the block, so its
-memory goes as backward goes. Gradients are exact, which the
-finite-difference suite checks, so keep any new op differentiable or route
-it around the tape the way the hard min in the naming loss is.
+dotted key prefixes ("enc.l0.attn.wq", ...). The layer-norm, block and
+stack forwards return (output, cache); the attention and FFN forwards return
+their output alone, and their backwards take the forward's inputs. Each
+backward accumulates parameter gradients into a same-keyed dict while
+returning input gradients. A cache is used once: stack_backward pops each
+block's cache as it runs the block, so its memory goes as backward goes.
+Gradients are exact, which the finite-difference suite checks, so keep any
+new op differentiable or route it around the tape the way the hard min in
+the naming loss is.
 
 Every op takes leading batch axes: a (n, d) sequence and a (B, n, d) batch
 of equal-length (padded) sequences run through the same code, and weight
@@ -166,17 +168,16 @@ def mha_forward(params, prefix, xq, xk, key_mask=None):
     """Multi-head: per-head q/k projections, concat of per-head outputs.
 
     All heads run as one (..., H, n, d_h) matmul; head h fills columns
-    h*d_h:(h+1)*d_h of the output. The cache keeps the inputs and the key
-    mask; backward recomputes the projections and the attention weights.
+    h*d_h:(h+1)*d_h of the output. Backward takes the same inputs and
+    recomputes the projections and the attention weights.
     """
     q = _project(xq, params[prefix + ".wq"])  # wq: (H, d_model, d_h)
     k = _project(xk, params[prefix + ".wk"])
     y = attention_forward(q, k, _per_head(key_mask)).swapaxes(-3, -2)
-    return y.reshape(y.shape[:-2] + (-1,)), (xq, xk, key_mask)
+    return y.reshape(y.shape[:-2] + (-1,))
 
 
-def mha_backward(params, prefix, cache, dy, grads):
-    xq, xk, key_mask = cache
+def mha_backward(params, prefix, xq, xk, key_mask, dy, grads):
     wq = params[prefix + ".wq"]
     wk = params[prefix + ".wk"]
     n_heads, _, d_h = wq.shape
@@ -195,11 +196,11 @@ def mha_backward(params, prefix, cache, dy, grads):
 
 
 def ffn_forward(params, prefix, x):
-    """relu(x W1 + b1) W2 + b2; the cache is the input alone, since backward
-    recomputes the pre-activation with one gemm."""
+    """relu(x W1 + b1) W2 + b2. Backward takes the input x and recomputes
+    the pre-activation with one gemm."""
     w1, b1 = params[prefix + ".w1"], params[prefix + ".b1"]
     w2, b2 = params[prefix + ".w2"], params[prefix + ".b2"]
-    return np.maximum(x @ w1 + b1, 0.0) @ w2 + b2, x
+    return np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
 
 
 def ffn_backward(params, prefix, x, dy, grads):
@@ -226,11 +227,10 @@ def block_forward(params, prefix, x, context=None, key_mask=None):
     attention weights with one gemm and one softmax, since a training batch
     holds every block's cache at once."""
     u, ln1c = layernorm_forward(x, params[prefix + ".ln1.g"], params[prefix + ".ln1.b"])
-    a, _ = mha_forward(params, prefix + ".attn", u, u if context is None else context, key_mask)
-    x1 = x + a
+    x1 = x + mha_forward(params, prefix + ".attn", u, u if context is None else context,
+                         key_mask)
     v, ln2c = layernorm_forward(x1, params[prefix + ".ln2.g"], params[prefix + ".ln2.b"])
-    f, _ = ffn_forward(params, prefix + ".ffn", v)
-    return x1 + f, (ln1c, ln2c, context, key_mask)
+    return x1 + ffn_forward(params, prefix + ".ffn", v), (ln1c, ln2c, context, key_mask)
 
 
 def _layernorm_output(params, prefix, cache):
@@ -247,8 +247,8 @@ def block_backward(params, prefix, cache, dy, grads):
     grads[prefix + ".ln2.b"] = grads.get(prefix + ".ln2.b", 0) + db2
     dx1 = dy + dxx
     u = _layernorm_output(params, prefix + ".ln1", ln1c)
-    du, dctx = mha_backward(params, prefix + ".attn",
-                            (u, u if context is None else context, key_mask), dx1, grads)
+    du, dctx = mha_backward(params, prefix + ".attn", u, u if context is None else context,
+                            key_mask, dx1, grads)
     if context is None:
         du = du + dctx
         dctx = None
@@ -373,50 +373,45 @@ class Adam:
 # Finite differences
 
 
-def fd_gradient_entry(fun, params, key, idx, step=1e-5):
-    """Central difference of fun(params) w.r.t. one tensor entry."""
+FD_STEP = 1e-5  # the central difference's step
+
+
+def _probe(fun, params, key, idx, steps) -> list[float]:
+    """fun() with one tensor entry moved by each of steps in turn; the entry
+    is restored afterwards."""
     arr = params[key]
     orig = arr[idx]
-    arr[idx] = orig + step
-    hi = fun()
-    arr[idx] = orig - step
-    lo = fun()
+    values = []
+    for step in steps:
+        arr[idx] = orig + step
+        values.append(fun())
     arr[idx] = orig
-    return (hi - lo) / (2.0 * step)
+    return values
 
 
 def relative_error(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-3)
 
 
-def _one_sided(fun, params, key, idx, step):
-    """(left, right) one-sided differences of fun(params) w.r.t. one entry."""
-    arr = params[key]
-    orig = arr[idx]
+def _is_kink(fun, params, key, idx, analytic: float, lo: float, hi: float,
+             tolerance: float) -> bool:
+    """Whether an entry whose central difference, from the losses lo and hi
+    at -FD_STEP and +FD_STEP, misses the analytic value sits at a kink (a
+    ReLU or a hard min switching inside the step) rather than carrying a
+    wrong gradient: the one-sided differences at the step disagree by more
+    than tolerance, so the function is not smooth there, and the analytic
+    value matches a one-sided difference at FD_STEP / 100."""
     mid = fun()
-    arr[idx] = orig - step
-    lo = fun()
-    arr[idx] = orig + step
-    hi = fun()
-    arr[idx] = orig
-    return (mid - lo) / step, (hi - mid) / step
-
-
-def _is_kink(fun, params, key, idx, analytic: float, step: float, tolerance: float) -> bool:
-    """Whether an entry whose central difference misses the analytic value
-    sits at a kink (a ReLU or a hard min switching inside the step) rather
-    than carrying a wrong gradient: the one-sided differences at the step
-    disagree by more than tolerance, so the function is not smooth there,
-    and the analytic value matches a one-sided difference at step / 100."""
-    left, right = _one_sided(fun, params, key, idx, step)
-    if relative_error(left, right) <= tolerance:
+    if relative_error((mid - lo) / FD_STEP, (hi - mid) / FD_STEP) <= tolerance:
         return False
-    return min(relative_error(analytic, d) for d in
-               _one_sided(fun, params, key, idx, step * 1e-2)) <= tolerance
+    step = FD_STEP * 1e-2
+    near_lo, near_hi = _probe(fun, params, key, idx, (-step, step))
+    return min(relative_error(analytic, (mid - near_lo) / step),
+               relative_error(analytic, (near_hi - mid) / step)) <= tolerance
 
 
-def check_gradients(fun, params, analytic: dict, keys=None, step=1e-5,
-                    max_entries_per_tensor=None, rng=None, tolerance: float = 1e-4):
+def check_gradients(fun, params, analytic: dict, keys=None, max_entries_per_tensor=None,
+                    rng=None, tolerance: float = 1e-4):
     """(worst, kinks): per parameter key, the max relative error between
     analytic and central-difference grads, and the number of entries over
     tolerance that `_is_kink` classifies as kinks; kinks count in kinks,
@@ -437,8 +432,9 @@ def check_gradients(fun, params, analytic: dict, keys=None, step=1e-5,
         worst[key], kinks[key] = 0.0, 0
         for idx in entries:
             a = float(grad[idx]) if grad is not None else 0.0
-            err = relative_error(a, fd_gradient_entry(fun, params, key, idx, step))
-            if err > tolerance and _is_kink(fun, params, key, idx, a, step, tolerance):
+            hi, lo = _probe(fun, params, key, idx, (FD_STEP, -FD_STEP))
+            err = relative_error(a, (hi - lo) / (2.0 * FD_STEP))
+            if err > tolerance and _is_kink(fun, params, key, idx, a, lo, hi, tolerance):
                 kinks[key] += 1
             else:
                 worst[key] = max(worst[key], err)
@@ -451,5 +447,5 @@ __all__ = [
     "attention_backward", "mha_forward", "mha_backward", "ffn_forward", "ffn_backward",
     "block_forward", "block_backward", "stack_forward", "stack_backward",
     "init_block", "init_stack", "sinusoidal_positions", "Adam",
-    "fd_gradient_entry", "relative_error", "check_gradients",
+    "relative_error", "check_gradients",
 ]

@@ -1,9 +1,11 @@
 import contextlib
+import io
 import itertools
 import json
 import math
 import re
 import tempfile
+import zipfile
 from pathlib import Path
 from unittest import mock
 
@@ -410,7 +412,7 @@ class TestStackedCandidates:
         rng = np.random.default_rng(15)
         xq, xk = rng.standard_normal((3, 8)), rng.standard_normal((6, 8))
         wq, wk = params["enc.l0.attn.wq"], params["enc.l0.attn.wk"]
-        y, _ = nn.mha_forward(params, "enc.l0.attn", xq, xk)
+        y = nn.mha_forward(params, "enc.l0.attn", xq, xk)
         d_h = wq.shape[2]
         for h in range(wq.shape[0]):
             expected = attention(xq @ wq[h], xk @ wk[h])
@@ -495,10 +497,14 @@ class TestForward:
         assert np.allclose(p_sw[2:], base[2:], atol=1e-9)
 
     def test_empty_candidate_rejected(self, mini):
-        model, clip, qa = mini
-        empty = QAItem([], [[]] + [list(a) for a in qa.answers[1:]], 0, qa.ts_interval)
-        with pytest.raises(EmptyInputError):
-            model.score(clip, empty, model.name_assignments(clip))
+        # An empty question or answer would reach the encoder as an empty
+        # candidate sequence: the item refuses it when it is made.
+        _, _, qa = mini
+        answers = [list(a) for a in qa.answers]
+        with pytest.raises(ValueError, match="question must not be empty"):
+            QAItem([], answers, 0, qa.ts_interval)
+        with pytest.raises(ValueError, match="answer candidates must not be empty"):
+            QAItem(qa.question, [[]] + answers[1:], 0, qa.ts_interval)
 
     def test_sub_only_ignores_frames(self, mini):
         model, clip, qa = mini
@@ -569,6 +575,16 @@ class TestForward:
         for name in ("text.npz", "bare.npy", "nometa.npz"):
             with pytest.raises(CheckpointError, match="not a charqa checkpoint"):
                 Model.load(tmp_path / name)
+        # A member whose npy header asks for more memory than there is.
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": "<f8", "fortran_order": False, "shape": (10 ** 13, 8)})
+        with zipfile.ZipFile(path) as src, zipfile.ZipFile(tmp_path / "huge.npz", "w") as dst:
+            for info in src.infolist():
+                dst.writestr(info, header.getvalue() if info.filename == "embed.word.npy"
+                             else src.read(info))
+        with pytest.raises(CheckpointError, match=r"not a charqa checkpoint \(Unable to allocate"):
+            Model.load(tmp_path / "huge.npz")
         # The right version, but a meta record without the vocabulary, and
         # a tensor whose shape disagrees with the config.
         blob = dict(np.load(path, allow_pickle=False))

@@ -1,12 +1,16 @@
 """End-to-end runs of every CLI subcommand on a micro corpus."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dataclasses import fields
 
@@ -219,6 +223,10 @@ class TestTrainEval:
         pytest.param(("subtitles", 0, "t_start"), math.nan, id="t_start-nan"),
         pytest.param(("subtitles", 0, "t_start"), -1, id="t_start-negative"),
         pytest.param(("subtitles", 0, "t_end"), 10 ** 400, id="t_end-huge"),
+        # int() reads each of these keys as face 0; only str(face_id) is a key.
+        pytest.param(("truth",), {" 0 ": "x"}, id="truth-key-spaces"),
+        pytest.param(("truth",), {"+0": "x"}, id="truth-key-plus"),
+        pytest.param(("truth",), {"0_0": "x"}, id="truth-key-underscore"),
     ])
     def test_mistyped_corpus_field_one_line_error(self, workdir, tmp_path, capsys,
                                                   path, value):
@@ -235,6 +243,27 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert rc == 1 and err.count("\n") == 1, err
         assert re.match(f"error: line 1: bad clip record: [a-z ]*{path[-1]} must be", err), err
+
+    @pytest.mark.parametrize("command", ["castlist", "semantics", "train"])
+    def test_empty_question_or_answer_one_line_error(self, workdir, tmp_path, capsys, command):
+        # An empty question or answer is refused as the record is read, not
+        # at the first forward of training.
+        lines = (workdir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[0])
+        record["qas"][0]["question"] = []
+        record["qas"][0]["answers"][2] = []
+        bad = tmp_path / "empty.jsonl"
+        bad.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main({"castlist": ["castlist", "--corpus", str(bad)],
+                   "semantics": ["semantics", "dump", "--corpus", str(bad), "--modality",
+                                 "objs_nm", "--out", str(out)],
+                   "train": ["train", "--corpus", str(bad), "--out", str(out),
+                             "--config", str(workdir / "train.json")]}[command])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1, err
+        assert err == "error: line 1: bad clip record: question must not be empty\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("where", ["face", "human"])
     def test_box_too_large_for_a_float_one_line_error(self, workdir, tmp_path, capsys,
@@ -261,6 +290,12 @@ class TestTrainEval:
         pytest.param(lambda m: m["cast"].update(names=m["cast"]["names"][:1] * 2,
                                                 counts=[3, 3]),
                      "cast names must be unique", id="cast-names-repeat"),
+        pytest.param(lambda m: m["vocab"].update(names=m["vocab"]["names"][1::-1]
+                                                 + m["vocab"]["names"][2:]),
+                     "vocab names differ from the cast's", id="vocab-names-swapped"),
+        # Refused by the allocation itself, before any memory is touched.
+        pytest.param(lambda m: m["config"].update(d_ff=10 ** 15), "Unable to allocate",
+                     id="d_ff-too-large"),
     ])
     def test_malformed_checkpoint_meta_one_line_error(self, workdir, tmp_path, capsys, edit,
                                                       needle):
@@ -568,3 +603,53 @@ class TestNamingEval:
                    "--corpus", str(workdir / "corpus.jsonl")])
         assert rc == 0, capsys.readouterr().err
         assert named == [clip.clip_id for clip in read_corpus(workdir / "corpus.jsonl")]
+
+
+class TestByteMutationFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_byte_edit_runs_or_is_refused(self, workdir, data):
+        # One byte of a written corpus, train config or checkpoint has a bit
+        # flipped, or is deleted or duplicated. No such edit grows a size
+        # more than about 10x, so no edited input asks for much memory. Each
+        # command that reads the input exits 0, or 1 with one error line.
+        name = data.draw(st.sampled_from(["corpus.jsonl", "train.json", "model.npz"]))
+        raw = (workdir / name).read_bytes()
+        if name == "model.npz":
+            # Most of a checkpoint is tensor data under a CRC, so the edit
+            # lands in the 200 bytes from the start of a zip record: a local
+            # header with the npy header after it, a central directory entry
+            # or the end record.
+            starts = [m.start() for m in re.finditer(rb"PK(\x01\x02|\x03\x04|\x05\x06)", raw)]
+            pos = min(data.draw(st.sampled_from(starts)) + data.draw(st.integers(0, 199)),
+                      len(raw) - 1)
+        else:
+            pos = data.draw(st.integers(0, len(raw) - 1))
+        edit = data.draw(st.sampled_from(["flip", "delete", "duplicate"]))
+        if edit == "flip":
+            raw = raw[:pos] + bytes([raw[pos] ^ 1 << data.draw(st.integers(0, 7))]) + raw[pos + 1:]
+        elif edit == "delete":
+            raw = raw[:pos] + raw[pos + 1:]
+        else:
+            raw = raw[:pos + 1] + raw[pos:]
+        fuzz = workdir / "fuzz"
+        fuzz.mkdir(exist_ok=True)
+        (fuzz / name).write_bytes(raw)
+        corpus, ckpt = str(workdir / "corpus.jsonl"), str(workdir / "model.npz")
+        mutated, out = str(fuzz / name), str(fuzz / "out")
+        commands = {
+            "corpus.jsonl": [["castlist", "--corpus", mutated],
+                             ["semantics", "dump", "--corpus", mutated, "--modality",
+                              "objs_nm,rels_nm", "--out", out],
+                             ["eval", "--checkpoint", ckpt, "--corpus", mutated]],
+            "train.json": [["train", "--corpus", corpus, "--out", out, "--config", mutated]],
+            "model.npz": [["eval", "--checkpoint", mutated, "--corpus", corpus],
+                          ["naming", "eval", "--checkpoint", mutated, "--corpus", corpus]],
+        }[name]
+        for argv in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(argv)
+            err = err.getvalue()
+            assert rc == 0 or (rc == 1 and err.startswith("error: ") and err.count("\n") == 1), \
+                (name, edit, pos, argv[0], rc, err)
