@@ -41,10 +41,12 @@ print(f"\nobjects {frame.objects} x names {present}")
 print(f"  {augment_objects_with_names(frame.objects, present)}")
 
 # The nine ablation variants toggle which streams exist and whether they
-# carry names. Flags mark name tokens for the embedding tables.
+# carry names: a variant is the subtitle switch plus its visual runs, and
+# visual_stream lays out the runs it is given. Flags mark name tokens for
+# the embedding tables.
 for label in ("Sub", "Sub + Objs", "Sub + Objs_nm + Rels_nm"):
     modality = ModalityConfig.from_label(label)
-    toks, flags = visual_stream(clip.frames, modality, names, cast)
+    toks, flags = visual_stream(clip.frames, modality.runs, names, cast)
     print(f"\n[{label}] visual stream, {len(toks)} tokens")
     print("  " + " ".join(f"{t}*" if fl else t for t, fl in zip(toks[:18], flags[:18]))
           + (" ..." if len(toks) > 18 else ""))

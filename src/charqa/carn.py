@@ -30,9 +30,9 @@ same parameters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 
@@ -61,69 +61,46 @@ MICRO_BATCH = 6
 
 
 # ---------------------------------------------------------------------------
-# Modality flags and the ablation grid
+# Variants and the ablation grid
+
+
+VISUAL_RUNS = ("Objs", "Objs_nm", "Rels", "Rels_nm")
+# Every (object run, relation run) pair, either of which may be absent.
+_RUN_SHAPES = {tuple(r for r in pair if r)
+               for pair in product(("", "Objs", "Objs_nm"), ("", "Rels", "Rels_nm"))}
 
 
 @dataclass(frozen=True)
 class ModalityConfig:
-    """Which streams feed the network, and where names are injected.
-
-    The name switch is split per stream (objs_names / rels_names) because the
-    ablation grid includes mixed rows like Objs_nm + Rels.
-    """
+    """A variant: whether the subtitles feed the network, and its visual
+    runs, named by their label parts: at most an object run ("Objs", or
+    "Objs_nm" with names injected) followed by a relation run ("Rels" or
+    "Rels_nm"). The name switch is per run because the ablation grid
+    includes mixed rows like Objs_nm + Rels."""
 
     use_sub: bool = True
-    use_objs: bool = True
-    use_rels: bool = True
-    objs_names: bool = True
-    rels_names: bool = True
+    runs: tuple[str, ...] = ("Objs_nm", "Rels_nm")
 
     def __post_init__(self):
-        if not (self.use_sub or self.use_objs or self.use_rels):
+        if not (self.use_sub or self.runs):
             raise ConfigError("at least one modality must be enabled")
-        if self.objs_names and not self.use_objs:
-            raise ConfigError("objs_names requires use_objs")
-        if self.rels_names and not self.use_rels:
-            raise ConfigError("rels_names requires use_rels")
+        if self.runs not in _RUN_SHAPES:
+            raise ConfigError(f"visual runs {self.runs}: expected [Objs|Objs_nm] [Rels|Rels_nm]")
 
     def label(self) -> str:
-        parts = []
-        if self.use_sub:
-            parts.append("Sub")
-        if self.use_objs:
-            parts.append("Objs_nm" if self.objs_names else "Objs")
-        if self.use_rels:
-            parts.append("Rels_nm" if self.rels_names else "Rels")
-        return " + ".join(parts)
+        return " + ".join(("Sub",) * self.use_sub + self.runs)
 
     @classmethod
     def from_label(cls, label: str) -> "ModalityConfig":
-        kw = dict(use_sub=False, use_objs=False, use_rels=False,
-                  objs_names=False, rels_names=False)
+        """The variant of a label's parts, in any order and case, joined by
+        " + " or ","; ConfigError for an unknown part or two parts of one run."""
+        canonical = {p.lower(): p for p in ("Sub",) + VISUAL_RUNS}
+        parts = set()
         for part in [p.strip() for p in label.replace(",", " + ").split(" + ") if p.strip()]:
-            key = part.lower()
-            if key == "sub":
-                kw["use_sub"] = True
-            elif key == "objs":
-                kw["use_objs"] = True
-            elif key == "objs_nm":
-                kw.update(use_objs=True, objs_names=True)
-            elif key == "rels":
-                kw["use_rels"] = True
-            elif key == "rels_nm":
-                kw.update(use_rels=True, rels_names=True)
-            else:
+            if part.lower() not in canonical:
                 raise ConfigError(f"unknown modality part {part!r}")
-        return cls(**kw)
-
-    def visual_passes(self) -> tuple["ModalityConfig", ...]:
-        """One single-run config per visual co-attention pass, in pass
-        order: the relations, then the objects. A config with one visual run
-        is its own single pass; one with none has no pass."""
-        if self.use_objs and self.use_rels:
-            return (replace(self, use_objs=False, objs_names=False),
-                    replace(self, use_rels=False, rels_names=False))
-        return (self,) if self.use_objs or self.use_rels else ()
+            parts.add(canonical[part.lower()])
+        return cls("Sub" in parts, tuple(r for r in VISUAL_RUNS if r in parts))
 
 
 VARIANT_LABELS = (
@@ -196,11 +173,10 @@ def build_vocab(clips: list[Clip], cast: CastList) -> Vocab:
     table); the character table covers every character of every token, so
     unseen words at evaluation time can still embed.
     """
-    unnamed = ModalityConfig(objs_names=False, rels_names=False)
     tokens: set[str] = set()
     for clip in clips:
         tokens.update(subtitle_stream(clip.subtitles, cast)[0])
-        tokens.update(visual_stream(clip.frames, unnamed, {}, cast)[0])
+        tokens.update(visual_stream(clip.frames, ("Objs", "Rels"), {}, cast)[0])
         for qa in clip.qas:
             tokens.update(qa.question)
             for ans in qa.answers:
@@ -432,23 +408,24 @@ class Model:
         c = self.config
         p = self.params
         modality = self.modality
-        # (decoder, visual run or None for the subtitles) per pass, in order
-        visual_runs = modality.visual_passes()
-        passes = [("dec_v", run) for run in visual_runs] + [("dec_s", None)] * modality.use_sub
+        # (decoder, visual runs or None for the subtitles) per pass, in order:
+        # one pass per visual run, the relations first, then the subtitles
+        passes = ([("dec_v", (run,)) for run in reversed(modality.runs)]
+                  + [("dec_s", None)] * modality.use_sub)
         distinct = [{} for _ in passes]  # (tokens, flags) -> distinct stream index
         streams = [[] for _ in passes]
         users = [[] for _ in passes]  # (item, distinct stream index)
         empty_context = []
         for b, (view, _, face_names) in enumerate(batch):
             has_visual = has_sub = False
-            for i, (_, run) in enumerate(passes):
-                if run is None:
+            for i, (_, runs) in enumerate(passes):
+                if runs is None:
                     toks, flags = subtitle_stream(view.subtitles, self.cast)
                 else:
-                    toks, flags = visual_stream(view.frames, run, face_names, self.cast)
+                    toks, flags = visual_stream(view.frames, runs, face_names, self.cast)
                 if not toks:
                     continue
-                if run is None:
+                if runs is None:
                     has_sub = True
                 else:
                     has_visual = True
@@ -456,7 +433,7 @@ class Model:
                 if u == len(streams[i]):
                     streams[i].append((toks, flags))
                 users[i].append((b, u))
-            empty_context.append(int(bool(visual_runs) and not has_visual)
+            empty_context.append(int(bool(modality.runs) and not has_visual)
                                  + int(modality.use_sub and not has_sub))
 
         qa_streams = [qa_stream(qa.question, ans, self.cast)
@@ -647,7 +624,7 @@ class Model:
 
 
 __all__ = [
-    "CHECKPOINT_VERSION", "PROB_FLOOR", "MICRO_BATCH", "ModalityConfig",
+    "CHECKPOINT_VERSION", "PROB_FLOOR", "MICRO_BATCH", "VISUAL_RUNS", "ModalityConfig",
     "VARIANT_LABELS", "FULL_VARIANT", "Vocab", "build_vocab", "subtitle_stream",
     "qa_stream", "prepare_sequence", "embed",
     "embed_backward", "joint_loss", "ModelConfig", "ItemResult", "Model",

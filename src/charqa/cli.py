@@ -13,6 +13,8 @@ import json
 import sys
 from dataclasses import fields, replace
 
+import numpy as np
+
 from . import harness
 from .carn import ModalityConfig, Model, subtitle_stream
 from .castlist import DEFAULT_MAX_RATIO, build_cast_list, count_speakers
@@ -150,7 +152,7 @@ def _cmd_report(args) -> int:
     header = (lines[0] if lines else "").split(",")
     if header != list(harness.METRICS_COLUMNS):
         raise CharqaError(f"unexpected metrics columns: {header}")
-    reports = []
+    reports = {}  # (variant, use_ts, seed) -> report
     for line_no, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -160,15 +162,18 @@ def _cmd_report(args) -> int:
         if v[1] not in ("0", "1"):
             raise CharqaError(f"line {line_no}: use_ts must be 0 or 1, got {v[1]!r}")
         try:
-            reports.append(harness.MetricsReport(
+            r = harness.MetricsReport(
                 variant=v[0], use_ts=v[1] == "1", qa_acc=float(v[2]),
                 qa_acc_visual=float(v[3]), qa_acc_textual=float(v[4]),
-                face_acc=float(v[5]), seed=int(v[6])))
+                face_acc=float(v[5]), seed=int(v[6]))
         except ValueError as e:
             raise CharqaError(f"line {line_no}: {e}") from None
+        if reports.setdefault((r.variant, r.use_ts, r.seed), r) is not r:
+            raise CharqaError(f"line {line_no}: repeats the row of variant {r.variant!r}, "
+                              f"use_ts {v[1]}, seed {r.seed}")
     if not reports:
         raise CharqaError("metrics file has no rows")
-    print(harness.format_report(reports))
+    print(harness.format_report(reports.values()))
     return 0
 
 
@@ -190,7 +195,7 @@ def _cmd_semantics_dump(args) -> int:
                 names = {}
             for qi, qa in enumerate(clip.qas):
                 view = clip_view(clip, qa, args.use_ts)
-                toks, flags = visual_stream(view.frames, modality, names, cast)
+                toks, flags = visual_stream(view.frames, modality.runs, names, cast)
                 subs, sub_flags = subtitle_stream(view.subtitles, cast)
                 fh.write(json.dumps({
                     "clip_id": clip.clip_id, "qa_index": qi,
@@ -296,9 +301,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # Overflow, division by zero and invalid values are faults of the inputs
+        # or settings; masked attention relies on exp underflowing to 0.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.fn(args)
     except (CharqaError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except FloatingPointError as e:
+        print(f"error: numeric fault ({e})", file=sys.stderr)
         return 1
 
 

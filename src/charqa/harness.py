@@ -277,18 +277,19 @@ def ablate(corpus: list[Clip], config: TrainConfig = TrainConfig(),
 
 
 def format_report(reports) -> str:
-    """Readable two-column (w/ ts, w/o ts) table over the variant rows."""
-    by_variant: dict[str, dict[bool, MetricsReport]] = {}
+    """Readable two-column (w/ ts, w/o ts) table with one row per variant
+    and seed, in first-seen order; seeds are never mixed within a row."""
+    rows: dict[tuple[str, int], dict[bool, MetricsReport]] = {}
     for r in reports:
-        by_variant.setdefault(r.variant, {})[r.use_ts] = r
-    width = max(len(v) for v in by_variant) + 2
-    lines = [f"{'variant':<{width}} {'w/ ts':>8} {'w/o ts':>8} {'face':>8}"]
-    for v, pair in by_variant.items():
+        rows.setdefault((r.variant, r.seed), {})[r.use_ts] = r
+    width = max([len("variant")] + [len(v) for v, _ in rows]) + 2
+    lines = [f"{'variant':<{width}} {'seed':>6} {'w/ ts':>8} {'w/o ts':>8} {'face':>8}"]
+    for (v, seed), pair in rows.items():
         w = pair.get(True)
         wo = pair.get(False)
         face = w.face_acc if w else (wo.face_acc if wo else 0.0)
         lines.append(
-            f"{v:<{width}} "
+            f"{v:<{width}} {seed:>6} "
             f"{w.qa_acc if w else float('nan'):>8.4f} "
             f"{wo.qa_acc if wo else float('nan'):>8.4f} "
             f"{face:>8.4f}"
@@ -492,7 +493,15 @@ GRAD_CHECKS = {
 def grad_check(component: str = "all", tolerance: float = 1e-4,
                n_configs: int = 10, seed: int = 0):
     """Run the finite-difference suites, one GradCheckReport per component
-    that each of its checks merges into; failures are report entries."""
+    that each of its checks merges into; failures are report entries.
+    ConfigError for no config (a run that checks nothing would pass), a
+    tolerance that is not a finite number > 0, or a negative seed."""
+    if n_configs < 1:
+        raise ConfigError("n_configs must be >= 1")
+    if not 0 < tolerance <= sys.float_info.max:
+        raise ConfigError("tolerance must be a finite number > 0")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     names = list(GRAD_CHECKS) if component == "all" else [component]
     reports = []
     for name in names:

@@ -1,7 +1,7 @@
 """Per-frame visual semantics: face-to-human matching, character name
 injection into relation triples, name-augmented object runs, and
 `visual_stream`, the one builder that lays these out as aligned (tokens,
-name_flags) lists for a model variant.
+name_flags) lists for the visual runs it is given.
 
 Matching normalizes overlap by face area rather than IoU: faces are small
 relative to person boxes, so IoU would be near zero even for a correct
@@ -109,32 +109,32 @@ def augment_objects_with_names(objects, names: list[str]) -> list[tuple[str, boo
     return toks
 
 
-def visual_stream(frames: list[Frame], modality, face_names: dict[int, str],
+def visual_stream(frames: list[Frame], runs, face_names: dict[int, str],
                   cast) -> tuple[list[str], list[bool]]:
-    """The (tokens, name_flags) stream of the frames' visual runs that the
-    variant `modality` (a carn.ModalityConfig) enables.
+    """The (tokens, name_flags) stream of the frames' visual runs, laid out
+    in the order given. A run is named by its variant label part: "Objs"
+    for the objects, "Rels" for the triples as S P O token runs with their
+    boxes discarded, each with names injected under the "_nm" suffix.
 
-    The full objects run precedes the full relations run, triples as S P O
-    token runs with their boxes discarded; within each run, frames go in
-    temporal order and triples in detection order. face_names holds the
-    current (predicted or oracle) face labels; a relation token counts as a
-    name when it is a member of the cast list.
+    Within each run, frames go in temporal order and triples in detection
+    order. face_names holds the current (predicted or oracle) face labels; a
+    relation token counts as a name when it is a member of the cast list.
     """
     ordered = sorted(frames, key=lambda f: f.frame_id)
     toks: list[str] = []
     flags: list[bool] = []
-    if modality.use_objs:
+    for run in runs:
         for frame in ordered:
-            names = frame_names(frame, face_names) if modality.objs_names else []
-            run = augment_objects_with_names(frame.objects, names)
-            toks.extend(t for t, _ in run)
-            flags.extend(f for _, f in run)
-    if modality.use_rels:
-        for frame in ordered:
-            triples = replace_names(frame, face_names) if modality.rels_names else frame.triples
-            for t in triples:
-                toks.extend(t.tokens)
-                flags.extend(tok in cast for tok in t.tokens)
+            if run.startswith("Objs"):
+                names = frame_names(frame, face_names) if run == "Objs_nm" else []
+                pairs = augment_objects_with_names(frame.objects, names)
+                toks.extend(t for t, _ in pairs)
+                flags.extend(f for _, f in pairs)
+            else:
+                triples = replace_names(frame, face_names) if run == "Rels_nm" else frame.triples
+                for t in triples:
+                    toks.extend(t.tokens)
+                    flags.extend(tok in cast for tok in t.tokens)
     return toks, flags
 
 

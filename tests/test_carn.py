@@ -25,6 +25,7 @@ from charqa.errors import (CheckpointError, ConfigError, EmptyInputError, ShapeE
                            VocabError)
 from charqa.harness import _mini_setup, grad_check
 from charqa.naming import broadcast_targets
+from charqa.semantics import visual_stream
 from oracles import oracle_embed, oracle_embed_backward
 from test_corpus import JSON_VALUES, json_kind, value_at
 
@@ -89,21 +90,48 @@ class TestModalityConfig:
 
     def test_lowercase_comma_form(self):
         m = ModalityConfig.from_label("objs_nm,rels_nm")
-        assert (m.use_sub, m.use_objs, m.objs_names, m.use_rels, m.rels_names) \
-            == (False, True, True, True, True)
+        assert (m.use_sub, m.runs) == (False, ("Objs_nm", "Rels_nm"))
 
     def test_all_streams_off_rejected(self):
         with pytest.raises(ConfigError):
-            ModalityConfig(use_sub=False, use_objs=False, use_rels=False,
-                           objs_names=False, rels_names=False)
+            ModalityConfig(use_sub=False, runs=())
 
-    def test_names_require_stream(self):
-        with pytest.raises(ConfigError):
-            ModalityConfig(use_objs=False, objs_names=True)
+    def test_runs_are_an_object_run_then_a_relation_run(self):
+        for runs in (("Rels", "Objs"), ("Objs", "Objs_nm"), ("Rels", "Rels_nm"), ("Faces",),
+                     ("Sub",)):
+            with pytest.raises(ConfigError, match="visual runs"):
+                ModalityConfig(runs=runs)
+        for runs in ((), ("Objs_nm",), ("Rels",), ("Objs", "Rels_nm")):
+            assert ModalityConfig(runs=runs).runs == runs
 
     def test_unknown_part_rejected(self):
-        with pytest.raises(ConfigError):
-            ModalityConfig.from_label("Sub + Faces")
+        with pytest.raises(ConfigError, match="unknown modality part 'FACES'"):
+            ModalityConfig.from_label("Sub + FACES")
+
+    @pytest.mark.parametrize("label", ["Sub + Objs + Objs_nm", "Rels_nm + rels", "Objs_nm + Objs"])
+    def test_conflicting_parts_rejected(self, label):
+        with pytest.raises(ConfigError, match="visual runs"):
+            ModalityConfig.from_label(label)
+
+    PARTS = ("Sub", "Objs", "Objs_nm", "Rels", "Rels_nm")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(PARTS + ("Faces",)),
+                              st.sampled_from([str.lower, str.upper, str])), max_size=5),
+           st.sampled_from([" + ", ","]))
+    def test_label_parts_round_trip_in_canonical_order(self, parts, sep):
+        label = sep.join(case(p) for p, case in parts)
+        given_parts = {p for p, _ in parts}
+        valid = (given_parts and "Faces" not in given_parts
+                 and not {"Objs", "Objs_nm"} <= given_parts
+                 and not {"Rels", "Rels_nm"} <= given_parts)
+        if not valid:
+            with pytest.raises(ConfigError):
+                ModalityConfig.from_label(label)
+            return
+        m = ModalityConfig.from_label(label)
+        assert m.label() == " + ".join(p for p in self.PARTS if p in given_parts)
+        assert ModalityConfig.from_label(m.label()) == m
 
 
 class TestVocabAndEmbedding:
@@ -659,12 +687,24 @@ class TestForward:
             else:
                 assert Model.load(tmp_path / "s.npz").seed == want
 
-    def test_visual_passes_relations_then_objects(self):
-        passes = ModalityConfig().visual_passes()
-        assert [m.label() for m in passes] == ["Sub + Rels_nm", "Sub + Objs_nm"]
-        single = ModalityConfig.from_label("Sub + Objs")
-        assert single.visual_passes() == (single,)
-        assert ModalityConfig.from_label("Sub").visual_passes() == ()
+    def test_visual_runs_relations_then_objects(self, mini):
+        """One visual_stream call per item and co-attention pass, with the
+        pass's one run: the relations, then the objects."""
+        model, clip, qa = mini
+        calls = []
+
+        def recording(frames, runs, face_names, cast):
+            calls.append(runs)
+            return visual_stream(frames, runs, face_names, cast)
+
+        batch = [(clip, qa, model.name_assignments(clip))] * 2
+        with mock.patch.object(carn, "visual_stream", recording):
+            for label, want in ((FULL_VARIANT, [("Rels_nm",), ("Objs_nm",)]),
+                                ("Sub + Objs", [("Objs",)]), ("Sub", [])):
+                model.modality = ModalityConfig.from_label(label)
+                calls.clear()
+                model.forward_item(batch, keep_cache=False)
+                assert calls == want * 2, label
 
     def test_empty_context_needs_both_visual_runs_empty(self, mini):
         model, clip, qa = mini

@@ -400,6 +400,36 @@ class TestTrainEval:
                 assert captured.err == f"error: {ckpt}: tensor {key!r} must hold finite floats\n"
                 assert captured.out == ""
 
+    @pytest.mark.parametrize("probe", ["eval-huge-weights", "train-lr-1e30", "train-lambda-1e300"])
+    def test_numeric_fault_one_line_error(self, workdir, tmp_path, capsys, probe):
+        # Finite settings and weights that push activations or Adam's moments
+        # out of float range: one error line, and training saves nothing.
+        corpus, out = str(workdir / "corpus.jsonl"), tmp_path / "out"
+        if probe == "eval-huge-weights":
+            blob = dict(np.load(workdir / "model.npz", allow_pickle=False))
+            blob["enc.l0.ffn.w1"] *= 1e300
+            np.savez(tmp_path / "huge.npz", **blob)
+            argv = ["eval", "--checkpoint", str(tmp_path / "huge.npz"), "--out", str(out)]
+        else:
+            flag, value = {"train-lr-1e30": ("--lr", "1e30"),
+                           "train-lambda-1e300": ("--lambda", "1e300")}[probe]
+            argv = ["train", "--out", str(out), "--config", str(workdir / "train.json"),
+                    flag, value]
+        rc = main(argv + ["--corpus", corpus])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith("error: numeric fault") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_conflicting_modality_parts_one_line_error(self, workdir, tmp_path, capsys):
+        out = tmp_path / "m.npz"
+        rc = main(["train", "--corpus", str(workdir / "corpus.jsonl"), "--out", str(out),
+                   "--config", str(workdir / "train.json"), "--modality", "Sub + Objs + Objs_nm"])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith("error: visual runs ('Objs', 'Objs_nm')") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_eval_defaults_to_the_trained_variant(self, workdir, tmp_path, capsys):
         corpus = str(workdir / "corpus.jsonl")
         rc = main(["train", "--corpus", corpus, "--out", str(tmp_path / "sub.npz"),
@@ -497,6 +527,28 @@ class TestAblateReport:
             assert err.startswith(f"error: {needle}") and err.count("\n") == 1, (row, err)
 
 
+    def test_report_keeps_seeds_apart(self, tmp_path, capsys):
+        path = tmp_path / "seeds.csv"
+        path.write_text("\n".join([",".join(METRICS_COLUMNS), "Sub,1,0.5,0.5,0.5,0.5,0",
+                                   "Sub,1,0.7,0.5,0.5,0.5,1", "Sub,0,0.1,0.5,0.5,0.5,0"]) + "\n",
+                        encoding="utf-8")
+        rc = main(["report", "--metrics", str(path)])
+        assert rc == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert rows == [["Sub", "0", "0.5000", "0.1000", "0.5000"],
+                        ["Sub", "1", "0.7000", "nan", "0.5000"]]
+
+    def test_report_repeated_row_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "repeat.csv"
+        path.write_text("\n".join([",".join(METRICS_COLUMNS), "Sub,1,0.5,0.5,0.5,0.5,1",
+                                   "Sub,0,0.5,0.5,0.5,0.5,1", "Sub,1,0.7,0.5,0.5,0.5,1"]) + "\n",
+                        encoding="utf-8")
+        rc = main(["report", "--metrics", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == "error: line 4: repeats the row of variant 'Sub', use_ts 1, seed 1\n"
+
+
 class TestGradcheckCli:
     def test_pass(self, capsys):
         rc = main(["gradcheck", "--component", "naming", "--configs", "1"])
@@ -508,6 +560,20 @@ class TestGradcheckCli:
                    "--tolerance", "1e-18"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value, needle", [
+        ("--configs", "0", "n_configs must be >= 1"),
+        ("--configs", "-3", "n_configs must be >= 1"),
+        ("--tolerance", "0", "tolerance must be a finite number > 0"),
+        ("--tolerance", "nan", "tolerance must be a finite number > 0"),
+        ("--seed", "-1", "seed must be >= 0"),
+    ])
+    def test_refused_setting_one_line_error(self, capsys, flag, value, needle):
+        # A run that checks nothing, or passes nothing, must not print PASS.
+        rc = main(["gradcheck", flag, value])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == f"error: {needle}\n"
 
 
 class TestSemanticsDump:

@@ -309,6 +309,16 @@ class TestAblate:
         for label in VARIANT_LABELS:
             assert any(line.startswith(label) for line in lines[1:])
 
+    def test_format_report_keeps_seeds_apart(self):
+        def report(use_ts, qa_acc, seed):
+            return harness.MetricsReport("Sub", use_ts, qa_acc, 0.5, 0.5, 0.25, seed)
+
+        text = format_report([report(True, 0.5, 0), report(True, 0.7, 1), report(False, 0.1, 0)])
+        header, *rows = text.splitlines()
+        assert header.split() == ["variant", "seed", "w/", "ts", "w/o", "ts", "face"]
+        assert [row.split() for row in rows] == [["Sub", "0", "0.5000", "0.1000", "0.2500"],
+                                                 ["Sub", "1", "0.7000", "nan", "0.2500"]]
+
 
 class TestMetricsFiles:
     def test_file_matches_text(self, grid_reports, tmp_path):
@@ -443,6 +453,16 @@ class TestGradCheckRunner:
         rep = GradCheckReport("enc", 1e-4)
         rep.merge(worst, kinks)
         assert not rep.passed and "FAIL" in rep.format()
+
+    @pytest.mark.parametrize("kw, needle", [
+        ({"n_configs": 0}, "n_configs"), ({"n_configs": -3}, "n_configs"),
+        ({"tolerance": 0.0}, "tolerance"), ({"tolerance": -1e-4}, "tolerance"),
+        ({"tolerance": math.nan}, "tolerance"), ({"tolerance": math.inf}, "tolerance"),
+        ({"seed": -1}, "seed"),
+    ])
+    def test_refuses_out_of_range_settings(self, kw, needle):
+        with pytest.raises(ConfigError, match=needle):
+            grad_check("naming", **kw)
 
     def test_report_merge_and_format(self):
         rep = GradCheckReport("enc", 1e-4)

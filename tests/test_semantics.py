@@ -166,12 +166,12 @@ ADA = CastList(("Ada",), (1,))
 
 
 def stream(frames, label, cast=ADA):
-    return visual_stream(frames, ModalityConfig.from_label(label), {0: "Ada"}, cast)
+    return visual_stream(frames, ModalityConfig.from_label(label).runs, {0: "Ada"}, cast)
 
 
 def relations(frames):
     """The relation run alone, without names: (tokens, flags)."""
-    return visual_stream(frames, ModalityConfig.from_label("Rels"), {}, CastList((), ()))
+    return visual_stream(frames, ("Rels",), {}, CastList((), ()))
 
 
 class TestStream:
@@ -221,3 +221,11 @@ class TestStream:
         a = stream([fr], "Objs_nm + Rels_nm")
         b = stream([fr], "Objs_nm + Rels_nm")
         assert a == b
+
+    def test_runs_laid_out_in_the_order_given(self):
+        fr = self.make_frame()
+        rels, rel_flags = stream([fr], "Rels_nm")
+        objs, obj_flags = stream([fr], "Objs_nm")
+        toks, flags = visual_stream([fr], ("Rels_nm", "Objs_nm"), {0: "Ada"}, ADA)
+        assert (toks, flags) == (rels + objs, rel_flags + obj_flags)
+        assert visual_stream([fr], (), {0: "Ada"}, ADA) == ([], [])
