@@ -23,8 +23,12 @@ The QA loss is cross-entropy on the gold option; the naming head trains
 jointly through the regularized-KL term, weighted by lambda. The head runs
 once per distinct clip of a batch: its rows give both the clip's name
 assignment and its RKL term, whose gradient is weighted by the clip's item
-count. The QA part runs in micro-batches of MICRO_BATCH items under the
-same parameters.
+count. The QA part of a batch, and every item of an evaluation, runs
+through one runner, run_in_buckets: it sorts the items by length_key,
+which is read from each item's view and QA item without building a
+stream, runs them in buckets of MICRO_BATCH neighbours, so that the items
+of a padded batch are of like length, and returns every result in input
+order.
 """
 
 from __future__ import annotations
@@ -47,16 +51,19 @@ from .semantics import visual_stream
 CHECKPOINT_VERSION = "charqa-ckpt-2"
 PROB_FLOOR = 1e-12
 
-# Items per forward/backward pass of the QA part in training. Larger passes
+# Items per bucket of run_in_buckets: per forward/backward pass of a training
+# batch's QA part, and per forward-only pass of an evaluation. Larger passes
 # amortize numpy's per-call overhead over more rows but hold more activation
 # caches at once. Caches hold no attention weights (backward recomputes
 # them), and backward frees each cache once it has used it. Measured with
-# tracemalloc on one 64-item optimizer batch of 60 reference clips at
-# d_model 32: the peak is 2.48 MB at 6 items, against 2.21 MB at 3 items and
-# 3.70 MB at 6 items with the weights cached. On the benchmark (10
-# alternating runs each, 2-CPU host, one BLAS thread), 6 items give 16% more
-# ablate_grid and 11% more train_ref throughput than 3 items with the
-# weights cached, at a median peak RSS within 0.1 MB of theirs.
+# tracemalloc at d_model 32, the items sorted by length: one 64-item
+# optimizer batch of 60 reference clips peaks at 2.45 MB at 6 items, against
+# 1.56 MB at 3 and 4.24 MB at 12; a whole-clip evaluation of the 200
+# reference clips peaks at 1.69 MB at 6 and 2.69 MB at 12. On the benchmark
+# (10 alternating pairs, 2-CPU host, one BLAS thread), sorted buckets of 6
+# give 13% more ablate_grid and 9% more train_ref throughput than unsorted
+# micro-batches of 6 with per-clip evaluation batches, at a median peak RSS
+# within 0.15 MB of theirs.
 MICRO_BATCH = 6
 
 
@@ -163,24 +170,41 @@ class Vocab:
             np.add.at(a[i], ids, 1.0 / len(ids))
         return a
 
+    def check_chars(self, tokens) -> None:
+        """VocabError for the first token, in sorted order, with a character
+        outside the character table: a token that could not embed."""
+        for token in sorted(tokens):
+            for ch in token:
+                if ch not in self.char_index:
+                    raise VocabError(f"token {token!r}: character {ch!r} not in character table")
+
+
+def clip_tokens(clip: Clip, cast: CastList) -> set[str]:
+    """Every token a clip can feed the network, as the stream builders lay
+    it out: its subtitle stream, its visual stream with both runs and no
+    names injected (an injected name is a cast name), and its questions and
+    answers."""
+    tokens = set(subtitle_stream(clip.subtitles, cast)[0])
+    tokens.update(visual_stream(clip.frames, ("Objs", "Rels"), {}, cast)[0])
+    for qa in clip.qas:
+        tokens.update(qa.question)
+        for ans in qa.answers:
+            tokens.update(ans)
+    return tokens
+
 
 def build_vocab(clips: list[Clip], cast: CastList) -> Vocab:
-    """Collect every token the corpus can feed the network, as the stream
-    builders lay it out: each clip's subtitle stream, its visual stream
-    with both runs and no names injected, and its questions and answers.
+    """The vocabulary of every token the corpus can feed the network
+    (clip_tokens).
 
     Cast names are excluded from the word table (they live in the name
     table); the character table covers every character of every token, so
-    unseen words at evaluation time can still embed.
+    unseen words at evaluation time can still embed if their characters
+    are in it (Vocab.check_chars).
     """
     tokens: set[str] = set()
     for clip in clips:
-        tokens.update(subtitle_stream(clip.subtitles, cast)[0])
-        tokens.update(visual_stream(clip.frames, ("Objs", "Rels"), {}, cast)[0])
-        for qa in clip.qas:
-            tokens.update(qa.question)
-            for ans in qa.answers:
-                tokens.update(ans)
+        tokens |= clip_tokens(clip, cast)
     names = cast.label_names()
     words = sorted(tokens - set(names))
     chars = sorted({ch for tok in tokens | set(names) for ch in tok})
@@ -209,6 +233,32 @@ def qa_stream(question, answer, cast: CastList):
     """[question ; answer] token concatenation; cast members are names."""
     toks = list(question) + list(answer)
     return toks, [t in cast for t in toks]
+
+
+# ---------------------------------------------------------------------------
+# Length buckets
+
+
+def length_key(view: Clip, qa: QAItem) -> tuple[int, int, int]:
+    """An item's sort key, read from its view and QA item without building a
+    stream: its subtitle tokens plus lines (each line adds its speaker
+    token), then its frames, then its question and answer tokens."""
+    return (sum(len(line.tokens) for line in view.subtitles) + len(view.subtitles),
+            len(view.frames), len(qa.question) + sum(len(a) for a in qa.answers))
+
+
+def run_in_buckets(items, keys, run) -> list:
+    """run over the items in buckets of MICRO_BATCH, the items sorted by
+    (key, input index), so that a padded batch holds items of like length
+    and the order is deterministic; run maps a list of items to one result
+    per item. Returns the results in input order."""
+    order = sorted(range(len(items)), key=lambda i: (keys[i], i))
+    results = [None] * len(items)
+    for m0 in range(0, len(order), MICRO_BATCH):
+        bucket = order[m0:m0 + MICRO_BATCH]
+        for i, result in zip(bucket, run([items[i] for i in bucket]), strict=True):
+            results[i] = result
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +560,10 @@ class Model:
         not depend on the QA window), with its gradient weighted by the clip's
         item count; they also give the clip's name assignment, the only names
         its items' visual streams use. The assignment is discrete: no gradient
-        flows through it. The QA part runs as consecutive forward/backward
-        passes of MICRO_BATCH items; the parameters do not change within a
-        call, so the split moves results only by summation order.
+        flows through it. The QA part runs through run_in_buckets, as
+        forward/backward passes of MICRO_BATCH items of like length; the
+        parameters do not change within a call, so the buckets move results
+        only by summation order.
         """
         clips = {}  # id(clip) -> [clip, targets, item count], in batch order
         for clip, _, _, targets in batch:
@@ -525,12 +576,12 @@ class Model:
                 rkl[key], drows = rkl_loss_with_grad(rows, targets)
                 if grads is not None and lam * count != 0.0:
                     naming_backward(self.params, table, rows, lam * count * drows, grads)
-        results = []
-        for m0 in range(0, len(batch), MICRO_BATCH):
-            micro = batch[m0:m0 + MICRO_BATCH]
+
+        def run(micro):
             p_a, cache = self.forward_item([(view, qa, names[id(clip)])
                                             for clip, view, qa, _ in micro])
             gold = [qa.correct_index for _, _, qa, _ in micro]
+            results = []
             for b, (clip, *_) in enumerate(micro):
                 loss, ce, clamped = joint_loss(p_a[b], gold[b], rkl[id(clip)], lam)
                 results.append(ItemResult(loss, ce, rkl[id(clip)], p_a[b], clamped=clamped,
@@ -539,8 +590,9 @@ class Model:
                 dlogits = p_a.copy()
                 dlogits[np.arange(len(micro)), gold] -= 1.0
                 self.backward_item(cache, dlogits, grads)
-            del cache  # free this pass's activations before the next forward
-        return results
+            return results
+
+        return run_in_buckets(batch, [length_key(view, qa) for _, view, qa, _ in batch], run)
 
     def item_loss_and_grads(self, clip: Clip, view: Clip, qa: QAItem, lam: float = 1.0,
                             grads: dict | None = None) -> ItemResult:
@@ -625,7 +677,7 @@ class Model:
 
 __all__ = [
     "CHECKPOINT_VERSION", "PROB_FLOOR", "MICRO_BATCH", "VISUAL_RUNS", "ModalityConfig",
-    "VARIANT_LABELS", "FULL_VARIANT", "Vocab", "build_vocab", "subtitle_stream",
-    "qa_stream", "prepare_sequence", "embed",
+    "VARIANT_LABELS", "FULL_VARIANT", "Vocab", "clip_tokens", "build_vocab", "subtitle_stream",
+    "qa_stream", "length_key", "run_in_buckets", "prepare_sequence", "embed",
     "embed_backward", "joint_loss", "ModelConfig", "ItemResult", "Model",
 ]

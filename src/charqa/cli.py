@@ -13,14 +13,12 @@ import json
 import sys
 from dataclasses import fields, replace
 
-import numpy as np
-
 from . import harness
-from .carn import ModalityConfig, Model, subtitle_stream
+from .carn import ModalityConfig, Model, clip_tokens, subtitle_stream
 from .castlist import DEFAULT_MAX_RATIO, build_cast_list, count_speakers
 from .corpus import (GenConfig, clip_view, config_kwargs, generate_corpus, read_corpus,
                      write_corpus)
-from .errors import CharqaError, ConfigError
+from .errors import CharqaError, ConfigError, numeric_faults
 from .harness import TrainConfig, evaluate, grad_check, train, write_metrics_csv
 from .semantics import visual_stream
 
@@ -107,7 +105,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = Model.load(args.checkpoint)
-    clips = read_corpus(args.corpus)
+    # Every token must embed: a character outside the checkpoint's table is
+    # refused with its line, before any forward.
+    clips = read_corpus(args.corpus, check=lambda clip: model.vocab.check_chars(
+        clip_tokens(clip, model.cast)))
     if args.modality is not None:
         model.modality = ModalityConfig.from_label(args.modality)
     settings = [args.use_ts] if args.use_ts is not None else [True, False]
@@ -301,15 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # Overflow, division by zero and invalid values are faults of the inputs
-        # or settings; masked attention relies on exp underflowing to 0.
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
+        with numeric_faults():
             return args.fn(args)
     except (CharqaError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FloatingPointError as e:
-        print(f"error: numeric fault ({e})", file=sys.stderr)
         return 1
 
 

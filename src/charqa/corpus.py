@@ -15,7 +15,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigError, CorpusParseError, FieldTypeError, SchemaVersionError
+from .errors import (CharqaError, ConfigError, CorpusParseError, FieldTypeError,
+                     SchemaVersionError)
 
 SCHEMA_VERSION = "carn-corpus-1"
 
@@ -54,6 +55,13 @@ SPEAKER_UNK_RATE = 0.01  # chance that an extra speaks a line
 OBJ_SUPPORT_FRAC = 0.5  # chance that an actor's handled object is also detected
 OBJECT_NOISE_RATE = 0.25  # chance that a plain detection comes from the relation pool
 ATTRIBUTE_RATE = 0.7  # chance that a plain detection carries an attribute
+
+# Generator size bounds. Face embeddings of real detectors are 128-512 wide.
+# Any noise far above 1 already drowns the prototypes; the bound keeps the
+# squared norm of a noisy embedding of up to MAX_D_F components far inside
+# float range.
+MAX_D_F = 4096
+MAX_NOISE_SIGMA = 1e100
 
 
 @dataclass(frozen=True)
@@ -210,6 +218,8 @@ class GenConfig:
                           ("frames_per_clip", 1), ("d_f", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}")
+        if self.d_f > MAX_D_F:
+            raise ConfigError(f"d_f must be <= {MAX_D_F}")
         # Two clip actors split the frames into one scene block each.
         if self.frames_per_clip < min(2, self.k_principals):
             raise ConfigError("frames_per_clip must be >= 2 when k_principals >= 2, "
@@ -218,9 +228,10 @@ class GenConfig:
         if self.frames_per_clip > len(DEFAULT_DIALOGUE_VOCAB):
             raise ConfigError(f"frames_per_clip must be <= {len(DEFAULT_DIALOGUE_VOCAB)}, "
                               "the size of the dialogue vocabulary")
-        # math.isfinite would raise OverflowError for an integer too large for a float.
-        if not 0 <= self.noise_sigma <= sys.float_info.max:
-            raise ConfigError("noise_sigma must be a finite value >= 0")
+        # Comparisons, not math.isfinite, which raises OverflowError for an
+        # integer too large for a float; NaN fails them.
+        if not 0 <= self.noise_sigma <= MAX_NOISE_SIGMA:
+            raise ConfigError(f"noise_sigma must lie in [0, {MAX_NOISE_SIGMA:g}]")
         if not 0.0 <= self.cooccur_rho <= 1.0:
             raise ConfigError("cooccur_rho must lie in [0, 1]")
 
@@ -687,7 +698,11 @@ def write_corpus(clips: list[Clip], path) -> None:
             fh.write("\n")
 
 
-def read_corpus(path) -> list[Clip]:
+def read_corpus(path, check=None) -> list[Clip]:
+    """The clips of a corpus file, each record checked as it is read;
+    CorpusParseError naming the line of the first bad one. check, if given,
+    is called on each clip once it is valid, and a CharqaError it raises is
+    reported with the clip's line too."""
     clips = []
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -711,6 +726,11 @@ def read_corpus(path) -> list[Clip]:
                 validate_clip(clip)
             except (KeyError, IndexError, AttributeError, TypeError, ValueError) as e:
                 raise CorpusParseError(line_no, f"bad clip record: {e}") from e
+            if check is not None:
+                try:
+                    check(clip)
+                except CharqaError as e:
+                    raise CorpusParseError(line_no, str(e)) from e
             clips.append(clip)
     return clips
 
@@ -746,8 +766,13 @@ def validate_clip(clip: Clip) -> None:
         for fc in f.faces:
             if fc.frame_id != f.frame_id:
                 raise ValueError(f"{clip.clip_id}: face {fc.face_id} frame_id mismatch")
+            # A unit-norm vector has every component in [-1, 1]. Checked before
+            # the norm, whose square overflows past a component of about 1.34e154.
+            if not np.abs(fc.embedding).max(initial=0.0) <= 1.0:  # NaN fails too
+                raise ValueError(f"{clip.clip_id}: face {fc.face_id} embedding has a "
+                                 "component outside [-1, 1]")
             n = np.linalg.norm(fc.embedding)
-            if not abs(n - 1.0) <= 1e-6:  # NaN fails too
+            if not abs(n - 1.0) <= 1e-6:
                 raise ValueError(f"{clip.clip_id}: face {fc.face_id} embedding norm {n}")
     if clip.truth is not None:
         if set(clip.truth) != set(face_ids):

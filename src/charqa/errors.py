@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the numeric-fault rule."""
+
+from contextlib import contextmanager
+
+import numpy as np
 
 
 class CharqaError(Exception):
@@ -47,3 +51,21 @@ class VocabError(CharqaError):
 
 class CheckpointError(CharqaError):
     """A checkpoint file is not an npz archive with a charqa meta record."""
+
+
+class NumericFaultError(CharqaError):
+    """A computation overflowed, divided by zero or made an invalid value."""
+
+
+@contextmanager
+def numeric_faults():
+    """Run the body under the package's numeric-fault rule, as a context
+    manager or a decorator: overflow, division by zero and invalid values
+    are faults of the inputs or settings and raise NumericFaultError.
+    Underflow stays ignored, since masked attention relies on exp
+    underflowing to 0."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as e:
+        raise NumericFaultError(f"numeric fault ({e})") from None

@@ -20,12 +20,14 @@ from functools import partial
 import numpy as np
 
 from . import nn
-from .carn import VARIANT_LABELS, ModalityConfig, Model, ModelConfig, Vocab, build_vocab
+from .carn import (VARIANT_LABELS, ModalityConfig, Model, ModelConfig, Vocab, build_vocab,
+                   length_key, run_in_buckets)
 from .castlist import (DEFAULT_MAX_RATIO, CastList, build_cast_list, check_thresholds,
                        count_speakers)
 from .corpus import (BBox, Clip, FaceDetection, Frame, QAItem, RelationTriple,
                      SubtitleLine, clip_view, config_kwargs, typed)
-from .errors import ConfigError, EmptyInputError, NonFiniteLossError, ShapeError
+from .errors import (ConfigError, EmptyInputError, NonFiniteLossError, ShapeError,
+                     numeric_faults)
 from .naming import (TargetSeq, broadcast_targets, face_accuracy, init_naming,
                      naming_backward, naming_forward, rkl_loss_with_grad, smoothed_onehot)
 
@@ -143,13 +145,16 @@ def _face_dim(corpus, model: ModelConfig) -> int:
 # Training
 
 
+@numeric_faults()
 def train(corpus: list[Clip], config: TrainConfig = TrainConfig()):
     """Joint training of the reasoning network and the naming head.
 
     Returns (model, MetricsReport). Each optimizer batch runs the naming
     head once per distinct clip, which gives the name assignments feeding
     the semantic streams and the clip's RKL term, then the QA part in
-    micro-batches of carn.MICRO_BATCH items.
+    length-sorted buckets of carn.MICRO_BATCH items. Settings that push a
+    computation out of float range raise NumericFaultError
+    (errors.numeric_faults), so no poisoned model is returned.
     """
     if not corpus:
         raise EmptyInputError("corpus is empty")
@@ -217,32 +222,35 @@ def name_clips(model: Model, corpus: list[Clip]):
             yield clip, names, face_accuracy(names, clip.truth or {}, model.cast)
 
 
+@numeric_faults()
 def evaluate(model: Model, corpus: list[Clip], use_ts: bool) -> MetricsReport:
     """Top-1 QA accuracy (overall and per question type) of the model's own
     variant, plus the face accuracy of its name assignment against the truth
     sidecar; the report carries the model's variant and seed. One name_clips
     pass gives each clip's names, which its items' visual streams use, and
-    its face counts. Read-only on the model."""
+    its face counts; then every item of the corpus goes through
+    carn.run_in_buckets as forward-only batches. Read-only on the model;
+    NumericFaultError for a model whose activations leave float range."""
     if not corpus:
         raise EmptyInputError("corpus is empty")
-    correct = {"all": 0, "visual": 0, "textual": 0}
-    totals = {"all": 0, "visual": 0, "textual": 0}
     face_correct = face_total = 0
+    items = []  # (view, qa, face names) of every QA item, in corpus order
     for clip, face_names, (c, n) in name_clips(model, corpus):
         face_correct += c
         face_total += n
-        if not clip.qas:
-            continue
-        p_a, _ = model.forward_item([(clip_view(clip, qa, use_ts), qa, face_names)
-                                     for qa in clip.qas], keep_cache=False)
-        for qa, p in zip(clip.qas, p_a):
-            hit = int(np.argmax(p)) == qa.correct_index
-            totals["all"] += 1
-            correct["all"] += hit
-            totals[qa.qtype] += 1
-            correct[qa.qtype] += hit
-    if totals["all"] == 0:
+        items += [(clip_view(clip, qa, use_ts), qa, face_names) for qa in clip.qas]
+    if not items:
         raise EmptyInputError("corpus has no QA items")
+    p_a = run_in_buckets(items, [length_key(view, qa) for view, qa, _ in items],
+                         lambda bucket: model.forward_item(bucket, keep_cache=False)[0])
+    correct = {"all": 0, "visual": 0, "textual": 0}
+    totals = {"all": 0, "visual": 0, "textual": 0}
+    for (_, qa, _), p in zip(items, p_a):
+        hit = int(np.argmax(p)) == qa.correct_index
+        totals["all"] += 1
+        correct["all"] += hit
+        totals[qa.qtype] += 1
+        correct[qa.qtype] += hit
 
     def acc(tag):
         return correct[tag] / totals[tag] if totals[tag] else 0.0
@@ -262,7 +270,8 @@ def ablate(corpus: list[Clip], config: TrainConfig = TrainConfig(),
 
     Returns a list of MetricsReports, two per variant (use_ts True, False),
     in grid order. The report of config.use_ts is the one training made; only
-    the other protocol is evaluated again.
+    the other protocol is evaluated again. Both raise NumericFaultError on a
+    numeric fault.
     """
     reports = []
     for label in variants:

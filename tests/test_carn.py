@@ -788,44 +788,65 @@ class TestBatch:
             assert np.max(np.abs(grads[k] - perm_grads[k])) <= 1e-12, k
 
     def test_naming_head_runs_once_per_clip_of_a_batch(self, setup, monkeypatch):
-        # The batch is ordered so that two clips (the first, of two items, and
-        # the last, of four) have items on both sides of the first
-        # micro-batch boundary. The naming head runs once per distinct clip
-        # of the whole batch, with its RKL gradient weighted by the clip's
-        # item count; that equals the rule of running each micro-batch as its
-        # own batch (once per clip of a micro-batch). Every item is forwarded
-        # with its own clip's assignment, the one of that head forward.
+        # Two clips have items on both sides of a boundary between the
+        # runner's sorted micro-batches. The naming head runs once per
+        # distinct clip of the whole batch, with its RKL gradient weighted by
+        # the clip's item count; that equals the rule of running each
+        # micro-batch as its own batch (once per clip of a micro-batch). Every
+        # item is forwarded with its own clip's assignment, the one of that
+        # head forward.
         model, items = setup
-        m = carn.MICRO_BATCH
-        rest = [2, 3, 4, 5, 8, 9]
-        assert 2 <= m <= len(rest) + 2
-        items = [items[i] for i in rest[:m - 2] + [6, 0, 1, 7] + rest[m - 2:]]
-        micro = [items[m0:m0 + m] for m0 in range(0, len(items), m)]
+        micro = []
+        carn.run_in_buckets(items, [carn.length_key(view, qa) for _, view, qa, _ in items],
+                            lambda mb: micro.append(mb) or [None] * len(mb))
         clips_per_micro = [{id(clip) for clip, *_ in mb} for mb in micro]
         crossing = {c for i, a in enumerate(clips_per_micro) for b in clips_per_micro[i + 1:]
                     for c in a & b}
         assert len(crossing) >= 2
-        own_names = [model.name_assignments(clip) for clip, *_ in items]
-        assert len({tuple(sorted(names.items())) for names in own_names}) > 1
+        own_names = {id(qa): model.name_assignments(clip) for clip, _, qa, _ in items}
+        assert len({tuple(sorted(names.items())) for names in own_names.values()}) > 1
         heads, named = [], []
         forward_item, naming_forward = Model.forward_item, carn.naming_forward
         monkeypatch.setattr(carn, "naming_forward",
                             lambda *a: heads.append(1) or naming_forward(*a))
         monkeypatch.setattr(model, "forward_item", lambda b, **kw: (
-            named.extend(names for _, _, names in b) or forward_item(model, b, **kw)))
+            named.extend((id(qa), names) for _, qa, names in b) or forward_item(model, b, **kw)))
         grads = {}
         results = model.loss_and_grads(items, lam=0.7, grads=grads)
         n_clips = len({id(clip) for clip, *_ in items})
         assert len(heads) == n_clips
-        assert named == own_names
-        ref_grads = {}
-        ref = [r for mb in micro for r in model.loss_and_grads(mb, lam=0.7, grads=ref_grads)]
+        assert named == [(id(qa), own_names[id(qa)]) for mb in micro for _, _, qa, _ in mb]
+        ref_grads, ref = {}, {}
+        for mb in micro:
+            for (_, _, qa, _), r in zip(mb, model.loss_and_grads(mb, lam=0.7, grads=ref_grads)):
+                ref[id(qa)] = r
         assert len(heads) == n_clips + sum(len(c) for c in clips_per_micro)
-        assert [r.rkl for r in results] == [r.rkl for r in ref]
-        assert [r.loss for r in results] == [r.loss for r in ref]
+        assert [r.rkl for r in results] == [ref[id(qa)].rkl for _, _, qa, _ in items]
+        assert [r.loss for r in results] == [ref[id(qa)].loss for _, _, qa, _ in items]
         assert set(grads) == set(ref_grads)
         for k in grads:
             assert np.max(np.abs(grads[k] - ref_grads[k])) <= 1e-12, k
+
+    def test_results_come_back_in_input_order(self, setup, monkeypatch):
+        # The items are forwarded sorted by (length_key, input index), which
+        # is not the batch's order, and each result goes back to its item.
+        model, items = setup
+        forwarded = []
+        forward_item = Model.forward_item
+        monkeypatch.setattr(model, "forward_item", lambda b, **kw: (
+            forwarded.extend(id(qa) for _, qa, _ in b) or forward_item(model, b, **kw)))
+        results = model.loss_and_grads(items, lam=0.7)
+        monkeypatch.undo()
+        position = {id(qa): i for i, (_, _, qa, _) in enumerate(items)}
+        order = [position[q] for q in forwarded]
+        assert order == sorted(range(len(items)),
+                               key=lambda i: (carn.length_key(items[i][1], items[i][2]), i))
+        assert order != list(range(len(items)))
+        for item, r in zip(items, results):
+            alone = model.loss_and_grads([item], lam=0.7)[0]
+            assert np.max(np.abs(r.p_a - alone.p_a)) <= 1e-12
+            assert abs(r.loss - alone.loss) <= 1e-12
+            assert r.empty_context == alone.empty_context
 
     def test_face_table_built_once_per_clip(self, setup, monkeypatch):
         # One naming step per distinct clip: the table that the head's

@@ -112,6 +112,11 @@ class TestGen:
                  id="castlist-max-ratio-2"),
     pytest.param(["gen"], '{"noise_sigma": 1' + "0" * 400 + "}", "noise_sigma",
                  id="noise-sigma-huge-int"),
+    # A noisy embedding's squared norm would overflow.
+    pytest.param(["gen", "--noise", "1e154", "--d-f", "4"], None, "noise_sigma",
+                 id="noise-1e154"),
+    # 7.28 TiB of prototypes: refused at the boundary, not by the allocator.
+    pytest.param(["gen", "--d-f", "1000000000000"], None, "d_f", id="d-f-huge"),
 ])
 def test_out_of_range_setting_is_one_line_error(workdir, tmp_path, capsys, argv, config,
                                                  field):
@@ -420,6 +425,22 @@ class TestTrainEval:
         assert rc == 1, err
         assert err.startswith("error: numeric fault") and err.count("\n") == 1, err
         assert not out.exists()
+
+    def test_eval_character_outside_the_table_one_line_error(self, workdir, tmp_path, capsys):
+        # A token that cannot embed is refused with its line before any
+        # forward, so no clip is scored and nothing is written.
+        lines = (workdir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[-1])
+        record["subtitles"][0]["tokens"] = ["café"]
+        bad, out = tmp_path / "cafe.jsonl", tmp_path / "eval.csv"
+        bad.write_text("\n".join(lines[:-1] + [json.dumps(record)]) + "\n", encoding="utf-8")
+        rc = main(["eval", "--checkpoint", str(workdir / "model.npz"), "--corpus", str(bad),
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == (f"error: line {len(lines)}: token 'café': character 'é' "
+                                "not in character table\n")
+        assert captured.out == "" and not out.exists()
 
     def test_conflicting_modality_parts_one_line_error(self, workdir, tmp_path, capsys):
         out = tmp_path / "m.npz"

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charqa.corpus import (BBox, Clip, Frame, GenConfig, QAItem, SCHEMA_VERSION,
@@ -138,6 +138,13 @@ class TestGenerate:
             generate_corpus(GenConfig(k_principals=0))
         with pytest.raises(ConfigError, match="noise_sigma"):
             generate_corpus(GenConfig(noise_sigma=-0.1))
+        # Upper bounds: no embedding size past any detector's, and no noise
+        # whose squared norm could overflow.
+        GenConfig(d_f=corpus.MAX_D_F, noise_sigma=corpus.MAX_NOISE_SIGMA)
+        with pytest.raises(ConfigError, match="d_f must be <= 4096"):
+            GenConfig(d_f=corpus.MAX_D_F + 1)
+        with pytest.raises(ConfigError, match="noise_sigma"):
+            GenConfig(noise_sigma=corpus.MAX_NOISE_SIGMA * 10)
 
     def test_config_checks_itself(self):
         # Each frame speaks a distinct word of the dialogue vocabulary, so
@@ -284,17 +291,16 @@ class TestSerializationProperties:
         read_then_train(mutated)
 
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_out_of_range_number_raises_only_charqa_errors(self, data):
+    @given(path=st.deferred(lambda: numeric_paths()),  # defined below
+           value=st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400])
+           | st.integers(-10 ** 6, -1) | st.floats(max_value=-1e-9))
+    # A finite embedding component whose square overflows the norm.
+    @example(path=("frames", 0, "faces", 0, "embedding", 0), value=-1.3407807929942597e+154)
+    def test_out_of_range_number_raises_only_charqa_errors(self, path, value):
         # Any number field may hold NaN, an infinity, a number too large for
         # a float or a negative number: only a CharqaError escapes, and
         # read_corpus refuses every value that is not finite.
-        records, fields_ = fuzz_base()
-        numeric = [f for f, paths in fields_.items()
-                   if json_kind(value_at(records[0], paths[0])) == "number"]
-        path = data.draw(st.sampled_from(fields_[data.draw(st.sampled_from(numeric))]))
-        value = data.draw(st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400])
-                          | st.integers(-10 ** 6, -1) | st.floats(max_value=-1e-9))
+        records, _ = fuzz_base()
         mutated = copy.deepcopy(records)
         value_at(mutated[0], path[:-1])[path[-1]] = value
         finite = not isinstance(value, float) or math.isfinite(value)
@@ -343,6 +349,15 @@ def fuzz_base():
 
     walk(records[0], ())
     return records, {f: tuple(paths) for f, paths in sorted(fields_.items())}
+
+
+def numeric_paths():
+    """Paths to the number fields of fuzz_base's first record, drawn field
+    first, so that each field is drawn alike."""
+    records, fields_ = fuzz_base()
+    numeric = [f for f, paths in fields_.items()
+               if json_kind(value_at(records[0], paths[0])) == "number"]
+    return st.sampled_from(numeric).flatmap(lambda f: st.sampled_from(fields_[f]))
 
 
 JSON_VALUES = st.recursive(

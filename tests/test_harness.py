@@ -13,7 +13,7 @@ from charqa import carn, harness, nn
 from charqa.carn import VARIANT_LABELS, ModalityConfig, Model, ModelConfig
 from charqa.corpus import (DEFAULT_DIALOGUE_VOCAB, Clip, GenConfig, QAItem, config_kwargs,
                            generate_corpus)
-from charqa.errors import ConfigError, EmptyInputError
+from charqa.errors import ConfigError, EmptyInputError, NumericFaultError
 from charqa.harness import (METRICS_COLUMNS, GradCheckReport, TrainConfig, _mini_batch,
                             _mini_setup, ablate, evaluate, format_report,
                             grad_check, metrics_csv_text, train, write_metrics_csv)
@@ -217,19 +217,55 @@ class TestEvaluate:
 
     def test_names_each_clip_once(self, small_corpus, trained, monkeypatch):
         # One naming pass: each clip's one assignment feeds its items'
-        # streams and its face count.
+        # streams and its face count. The items are forwarded in sorted
+        # buckets, so each is paired with its own clip's assignment.
         model, _, _ = trained
         named, forwarded = [], []
         name_assignments, forward_item = Model.name_assignments, Model.forward_item
         monkeypatch.setattr(model, "name_assignments", lambda clip: (
             named.append(clip.clip_id) or name_assignments(model, clip)))
         monkeypatch.setattr(model, "forward_item", lambda batch, **kw: (
-            forwarded.extend(names for _, _, names in batch) or forward_item(model, batch, **kw)))
+            forwarded.extend((id(qa), names) for _, qa, names in batch)
+            or forward_item(model, batch, **kw)))
         report = evaluate(model, small_corpus, use_ts=True)
         assert named == [clip.clip_id for clip in small_corpus]
-        assert forwarded == [name_assignments(model, clip)
-                             for clip in small_corpus for _ in clip.qas]
+        clip_of = {id(qa): clip for clip in small_corpus for qa in clip.qas}
+        assert sorted(q for q, _ in forwarded) == sorted(clip_of)
+        assert [names for _, names in forwarded] == [name_assignments(model, clip_of[q])
+                                                     for q, _ in forwarded]
         assert report.n_faces == sum(len(clip.truth) for clip in small_corpus)
+
+    def test_buckets_move_no_result(self, small_corpus, trained, monkeypatch):
+        # The report and each item's answer probabilities are the same for a
+        # permuted corpus and for buckets of one item.
+        model, _, _ = trained
+        forward_item = Model.forward_item
+        permuted = [small_corpus[i] for i in np.random.default_rng(0).permutation(
+            len(small_corpus))]
+
+        def run(corpus, use_ts):
+            p_a = {}
+
+            def recording(batch, **kw):
+                p, cache = forward_item(model, batch, **kw)
+                p_a.update((id(qa), row) for (_, qa, _), row in zip(batch, p))
+                return p, cache
+
+            with monkeypatch.context() as m:
+                m.setattr(model, "forward_item", recording)
+                return evaluate(model, corpus, use_ts=use_ts).to_dict(), p_a
+
+        for use_ts in (True, False):
+            report, p_a = run(small_corpus, use_ts)
+            assert len(p_a) == report["n_items"]
+            with monkeypatch.context() as m:
+                m.setattr(carn, "MICRO_BATCH", 1)
+                alone = run(small_corpus, use_ts)
+            for other_report, other_p_a in (run(permuted, use_ts), alone):
+                assert other_report == report
+                assert other_p_a.keys() == p_a.keys()
+                for q, p in p_a.items():
+                    assert np.max(np.abs(other_p_a[q] - p)) <= 1e-12
 
     def test_use_ts_marks_rows(self, small_corpus, trained):
         model, _, config = trained
@@ -250,6 +286,24 @@ class TestEvaluate:
         model, _, _ = trained
         with pytest.raises(EmptyInputError):
             evaluate(model, [], use_ts=True)
+
+
+class TestNumericFaults:
+    """The library's entry points own the numeric-fault rule: settings or
+    weights that push a computation out of float range raise, and no
+    poisoned model or report comes back."""
+
+    def test_train_with_overflowing_learning_rate(self, small_corpus):
+        with pytest.raises(NumericFaultError, match="^numeric fault"):
+            train(small_corpus, small_config(epochs=1, batch_size=8, learning_rate=1e30))
+
+    def test_evaluate_with_overflowing_weights(self, small_corpus, trained):
+        model, _, _ = trained
+        params = dict(model.params, **{"enc.l0.ffn.w1": model.params["enc.l0.ffn.w1"] * 1e300})
+        huge = Model(model.vocab, model.cast, model.config, params=params,
+                     modality=model.modality, seed=model.seed)
+        with pytest.raises(NumericFaultError, match="^numeric fault"):
+            evaluate(huge, small_corpus, use_ts=True)
 
 
 @pytest.fixture(scope="module")
@@ -344,9 +398,10 @@ class TestGradCheckRunner:
         # is longer than one, with a clip's items on both sides of a split.
         _, clip, qa = _mini_setup(np.random.default_rng(0))
         pairs = _mini_batch(clip, qa)
-        m = carn.MICRO_BATCH
-        assert len(pairs) > m
-        split = [{c.clip_id for c, _ in pairs[m0:m0 + m]} for m0 in range(0, len(pairs), m)]
+        assert len(pairs) > carn.MICRO_BATCH
+        split = []
+        carn.run_in_buckets(pairs, [carn.length_key(c, q) for c, q in pairs],
+                            lambda mb: split.append({c.clip_id for c, _ in mb}) or [None] * len(mb))
         assert set.intersection(*split[:2])
 
     def test_detects_corrupted_gradient(self):
