@@ -38,6 +38,10 @@ errors, _ = nn.check_gradients(lambda: float(np.sum(params["w"] * c)),
 print(f"linear probe, corrupted gradient: max rel err {errors['w']:.2e}")
 
 full = next(r for r in reports if r.component == "full")
+by_block = {}
+for key, err in full.worst.items():
+    block = key.split(".")[0]
+    by_block[block] = max(by_block.get(block, 0.0), err)
 print("\nfull-model worst errors by block:")
-for prefix, err in sorted(full.prefix_summary().items()):
-    print(f"  {prefix:<8} {err:.2e}")
+for block, err in sorted(by_block.items()):
+    print(f"  {block:<8} {err:.2e}")

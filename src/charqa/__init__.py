@@ -7,8 +7,8 @@ objective. Includes a synthetic clip generator with exact ground truth, an
 ablation harness, and finite-difference gradient verification.
 """
 
-from .carn import (FULL_VARIANT, VARIANT_LABELS, ModalityConfig, Model, ModelConfig,
-                   Vocab, build_vocab, joint_loss)
+from .carn import (VARIANT_LABELS, ModalityConfig, Model, ModelConfig, Vocab, build_vocab,
+                   joint_loss)
 from .castlist import (UNKNAME, CastList, build_cast_list, count_speakers, map_speaker,
                        scaled_min_count)
 from .corpus import (BBox, Clip, FaceDetection, Frame, GenConfig, QAItem, RelationTriple,
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BBox", "CastList", "CharqaError", "Clip", "FaceDetection",
-    "Frame", "FULL_VARIANT", "GenConfig",
+    "Frame", "GenConfig",
     "ModalityConfig", "Model", "ModelConfig", "QAItem", "RelationTriple",
     "SubtitleLine", "UNKNAME",
     "VARIANT_LABELS", "Vocab", "assign_names", "augment_objects_with_names",

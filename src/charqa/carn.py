@@ -37,6 +37,7 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, product
+from typing import ClassVar
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .naming import (assign_names, broadcast_targets, face_table, init_naming,
                      naming_backward, naming_forward, rkl_loss_with_grad)
 from .semantics import visual_stream
 
-CHECKPOINT_VERSION = "charqa-ckpt-2"
+CHECKPOINT_VERSION = "charqa-ckpt-3"
 PROB_FLOOR = 1e-12
 
 # Items per bucket of run_in_buckets: per forward/backward pass of a training
@@ -122,8 +123,6 @@ VARIANT_LABELS = (
     "Sub + Objs_nm + Rels_nm",
 )
 
-FULL_VARIANT = VARIANT_LABELS[-1]
-
 
 # ---------------------------------------------------------------------------
 # Vocabulary
@@ -171,12 +170,9 @@ class Vocab:
         return a
 
     def check_chars(self, tokens) -> None:
-        """VocabError for the first token, in sorted order, with a character
-        outside the character table: a token that could not embed."""
-        for token in sorted(tokens):
-            for ch in token:
-                if ch not in self.char_index:
-                    raise VocabError(f"token {token!r}: character {ch!r} not in character table")
+        """VocabError for the first token, in sorted order, that char_means
+        could not embed: one with a character outside the character table."""
+        self.char_means(sorted(tokens))
 
 
 def clip_tokens(clip: Clip, cast: CastList) -> set[str]:
@@ -340,15 +336,16 @@ class ModelConfig:
     d_ff: int = 128
     d_h1: int = 64
     heads: int = 4
-    enc_layers: int = 2
-    dec_layers: int = 2
-    ans_layers: int = 1
     d_f: int | None = None  # face embedding size; None: train takes the corpus'
     epsilon: float = 0.05
+    # The network's depth is part of its design, not a setting: a shared
+    # two-layer encoder, two-layer co-attention decoders, a one-layer answer block.
+    enc_layers: ClassVar[int] = 2
+    dec_layers: ClassVar[int] = 2
+    ans_layers: ClassVar[int] = 1
 
     def __post_init__(self):
-        for name in ("d_model", "d_ff", "d_h1", "heads", "enc_layers",
-                     "dec_layers", "ans_layers", "d_f"):
+        for name in ("d_model", "d_ff", "d_h1", "heads", "d_f"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.d_model % self.heads != 0:
@@ -612,8 +609,7 @@ class Model:
         meta = {
             "version": CHECKPOINT_VERSION,
             "config": self.config.__dict__,
-            "vocab": {"words": list(self.vocab.words), "names": list(self.vocab.names),
-                      "chars": list(self.vocab.chars)},
+            "vocab": {"words": list(self.vocab.words), "chars": list(self.vocab.chars)},
             "cast": self.cast.to_dict(),
             "variant": self.modality.label(),
             "seed": self.seed,
@@ -640,21 +636,16 @@ class Model:
             raise SchemaVersionError(f"unsupported checkpoint version {version!r}"
                                      f" (expected {CHECKPOINT_VERSION!r})")
         try:
-            vocab = Vocab(*(tuple(strings(meta["vocab"][k], f"vocab {k}"))
-                            for k in ("words", "names", "chars")))
+            words, chars = (tuple(strings(meta["vocab"][k], f"vocab {k}"))
+                            for k in ("words", "chars"))
             cast = CastList.from_dict(meta["cast"])
+            # The name rows are the cast's names and UNKNAME, as build_vocab lays them out.
+            vocab = Vocab(words, cast.label_names(), chars)
             config = ModelConfig(**config_kwargs(ModelConfig, meta["config"], "config"))
-            # Checkpoints written before the variant and the seed were
-            # recorded are of the full variant, the training default, and are
-            # evaluated as seed 0.
-            modality = ModalityConfig.from_label(
-                typed(meta.get("variant", FULL_VARIANT), str, "variant"))
-            seed = typed(meta.get("seed", 0), int, "seed")
+            modality = ModalityConfig.from_label(typed(meta["variant"], str, "variant"))
+            seed = typed(meta["seed"], int, "seed")
             if seed < 0:
                 raise ValueError(f"seed must be >= 0, got {seed}")
-            # Faces are named through the name rows in cast order.
-            if vocab.names != cast.label_names():
-                raise ValueError("vocab names differ from the cast's names and UNKNAME")
             # A fresh model of the same config and vocabulary has every
             # tensor in the shape the checkpoint must have; sizes too large
             # to allocate fail here.
@@ -677,7 +668,7 @@ class Model:
 
 __all__ = [
     "CHECKPOINT_VERSION", "PROB_FLOOR", "MICRO_BATCH", "VISUAL_RUNS", "ModalityConfig",
-    "VARIANT_LABELS", "FULL_VARIANT", "Vocab", "clip_tokens", "build_vocab", "subtitle_stream",
+    "VARIANT_LABELS", "Vocab", "clip_tokens", "build_vocab", "subtitle_stream",
     "qa_stream", "length_key", "run_in_buckets", "prepare_sequence", "embed",
     "embed_backward", "joint_loss", "ModelConfig", "ItemResult", "Model",
 ]

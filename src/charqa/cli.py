@@ -23,6 +23,14 @@ from .harness import TrainConfig, evaluate, grad_check, train, write_metrics_csv
 from .semantics import visual_stream
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser (and subparsers) whose errors are main's one-line ConfigErrors."""
+
+    @staticmethod
+    def error(message):
+        raise ConfigError(message)
+
+
 def _add_train_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with TrainConfig fields")
     p.add_argument("--epochs", type=int)
@@ -220,8 +228,7 @@ def _cmd_naming_eval(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="charqa",
-                                 description="character-aware video-story QA")
+    ap = _Parser(prog="charqa", description="character-aware video-story QA")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic corpus")
@@ -300,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         with numeric_faults():
             return args.fn(args)
     except (CharqaError, OSError) as e:

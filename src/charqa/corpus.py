@@ -62,6 +62,10 @@ ATTRIBUTE_RATE = 0.7  # chance that a plain detection carries an attribute
 # float range.
 MAX_D_F = 4096
 MAX_NOISE_SIGMA = 1e100
+# The generator lists every cast name and draws a prototype per character, so an
+# unbounded cast fills memory; 20 clips at these bounds and d_f 4096 peak at 112 MB.
+MAX_K_PRINCIPALS = 1024
+MAX_N_EXTRAS = 1024
 
 
 @dataclass(frozen=True)
@@ -218,8 +222,10 @@ class GenConfig:
                           ("frames_per_clip", 1), ("d_f", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}")
-        if self.d_f > MAX_D_F:
-            raise ConfigError(f"d_f must be <= {MAX_D_F}")
+        for name, high in (("k_principals", MAX_K_PRINCIPALS), ("n_extras", MAX_N_EXTRAS),
+                           ("d_f", MAX_D_F)):
+            if getattr(self, name) > high:
+                raise ConfigError(f"{name} must be <= {high}")
         # Two clip actors split the frames into one scene block each.
         if self.frames_per_clip < min(2, self.k_principals):
             raise ConfigError("frames_per_clip must be >= 2 when k_principals >= 2, "

@@ -328,13 +328,6 @@ class GradCheckReport:
         for k, n in (kinks or {}).items():
             self.kinks[k] = self.kinks.get(k, 0) + n
 
-    def prefix_summary(self) -> dict:
-        out: dict[str, float] = {}
-        for k, v in self.worst.items():
-            p = k.split(".")[0]
-            out[p] = max(out.get(p, 0.0), v)
-        return out
-
     def format(self) -> str:
         n_kinks = sum(self.kinks.values())
         lines = [f"[{self.component}] tolerance {self.tolerance:g} "

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charqa import carn, nn
-from charqa.carn import (FULL_VARIANT, ModalityConfig, Model, ModelConfig,
+from charqa.carn import (CHECKPOINT_VERSION, ModalityConfig, Model, ModelConfig,
                          VARIANT_LABELS, Vocab, build_vocab, embed, embed_backward,
                          joint_loss)
 from charqa.castlist import CastList, build_cast_list, count_speakers
@@ -86,7 +86,7 @@ class TestModalityConfig:
         assert len(VARIANT_LABELS) == 9
         for label in VARIANT_LABELS:
             assert ModalityConfig.from_label(label).label() == label
-        assert FULL_VARIANT == "Sub + Objs_nm + Rels_nm"
+        assert VARIANT_LABELS[-1] == "Sub + Objs_nm + Rels_nm"
 
     def test_lowercase_comma_form(self):
         m = ModalityConfig.from_label("objs_nm,rels_nm")
@@ -585,8 +585,9 @@ class TestForward:
         path = tmp_path / "m.npz"
         model.save(path)
         # ckpt-1 holds the same tensors but was trained under the single
-        # visual context; it must not load silently.
-        for version in ("bogus", "charqa-ckpt-1"):
+        # visual context; ckpt-2 stores the name rows apart from the cast and
+        # may lack the variant and seed. Neither may load silently.
+        for version in ("bogus", "charqa-ckpt-1", "charqa-ckpt-2"):
             blob = dict(np.load(path, allow_pickle=False))
             meta = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
             meta["version"] = version
@@ -617,7 +618,7 @@ class TestForward:
         # a tensor whose shape disagrees with the config.
         blob = dict(np.load(path, allow_pickle=False))
         blob["__meta__"] = np.frombuffer(
-            json.dumps({"version": "charqa-ckpt-2"}).encode("utf-8"), dtype=np.uint8).copy()
+            json.dumps({"version": CHECKPOINT_VERSION}).encode("utf-8"), dtype=np.uint8).copy()
         np.savez(tmp_path / "thin.npz", **blob)
         with pytest.raises(CheckpointError, match="lacks 'vocab'"):
             Model.load(tmp_path / "thin.npz")
@@ -644,9 +645,10 @@ class TestForward:
         path = tmp_path / "m.npz"
         sub.save(path)
         assert Model.load(path).modality == ModalityConfig.from_label("Sub + Objs")
-        # A meta without the record is of the full variant; a malformed
-        # record is a checkpoint error.
-        for variant, want in ((None, ModalityConfig()), ("Sub + Bogus", None), (3, None)):
+        # A meta without the record, or with a malformed one, is a
+        # checkpoint error.
+        for variant, needle in ((None, "lacks 'variant'"), ("Sub + Bogus", "malformed"),
+                                (3, "malformed")):
             blob = dict(np.load(path, allow_pickle=False))
             meta = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
             if variant is None:
@@ -656,11 +658,8 @@ class TestForward:
             blob["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
                                              dtype=np.uint8).copy()
             np.savez(tmp_path / "v.npz", **blob)
-            if want is None:
-                with pytest.raises(CheckpointError, match="malformed checkpoint meta"):
-                    Model.load(tmp_path / "v.npz")
-            else:
-                assert Model.load(tmp_path / "v.npz").modality == want
+            with pytest.raises(CheckpointError, match=needle):
+                Model.load(tmp_path / "v.npz")
 
     def test_checkpoint_records_the_seed(self, mini, tmp_path):
         import json
@@ -669,9 +668,10 @@ class TestForward:
         path = tmp_path / "m.npz"
         seeded.save(path)
         assert Model.load(path).seed == 5
-        # A meta without the record loads as seed 0; a seed that is not an
-        # integer >= 0 is a checkpoint error.
-        for seed, want in ((None, 0), (-1, None), (1.5, None), ("3", None), (True, None)):
+        # A meta without the record, or with a seed that is not an integer
+        # >= 0, is a checkpoint error.
+        for seed, needle in ((None, "lacks 'seed'"), (-1, "seed must be"), (1.5, "seed must be"),
+                             ("3", "seed must be"), (True, "seed must be")):
             blob = dict(np.load(path, allow_pickle=False))
             meta = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
             if seed is None:
@@ -681,11 +681,8 @@ class TestForward:
             blob["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
                                              dtype=np.uint8).copy()
             np.savez(tmp_path / "s.npz", **blob)
-            if want is None:
-                with pytest.raises(CheckpointError, match="seed must be"):
-                    Model.load(tmp_path / "s.npz")
-            else:
-                assert Model.load(tmp_path / "s.npz").seed == want
+            with pytest.raises(CheckpointError, match=needle):
+                Model.load(tmp_path / "s.npz")
 
     def test_visual_runs_relations_then_objects(self, mini):
         """One visual_stream call per item and co-attention pass, with the
@@ -699,7 +696,7 @@ class TestForward:
 
         batch = [(clip, qa, model.name_assignments(clip))] * 2
         with mock.patch.object(carn, "visual_stream", recording):
-            for label, want in ((FULL_VARIANT, [("Rels_nm",), ("Objs_nm",)]),
+            for label, want in ((VARIANT_LABELS[-1], [("Rels_nm",), ("Objs_nm",)]),
                                 ("Sub + Objs", [("Objs",)]), ("Sub", [])):
                 model.modality = ModalityConfig.from_label(label)
                 calls.clear()
@@ -983,9 +980,7 @@ class TestCheckpointRoundTrip:
         heads = data.draw(st.sampled_from([1, 2]))
         config = ModelConfig(
             d_model=heads * data.draw(st.integers(1, 4)), d_ff=data.draw(st.integers(1, 6)),
-            d_h1=data.draw(st.integers(1, 5)), heads=heads,
-            enc_layers=data.draw(st.integers(1, 2)), dec_layers=data.draw(st.integers(1, 2)),
-            ans_layers=data.draw(st.integers(1, 2)), d_f=data.draw(st.integers(1, 4)),
+            d_h1=data.draw(st.integers(1, 5)), heads=heads, d_f=data.draw(st.integers(1, 4)),
             epsilon=data.draw(st.floats(0.0, 0.5)))
         words = data.draw(st.lists(st.text("abcdefg", min_size=1, max_size=4),
                                    min_size=1, max_size=6, unique=True))
@@ -1052,7 +1047,7 @@ class TestCheckpointRoundTrip:
             meta = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
             paths = [("config", name) for name in meta["config"]] + [("variant",), ("seed",)]
             for record, key in (("cast", "names"), ("cast", "counts"), ("vocab", "words"),
-                                ("vocab", "names"), ("vocab", "chars")):
+                                ("vocab", "chars")):
                 paths += [(record, key)] + [(record, key, i)
                                             for i in range(len(meta[record][key]))]
             where = data.draw(st.sampled_from(paths))

@@ -9,12 +9,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dataclasses import fields
 
-from charqa.carn import FULL_VARIANT, ModalityConfig, Model
+from charqa.carn import VARIANT_LABELS, ModalityConfig, Model
 from charqa.castlist import build_cast_list, count_speakers, scaled_min_count
 from charqa.cli import build_parser, main
 from charqa.corpus import GenConfig, read_corpus
@@ -77,6 +77,9 @@ class TestGen:
             ("train", json.dumps([1, 2]), "JSON object"),
             ("train", json.dumps({"modality": 5}), "modality"),
             ("train", json.dumps({"model": {"d_modl": 8}}), "d_modl"),
+            # The network's depth is fixed, not a setting.
+            ("train", json.dumps({"model": {"enc_layers": 3}}),
+             "model: unknown field 'enc_layers'"),
             ("train", "{not json", "malformed JSON"),
             ("train", json.dumps({"epochs": "2"}), "epochs"),
             ("train", json.dumps({"epochs": True}), "epochs"),
@@ -117,6 +120,14 @@ class TestGen:
                  id="noise-1e154"),
     # 7.28 TiB of prototypes: refused at the boundary, not by the allocator.
     pytest.param(["gen", "--d-f", "1000000000000"], None, "d_f", id="d-f-huge"),
+    # Cast names the generator would list until memory runs out.
+    pytest.param(["gen", "--k", "1000000000000"], None, "k_principals", id="k-huge"),
+    pytest.param(["gen", "--extras", "1000000000000"], None, "n_extras", id="extras-huge"),
+    # Values argparse refuses, and -inf, which it reads as an option.
+    pytest.param(["train", "--batch-size", "nan"], None,
+                 "argument --batch-size: invalid int value: 'nan'", id="batch-size-nan"),
+    pytest.param(["gen", "--rho", "-inf"], None, "argument --rho: expected one argument",
+                 id="rho-minus-inf"),
 ])
 def test_out_of_range_setting_is_one_line_error(workdir, tmp_path, capsys, argv, config,
                                                  field):
@@ -295,9 +306,6 @@ class TestTrainEval:
         pytest.param(lambda m: m["cast"].update(names=m["cast"]["names"][:1] * 2,
                                                 counts=[3, 3]),
                      "cast names must be unique", id="cast-names-repeat"),
-        pytest.param(lambda m: m["vocab"].update(names=m["vocab"]["names"][1::-1]
-                                                 + m["vocab"]["names"][2:]),
-                     "vocab names differ from the cast's", id="vocab-names-swapped"),
         # Refused by the allocation itself, before any memory is touched.
         pytest.param(lambda m: m["config"].update(d_ff=10 ** 15), "Unable to allocate",
                      id="d_ff-too-large"),
@@ -316,6 +324,26 @@ class TestTrainEval:
         assert captured.err.startswith(f"error: {ckpt}: malformed checkpoint meta ({needle}"), \
             captured
         assert captured.err.count("\n") == 1, captured
+
+    def test_checkpoint_of_an_old_format_one_line_error(self, workdir, tmp_path, capsys):
+        # A ckpt-2 file stores the name rows apart from the cast and may lack
+        # the variant and the seed; a ckpt-3 meta must hold both records.
+        ckpt = tmp_path / "old.npz"
+        for edit, want in ((lambda m: m.update(version="charqa-ckpt-2"),
+                            "unsupported checkpoint version 'charqa-ckpt-2'"
+                            " (expected 'charqa-ckpt-3')"),
+                           (lambda m: m.pop("variant"), f"{ckpt}: checkpoint meta lacks 'variant'"),
+                           (lambda m: m.pop("seed"), f"{ckpt}: checkpoint meta lacks 'seed'")):
+            blob = dict(np.load(workdir / "model.npz", allow_pickle=False))
+            meta = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
+            edit(meta)
+            blob["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+            np.savez(ckpt, **blob)
+            rc = main(["eval", "--checkpoint", str(ckpt),
+                       "--corpus", str(workdir / "corpus.jsonl")])
+            captured = capsys.readouterr()
+            assert rc == 1 and captured.out == "", captured
+            assert captured.err == f"error: {want}\n"
 
     @pytest.mark.parametrize("reader", ["corpus", "config", "metrics"])
     def test_bytes_not_utf8_one_line_error(self, workdir, tmp_path, capsys, reader):
@@ -493,7 +521,7 @@ class TestTrainEval:
         # --modality makes the loaded full-variant model score and label
         # itself as Sub, the same rows as setting the variant on the model.
         ckpt = workdir / "model.npz"
-        assert Model.load(ckpt).modality.label() == FULL_VARIANT
+        assert Model.load(ckpt).modality.label() == VARIANT_LABELS[-1]
         rc = main(["eval", "--checkpoint", str(ckpt), "--corpus", str(workdir / "corpus.jsonl"),
                    "--modality", "Sub", "--out", str(tmp_path / "sub.csv")])
         assert rc == 0
@@ -690,6 +718,73 @@ class TestNamingEval:
                    "--corpus", str(workdir / "corpus.jsonl")])
         assert rc == 0, capsys.readouterr().err
         assert named == [clip.clip_id for clip in read_corpus(workdir / "corpus.jsonl")]
+
+
+# Flag values at the edges of every type. The flags that scale a run's cost
+# take small numbers; every other flag takes the full range.
+EDGE_VALUES = ["nan", "inf", "-inf", "1e400", ""]
+SMALL_VALUES = st.sampled_from(["-1", "0", "1", "2", *EDGE_VALUES])
+FULL_VALUES = st.sampled_from(["-1", "0", str(10 ** 12), *EDGE_VALUES])
+SMALL_FLAGS = {"--clips", "--epochs", "--frames", "--configs"}
+TRAIN_FLAGS = ["--epochs", "--batch-size", "--lr", "--lambda", "--epsilon", "--seed",
+               "--min-count", "--max-ratio", "--modality"]
+FUZZED_FLAGS = {
+    "gen": ["--k", "--extras", "--clips", "--frames", "--noise", "--rho", "--d-f", "--seed"],
+    "castlist": ["--min-count", "--max-ratio"],
+    "train": TRAIN_FLAGS,
+    "eval": ["--modality"],
+    "ablate": TRAIN_FLAGS,
+    "gradcheck": ["--tolerance", "--configs", "--seed"],
+    "report": ["--metrics"],
+    "semantics": ["--modality"],
+    "naming": ["--checkpoint", "--corpus"],
+}
+
+
+@st.composite
+def flag_edits(draw):
+    """A subcommand and one or two of its flags, each with an edge value,
+    given as "--flag value" or as "--flag=value"."""
+    command = draw(st.sampled_from(sorted(FUZZED_FLAGS)))
+    args = []
+    for flag in draw(st.lists(st.sampled_from(FUZZED_FLAGS[command]), min_size=1, max_size=2,
+                              unique=True)):
+        value = draw(SMALL_VALUES if flag in SMALL_FLAGS else FULL_VALUES)
+        args += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return command, args
+
+
+class TestFlagFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(case=flag_edits())
+    # Cast sizes the generator would list until memory runs out.
+    @example(case=("gen", ["--k", str(10 ** 12)]))
+    @example(case=("gen", [f"--extras={10 ** 12}"]))
+    def test_any_flag_value_runs_or_is_one_line_error(self, workdir, case):
+        # The command exits 0, or 1 with one error line and no output file.
+        command, args = case
+        corpus, ckpt = str(workdir / "corpus.jsonl"), str(workdir / "model.npz")
+        config, out = str(workdir / "train.json"), workdir / "flag_fuzz.out"
+        out.unlink(missing_ok=True)
+        argv = {
+            "gen": ["gen", "--out", str(out), "--clips", "2", "--d-f", "4"],
+            "castlist": ["castlist", "--corpus", corpus, "--out", str(out)],
+            "train": ["train", "--corpus", corpus, "--out", str(out), "--config", config],
+            "eval": ["eval", "--checkpoint", ckpt, "--corpus", corpus, "--out", str(out)],
+            "ablate": ["ablate", "--corpus", corpus, "--out", str(out), "--config", config,
+                       "--epochs", "0"],
+            "gradcheck": ["gradcheck", "--component", "naming"],
+            "report": ["report"],
+            "semantics": ["semantics", "dump", "--corpus", corpus, "--out", str(out),
+                          "--modality", "objs_nm"],
+            "naming": ["naming", "eval", "--checkpoint", ckpt, "--corpus", corpus],
+        }[command] + args
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        err = err.getvalue()
+        assert rc == 0 or (rc == 1 and err.startswith("error: ") and err.count("\n") == 1
+                           and not out.exists()), (argv, rc, err)
 
 
 class TestByteMutationFuzz:

@@ -138,9 +138,14 @@ class TestGenerate:
             generate_corpus(GenConfig(k_principals=0))
         with pytest.raises(ConfigError, match="noise_sigma"):
             generate_corpus(GenConfig(noise_sigma=-0.1))
-        # Upper bounds: no embedding size past any detector's, and no noise
-        # whose squared norm could overflow.
-        GenConfig(d_f=corpus.MAX_D_F, noise_sigma=corpus.MAX_NOISE_SIGMA)
+        # Upper bounds: no cast too large to list, no embedding size past
+        # any detector's, and no noise whose squared norm could overflow.
+        GenConfig(k_principals=corpus.MAX_K_PRINCIPALS, n_extras=corpus.MAX_N_EXTRAS,
+                  d_f=corpus.MAX_D_F, noise_sigma=corpus.MAX_NOISE_SIGMA)
+        with pytest.raises(ConfigError, match="k_principals must be <= 1024"):
+            GenConfig(k_principals=corpus.MAX_K_PRINCIPALS + 1)
+        with pytest.raises(ConfigError, match="n_extras must be <= 1024"):
+            GenConfig(n_extras=corpus.MAX_N_EXTRAS + 1)
         with pytest.raises(ConfigError, match="d_f must be <= 4096"):
             GenConfig(d_f=corpus.MAX_D_F + 1)
         with pytest.raises(ConfigError, match="noise_sigma"):

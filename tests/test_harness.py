@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from charqa import carn, harness, nn
 from charqa.carn import VARIANT_LABELS, ModalityConfig, Model, ModelConfig
-from charqa.corpus import (DEFAULT_DIALOGUE_VOCAB, Clip, GenConfig, QAItem, config_kwargs,
-                           generate_corpus)
+from charqa.corpus import (DEFAULT_DIALOGUE_VOCAB, MAX_K_PRINCIPALS, MAX_N_EXTRAS, Clip,
+                           GenConfig, QAItem, config_kwargs, generate_corpus)
 from charqa.errors import ConfigError, EmptyInputError, NumericFaultError
 from charqa.harness import (METRICS_COLUMNS, GradCheckReport, TrainConfig, _mini_batch,
                             _mini_setup, ablate, evaluate, format_report,
@@ -71,14 +71,13 @@ TRAIN_RANGES = {
     "max_ratio": lambda v: _finite(v) and 0 < v <= 1,
 }
 MODEL_RANGES = {
-    **{name: lambda v: v >= 1 for name in ("d_model", "d_ff", "d_h1", "heads", "enc_layers",
-                                           "dec_layers", "ans_layers")},
+    **{name: lambda v: v >= 1 for name in ("d_model", "d_ff", "d_h1", "heads")},
     "d_f": lambda v: v is None or v >= 1,
     "epsilon": lambda v: _finite(v) and 0 <= v < 1,
 }
 GEN_RANGES = {
-    "k_principals": lambda v: v >= 1,
-    "n_extras": lambda v: v >= 0,
+    "k_principals": lambda v: 1 <= v <= MAX_K_PRINCIPALS,
+    "n_extras": lambda v: 0 <= v <= MAX_N_EXTRAS,
     "n_clips": lambda v: v >= 1,
     "frames_per_clip": lambda v: 1 <= v <= len(DEFAULT_DIALOGUE_VOCAB),
     "d_f": lambda v: v >= 1,
@@ -527,4 +526,3 @@ class TestGradCheckRunner:
         assert not rep.passed
         assert rep.worst["enc.0.wq"] == 3e-4
         assert "FAIL" in rep.format()
-        assert rep.prefix_summary() == {"enc": 3e-4}
