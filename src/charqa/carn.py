@@ -43,7 +43,7 @@ import numpy as np
 
 from . import nn
 from .castlist import CastList, map_speaker
-from .corpus import Clip, QAItem, config_kwargs, strings, typed
+from .corpus import Clip, QAItem, bounded, config_kwargs, strings, typed
 from .errors import CheckpointError, ConfigError, SchemaVersionError, VocabError
 from .naming import (assign_names, broadcast_targets, face_table, init_naming,
                      naming_backward, naming_forward, rkl_loss_with_grad)
@@ -319,8 +319,7 @@ def embed_backward(grads, params, gather, dx) -> None:
 def joint_loss(p_a: np.ndarray, gold: int, rkl: float, lam: float = 1.0):
     """-log p_a[gold] + lambda * rkl, the gold probability floored at
     PROB_FLOOR. Returns (loss, ce, clamped)."""
-    if rkl < 0:
-        raise ValueError("rkl must be >= 0")
+    bounded(rkl, "rkl", 0)
     pg = float(p_a[gold])
     ce = -float(np.log(max(pg, PROB_FLOOR)))
     return ce + lam * rkl, ce, pg < PROB_FLOOR
@@ -346,12 +345,13 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("d_model", "d_ff", "d_h1", "heads", "d_f"):
-            if getattr(self, name) is not None and getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+            if getattr(self, name) is not None:
+                bounded(getattr(self, name), name, 1)
         if self.d_model % self.heads != 0:
             raise ConfigError("d_model must be divisible by heads")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ConfigError("epsilon must lie in [0, 1)")
+        # Training smooths the speaker targets by epsilon, and the naming
+        # loss, a KL divergence from them, is infinite at a zero target.
+        bounded(self.epsilon, "epsilon", 0, 1, open_low=True, open_high=True)
 
 
 @dataclass
@@ -431,9 +431,10 @@ class Model:
 
     def forward_item(self, batch, keep_cache: bool = True):
         """Answer probabilities (B, 5) under the model's own variant for a
-        batch of (view, qa, face_names) items, plus the backward cache (None
-        with keep_cache False: then no activation is kept for backward, and a
-        forward-only batch holds one block's activations at a time).
+        batch of (view, qa, face_names) items, each item's empty_context
+        count, and the backward cache (None with keep_cache False: then no
+        activation is kept for backward, and a forward-only batch holds one
+        block's activations at a time).
 
         Every item's context streams are built, then deduplicated per pass
         by (tokens, flags): each distinct stream is encoded once, all of a
@@ -508,8 +509,8 @@ class Model:
         a, ans_cache = nn.stack_forward(p, "ans", c.ans_layers, m, keep_cache=keep_cache)
         logits = a @ p["ans.head.w"] + p["ans.head.b"]
         p_a = nn.softmax(logits)
-        cache = (mask, q_mask, enc_cache, passes, dec_caches, ans_cache, a, empty_context)
-        return p_a, cache if keep_cache else None
+        cache = (mask, q_mask, enc_cache, passes, dec_caches, ans_cache, a)
+        return p_a, empty_context, cache if keep_cache else None
 
     def backward_item(self, cache, dlogits: np.ndarray, grads: dict) -> None:
         """Accumulate the parameter gradients of a batch, given dL/dlogits
@@ -518,7 +519,7 @@ class Model:
         is used up: each pass's decoder and context-encoder caches are
         dropped once the pass has run."""
         p = self.params
-        mask, q_mask, enc_cache, passes, dec_caches, ans_cache, a, _ = cache
+        mask, q_mask, enc_cache, passes, dec_caches, ans_cache, a = cache
         d = a.shape[-1]
         grads["ans.head.w"] = grads.get("ans.head.w", 0) + a.reshape(-1, d).T @ dlogits.ravel()
         grads["ans.head.b"] = grads.get("ans.head.b", 0) + dlogits.sum()
@@ -575,14 +576,15 @@ class Model:
                     naming_backward(self.params, table, rows, lam * count * drows, grads)
 
         def run(micro):
-            p_a, cache = self.forward_item([(view, qa, names[id(clip)])
-                                            for clip, view, qa, _ in micro])
+            p_a, empty_context, cache = self.forward_item(
+                [(view, qa, names[id(clip)]) for clip, view, qa, _ in micro],
+                keep_cache=grads is not None)
             gold = [qa.correct_index for _, _, qa, _ in micro]
             results = []
             for b, (clip, *_) in enumerate(micro):
                 loss, ce, clamped = joint_loss(p_a[b], gold[b], rkl[id(clip)], lam)
                 results.append(ItemResult(loss, ce, rkl[id(clip)], p_a[b], clamped=clamped,
-                                          empty_context=cache[-1][b]))
+                                          empty_context=empty_context[b]))
             if grads is not None:
                 dlogits = p_a.copy()
                 dlogits[np.arange(len(micro)), gold] -= 1.0
@@ -643,9 +645,7 @@ class Model:
             vocab = Vocab(words, cast.label_names(), chars)
             config = ModelConfig(**config_kwargs(ModelConfig, meta["config"], "config"))
             modality = ModalityConfig.from_label(typed(meta["variant"], str, "variant"))
-            seed = typed(meta["seed"], int, "seed")
-            if seed < 0:
-                raise ValueError(f"seed must be >= 0, got {seed}")
+            seed = bounded(typed(meta["seed"], int, "seed"), "seed", 0)
             # A fresh model of the same config and vocabulary has every
             # tensor in the shape the checkpoint must have; sizes too large
             # to allocate fail here.

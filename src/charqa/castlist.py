@@ -12,8 +12,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .corpus import strings, typed
-from .errors import ConfigError, EmptyCastError
+from .corpus import bounded, strings, typed
+from .errors import EmptyCastError
 
 UNKNAME = "UNKNAME"
 
@@ -33,6 +33,8 @@ class CastList:
     def __post_init__(self):
         if len(self.names) != len(set(self.names)):
             raise ValueError("cast names must be unique")
+        if UNKNAME in self.names:
+            raise ValueError(f"{UNKNAME} is reserved for the off-cast class, not a cast name")
         if len(self.names) != len(self.counts):
             raise ValueError("names and counts must align")
         if any(self.counts[i] < self.counts[i + 1] for i in range(len(self.counts) - 1)):
@@ -85,9 +87,12 @@ def build_cast_list(counts: dict[str, int],
     min_count None scales the full-season rule to the counted lines (see
     scaled_min_count). The ratio uses the maximum over all speakers, not just
     survivors of the first filter.  Principals are ordered by count
-    descending, ties broken lexicographically by name.
+    descending, ties broken lexicographically by name. Lines of a speaker
+    labelled UNKNAME already map to the off-cast class, so that label takes
+    no part in the rule: it is neither a principal nor the ratio's base.
     """
     check_thresholds(min_count, max_ratio)
+    counts = {name: c for name, c in counts.items() if name != UNKNAME}
     if min_count is None:
         min_count = scaled_min_count(sum(counts.values()))
     if not counts:
@@ -110,10 +115,9 @@ def build_cast_list(counts: dict[str, int],
 
 def check_thresholds(min_count: int | None, max_ratio: float) -> None:
     """ConfigError unless min_count is None or >= 1 and max_ratio lies in (0, 1]."""
-    if min_count is not None and min_count < 1:
-        raise ConfigError("min_count must be >= 1")
-    if not 0.0 < max_ratio <= 1.0:
-        raise ConfigError("max_ratio must lie in (0, 1]")
+    if min_count is not None:
+        bounded(min_count, "min_count", 1)
+    bounded(max_ratio, "max_ratio", 0, 1, open_low=True)
 
 
 def map_speaker(name: str, cast: CastList) -> int:
@@ -123,8 +127,7 @@ def map_speaker(name: str, cast: CastList) -> int:
 
 def scaled_min_count(total_lines: int) -> int:
     """min_count shrunk proportionally for corpora smaller than a full season."""
-    if total_lines < 0:
-        raise ValueError("total_lines must be >= 0")
+    bounded(total_lines, "total_lines", 0)
     return max(2, math.ceil(DEFAULT_MIN_COUNT * total_lines / REFERENCE_TOTAL_LINES))
 
 

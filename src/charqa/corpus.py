@@ -15,8 +15,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import (CharqaError, ConfigError, CorpusParseError, FieldTypeError,
-                     SchemaVersionError)
+from .errors import (CharqaError, ConfigError, CorpusParseError, FieldRangeError,
+                     FieldTypeError, SchemaVersionError)
 
 SCHEMA_VERSION = "carn-corpus-1"
 
@@ -79,10 +79,8 @@ class BBox:
 
     def __post_init__(self):
         vals = (self.x0, self.y0, self.x1, self.y1)
-        # Comparisons, not math.isfinite, which raises OverflowError for an
-        # integer too large for a float; they also refuse NaN.
-        if not all(0 <= v <= sys.float_info.max for v in vals):
-            raise ValueError(f"box coordinates must be finite and >= 0, got {vals}")
+        for v in vals:
+            bounded(v, "box coordinate", 0)
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise ValueError(f"box has no positive area {vals}")
 
@@ -168,8 +166,7 @@ class QAItem:
     def __post_init__(self):
         if len(self.answers) != 5:
             raise ValueError(f"expected 5 answers, got {len(self.answers)}")
-        if not 0 <= self.correct_index < 5:
-            raise ValueError(f"correct_index {self.correct_index} out of range")
+        bounded(self.correct_index, "correct_index", 0, 5, open_high=True)
         if self.ts_interval[0] > self.ts_interval[1]:
             raise ValueError(f"ts_interval reversed {self.ts_interval}")
         if self.qtype not in ("visual", "textual"):
@@ -218,28 +215,17 @@ class GenConfig:
     qa_templates: ClassVar[tuple[str, ...]] = ("visual", "visual", "textual_who", "textual_who")
 
     def __post_init__(self):
-        for name, low in (("k_principals", 1), ("n_extras", 0), ("n_clips", 1),
-                          ("frames_per_clip", 1), ("d_f", 1), ("seed", 0)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"{name} must be >= {low}")
-        for name, high in (("k_principals", MAX_K_PRINCIPALS), ("n_extras", MAX_N_EXTRAS),
-                           ("d_f", MAX_D_F)):
-            if getattr(self, name) > high:
-                raise ConfigError(f"{name} must be <= {high}")
+        for name, low, high in (("k_principals", 1, MAX_K_PRINCIPALS),
+                                ("n_extras", 0, MAX_N_EXTRAS), ("n_clips", 1, None),
+                                # Each frame speaks a distinct dialogue word.
+                                ("frames_per_clip", 1, len(DEFAULT_DIALOGUE_VOCAB)),
+                                ("d_f", 1, MAX_D_F), ("noise_sigma", 0, MAX_NOISE_SIGMA),
+                                ("cooccur_rho", 0, 1), ("seed", 0, None)):
+            bounded(getattr(self, name), name, low, high)
         # Two clip actors split the frames into one scene block each.
         if self.frames_per_clip < min(2, self.k_principals):
             raise ConfigError("frames_per_clip must be >= 2 when k_principals >= 2, "
                               "one scene per clip actor")
-        # Each frame speaks a distinct dialogue word.
-        if self.frames_per_clip > len(DEFAULT_DIALOGUE_VOCAB):
-            raise ConfigError(f"frames_per_clip must be <= {len(DEFAULT_DIALOGUE_VOCAB)}, "
-                              "the size of the dialogue vocabulary")
-        # Comparisons, not math.isfinite, which raises OverflowError for an
-        # integer too large for a float; NaN fails them.
-        if not 0 <= self.noise_sigma <= MAX_NOISE_SIGMA:
-            raise ConfigError(f"noise_sigma must lie in [0, {MAX_NOISE_SIGMA:g}]")
-        if not 0.0 <= self.cooccur_rho <= 1.0:
-            raise ConfigError("cooccur_rho must lie in [0, 1]")
 
     def principal_names(self):
         pool = list(PRINCIPAL_NAME_POOL)
@@ -530,6 +516,20 @@ def typed(v, kind, what: str):
     return v
 
 
+def bounded(v, what: str, low, high=None, *, open_low=False, open_high=False):
+    """v if low <= v <= high, an open end excluded; FieldRangeError naming
+    the field, the interval and the value otherwise. high None is the
+    largest finite float, shown as "inf)". Plain comparisons, unlike
+    math.isfinite, refuse NaN, +-inf and an integer too large for a float
+    without raising OverflowError."""
+    top = sys.float_info.max if high is None else high
+    if (low < v if open_low else low <= v) and (v < top if open_high else v <= top):
+        return v
+    left = "(" if open_low else "["
+    right = "inf)" if high is None else f"{high})" if open_high else f"{high}]"
+    raise FieldRangeError(f"{what} must be in {left}{low}, {right}, got {_shown(v)}")
+
+
 def _token(v, what: str, kind=str):
     """typed(v, kind, what), refusing the empty string: an empty token has
     no embedding."""
@@ -633,10 +633,8 @@ def clip_to_dict(clip: Clip) -> dict:
 
 
 def _time(v, what: str):
-    """v if it is a number, finite and >= 0 (the comparison BBox uses)."""
-    if not 0 <= typed(v, _NUMBER, what) <= sys.float_info.max:
-        raise ValueError(f"{what} must be finite and >= 0, got {_shown(v)}")
-    return v
+    """v if it is a number, finite and >= 0."""
+    return bounded(typed(v, _NUMBER, what), what, 0)
 
 
 def _ts_interval(v) -> tuple[float, float]:
@@ -793,6 +791,6 @@ __all__ = [
     "SCHEMA_VERSION", "BBox", "FaceDetection", "RelationTriple", "Frame",
     "SubtitleLine", "QAItem", "Clip", "GenConfig", "generate_corpus",
     "write_corpus", "read_corpus", "clip_to_dict", "clip_from_dict",
-    "clip_view", "validate_clip", "typed", "strings", "config_kwargs",
+    "clip_view", "validate_clip", "typed", "bounded", "strings", "config_kwargs",
     "DEFAULT_HUMAN_WORDS",
 ]

@@ -17,6 +17,10 @@ class FieldTypeError(ConfigError, TypeError):
     """A JSON value not of its field's type; a TypeError too, for the record readers."""
 
 
+class FieldRangeError(ConfigError, ValueError):
+    """A number outside its field's range; a ValueError too, for the record readers."""
+
+
 class CorpusParseError(CharqaError):
     """Malformed corpus line."""
 

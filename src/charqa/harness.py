@@ -13,7 +13,6 @@ import gc
 import hashlib
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
@@ -25,7 +24,7 @@ from .carn import (VARIANT_LABELS, ModalityConfig, Model, ModelConfig, Vocab, bu
 from .castlist import (DEFAULT_MAX_RATIO, CastList, build_cast_list, check_thresholds,
                        count_speakers)
 from .corpus import (BBox, Clip, FaceDetection, Frame, QAItem, RelationTriple,
-                     SubtitleLine, clip_view, config_kwargs, typed)
+                     SubtitleLine, bounded, clip_view, config_kwargs, typed)
 from .errors import (ConfigError, EmptyInputError, NonFiniteLossError, ShapeError,
                      numeric_faults)
 from .naming import (TargetSeq, broadcast_targets, face_accuracy, init_naming,
@@ -49,18 +48,11 @@ class TrainConfig:
     max_ratio: float = DEFAULT_MAX_RATIO
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        # Comparisons, not math.isfinite, which raises OverflowError for an
-        # integer too large for a float; NaN fails every comparison.
-        if not 0 < self.learning_rate <= sys.float_info.max:
-            raise ConfigError("learning_rate must be a finite number > 0")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if not 0 <= self.lam <= sys.float_info.max:
-            raise ConfigError("lam must be a finite number >= 0")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        bounded(self.batch_size, "batch_size", 1)
+        bounded(self.learning_rate, "learning_rate", 0, open_low=True)
+        bounded(self.epochs, "epochs", 0)
+        bounded(self.lam, "lam", 0)
+        bounded(self.seed, "seed", 0)
         check_thresholds(self.min_count, self.max_ratio)
 
     def to_dict(self) -> dict:
@@ -103,9 +95,7 @@ class MetricsReport:
 
     def __post_init__(self):
         for name in ("qa_acc", "qa_acc_visual", "qa_acc_textual", "face_acc"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v} outside [0, 1]")
+            bounded(getattr(self, name), name, 0, 1)
 
     def row(self) -> str:
         return ",".join([
@@ -497,13 +487,10 @@ def grad_check(component: str = "all", tolerance: float = 1e-4,
     """Run the finite-difference suites, one GradCheckReport per component
     that each of its checks merges into; failures are report entries.
     ConfigError for no config (a run that checks nothing would pass), a
-    tolerance that is not a finite number > 0, or a negative seed."""
-    if n_configs < 1:
-        raise ConfigError("n_configs must be >= 1")
-    if not 0 < tolerance <= sys.float_info.max:
-        raise ConfigError("tolerance must be a finite number > 0")
-    if seed < 0:
-        raise ConfigError("seed must be >= 0")
+    tolerance outside (0, inf), or a negative seed."""
+    bounded(n_configs, "n_configs", 1)
+    bounded(tolerance, "tolerance", 0, open_low=True)
+    bounded(seed, "seed", 0)
     names = list(GRAD_CHECKS) if component == "all" else [component]
     reports = []
     for name in names:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .castlist import CastList, map_speaker
-from .corpus import Clip
+from .corpus import Clip, bounded
 from .errors import NonFiniteLossError, ShapeError
 from .nn import ffn_backward, ffn_forward, softmax, softmax_backward
 
@@ -110,8 +110,7 @@ def broadcast_targets(clip: Clip, cast: CastList, epsilon: float) -> TargetSeq:
     Frames whose speaker maps to UNKNAME (or that have no overlapping line,
     or no faces) contribute nothing.
     """
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError("epsilon must lie in [0, 1)")
+    bounded(epsilon, "epsilon", 0, 1, open_high=True)
     row = {face_id: i for i, face_id in enumerate(sorted(f.face_id for f in clip.all_faces()))}
     groups = []
     for frame in clip.frames:

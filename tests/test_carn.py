@@ -478,8 +478,11 @@ class TestModelConfig:
             ModelConfig(d_model=10, heads=4)
 
     def test_epsilon_range(self):
-        with pytest.raises(ConfigError):
-            ModelConfig(epsilon=1.0)
+        # Training smooths the speaker targets by epsilon, and the KL from a
+        # target with a zero class is infinite, so 0 is refused with 1.
+        for epsilon in (0.0, 1.0, -0.1, math.nan):
+            with pytest.raises(ConfigError, match=r"epsilon must be in \(0, 1\)"):
+                ModelConfig(epsilon=epsilon)
 
 
 class TestForward:
@@ -713,7 +716,10 @@ class TestForward:
             return type(clip)(clip.clip_id, [f], clip.subtitles, clip.qas, None)
 
         def empty_count(view):
-            return model.item_loss_and_grads(clip, view, qa).empty_context
+            # A forward-only pass gives the count too.
+            count = model.item_loss_and_grads(clip, view, qa).empty_context
+            assert model.forward_item([(view, qa, {})], keep_cache=False)[1] == [count]
+            return count
 
         assert frame.objects and frame.triples
         assert empty_count(clip) == 0
@@ -845,6 +851,17 @@ class TestBatch:
             assert abs(r.loss - alone.loss) <= 1e-12
             assert r.empty_context == alone.empty_context
 
+    def test_loss_without_grads_keeps_no_cache(self, setup, monkeypatch):
+        model, items = setup
+        kept = []
+        forward_item = Model.forward_item
+        monkeypatch.setattr(model, "forward_item", lambda b, **kw: (
+            kept.append(kw["keep_cache"]) or forward_item(model, b, **kw)))
+        model.loss_and_grads(items, lam=0.7)
+        model.loss_and_grads(items, lam=0.7, grads={})
+        n = len(kept) // 2
+        assert n and kept == [False] * n + [True] * n
+
     def test_face_table_built_once_per_clip(self, setup, monkeypatch):
         # One naming step per distinct clip: the table that the head's
         # forward reads is the one its backward reads.
@@ -896,8 +913,8 @@ class TestBatch:
             return y, cache
 
         monkeypatch.setattr(nn, "stack_forward", counting_forward)
-        p_a, _ = model.forward_item([(clip, qa, names) for qa in clip.qas],
-                                    keep_cache=False)
+        p_a, _, _ = model.forward_item([(clip, qa, names) for qa in clip.qas],
+                                       keep_cache=False)
         # One QA batch of 5 candidates per item, then one encode of the one
         # distinct stream of each context pass (relations, objects, subtitles).
         assert calls == [5 * len(clip.qas), 1, 1, 1]
@@ -981,7 +998,7 @@ class TestCheckpointRoundTrip:
         config = ModelConfig(
             d_model=heads * data.draw(st.integers(1, 4)), d_ff=data.draw(st.integers(1, 6)),
             d_h1=data.draw(st.integers(1, 5)), heads=heads, d_f=data.draw(st.integers(1, 4)),
-            epsilon=data.draw(st.floats(0.0, 0.5)))
+            epsilon=data.draw(st.floats(0.0, 0.5, exclude_min=True)))
         words = data.draw(st.lists(st.text("abcdefg", min_size=1, max_size=4),
                                    min_size=1, max_size=6, unique=True))
         names = data.draw(st.lists(st.text("ABCDEF", min_size=1, max_size=3),

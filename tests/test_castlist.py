@@ -2,7 +2,7 @@ import pytest
 
 from charqa.castlist import (CastList, UNKNAME, build_cast_list, count_speakers,
                              map_speaker, scaled_min_count)
-from charqa.corpus import Clip, SubtitleLine
+from charqa.corpus import Clip, GenConfig, SubtitleLine, generate_corpus
 from charqa.errors import EmptyCastError
 
 
@@ -92,6 +92,26 @@ class TestBuildCastList:
     def test_round_trip(self):
         cast = build_cast_list({"A": 900, "B": 600})
         assert CastList.from_dict(cast.to_dict()) == cast
+
+    def test_unkname_is_neither_principal_nor_ratio_base(self):
+        # Lines labelled UNKNAME map to the off-cast class already; with
+        # 5000 of them as the base, B would fall below 1/10 of the maximum.
+        cast = build_cast_list({UNKNAME: 5000, "A": 600, "B": 480}, min_count=50)
+        assert cast.names == ("A", "B")
+
+    def test_unkname_speaker_of_a_generated_corpus(self):
+        clips = generate_corpus(GenConfig(n_clips=6, d_f=8, seed=1))
+        for clip in clips:
+            for line in clip.subtitles:
+                if line.speaker == "Ada":
+                    line.speaker = UNKNAME
+        cast = build_cast_list(count_speakers(clips), min_count=None)
+        assert cast.names == ("Cleo", "Dev", "Ben")
+        assert cast.label_names().count(UNKNAME) == 1
+
+    def test_unkname_is_no_cast_name(self):
+        with pytest.raises(ValueError, match="UNKNAME is reserved"):
+            CastList(("A", UNKNAME), (5, 3))
 
 
 class TestMapSpeaker:

@@ -109,6 +109,12 @@ class TestGen:
     pytest.param(["train"], '{"max_ratio": 2.0}', "max_ratio", id="max-ratio-2"),
     pytest.param(["train", "--max-ratio", "2"], None, "max_ratio", id="max-ratio-flag-2"),
     pytest.param(["train"], '{"min_count": 0}', "min_count", id="min-count-0"),
+    # Targets smoothed by 0 make the naming loss infinite; a run without an
+    # epoch never reaches it, and must not save a checkpoint either.
+    pytest.param(["train", "--epsilon", "0", "--epochs", "0"], None, "epsilon must be in (0, 1)",
+                 id="epsilon-0"),
+    pytest.param(["ablate", "--epsilon", "0", "--epochs", "0"], None,
+                 "epsilon must be in (0, 1)", id="ablate-epsilon-0"),
     pytest.param(["castlist", "--min-count", "0"], None, "min_count",
                  id="castlist-min-count-0"),
     pytest.param(["castlist", "--max-ratio", "2"], None, "max_ratio",
@@ -137,7 +143,7 @@ def test_out_of_range_setting_is_one_line_error(workdir, tmp_path, capsys, argv,
     argv = argv[:1] + (["--out", str(out)] if argv[0] != "castlist" else []) + argv[1:]
     if argv[0] != "gen":
         argv += ["--corpus", str(workdir / "corpus.jsonl")]
-    if argv[0] == "train":
+    if argv[0] == "train" and "--epochs" not in argv:
         argv += ["--epochs", "1"]  # a value that only poisons the parameters would still save
     if config is not None:
         (tmp_path / "config.json").write_text(config, encoding="utf-8")
@@ -306,6 +312,8 @@ class TestTrainEval:
         pytest.param(lambda m: m["cast"].update(names=m["cast"]["names"][:1] * 2,
                                                 counts=[3, 3]),
                      "cast names must be unique", id="cast-names-repeat"),
+        pytest.param(lambda m: m["cast"]["names"].__setitem__(-1, "UNKNAME"),
+                     "UNKNAME is reserved", id="cast-names-unkname"),
         # Refused by the allocation itself, before any memory is touched.
         pytest.param(lambda m: m["config"].update(d_ff=10 ** 15), "Unable to allocate",
                      id="d_ff-too-large"),
@@ -562,7 +570,7 @@ class TestAblateReport:
         good = "Sub,1,0.5,0.5,0.5,0.5,0"
         cases = [
             ("Sub,1,abc,0.5,0.5,0.5,0", "line 3: could not convert"),
-            ("Sub,1,0.5,0.5,1.5,0.5,0", "line 3: qa_acc_textual=1.5 outside [0, 1]"),
+            ("Sub,1,0.5,0.5,1.5,0.5,0", "line 3: qa_acc_textual must be in [0, 1], got 1.5"),
             ("Sub,1,0.5,0.5,0.5,0.5", "line 3: 6 columns, expected 7"),
             ("Sub,2,0.5,0.5,0.5,0.5,0", "line 3: use_ts must be 0 or 1"),
             ("Sub,1,0.5,0.5,0.5,0.5,x", "line 3: invalid literal"),
@@ -611,11 +619,11 @@ class TestGradcheckCli:
         assert "FAIL" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag, value, needle", [
-        ("--configs", "0", "n_configs must be >= 1"),
-        ("--configs", "-3", "n_configs must be >= 1"),
-        ("--tolerance", "0", "tolerance must be a finite number > 0"),
-        ("--tolerance", "nan", "tolerance must be a finite number > 0"),
-        ("--seed", "-1", "seed must be >= 0"),
+        ("--configs", "0", "n_configs must be in [1, inf), got 0"),
+        ("--configs", "-3", "n_configs must be in [1, inf), got -3"),
+        ("--tolerance", "0", "tolerance must be in (0, inf), got 0.0"),
+        ("--tolerance", "nan", "tolerance must be in (0, inf), got NaN"),
+        ("--seed", "-1", "seed must be in [0, inf), got -1"),
     ])
     def test_refused_setting_one_line_error(self, capsys, flag, value, needle):
         # A run that checks nothing, or passes nothing, must not print PASS.

@@ -17,7 +17,8 @@ from charqa.corpus import (BBox, Clip, Frame, GenConfig, QAItem, SCHEMA_VERSION,
                            generate_corpus, read_corpus, validate_clip, write_corpus)
 from charqa import corpus
 from charqa.carn import ModelConfig
-from charqa.errors import CharqaError, ConfigError, CorpusParseError, SchemaVersionError
+from charqa.errors import (CharqaError, ConfigError, CorpusParseError, FieldRangeError,
+                           SchemaVersionError)
 from charqa.harness import TrainConfig, train
 
 
@@ -46,8 +47,45 @@ class TestBBox:
     def test_rejects_non_finite_as_value_error(self, bad):
         # An integer too large for a float is a ValueError too, not the
         # OverflowError that math.isfinite raises for it.
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match=r"box coordinate must be in \[0, inf\)"):
             BBox(0, 0, bad, 10)
+
+
+class TestBounded:
+    """The range rule of every number that enters: each end open or closed,
+    and no high end the largest finite float."""
+
+    @pytest.mark.parametrize("v, kw, ok", [
+        (0, {}, True), (0, {"open_low": True}, False), (-1e-300, {}, False),
+        (1e308, {}, True), (1, {"high": 1}, True), (1, {"high": 1, "open_high": True}, False),
+        (0.5, {"high": 1, "open_low": True, "open_high": True}, True),
+        (math.nan, {}, False), (math.nan, {"high": 1}, False), (math.inf, {}, False),
+        (-math.inf, {}, False), (10 ** 400, {}, False), (-10 ** 400, {}, False),
+    ])
+    def test_ends_and_non_finite_values(self, v, kw, ok):
+        if ok:
+            assert corpus.bounded(v, "x", 0, **kw) is v
+        else:
+            with pytest.raises(FieldRangeError, match="^x must be in "):
+                corpus.bounded(v, "x", 0, **kw)
+
+    @pytest.mark.parametrize("args, kw, message", [
+        ((math.nan, "frame time", 0), {}, "frame time must be in [0, inf), got NaN"),
+        ((math.inf, "lam", 0), {"open_low": True}, "lam must be in (0, inf), got Infinity"),
+        ((0.0, "epsilon", 0, 1), {"open_low": True, "open_high": True},
+         "epsilon must be in (0, 1), got 0.0"),
+        ((5, "correct_index", 0, 5), {"open_high": True},
+         "correct_index must be in [0, 5), got 5"),
+        ((10 ** 400, "d_f", 1, 4096), {}, f"d_f must be in [1, 4096], got 1{'0' * 36}..."),
+    ])
+    def test_message_names_field_interval_and_value(self, args, kw, message):
+        with pytest.raises(FieldRangeError) as info:
+            corpus.bounded(*args, **kw)
+        assert str(info.value) == message
+
+    def test_error_is_a_config_error_and_a_value_error(self):
+        assert issubclass(FieldRangeError, ConfigError)
+        assert issubclass(FieldRangeError, ValueError)
 
 
 class TestGenerate:
@@ -142,11 +180,11 @@ class TestGenerate:
         # any detector's, and no noise whose squared norm could overflow.
         GenConfig(k_principals=corpus.MAX_K_PRINCIPALS, n_extras=corpus.MAX_N_EXTRAS,
                   d_f=corpus.MAX_D_F, noise_sigma=corpus.MAX_NOISE_SIGMA)
-        with pytest.raises(ConfigError, match="k_principals must be <= 1024"):
+        with pytest.raises(ConfigError, match=r"k_principals must be in \[1, 1024\], got 1025"):
             GenConfig(k_principals=corpus.MAX_K_PRINCIPALS + 1)
-        with pytest.raises(ConfigError, match="n_extras must be <= 1024"):
+        with pytest.raises(ConfigError, match=r"n_extras must be in \[0, 1024\], got 1025"):
             GenConfig(n_extras=corpus.MAX_N_EXTRAS + 1)
-        with pytest.raises(ConfigError, match="d_f must be <= 4096"):
+        with pytest.raises(ConfigError, match=r"d_f must be in \[1, 4096\], got 4097"):
             GenConfig(d_f=corpus.MAX_D_F + 1)
         with pytest.raises(ConfigError, match="noise_sigma"):
             GenConfig(noise_sigma=corpus.MAX_NOISE_SIGMA * 10)
@@ -155,7 +193,7 @@ class TestGenerate:
         # Each frame speaks a distinct word of the dialogue vocabulary, so
         # frames_per_clip is bounded by its size.
         GenConfig(frames_per_clip=len(corpus.DEFAULT_DIALOGUE_VOCAB))
-        with pytest.raises(ConfigError, match="frames_per_clip must be <= 6"):
+        with pytest.raises(ConfigError, match=r"frames_per_clip must be in \[1, 6\], got 7"):
             GenConfig(frames_per_clip=len(corpus.DEFAULT_DIALOGUE_VOCAB) + 1)
         # Two clip actors need a scene each; a single principal needs one.
         assert generate_corpus(GenConfig(k_principals=1, n_clips=1, frames_per_clip=1, d_f=2))

@@ -73,7 +73,7 @@ TRAIN_RANGES = {
 MODEL_RANGES = {
     **{name: lambda v: v >= 1 for name in ("d_model", "d_ff", "d_h1", "heads")},
     "d_f": lambda v: v is None or v >= 1,
-    "epsilon": lambda v: _finite(v) and 0 <= v < 1,
+    "epsilon": lambda v: _finite(v) and 0 < v < 1,
 }
 GEN_RANGES = {
     "k_principals": lambda v: 1 <= v <= MAX_K_PRINCIPALS,
@@ -246,9 +246,9 @@ class TestEvaluate:
             p_a = {}
 
             def recording(batch, **kw):
-                p, cache = forward_item(model, batch, **kw)
+                p, empty_context, cache = forward_item(model, batch, **kw)
                 p_a.update((id(qa), row) for (_, qa, _), row in zip(batch, p))
-                return p, cache
+                return p, empty_context, cache
 
             with monkeypatch.context() as m:
                 m.setattr(model, "forward_item", recording)
