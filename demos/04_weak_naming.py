@@ -24,8 +24,7 @@ print(f"smoothed target for class 1 of 3, eps=0.05: {np.round(g, 4)}")
 corpus = generate_corpus(GenConfig(k_principals=3, n_extras=1, n_clips=60,
                                    d_f=16, seed=1))
 config = TrainConfig(epochs=12, batch_size=8,
-                     model=ModelConfig(d_model=16, d_ff=24, d_h1=8,
-                                       heads=2, d_f=16))
+                     model=ModelConfig(d_model=16, d_ff=24, d_h1=8, heads=2))
 model, report = train(corpus, config)
 cast = model.cast
 print(f"cast {cast.label_names()}")

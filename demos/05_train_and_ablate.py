@@ -19,8 +19,7 @@ from charqa.harness import (TrainConfig, ablate, evaluate, format_report,
 corpus = generate_corpus(GenConfig(k_principals=3, n_extras=1, n_clips=30,
                                    d_f=16, seed=2))
 config = TrainConfig(epochs=6, batch_size=8,
-                     model=ModelConfig(d_model=16, d_ff=24, d_h1=8,
-                                       heads=2, d_f=16))
+                     model=ModelConfig(d_model=16, d_ff=24, d_h1=8, heads=2))
 
 model, report = train(corpus, config)
 print(f"variant {report.variant!r}, per-epoch loss "

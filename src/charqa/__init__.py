@@ -8,7 +8,7 @@ ablation harness, and finite-difference gradient verification.
 """
 
 from .carn import (VARIANT_LABELS, ModalityConfig, Model, ModelConfig, Vocab, build_vocab,
-                   joint_loss)
+                   init_params, joint_loss)
 from .castlist import (UNKNAME, CastList, build_cast_list, count_speakers, map_speaker,
                        scaled_min_count)
 from .corpus import (BBox, Clip, FaceDetection, Frame, GenConfig, QAItem, RelationTriple,
@@ -27,7 +27,7 @@ __all__ = [
     "SubtitleLine", "UNKNAME",
     "VARIANT_LABELS", "Vocab", "assign_names", "augment_objects_with_names",
     "broadcast_targets", "build_cast_list", "build_vocab", "clip_view",
-    "count_speakers", "face_accuracy", "generate_corpus",
+    "count_speakers", "face_accuracy", "generate_corpus", "init_params",
     "joint_loss", "map_speaker", "match_faces_to_humans", "naming_forward",
     "read_corpus", "replace_names", "rkl_loss_with_grad", "scaled_min_count",
     "write_corpus", "__version__",

@@ -49,7 +49,7 @@ from .naming import (assign_names, broadcast_targets, face_table, init_naming,
                      naming_backward, naming_forward, rkl_loss_with_grad)
 from .semantics import visual_stream
 
-CHECKPOINT_VERSION = "charqa-ckpt-3"
+CHECKPOINT_VERSION = "charqa-ckpt-4"
 PROB_FLOOR = 1e-12
 
 # Items per bucket of run_in_buckets: per forward/backward pass of a training
@@ -335,7 +335,6 @@ class ModelConfig:
     d_ff: int = 128
     d_h1: int = 64
     heads: int = 4
-    d_f: int | None = None  # face embedding size; None: train takes the corpus'
     epsilon: float = 0.05
     # The network's depth is part of its design, not a setting: a shared
     # two-layer encoder, two-layer co-attention decoders, a one-layer answer block.
@@ -344,9 +343,8 @@ class ModelConfig:
     ans_layers: ClassVar[int] = 1
 
     def __post_init__(self):
-        for name in ("d_model", "d_ff", "d_h1", "heads", "d_f"):
-            if getattr(self, name) is not None:
-                bounded(getattr(self, name), name, 1)
+        for name in ("d_model", "d_ff", "d_h1", "heads"):
+            bounded(getattr(self, name), name, 1)
         if self.d_model % self.heads != 0:
             raise ConfigError("d_model must be divisible by heads")
         # Training smooths the speaker targets by epsilon, and the naming
@@ -364,6 +362,25 @@ class ItemResult:
     empty_context: int = 0
 
 
+def init_params(rng, vocab: Vocab, cast: CastList, config: ModelConfig,
+                d_f: int) -> dict[str, np.ndarray]:
+    """A model's parameters drawn from rng, the naming head's input being
+    d_f-dim face embeddings."""
+    c = config
+    p: dict[str, np.ndarray] = {}
+    p["embed.word"] = rng.standard_normal((len(vocab.words), c.d_model))
+    p["embed.name"] = rng.standard_normal((len(vocab.names), c.d_model))
+    p["embed.char"] = rng.standard_normal((len(vocab.chars), c.d_model))
+    nn.init_stack(rng, p, "enc", c.enc_layers, c.d_model, c.d_ff, c.heads)
+    nn.init_stack(rng, p, "dec_v", c.dec_layers, c.d_model, c.d_ff, c.heads)
+    nn.init_stack(rng, p, "dec_s", c.dec_layers, c.d_model, c.d_ff, c.heads)
+    nn.init_stack(rng, p, "ans", c.ans_layers, c.d_model, c.d_ff, c.heads)
+    p["ans.head.w"] = rng.standard_normal(c.d_model) / np.sqrt(c.d_model)
+    p["ans.head.b"] = np.zeros(())
+    init_naming(rng, p, d_f, c.d_h1, cast.size)
+    return p
+
+
 class Model:
     """Parameters + vocabulary + cast; forward/backward for batches of items.
 
@@ -371,35 +388,15 @@ class Model:
     training run that made the parameters; checkpoints record both, and
     evaluation reads both from here."""
 
-    def __init__(self, vocab: Vocab, cast: CastList, config: ModelConfig = ModelConfig(),
-                 rng=None, params=None, modality: ModalityConfig = ModalityConfig(),
+    def __init__(self, vocab: Vocab, cast: CastList, config: ModelConfig,
+                 params: dict[str, np.ndarray], modality: ModalityConfig = ModalityConfig(),
                  seed: int = 0):
         self.vocab = vocab
         self.cast = cast
         self.config = config
+        self.params = params
         self.modality = modality
         self.seed = seed
-        if params is not None:
-            self.params = params
-        elif config.d_f is None:
-            raise ConfigError("d_f must be set to initialize a model")
-        else:
-            self.params = self._init_params(rng if rng is not None else np.random.default_rng(0))
-
-    def _init_params(self, rng) -> dict[str, np.ndarray]:
-        c = self.config
-        p: dict[str, np.ndarray] = {}
-        p["embed.word"] = rng.standard_normal((len(self.vocab.words), c.d_model))
-        p["embed.name"] = rng.standard_normal((len(self.vocab.names), c.d_model))
-        p["embed.char"] = rng.standard_normal((len(self.vocab.chars), c.d_model))
-        nn.init_stack(rng, p, "enc", c.enc_layers, c.d_model, c.d_ff, c.heads)
-        nn.init_stack(rng, p, "dec_v", c.dec_layers, c.d_model, c.d_ff, c.heads)
-        nn.init_stack(rng, p, "dec_s", c.dec_layers, c.d_model, c.d_ff, c.heads)
-        nn.init_stack(rng, p, "ans", c.ans_layers, c.d_model, c.d_ff, c.heads)
-        p["ans.head.w"] = rng.standard_normal(c.d_model) / np.sqrt(c.d_model)
-        p["ans.head.b"] = np.zeros(())
-        init_naming(rng, p, c.d_f, c.d_h1, self.cast.size)
-        return p
 
     # -- naming ----------------------------------------------------------
 
@@ -616,8 +613,10 @@ class Model:
             "variant": self.modality.label(),
             "seed": self.seed,
         }
-        np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-                 **self.params)
+        # Through a handle, so a path without the .npz suffix is written as given.
+        with open(path, "wb") as fh:
+            np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                     **self.params)
 
     @classmethod
     def load(cls, path) -> "Model":
@@ -646,10 +645,12 @@ class Model:
             config = ModelConfig(**config_kwargs(ModelConfig, meta["config"], "config"))
             modality = ModalityConfig.from_label(typed(meta["variant"], str, "variant"))
             seed = bounded(typed(meta["seed"], int, "seed"), "seed", 0)
-            # A fresh model of the same config and vocabulary has every
-            # tensor in the shape the checkpoint must have; sizes too large
-            # to allocate fail here.
-            expected = cls(vocab, cast, config).params
+            # The face size is naming.w1's row count (1 stands in for a missing
+            # or empty one, which the shape check then names). Parameters drawn
+            # at these sizes have the shapes the checkpoint must have.
+            w1 = params.get("naming.w1")
+            d_f = len(w1) if w1 is not None and w1.ndim == 2 and len(w1) else 1
+            expected = init_params(np.random.default_rng(0), vocab, cast, config, d_f)
         except KeyError as e:
             raise CheckpointError(f"{path}: checkpoint meta lacks {e.args[0]!r}") from None
         except (TypeError, ValueError, MemoryError, ConfigError, VocabError) as e:
@@ -661,8 +662,8 @@ class Model:
                     f"{path}: tensor {key!r} has shape "
                     f"{None if got is None else got.shape}, config and vocab need "
                     f"{None if want is None else want.shape}")
-            if got.dtype.kind != "f" or not np.isfinite(got).all():
-                raise CheckpointError(f"{path}: tensor {key!r} must hold finite floats")
+            if got.dtype.kind != "f" or got.dtype.itemsize != 8 or not np.isfinite(got).all():
+                raise CheckpointError(f"{path}: tensor {key!r} must hold finite float64 values")
         return cls(vocab, cast, config, params=params, modality=modality, seed=seed)
 
 
@@ -670,5 +671,5 @@ __all__ = [
     "CHECKPOINT_VERSION", "PROB_FLOOR", "MICRO_BATCH", "VISUAL_RUNS", "ModalityConfig",
     "VARIANT_LABELS", "Vocab", "clip_tokens", "build_vocab", "subtitle_stream",
     "qa_stream", "length_key", "run_in_buckets", "prepare_sequence", "embed",
-    "embed_backward", "joint_loss", "ModelConfig", "ItemResult", "Model",
+    "embed_backward", "joint_loss", "ModelConfig", "ItemResult", "init_params", "Model",
 ]

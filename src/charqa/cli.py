@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True, help="checkpoint path (.npz)")
+    p.add_argument("--out", required=True, help="checkpoint path, written as given")
     p.add_argument("--metrics", help="write the metrics report as JSON")
     _add_train_overrides(p)
     p.set_defaults(fn=_cmd_train)

@@ -20,13 +20,12 @@ import numpy as np
 
 from . import nn
 from .carn import (VARIANT_LABELS, ModalityConfig, Model, ModelConfig, Vocab, build_vocab,
-                   length_key, run_in_buckets)
+                   init_params, length_key, run_in_buckets)
 from .castlist import (DEFAULT_MAX_RATIO, CastList, build_cast_list, check_thresholds,
                        count_speakers)
 from .corpus import (BBox, Clip, FaceDetection, Frame, QAItem, RelationTriple,
                      SubtitleLine, bounded, clip_view, config_kwargs, typed)
-from .errors import (ConfigError, EmptyInputError, NonFiniteLossError, ShapeError,
-                     numeric_faults)
+from .errors import EmptyInputError, NonFiniteLossError, ShapeError, numeric_faults
 from .naming import (TargetSeq, broadcast_targets, face_accuracy, init_naming,
                      naming_backward, naming_forward, rkl_loss_with_grad, smoothed_onehot)
 
@@ -118,17 +117,13 @@ def write_metrics_csv(reports, path) -> None:
         fh.write(metrics_csv_text(reports))
 
 
-def _face_dim(corpus, model: ModelConfig) -> int:
-    """The size of the corpus' face embeddings, which the naming head reads;
-    ConfigError if model.d_f is set and disagrees. A corpus without faces
-    never runs the head, so it keeps model.d_f, or 1 when that is unset."""
+def _face_dim(corpus) -> int:
+    """The size of the corpus' face embeddings, which the naming head reads.
+    A corpus without faces never runs the head, so 1 serves."""
     dims = sorted({face.embedding.shape[0] for clip in corpus for face in clip.all_faces()})
     if len(dims) > 1:
         raise ShapeError(f"corpus face embeddings differ in size: {dims}")
-    if dims and model.d_f is not None and model.d_f != dims[0]:
-        raise ConfigError(f"model d_f={model.d_f} disagrees with the corpus' "
-                          f"{dims[0]}-dim face embeddings")
-    return dims[0] if dims else model.d_f or 1
+    return dims[0] if dims else 1
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +149,17 @@ def train(corpus: list[Clip], config: TrainConfig = TrainConfig()):
     cast = build_cast_list(count_speakers(corpus), min_count=config.min_count,
                            max_ratio=config.max_ratio)
     vocab = build_vocab(corpus, cast)
-    model_cfg = replace(config.model, d_f=_face_dim(corpus, config.model))
     master = np.random.SeedSequence(config.seed)
     init_rng, shuffle_rng = [np.random.default_rng(s) for s in master.spawn(2)]
-    model = Model(vocab, cast, model_cfg, rng=init_rng, modality=config.modality,
-                  seed=config.seed)
+    model = Model(vocab, cast, config.model,
+                  init_params(init_rng, vocab, cast, config.model, _face_dim(corpus)),
+                  modality=config.modality, seed=config.seed)
     optimizer = nn.Adam(lr=config.learning_rate)
 
     # Every item as loss_and_grads takes it: (clip, view, qa, clip targets).
     items = []
     for clip in corpus:
-        targets = broadcast_targets(clip, cast, model_cfg.epsilon)
+        targets = broadcast_targets(clip, cast, config.model.epsilon)
         items += [(clip, clip_view(clip, qa, config.use_ts), qa, targets)
                   for qa in clip.qas]
 
@@ -421,9 +416,9 @@ def _mini_setup(rng):
     vocab = Vocab(("cup", "holds", "man", "so", "story", "who"),
                   cast.label_names(),
                   tuple(sorted(set("cupholdsmanstorywhoAdaBenUNKNAMEz"))))
-    cfg = ModelConfig(d_model=8, d_ff=10, d_h1=5, heads=4, d_f=d_f,
+    cfg = ModelConfig(d_model=8, d_ff=10, d_h1=5, heads=4,
                       epsilon=float(rng.choice([0.01, 0.05, 0.2])))
-    model = Model(vocab, cast, cfg, rng=rng)
+    model = Model(vocab, cast, cfg, init_params(rng, vocab, cast, cfg, d_f))
     return model, clip, qa
 
 

@@ -165,8 +165,7 @@ def test_criterion_7_invariant_suite():
     small = generate_corpus(GenConfig(k_principals=3, n_extras=1, n_clips=12,
                                       d_f=16, seed=21))
     cfg = TrainConfig(epochs=2, batch_size=16,
-                      model=ModelConfig(d_model=16, d_ff=24, d_h1=8,
-                                        heads=2, d_f=16))
+                      model=ModelConfig(d_model=16, d_ff=24, d_h1=8, heads=2))
     model, _ = train(small, cfg)
     clip = small[0]
     qa = clip.qas[0]

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from charqa import carn, nn
 from charqa.carn import (CHECKPOINT_VERSION, ModalityConfig, Model, ModelConfig,
                          VARIANT_LABELS, Vocab, build_vocab, embed, embed_backward,
-                         joint_loss)
+                         init_params, joint_loss)
 from charqa.castlist import CastList, build_cast_list, count_speakers
 from charqa.corpus import (BBox, Clip, FaceDetection, Frame, GenConfig, QAItem, SubtitleLine,
                            clip_view, generate_corpus)
@@ -473,6 +474,12 @@ class TestMultiTaskLoss:
 
 
 class TestModelConfig:
+    def test_fields(self):
+        # The face size is a fact of the corpus, which training reads; no
+        # setting holds it.
+        assert [f.name for f in dataclasses.fields(ModelConfig)] == [
+            "d_model", "d_ff", "d_h1", "heads", "epsilon"]
+
     def test_heads_must_divide_d_model(self):
         with pytest.raises(ConfigError):
             ModelConfig(d_model=10, heads=4)
@@ -589,8 +596,9 @@ class TestForward:
         model.save(path)
         # ckpt-1 holds the same tensors but was trained under the single
         # visual context; ckpt-2 stores the name rows apart from the cast and
-        # may lack the variant and seed. Neither may load silently.
-        for version in ("bogus", "charqa-ckpt-1", "charqa-ckpt-2"):
+        # may lack the variant and seed; ckpt-3 records the face size in its
+        # config too. None may load silently.
+        for version in ("bogus", "charqa-ckpt-1", "charqa-ckpt-2", "charqa-ckpt-3"):
             blob = dict(np.load(path, allow_pickle=False))
             meta = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
             meta["version"] = version
@@ -639,6 +647,55 @@ class TestForward:
                 np.savez(tmp_path / "nonfinite.npz", **blob)
                 with pytest.raises(CheckpointError, match=f"{key}.*finite"):
                     Model.load(tmp_path / "nonfinite.npz")
+
+    def test_face_size_is_the_naming_w1_rows(self, mini, tmp_path):
+        import json
+        model, _, _ = mini
+        path = tmp_path / "m.npz"
+        model.save(path)
+        assert Model.load(path).params["naming.w1"].shape[0] == 6
+        # naming.w1 is the face size's one record: a missing, 1-d or empty
+        # one is refused as a bad tensor, and a meta that records the size
+        # again is refused as an unknown config field.
+        w1 = model.params["naming.w1"]
+        for name, value in (("drop", None), ("1-d", w1[:, 0]), ("no-rows", w1[:0])):
+            blob = dict(np.load(path, allow_pickle=False))
+            if value is None:
+                del blob["naming.w1"]
+            else:
+                blob["naming.w1"] = value
+            np.savez(tmp_path / "bad.npz", **blob)
+            with pytest.raises(CheckpointError) as info:
+                Model.load(tmp_path / "bad.npz")
+            assert "'naming.w1'" in str(info.value) and "\n" not in str(info.value), name
+        blob = dict(np.load(path, allow_pickle=False))
+        meta = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
+        meta["config"]["d_f"] = 6
+        blob["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        np.savez(tmp_path / "d_f.npz", **blob)
+        with pytest.raises(CheckpointError, match=r"\(config: unknown field 'd_f'\)"):
+            Model.load(tmp_path / "d_f.npz")
+
+    def test_checkpoint_holds_float64_only(self, mini, tmp_path):
+        # Double precision everywhere: a tensor of another float width is
+        # refused, whatever its byte order; a big-endian float64 loads.
+        model, _, _ = mini
+        path = tmp_path / "m.npz"
+        model.save(path)
+        for dtype in (np.float16, np.float32, np.longdouble, ">f4"):
+            if np.dtype(dtype).itemsize == 8:  # longdouble is float64 on some hosts
+                continue
+            blob = dict(np.load(path, allow_pickle=False))
+            blob["enc.l0.ffn.w1"] = blob["enc.l0.ffn.w1"].astype(dtype)
+            np.savez(tmp_path / "narrow.npz", **blob)
+            with pytest.raises(CheckpointError,
+                               match=r"'enc\.l0\.ffn\.w1' must hold finite float64 values"):
+                Model.load(tmp_path / "narrow.npz")
+        blob = dict(np.load(path, allow_pickle=False))
+        blob["enc.l0.ffn.w1"] = blob["enc.l0.ffn.w1"].astype(">f8")
+        np.savez(tmp_path / "big.npz", **blob)
+        loaded = Model.load(tmp_path / "big.npz")
+        assert np.array_equal(loaded.params["enc.l0.ffn.w1"], model.params["enc.l0.ffn.w1"])
 
     def test_checkpoint_records_the_variant(self, mini, tmp_path):
         import json
@@ -744,9 +801,10 @@ class TestBatch:
     @pytest.fixture(scope="class")
     def setup(self, small_corpus):
         cast = build_cast_list(count_speakers(small_corpus), min_count=None)
-        model = Model(build_vocab(small_corpus, cast), cast,
-                      ModelConfig(d_model=8, d_ff=12, d_h1=6, heads=2, d_f=16),
-                      rng=np.random.default_rng(3))
+        vocab = build_vocab(small_corpus, cast)
+        config = ModelConfig(d_model=8, d_ff=12, d_h1=6, heads=2)
+        model = Model(vocab, cast, config,
+                      init_params(np.random.default_rng(3), vocab, cast, config, 16))
         items = []
         for clip in small_corpus[:3]:
             targets = broadcast_targets(clip, cast, model.config.epsilon)
@@ -935,9 +993,11 @@ class TestBatchProperties:
             d_f=6, seed=data.draw(st.integers(0, 2**16))))
         # At least six lines among at most four speakers: one speaks twice.
         cast = build_cast_list(count_speakers(corpus), min_count=1)
-        model = Model(build_vocab(corpus, cast), cast,
-                      ModelConfig(d_model=8, d_ff=12, d_h1=6, heads=2, d_f=6),
-                      rng=np.random.default_rng(data.draw(st.integers(0, 2**16))),
+        vocab = build_vocab(corpus, cast)
+        config = ModelConfig(d_model=8, d_ff=12, d_h1=6, heads=2)
+        model = Model(vocab, cast, config,
+                      init_params(np.random.default_rng(data.draw(st.integers(0, 2**16))),
+                                  vocab, cast, config, 6),
                       modality=ModalityConfig.from_label(data.draw(st.sampled_from(
                           VARIANT_LABELS))))
         use_ts = data.draw(st.booleans())
@@ -997,8 +1057,9 @@ class TestCheckpointRoundTrip:
         heads = data.draw(st.sampled_from([1, 2]))
         config = ModelConfig(
             d_model=heads * data.draw(st.integers(1, 4)), d_ff=data.draw(st.integers(1, 6)),
-            d_h1=data.draw(st.integers(1, 5)), heads=heads, d_f=data.draw(st.integers(1, 4)),
+            d_h1=data.draw(st.integers(1, 5)), heads=heads,
             epsilon=data.draw(st.floats(0.0, 0.5, exclude_min=True)))
+        d_f = data.draw(st.integers(1, 4))
         words = data.draw(st.lists(st.text("abcdefg", min_size=1, max_size=4),
                                    min_size=1, max_size=6, unique=True))
         names = data.draw(st.lists(st.text("ABCDEF", min_size=1, max_size=3),
@@ -1008,9 +1069,9 @@ class TestCheckpointRoundTrip:
         vocab = Vocab(tuple(sorted(words)), cast.label_names(), chars)
         modality = ModalityConfig.from_label(data.draw(st.sampled_from(VARIANT_LABELS)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-        model = Model(vocab, cast, config, rng=rng, modality=modality,
-                      seed=data.draw(st.integers(0, 2**40)))
-        face = FaceDetection(0, 0, BBox(1, 1, 4, 4), rng.standard_normal(config.d_f))
+        model = Model(vocab, cast, config, init_params(rng, vocab, cast, config, d_f),
+                      modality=modality, seed=data.draw(st.integers(0, 2**40)))
+        face = FaceDetection(0, 0, BBox(1, 1, 4, 4), rng.standard_normal(d_f))
         frame = Frame(0, 0.0, [face], [], [(words[0], None)], [])
         line = SubtitleLine(names[0] if names else "Zed", words[-1:], 0.0, 1.0)
         qa = QAItem(list(words), [[words[i % len(words)]] for i in range(5)], 0, (0.0, 1.0))
@@ -1038,12 +1099,15 @@ class TestCheckpointRoundTrip:
                                   model.score(clip, qa, names))
 
             key = data.draw(st.sampled_from(sorted(model.params)))
-            fault = data.draw(st.sampled_from(["nan", "inf", "-inf", "drop", "reshape"]))
+            fault = data.draw(st.sampled_from(["nan", "inf", "-inf", "drop", "reshape",
+                                               "float32"]))
             blob = dict(np.load(path, allow_pickle=False))
             if fault == "drop":
                 del blob[key]
             elif fault == "reshape":
                 blob[key] = blob[key].reshape(blob[key].shape + (1,))
+            elif fault == "float32":
+                blob[key] = blob[key].astype(np.float32)
             else:
                 blob[key] = blob[key].copy()
                 blob[key].flat[data.draw(st.integers(0, blob[key].size - 1))] = float(fault)

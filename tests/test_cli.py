@@ -23,7 +23,7 @@ from charqa.harness import METRICS_COLUMNS, evaluate, metrics_csv_text
 TRAIN_JSON = {
     "epochs": 2,
     "batch_size": 8,
-    "model": {"d_model": 8, "d_ff": 12, "d_h1": 6, "heads": 2, "d_f": 12},
+    "model": {"d_model": 8, "d_ff": 12, "d_h1": 6, "heads": 2},
 }
 
 
@@ -50,6 +50,12 @@ class TestGen:
         assert rc == 0
         assert "wrote 3 clips" in capsys.readouterr().out
         assert len(read_corpus(workdir / "again.jsonl")) == 3
+
+    def test_flags_are_the_config_fields(self, tmp_path):
+        # Every GenConfig field has a gen flag whose dest is the field's name.
+        args = build_parser().parse_args(["gen", "--out", str(tmp_path / "c.jsonl")])
+        dests = set(vars(args)) - {"cmd", "fn", "out", "config"}
+        assert dests == {f.name for f in fields(GenConfig)}
 
     def test_invalid_config_fails(self, workdir, capsys):
         # Every bad --config, for gen and for the training commands, is a
@@ -162,22 +168,45 @@ def test_train_takes_d_f_from_corpus(tmp_path, capsys):
                  "--d-f", "16", "--seed", "3"]) == 0
     rc = main(["train", "--corpus", corpus, "--out", str(tmp_path / "m.npz"), "--epochs", "1"])
     assert rc == 0, capsys.readouterr().err
-    assert Model.load(tmp_path / "m.npz").config.d_f == 16
-    # An explicit d_f that disagrees with the corpus stops before training.
-    (tmp_path / "bad.json").write_text(json.dumps({"model": {"d_f": 256}}), encoding="utf-8")
+    assert Model.load(tmp_path / "m.npz").params["naming.w1"].shape[0] == 16
+    # The face size is no setting: a config that sets it, even to the
+    # corpus' own size, stops before training.
+    (tmp_path / "bad.json").write_text(json.dumps({"model": {"d_f": 16}}), encoding="utf-8")
     capsys.readouterr()
     rc = main(["train", "--corpus", corpus, "--out", str(tmp_path / "bad.npz"),
                "--config", str(tmp_path / "bad.json")])
     err = capsys.readouterr().err
-    assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1, err
-    assert "d_f" in err and not (tmp_path / "bad.npz").exists()
+    assert rc == 1 and err == "error: model: unknown field 'd_f'\n", err
+    assert not (tmp_path / "bad.npz").exists()
 
 
-    def test_flags_are_the_config_fields(self, tmp_path):
-        # Every GenConfig field has a gen flag whose dest is the field's name.
-        args = build_parser().parse_args(["gen", "--out", str(tmp_path / "c.jsonl")])
-        dests = set(vars(args)) - {"cmd", "fn", "out", "config"}
-        assert dests == {f.name for f in fields(GenConfig)}
+def test_train_on_a_corpus_without_faces(tmp_path, capsys):
+    # No face runs the naming head, so its input size is 1.
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["gen", "--out", str(corpus), "--k", "2", "--extras", "1", "--clips", "3",
+                 "--d-f", "8", "--seed", "3"]) == 0
+    records = [json.loads(line) for line in corpus.read_text(encoding="utf-8").splitlines()]
+    for record in records:
+        for frame in record["frames"]:
+            frame["faces"] = []
+        record["truth"] = {}
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    (tmp_path / "train.json").write_text(json.dumps(TRAIN_JSON), encoding="utf-8")
+    rc = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "m.npz"),
+               "--epochs", "1", "--config", str(tmp_path / "train.json")])
+    assert rc == 0, capsys.readouterr().err
+    assert Model.load(tmp_path / "m.npz").params["naming.w1"].shape[0] == 1
+
+
+def test_train_out_is_written_as_given(workdir, tmp_path, capsys):
+    out = tmp_path / "mdl"
+    rc = main(["train", "--corpus", str(workdir / "corpus.jsonl"), "--out", str(out),
+               "--config", str(workdir / "train.json"), "--epochs", "0"])
+    assert rc == 0, capsys.readouterr().err
+    assert f"checkpoint: {out}\n" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mdl"]
+    rc = main(["eval", "--checkpoint", str(out), "--corpus", str(workdir / "corpus.jsonl")])
+    assert rc == 0, capsys.readouterr().err
 
 
 class TestCastlist:
@@ -334,12 +363,12 @@ class TestTrainEval:
         assert captured.err.count("\n") == 1, captured
 
     def test_checkpoint_of_an_old_format_one_line_error(self, workdir, tmp_path, capsys):
-        # A ckpt-2 file stores the name rows apart from the cast and may lack
-        # the variant and the seed; a ckpt-3 meta must hold both records.
+        # A ckpt-3 file records the face size in its config as well as in
+        # naming.w1; a ckpt-4 meta must hold the variant and the seed.
         ckpt = tmp_path / "old.npz"
-        for edit, want in ((lambda m: m.update(version="charqa-ckpt-2"),
-                            "unsupported checkpoint version 'charqa-ckpt-2'"
-                            " (expected 'charqa-ckpt-3')"),
+        for edit, want in ((lambda m: m.update(version="charqa-ckpt-3"),
+                            "unsupported checkpoint version 'charqa-ckpt-3'"
+                            " (expected 'charqa-ckpt-4')"),
                            (lambda m: m.pop("variant"), f"{ckpt}: checkpoint meta lacks 'variant'"),
                            (lambda m: m.pop("seed"), f"{ckpt}: checkpoint meta lacks 'seed'")):
             blob = dict(np.load(workdir / "model.npz", allow_pickle=False))
@@ -438,7 +467,8 @@ class TestTrainEval:
                 rc = main(argv)
                 captured = capsys.readouterr()
                 assert rc == 1, argv
-                assert captured.err == f"error: {ckpt}: tensor {key!r} must hold finite floats\n"
+                assert captured.err == (f"error: {ckpt}: tensor {key!r} must hold finite"
+                                        " float64 values\n")
                 assert captured.out == ""
 
     @pytest.mark.parametrize("probe", ["eval-huge-weights", "train-lr-1e30", "train-lambda-1e300"])

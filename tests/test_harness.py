@@ -13,12 +13,12 @@ from charqa import carn, harness, nn
 from charqa.carn import VARIANT_LABELS, ModalityConfig, Model, ModelConfig
 from charqa.corpus import (DEFAULT_DIALOGUE_VOCAB, MAX_K_PRINCIPALS, MAX_N_EXTRAS, Clip,
                            GenConfig, QAItem, config_kwargs, generate_corpus)
-from charqa.errors import ConfigError, EmptyInputError, NumericFaultError
+from charqa.errors import ConfigError, EmptyInputError, NumericFaultError, ShapeError
 from charqa.harness import (METRICS_COLUMNS, GradCheckReport, TrainConfig, _mini_batch,
                             _mini_setup, ablate, evaluate, format_report,
                             grad_check, metrics_csv_text, train, write_metrics_csv)
 
-SMALL_MODEL = ModelConfig(d_model=16, d_ff=24, d_h1=8, heads=2, d_f=16)
+SMALL_MODEL = ModelConfig(d_model=16, d_ff=24, d_h1=8, heads=2)
 
 
 def small_config(**kw):
@@ -72,7 +72,6 @@ TRAIN_RANGES = {
 }
 MODEL_RANGES = {
     **{name: lambda v: v >= 1 for name in ("d_model", "d_ff", "d_h1", "heads")},
-    "d_f": lambda v: v is None or v >= 1,
     "epsilon": lambda v: _finite(v) and 0 < v < 1,
 }
 GEN_RANGES = {
@@ -171,6 +170,14 @@ class TestTrain:
                     for c in small_corpus]
         with pytest.raises(EmptyInputError):
             train(stripped, small_config())
+
+    def test_face_sizes_must_agree(self, small_corpus):
+        # The naming head's input size is read from the corpus, so it must
+        # have one.
+        other = generate_corpus(GenConfig(k_principals=2, n_extras=1, n_clips=1, d_f=4,
+                                          seed=1))
+        with pytest.raises(ShapeError, match=r"differ in size: \[4, 16\]"):
+            train(small_corpus[:2] + other, small_config(epochs=0))
 
     def test_checkpoint_reproduces_eval(self, small_corpus, trained, tmp_path):
         model, report, config = trained
@@ -310,8 +317,7 @@ def grid_reports():
     corpus = generate_corpus(GenConfig(k_principals=2, n_extras=1, n_clips=6,
                                        d_f=12, seed=9))
     config = TrainConfig(epochs=1, batch_size=8,
-                         model=ModelConfig(d_model=8, d_ff=12, d_h1=6,
-                                           heads=2, d_f=12))
+                         model=ModelConfig(d_model=8, d_ff=12, d_h1=6, heads=2))
     return ablate(corpus, config)
 
 
@@ -335,7 +341,7 @@ class TestAblate:
         corpus = generate_corpus(GenConfig(k_principals=2, n_extras=1, n_clips=3,
                                            d_f=12, seed=4))
         config = TrainConfig(epochs=1, batch_size=8,
-                             model=ModelConfig(d_model=8, d_ff=12, d_h1=6, heads=2, d_f=12))
+                             model=ModelConfig(d_model=8, d_ff=12, d_h1=6, heads=2))
         variants = ("Sub", "Sub + Objs_nm + Rels_nm")
         calls = []
         original = harness.evaluate

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from charqa.carn import Model, ModelConfig, build_vocab
+from charqa.carn import Model, ModelConfig, build_vocab, init_params
 from charqa.castlist import build_cast_list, count_speakers, map_speaker
 from charqa.corpus import (BBox, Clip, FaceDetection, Frame, GenConfig, SubtitleLine,
                            generate_corpus)
@@ -239,9 +239,10 @@ class TestFaceAccuracy:
 
     def test_model_names_score_as_argmax_over_rows(self, small_corpus):
         cast = build_cast_list(count_speakers(small_corpus), min_count=None)
-        model = Model(build_vocab(small_corpus, cast), cast,
-                      ModelConfig(d_model=8, d_ff=12, d_h1=6, heads=2, d_f=16),
-                      rng=np.random.default_rng(3))
+        vocab = build_vocab(small_corpus, cast)
+        config = ModelConfig(d_model=8, d_ff=12, d_h1=6, heads=2)
+        model = Model(vocab, cast, config,
+                      init_params(np.random.default_rng(3), vocab, cast, config, 16))
         named = 0
         for clip in small_corpus:
             ids, table = face_table(clip)
