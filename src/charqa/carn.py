@@ -24,11 +24,12 @@ jointly through the regularized-KL term, weighted by lambda. The head runs
 once per distinct clip of a batch: its rows give both the clip's name
 assignment and its RKL term, whose gradient is weighted by the clip's item
 count. The QA part of a batch, and every item of an evaluation, runs
-through one runner, run_in_buckets: it sorts the items by length_key,
-which is read from each item's view and QA item without building a
-stream, runs them in buckets of MICRO_BATCH neighbours, so that the items
-of a padded batch are of like length, and returns every result in input
-order.
+through Model.forward_item: it builds each item's context streams by one
+function, Model.context_streams, once per distinct (view, names) pair, then
+runs the items through one runner, run_in_buckets, which sorts them by
+bucket_key (the lengths of the streams the passes pad), runs them in
+buckets of MICRO_BATCH neighbours, so that the items of a padded batch are
+of like length, and returns every result in input order.
 """
 
 from __future__ import annotations
@@ -235,12 +236,13 @@ def qa_stream(question, answer, cast: CastList):
 # Length buckets
 
 
-def length_key(view: Clip, qa: QAItem) -> tuple[int, int, int]:
-    """An item's sort key, read from its view and QA item without building a
-    stream: its subtitle tokens plus lines (each line adds its speaker
-    token), then its frames, then its question and answer tokens."""
-    return (sum(len(line.tokens) for line in view.subtitles) + len(view.subtitles),
-            len(view.frames), len(qa.question) + sum(len(a) for a in qa.answers))
+def bucket_key(streams, qa: QAItem) -> tuple:
+    """An item's sort key: the lengths of its context streams, in pass
+    order; then the streams themselves, so that items with equal streams
+    (the QA items of a whole-clip view) sort side by side and a bucket
+    encodes their streams once; then its question and answer tokens."""
+    return (*(len(toks) for toks, _ in streams), streams,
+            len(qa.question) + sum(len(a) for a in qa.answers))
 
 
 def run_in_buckets(items, keys, run) -> list:
@@ -411,6 +413,32 @@ class Model:
         """Face id -> argmax name (UNKNAME faces omitted) of one head forward on the clip."""
         return self._name_faces(clip)[2]
 
+    # -- context streams -------------------------------------------------
+
+    def _passes(self):
+        """(decoder, visual runs or None for the subtitles) per co-attention
+        pass, in order: one pass per visual run, the relations first, then
+        the subtitles."""
+        m = self.modality
+        return [("dec_v", (run,)) for run in reversed(m.runs)] + [("dec_s", None)] * m.use_sub
+
+    def context_streams(self, view: Clip, face_names: dict[int, str]):
+        """The (tokens, flags) context stream of each pass, in pass order, of
+        a view whose faces are named by face_names: the one place the
+        network's context streams are built."""
+        return tuple(subtitle_stream(view.subtitles, self.cast) if runs is None
+                     else visual_stream(view.frames, runs, face_names, self.cast)
+                     for _, runs in self._passes())
+
+    def _check_embeddable(self, clip_id: str, pairs) -> None:
+        """VocabError naming the clip for a (token, flag) pair that has no
+        vocabulary row and a character outside the character table."""
+        rows = self.vocab.rows
+        try:
+            self.vocab.check_chars({tok for tok, flag in pairs if (tok, flag) not in rows})
+        except VocabError as e:
+            raise VocabError(f"clip {clip_id}: {e}") from None
+
     # -- QA forward ------------------------------------------------------
 
     def _encode(self, streams, keep_cache: bool):
@@ -426,16 +454,55 @@ class Model:
         dx, _ = nn.stack_backward(self.params, "enc", enc_cache, dh, grads)
         embed_backward(grads, self.params, gather, dx)
 
-    def forward_item(self, batch, keep_cache: bool = True):
-        """Answer probabilities (B, 5) under the model's own variant for a
-        batch of (view, qa, face_names) items, each item's empty_context
-        count, and the backward cache (None with keep_cache False: then no
-        activation is kept for backward, and a forward-only batch holds one
-        block's activations at a time).
+    def forward_item(self, items, backward=None):
+        """Answer probabilities (N, 5) under the model's own variant of
+        (view, qa, face_names) items, in input order, and each item's
+        empty_context count.
 
-        Every item's context streams are built, then deduplicated per pass
-        by (tokens, flags): each distinct stream is encoded once, all of a
-        pass's distinct streams as one padded batch under a key mask. The 5B
+        Each distinct (view, face_names) pair, by identity, has its context
+        streams built once (context_streams): the QA items of a whole-clip
+        view share one build. A token that cannot embed raises VocabError
+        naming the view's clip here, before any forward; only tokens without
+        a vocabulary row are checked. The items then run through
+        run_in_buckets, sorted by bucket_key, as forward_batch batches of
+        MICRO_BATCH items of like length. Without backward no batch keeps an
+        activation; with it, each batch keeps its cache, and
+        backward(indices, p_a, cache) runs right after the batch's forward,
+        indices being its items' input positions.
+        """
+        # The streams are built here, inside the call that encodes them:
+        # perfbench's tracer files a stream under its kind by that nesting.
+        built, fed = {}, []
+        for view, qa, names in items:
+            key = (id(view), id(names))
+            if key not in built:
+                built[key] = self.context_streams(view, names)
+                self._check_embeddable(view.clip_id, chain.from_iterable(
+                    zip(*stream) for stream in built[key]))
+            self._check_embeddable(view.clip_id, ((t, t in self.cast) for t in
+                                                  chain(qa.question, *qa.answers)))
+            fed.append((built[key], qa))
+
+        def run(bucket):
+            p_a, empty_context, cache = self.forward_batch(
+                [fed[i] for i in bucket], keep_cache=backward is not None)
+            if backward is not None:
+                backward(bucket, p_a, cache)
+            return list(zip(p_a, empty_context))
+
+        results = run_in_buckets(range(len(fed)), [bucket_key(*item) for item in fed], run)
+        return np.array([p_a for p_a, _ in results]), [empty for _, empty in results]
+
+    def forward_batch(self, batch, keep_cache: bool = True):
+        """Answer probabilities (B, 5) of a batch of (context streams, qa)
+        items, each item's empty_context count, and the backward cache
+        (None with keep_cache False: then no activation is kept for
+        backward, and a forward-only batch holds one block's activations at
+        a time). It builds no context stream.
+
+        The items' context streams are deduplicated per pass by (tokens,
+        flags): each distinct stream is encoded once, all of a pass's
+        distinct streams as one padded batch under a key mask. The 5B
         question+answer sequences go through the encoder as one padded
         batch. Each item's candidates' valid rows are stacked and padded to
         (B, N_q, d); the co-attention decoders then run one pass per context
@@ -453,21 +520,15 @@ class Model:
         c = self.config
         p = self.params
         modality = self.modality
-        # (decoder, visual runs or None for the subtitles) per pass, in order:
-        # one pass per visual run, the relations first, then the subtitles
-        passes = ([("dec_v", (run,)) for run in reversed(modality.runs)]
-                  + [("dec_s", None)] * modality.use_sub)
+        passes = self._passes()
         distinct = [{} for _ in passes]  # (tokens, flags) -> distinct stream index
         streams = [[] for _ in passes]
         users = [[] for _ in passes]  # (item, distinct stream index)
         empty_context = []
-        for b, (view, _, face_names) in enumerate(batch):
+        for b, (item_streams, _) in enumerate(batch):
             has_visual = has_sub = False
-            for i, (_, runs) in enumerate(passes):
-                if runs is None:
-                    toks, flags = subtitle_stream(view.subtitles, self.cast)
-                else:
-                    toks, flags = visual_stream(view.frames, runs, face_names, self.cast)
+            for i, ((_, runs), (toks, flags)) in enumerate(zip(passes, item_streams,
+                                                                strict=True)):
                 if not toks:
                     continue
                 if runs is None:
@@ -482,7 +543,7 @@ class Model:
                                  + int(modality.use_sub and not has_sub))
 
         qa_streams = [qa_stream(qa.question, ans, self.cast)
-                      for _, qa, _ in batch for ans in qa.answers]
+                      for _, qa in batch for ans in qa.answers]
         h_q, mask, enc_cache = self._encode(qa_streams, keep_cache)
         lengths = mask.sum(axis=1)
         rows = lengths.reshape(-1, 5).sum(axis=1)
@@ -510,8 +571,8 @@ class Model:
         return p_a, empty_context, cache if keep_cache else None
 
     def backward_item(self, cache, dlogits: np.ndarray, grads: dict) -> None:
-        """Accumulate the parameter gradients of a batch, given dL/dlogits
-        (B, 5). A context stream shared by several items gets the sum of
+        """Accumulate the parameter gradients of a forward_batch batch, given
+        dL/dlogits (B, 5). A context stream shared by several items gets the sum of
         their context gradients before its one encoder backward. The cache
         is used up: each pass's decoder and context-encoder caches are
         dropped once the pass has run."""
@@ -555,10 +616,11 @@ class Model:
         not depend on the QA window), with its gradient weighted by the clip's
         item count; they also give the clip's name assignment, the only names
         its items' visual streams use. The assignment is discrete: no gradient
-        flows through it. The QA part runs through run_in_buckets, as
-        forward/backward passes of MICRO_BATCH items of like length; the
-        parameters do not change within a call, so the buckets move results
-        only by summation order.
+        flows through it. The QA part then runs through forward_item, which
+        builds the items' context streams once per distinct (view, names)
+        pair and runs forward/backward passes of MICRO_BATCH items of like
+        length, sorted by bucket_key; the parameters do not change within a
+        call, so the buckets move results only by summation order.
         """
         clips = {}  # id(clip) -> [clip, targets, item count], in batch order
         for clip, _, _, targets in batch:
@@ -572,23 +634,20 @@ class Model:
                 if grads is not None and lam * count != 0.0:
                     naming_backward(self.params, table, rows, lam * count * drows, grads)
 
-        def run(micro):
-            p_a, empty_context, cache = self.forward_item(
-                [(view, qa, names[id(clip)]) for clip, view, qa, _ in micro],
-                keep_cache=grads is not None)
-            gold = [qa.correct_index for _, _, qa, _ in micro]
-            results = []
-            for b, (clip, *_) in enumerate(micro):
-                loss, ce, clamped = joint_loss(p_a[b], gold[b], rkl[id(clip)], lam)
-                results.append(ItemResult(loss, ce, rkl[id(clip)], p_a[b], clamped=clamped,
-                                          empty_context=empty_context[b]))
-            if grads is not None:
-                dlogits = p_a.copy()
-                dlogits[np.arange(len(micro)), gold] -= 1.0
-                self.backward_item(cache, dlogits, grads)
-            return results
+        def backward(indices, p_a, cache):
+            dlogits = p_a.copy()
+            dlogits[np.arange(len(indices)), [batch[i][2].correct_index for i in indices]] -= 1.0
+            self.backward_item(cache, dlogits, grads)
 
-        return run_in_buckets(batch, [length_key(view, qa) for _, view, qa, _ in batch], run)
+        p_a, empty_context = self.forward_item(
+            [(view, qa, names[id(clip)]) for clip, view, qa, _ in batch],
+            backward=None if grads is None else backward)
+        results = []
+        for (clip, _, qa, _), p, empty in zip(batch, p_a, empty_context, strict=True):
+            loss, ce, clamped = joint_loss(p, qa.correct_index, rkl[id(clip)], lam)
+            results.append(ItemResult(loss, ce, rkl[id(clip)], p, clamped=clamped,
+                                      empty_context=empty))
+        return results
 
     def item_loss_and_grads(self, clip: Clip, view: Clip, qa: QAItem, lam: float = 1.0,
                             grads: dict | None = None) -> ItemResult:
@@ -600,7 +659,7 @@ class Model:
     def score(self, view: Clip, qa: QAItem, face_names: dict[int, str]) -> np.ndarray:
         """Answer probabilities of one item: forward_item on a batch of one."""
         # Only tests call this; perfbench's tracer wraps it by name as its item span.
-        return self.forward_item([(view, qa, face_names)], keep_cache=False)[0][0]
+        return self.forward_item([(view, qa, face_names)])[0][0]
 
     # -- persistence -----------------------------------------------------
 
@@ -670,6 +729,6 @@ class Model:
 __all__ = [
     "CHECKPOINT_VERSION", "PROB_FLOOR", "MICRO_BATCH", "VISUAL_RUNS", "ModalityConfig",
     "VARIANT_LABELS", "Vocab", "clip_tokens", "build_vocab", "subtitle_stream",
-    "qa_stream", "length_key", "run_in_buckets", "prepare_sequence", "embed",
+    "qa_stream", "bucket_key", "run_in_buckets", "prepare_sequence", "embed",
     "embed_backward", "joint_loss", "ModelConfig", "ItemResult", "init_params", "Model",
 ]

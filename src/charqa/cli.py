@@ -202,10 +202,15 @@ def _cmd_semantics_dump(args) -> int:
                 names = {fid: n for fid, n in clip.truth.items() if n in cast}
             else:
                 names = {}
+
+            def streams(view):
+                return (visual_stream(view.frames, modality.runs, names, cast),
+                        subtitle_stream(view.subtitles, cast))
+
+            # Without time stamps every QA item's view is the whole clip.
+            whole = None if args.use_ts else streams(clip)
             for qi, qa in enumerate(clip.qas):
-                view = clip_view(clip, qa, args.use_ts)
-                toks, flags = visual_stream(view.frames, modality.runs, names, cast)
-                subs, sub_flags = subtitle_stream(view.subtitles, cast)
+                (toks, flags), (subs, sub_flags) = whole or streams(clip_view(clip, qa, True))
                 fh.write(json.dumps({
                     "clip_id": clip.clip_id, "qa_index": qi,
                     "modality": modality.label(), "use_ts": args.use_ts,

@@ -283,6 +283,12 @@ def _object_box(rng):
     return BBox(x0, y0, x0 + w, y0 + h)
 
 
+def _pick(rng, seq):
+    """One element of seq drawn uniformly: the integer draw of
+    rng.choice(seq), without converting seq to an array."""
+    return seq[rng.integers(len(seq))]
+
+
 def _gen_clip(cfg: GenConfig, clip_idx: int, protos: dict[str, np.ndarray]) -> Clip:
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1, clip_idx)))
     principals = cfg.principal_names()
@@ -293,7 +299,7 @@ def _gen_clip(cfg: GenConfig, clip_idx: int, protos: dict[str, np.ndarray]) -> C
     # Two clip actors carry the interaction event; with k=1 there is one.
     n_actors = min(2, len(principals))
     actors = [str(a) for a in rng.choice(principals, size=n_actors, replace=False)]
-    event_pred = str(rng.choice(DEFAULT_PREDICATE_VOCAB))
+    event_pred = _pick(rng, DEFAULT_PREDICATE_VOCAB)
     actor_objects = {
         a: str(o)
         for a, o in zip(actors, rng.choice(DEFAULT_OBJECT_VOCAB, size=n_actors, replace=False))
@@ -311,9 +317,9 @@ def _gen_clip(cfg: GenConfig, clip_idx: int, protos: dict[str, np.ndarray]) -> C
         s = scene[i]
         r = rng.random()
         if extras and r < SPEAKER_UNK_RATE:
-            s = str(rng.choice(extras))
+            s = _pick(rng, extras)
         elif r < SPEAKER_UNK_RATE + 0.15 and len(principals) > n_actors:
-            s = str(rng.choice([p for p in principals if p not in actors]))
+            s = _pick(rng, [p for p in principals if p not in actors])
         speakers.append(s)
 
     subtitles = []
@@ -333,7 +339,7 @@ def _gen_clip(cfg: GenConfig, clip_idx: int, protos: dict[str, np.ndarray]) -> C
         if n_by > 0:
             present.extend(str(x) for x in rng.choice(others, size=n_by, replace=False))
         if extras and len(present) < 4 and rng.random() < EXTRA_FACE_RATE:
-            present.append(str(rng.choice(extras)))
+            present.append(_pick(rng, extras))
         face_plan.append(present)
 
     # Guarantee each actor's face shows up inside their own scene block
@@ -344,7 +350,7 @@ def _gen_clip(cfg: GenConfig, clip_idx: int, protos: dict[str, np.ndarray]) -> C
         if any(a in face_plan[i] for i in block):
             continue
         speaking = [i for i in block if speakers[i] == a]
-        i = int(rng.choice(speaking if speaking else block))
+        i = _pick(rng, speaking if speaking else block)
         if len(face_plan[i]) >= 4:
             face_plan[i] = face_plan[i][:3]
         face_plan[i].append(a)
@@ -387,7 +393,7 @@ def _gen_clip(cfg: GenConfig, clip_idx: int, protos: dict[str, np.ndarray]) -> C
                 # a bystander glimpse in the other half does not drag their
                 # handled object into frame.
                 hb = _human_box(rng, fd.box)
-                human_boxes.append((hb, str(rng.choice(DEFAULT_HUMAN_WORDS))))
+                human_boxes.append((hb, _pick(rng, DEFAULT_HUMAN_WORDS)))
                 obj = actor_objects[name]
                 triples.append(RelationTriple(human_boxes[-1][1], event_pred, obj,
                                               subject_box=hb, object_box=_object_box(rng)))
@@ -400,9 +406,9 @@ def _gen_clip(cfg: GenConfig, clip_idx: int, protos: dict[str, np.ndarray]) -> C
                     obj_supported[name] = False
             elif name in principals and rng.random() < 0.15:
                 hb = _human_box(rng, fd.box)
-                human_boxes.append((hb, str(rng.choice(DEFAULT_HUMAN_WORDS))))
-                triples.append(RelationTriple(human_boxes[-1][1], str(rng.choice(DEFAULT_SPATIAL_PREDICATES)),
-                                              str(rng.choice(rel_pool)), subject_box=hb))
+                human_boxes.append((hb, _pick(rng, DEFAULT_HUMAN_WORDS)))
+                triples.append(RelationTriple(human_boxes[-1][1], _pick(rng, DEFAULT_SPATIAL_PREDICATES),
+                                              _pick(rng, rel_pool), subject_box=hb))
 
         # Background scene: plain object detections plus object-object
         # spatial triples.  A detector confusion (OBJECT_NOISE_RATE) draws
@@ -410,12 +416,12 @@ def _gen_clip(cfg: GenConfig, clip_idx: int, protos: dict[str, np.ndarray]) -> C
         # presence alone cannot cleanly separate candidates.
         for _ in range(int(rng.integers(1, 3))):
             pool = rel_pool if rng.random() < OBJECT_NOISE_RATE else plain_pool
-            label = str(rng.choice(pool))
-            attr = str(rng.choice(DEFAULT_ATTRIBUTE_VOCAB)) if rng.random() < ATTRIBUTE_RATE else None
+            label = _pick(rng, pool)
+            attr = _pick(rng, DEFAULT_ATTRIBUTE_VOCAB) if rng.random() < ATTRIBUTE_RATE else None
             objects.append((label, attr))
         if rng.random() < 0.15:
             a_o, b_o = rng.choice(rel_pool, size=2, replace=False)
-            triples.append(RelationTriple(str(a_o), str(rng.choice(DEFAULT_SPATIAL_PREDICATES)), str(b_o)))
+            triples.append(RelationTriple(str(a_o), _pick(rng, DEFAULT_SPATIAL_PREDICATES), str(b_o)))
 
         frames.append(Frame(i, i * dt, faces, human_boxes, objects, triples))
 
@@ -427,8 +433,8 @@ def _gen_clip(cfg: GenConfig, clip_idx: int, protos: dict[str, np.ndarray]) -> C
     while len(vis_pool) < 4:
         o = unused.pop(0)
         f = frames[int(rng.integers(0, n_frames))]
-        f.triples.append(RelationTriple(str(rng.choice(plain_pool)),
-                                        str(rng.choice(DEFAULT_SPATIAL_PREDICATES)), o))
+        f.triples.append(RelationTriple(_pick(rng, plain_pool),
+                                        _pick(rng, DEFAULT_SPATIAL_PREDICATES), o))
         vis_pool = sorted(set(vis_pool) | {o})
 
     duration = (n_frames - 1) * dt + 0.9 * dt
@@ -594,7 +600,7 @@ def clip_to_dict(clip: Clip) -> dict:
                         "face_id": fc.face_id,
                         "frame_id": fc.frame_id,
                         "box": _box_to_list(fc.box),
-                        "embedding": [float(x) for x in fc.embedding],
+                        "embedding": fc.embedding.tolist(),
                     }
                     for fc in f.faces
                 ],

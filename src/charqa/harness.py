@@ -20,7 +20,7 @@ import numpy as np
 
 from . import nn
 from .carn import (VARIANT_LABELS, ModalityConfig, Model, ModelConfig, Vocab, build_vocab,
-                   init_params, length_key, run_in_buckets)
+                   init_params)
 from .castlist import (DEFAULT_MAX_RATIO, CastList, build_cast_list, check_thresholds,
                        count_speakers)
 from .corpus import (BBox, Clip, FaceDetection, Frame, QAItem, RelationTriple,
@@ -213,9 +213,12 @@ def evaluate(model: Model, corpus: list[Clip], use_ts: bool) -> MetricsReport:
     variant, plus the face accuracy of its name assignment against the truth
     sidecar; the report carries the model's variant and seed. One name_clips
     pass gives each clip's names, which its items' visual streams use, and
-    its face counts; then every item of the corpus goes through
-    carn.run_in_buckets as forward-only batches. Read-only on the model;
-    NumericFaultError for a model whose activations leave float range."""
+    its face counts; then every item of the corpus goes through one
+    forward_item call: its context streams are built once per distinct view
+    (a VocabError for a token that cannot embed names its clip, before any
+    QA forward), and it runs as forward-only buckets sorted by
+    carn.bucket_key. Read-only on the model; NumericFaultError for a model
+    whose activations leave float range."""
     if not corpus:
         raise EmptyInputError("corpus is empty")
     face_correct = face_total = 0
@@ -226,8 +229,7 @@ def evaluate(model: Model, corpus: list[Clip], use_ts: bool) -> MetricsReport:
         items += [(clip_view(clip, qa, use_ts), qa, face_names) for qa in clip.qas]
     if not items:
         raise EmptyInputError("corpus has no QA items")
-    p_a = run_in_buckets(items, [length_key(view, qa) for view, qa, _ in items],
-                         lambda bucket: model.forward_item(bucket, keep_cache=False)[0])
+    p_a, _ = model.forward_item(items)
     correct = {"all": 0, "visual": 0, "textual": 0}
     totals = {"all": 0, "visual": 0, "textual": 0}
     for (_, qa, _), p in zip(items, p_a):

@@ -745,8 +745,10 @@ class TestForward:
                 Model.load(tmp_path / "s.npz")
 
     def test_visual_runs_relations_then_objects(self, mini):
-        """One visual_stream call per item and co-attention pass, with the
-        pass's one run: the relations, then the objects."""
+        """One visual_stream call per distinct (view, names) pair and
+        co-attention pass, with the pass's one run: the relations, then the
+        objects. Two items of one view and one names dict share one build;
+        a names dict of its own, even an equal one, builds again."""
         model, clip, qa = mini
         calls = []
 
@@ -754,13 +756,16 @@ class TestForward:
             calls.append(runs)
             return visual_stream(frames, runs, face_names, cast)
 
-        batch = [(clip, qa, model.name_assignments(clip))] * 2
+        names = model.name_assignments(clip)
         with mock.patch.object(carn, "visual_stream", recording):
             for label, want in ((VARIANT_LABELS[-1], [("Rels_nm",), ("Objs_nm",)]),
                                 ("Sub + Objs", [("Objs",)]), ("Sub", [])):
                 model.modality = ModalityConfig.from_label(label)
                 calls.clear()
-                model.forward_item(batch, keep_cache=False)
+                model.forward_item([(clip, qa, names)] * 2)
+                assert calls == want, label
+                calls.clear()
+                model.forward_item([(clip, qa, names), (clip, qa, dict(names))])
                 assert calls == want * 2, label
 
     def test_empty_context_needs_both_visual_runs_empty(self, mini):
@@ -775,7 +780,7 @@ class TestForward:
         def empty_count(view):
             # A forward-only pass gives the count too.
             count = model.item_loss_and_grads(clip, view, qa).empty_context
-            assert model.forward_item([(view, qa, {})], keep_cache=False)[1] == [count]
+            assert model.forward_item([(view, qa, {})])[1] == [count]
             return count
 
         assert frame.objects and frame.triples
@@ -854,29 +859,33 @@ class TestBatch:
         # distinct clip of the whole batch, with its RKL gradient weighted by
         # the clip's item count; that equals the rule of running each
         # micro-batch as its own batch (once per clip of a micro-batch). Every
-        # item is forwarded with its own clip's assignment, the one of that
-        # head forward.
+        # item is forwarded with the streams of its own clip's assignment,
+        # the one of that head forward.
         model, items = setup
+        own_names = {id(qa): model.name_assignments(clip) for clip, _, qa, _ in items}
+        assert len({tuple(sorted(names.items())) for names in own_names.values()}) > 1
+        own_streams = {id(qa): model.context_streams(view, own_names[id(qa)])
+                       for _, view, qa, _ in items}
         micro = []
-        carn.run_in_buckets(items, [carn.length_key(view, qa) for _, view, qa, _ in items],
+        carn.run_in_buckets(items, [carn.bucket_key(own_streams[id(qa)], qa)
+                                    for _, _, qa, _ in items],
                             lambda mb: micro.append(mb) or [None] * len(mb))
         clips_per_micro = [{id(clip) for clip, *_ in mb} for mb in micro]
         crossing = {c for i, a in enumerate(clips_per_micro) for b in clips_per_micro[i + 1:]
                     for c in a & b}
         assert len(crossing) >= 2
-        own_names = {id(qa): model.name_assignments(clip) for clip, _, qa, _ in items}
-        assert len({tuple(sorted(names.items())) for names in own_names.values()}) > 1
         heads, named = [], []
-        forward_item, naming_forward = Model.forward_item, carn.naming_forward
+        forward_batch, naming_forward = Model.forward_batch, carn.naming_forward
         monkeypatch.setattr(carn, "naming_forward",
                             lambda *a: heads.append(1) or naming_forward(*a))
-        monkeypatch.setattr(model, "forward_item", lambda b, **kw: (
-            named.extend((id(qa), names) for _, qa, names in b) or forward_item(model, b, **kw)))
+        monkeypatch.setattr(model, "forward_batch", lambda b, **kw: (
+            named.extend((id(qa), streams) for streams, qa in b)
+            or forward_batch(model, b, **kw)))
         grads = {}
         results = model.loss_and_grads(items, lam=0.7, grads=grads)
         n_clips = len({id(clip) for clip, *_ in items})
         assert len(heads) == n_clips
-        assert named == [(id(qa), own_names[id(qa)]) for mb in micro for _, _, qa, _ in mb]
+        assert named == [(id(qa), own_streams[id(qa)]) for mb in micro for _, _, qa, _ in mb]
         ref_grads, ref = {}, {}
         for mb in micro:
             for (_, _, qa, _), r in zip(mb, model.loss_and_grads(mb, lam=0.7, grads=ref_grads)):
@@ -889,19 +898,20 @@ class TestBatch:
             assert np.max(np.abs(grads[k] - ref_grads[k])) <= 1e-12, k
 
     def test_results_come_back_in_input_order(self, setup, monkeypatch):
-        # The items are forwarded sorted by (length_key, input index), which
+        # The items are forwarded sorted by (bucket_key, input index), which
         # is not the batch's order, and each result goes back to its item.
         model, items = setup
         forwarded = []
-        forward_item = Model.forward_item
-        monkeypatch.setattr(model, "forward_item", lambda b, **kw: (
-            forwarded.extend(id(qa) for _, qa, _ in b) or forward_item(model, b, **kw)))
+        forward_batch = Model.forward_batch
+        monkeypatch.setattr(model, "forward_batch", lambda b, **kw: (
+            forwarded.extend(id(qa) for _, qa in b) or forward_batch(model, b, **kw)))
         results = model.loss_and_grads(items, lam=0.7)
         monkeypatch.undo()
         position = {id(qa): i for i, (_, _, qa, _) in enumerate(items)}
         order = [position[q] for q in forwarded]
-        assert order == sorted(range(len(items)),
-                               key=lambda i: (carn.length_key(items[i][1], items[i][2]), i))
+        keys = [carn.bucket_key(model.context_streams(view, model.name_assignments(clip)), qa)
+                for clip, view, qa, _ in items]
+        assert order == sorted(range(len(items)), key=lambda i: (keys[i], i))
         assert order != list(range(len(items)))
         for item, r in zip(items, results):
             alone = model.loss_and_grads([item], lam=0.7)[0]
@@ -912,9 +922,9 @@ class TestBatch:
     def test_loss_without_grads_keeps_no_cache(self, setup, monkeypatch):
         model, items = setup
         kept = []
-        forward_item = Model.forward_item
-        monkeypatch.setattr(model, "forward_item", lambda b, **kw: (
-            kept.append(kw["keep_cache"]) or forward_item(model, b, **kw)))
+        forward_batch = Model.forward_batch
+        monkeypatch.setattr(model, "forward_batch", lambda b, **kw: (
+            kept.append(kw["keep_cache"]) or forward_batch(model, b, **kw)))
         model.loss_and_grads(items, lam=0.7)
         model.loss_and_grads(items, lam=0.7, grads={})
         n = len(kept) // 2
@@ -971,8 +981,8 @@ class TestBatch:
             return y, cache
 
         monkeypatch.setattr(nn, "stack_forward", counting_forward)
-        p_a, _, _ = model.forward_item([(clip, qa, names) for qa in clip.qas],
-                                       keep_cache=False)
+        assert len(clip.qas) <= carn.MICRO_BATCH  # one bucket
+        p_a, _ = model.forward_item([(clip, qa, names) for qa in clip.qas])
         # One QA batch of 5 candidates per item, then one encode of the one
         # distinct stream of each context pass (relations, objects, subtitles).
         assert calls == [5 * len(clip.qas), 1, 1, 1]

@@ -2,7 +2,7 @@
 runner."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from charqa import carn, harness, nn
 from charqa.carn import VARIANT_LABELS, ModalityConfig, Model, ModelConfig
 from charqa.corpus import (DEFAULT_DIALOGUE_VOCAB, MAX_K_PRINCIPALS, MAX_N_EXTRAS, Clip,
                            GenConfig, QAItem, config_kwargs, generate_corpus)
-from charqa.errors import ConfigError, EmptyInputError, NumericFaultError, ShapeError
+from charqa.errors import ConfigError, EmptyInputError, NumericFaultError, ShapeError, VocabError
 from charqa.harness import (METRICS_COLUMNS, GradCheckReport, TrainConfig, _mini_batch,
                             _mini_setup, ablate, evaluate, format_report,
                             grad_check, metrics_csv_text, train, write_metrics_csv)
@@ -205,11 +205,11 @@ class TestEvaluate:
     def test_forced_gold_is_perfect(self, small_corpus, trained):
         model, _, config = trained
 
-        def gold(batch, keep_cache=True):
-            p = np.zeros((len(batch), 5))
-            for b, (_, qa, _) in enumerate(batch):
+        def gold(items):
+            p = np.zeros((len(items), 5))
+            for b, (_, qa, _) in enumerate(items):
                 p[b, qa.correct_index] = 1.0
-            return p, None
+            return p, [0] * len(items)
 
         original = model.forward_item
         model.forward_item = gold
@@ -252,10 +252,10 @@ class TestEvaluate:
         def run(corpus, use_ts):
             p_a = {}
 
-            def recording(batch, **kw):
-                p, empty_context, cache = forward_item(model, batch, **kw)
-                p_a.update((id(qa), row) for (_, qa, _), row in zip(batch, p))
-                return p, empty_context, cache
+            def recording(items):
+                p, empty_context = forward_item(model, items)
+                p_a.update((id(qa), row) for (_, qa, _), row in zip(items, p))
+                return p, empty_context
 
             with monkeypatch.context() as m:
                 m.setattr(model, "forward_item", recording)
@@ -292,6 +292,37 @@ class TestEvaluate:
         model, _, _ = trained
         with pytest.raises(EmptyInputError):
             evaluate(model, [], use_ts=True)
+
+    def test_whole_clip_streams_built_once_per_clip(self, small_corpus, trained,
+                                                    monkeypatch):
+        # Without time stamps every item of a clip has the clip as its view:
+        # each pass's stream is built once per clip, not once per item.
+        model, _, _ = trained
+        assert model.modality.runs and model.modality.use_sub
+        assert all(len(clip.qas) > 1 for clip in small_corpus)
+        built = []
+        for name in ("visual_stream", "subtitle_stream"):
+            monkeypatch.setattr(carn, name, lambda frames_or_lines, *a, _f=getattr(carn, name): (
+                built.append(id(frames_or_lines)) or _f(frames_or_lines, *a)))
+        evaluate(model, small_corpus, use_ts=False)
+        per_clip = [[id(clip.frames)] * len(model.modality.runs) + [id(clip.subtitles)]
+                    for clip in small_corpus]
+        assert sorted(built) == sorted(i for ids in per_clip for i in ids)
+
+    def test_foreign_character_names_its_clip_before_any_forward(
+            self, small_corpus, trained, monkeypatch):
+        # A token with a character outside the model's table is refused with
+        # its clip's id as the streams are built, before any QA forward.
+        model, _, _ = trained
+        clip = small_corpus[4]
+        cafe = replace(clip, subtitles=[replace(line, tokens=["café"])
+                                        for line in clip.subtitles])
+        corpus = small_corpus[:4] + [cafe] + small_corpus[5:]
+        monkeypatch.setattr(model, "forward_batch", None)  # calling it raises
+        for use_ts in (True, False):
+            with pytest.raises(VocabError, match=f"^clip {cafe.clip_id}: token 'café': "
+                                                 "character 'é' not in character table$"):
+                evaluate(model, corpus, use_ts=use_ts)
 
 
 class TestNumericFaults:
@@ -401,11 +432,13 @@ class TestGradCheckRunner:
     def test_full_check_batch_spans_micro_batches(self):
         # The full check sums gradients over micro-batches only if its batch
         # is longer than one, with a clip's items on both sides of a split.
-        _, clip, qa = _mini_setup(np.random.default_rng(0))
+        model, clip, qa = _mini_setup(np.random.default_rng(0))
         pairs = _mini_batch(clip, qa)
         assert len(pairs) > carn.MICRO_BATCH
         split = []
-        carn.run_in_buckets(pairs, [carn.length_key(c, q) for c, q in pairs],
+        keys = [carn.bucket_key(model.context_streams(c, model.name_assignments(c)), q)
+                for c, q in pairs]
+        carn.run_in_buckets(pairs, keys,
                             lambda mb: split.append({c.clip_id for c, _ in mb}) or [None] * len(mb))
         assert set.intersection(*split[:2])
 
