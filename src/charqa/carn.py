@@ -28,8 +28,9 @@ through Model.forward_item: it builds each item's context streams by one
 function, Model.context_streams, once per distinct (view, names) pair, then
 runs the items through one runner, run_in_buckets, which sorts them by
 bucket_key (the lengths of the streams the passes pad), runs them in
-buckets of MICRO_BATCH neighbours, so that the items of a padded batch are
-of like length, and returns every result in input order.
+buckets of neighbours that fill a budget of padded rows, ROW_BUDGET, so that
+the items of a padded batch are of like length and a bucket of short items
+holds more of them, and returns every result in input order.
 """
 
 from __future__ import annotations
@@ -53,20 +54,19 @@ from .semantics import visual_stream
 CHECKPOINT_VERSION = "charqa-ckpt-4"
 PROB_FLOOR = 1e-12
 
-# Items per bucket of run_in_buckets: per forward/backward pass of a training
-# batch's QA part, and per forward-only pass of an evaluation. Larger passes
-# amortize numpy's per-call overhead over more rows but hold more activation
-# caches at once. Caches hold no attention weights (backward recomputes
-# them), and backward frees each cache once it has used it. Measured with
-# tracemalloc at d_model 32, the items sorted by length: one 64-item
-# optimizer batch of 60 reference clips peaks at 2.45 MB at 6 items, against
-# 1.56 MB at 3 and 4.24 MB at 12; a whole-clip evaluation of the 200
-# reference clips peaks at 1.69 MB at 6 and 2.69 MB at 12. On the benchmark
-# (10 alternating pairs, 2-CPU host, one BLAS thread), sorted buckets of 6
-# give 13% more ablate_grid and 9% more train_ref throughput than unsorted
-# micro-batches of 6 with per-clip evaluation batches, at a median peak RSS
-# within 0.15 MB of theirs.
-MICRO_BATCH = 6
+# Padded rows per bucket of run_in_buckets (_BucketRows counts them): per
+# forward/backward pass of a training batch's QA part, and per forward-only
+# pass of an evaluation. A bucket takes items until the next would push it
+# over; it always takes one. Larger passes amortize numpy's per-call
+# overhead over more rows but hold more activation caches at once: caches
+# hold no attention weights (backward recomputes them), and backward frees
+# each cache once it has used it. Measured with tracemalloc at d_model 32 on
+# the seed-1 reference corpus, one 64-item training batch peaks at 3.16 MB
+# (1.97 at 600 rows, 3.55 at 1,200, 4.35 at 1,500), the time-stamped
+# evaluation of its 200 clips at 3.33 MB and the whole-clip one at 2.21 MB.
+# At 1,000 rows a whole-clip view's 4 items share a bucket with those of one
+# other clip, so each clip's streams are encoded once per pass.
+ROW_BUDGET = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +245,53 @@ def bucket_key(streams, qa: QAItem) -> tuple:
             len(qa.question) + sum(len(a) for a in qa.answers))
 
 
-def run_in_buckets(items, keys, run) -> list:
-    """run over the items in buckets of MICRO_BATCH, the items sorted by
-    (key, input index), so that a padded batch holds items of like length
-    and the order is deterministic; run maps a list of items to one result
-    per item. Returns the results in input order."""
-    order = sorted(range(len(items)), key=lambda i: (keys[i], i))
+class _BucketRows:
+    """The padded rows Model.forward_batch runs on a bucket, counted as its
+    items join: 5B times the longest question+answer for the QA encoder;
+    per pass, its distinct non-empty streams, by (tokens, flags), times the
+    longest of them for the context encoder, and its items with a non-empty
+    stream times N_q, the most question+answer rows of an item, for the
+    decoder."""
+
+    def __init__(self):
+        self.items = self.qa_len = self.n_q = 0
+        self.passes = []  # per pass: [distinct streams, longest, items]
+
+    def add(self, streams, qa: QAItem) -> int:
+        """Add a (context streams, qa) item; the bucket's rows with it."""
+        lengths = [len(qa.question) + len(a) for a in qa.answers]
+        self.items += 1
+        self.qa_len = max(self.qa_len, *lengths)
+        self.n_q = max(self.n_q, sum(lengths))
+        self.passes = self.passes or [[set(), 0, 0] for _ in streams]
+        rows = 5 * self.items * self.qa_len
+        for p, (toks, flags) in zip(self.passes, streams, strict=True):
+            if toks:
+                p[0].add((tuple(toks), tuple(flags)))
+                p[1] = max(p[1], len(toks))
+                p[2] += 1
+            rows += len(p[0]) * p[1] + p[2] * self.n_q
+        return rows
+
+
+def run_in_buckets(items, run) -> list:
+    """run over (context streams, qa) items in buckets, the items sorted by
+    (bucket_key, input index), so that a padded batch holds items of like
+    length and the order is deterministic. A bucket takes the sorted items
+    one by one until the next would push its padded rows (_BucketRows) over
+    ROW_BUDGET; it always takes one. run maps a bucket, a list of input
+    indices, to one result per index. Returns the results in input order."""
+    order = sorted(range(len(items)), key=lambda i: (bucket_key(*items[i]), i))
+    buckets = []
+    for i in order:
+        if not buckets or rows.add(*items[i]) > ROW_BUDGET:
+            buckets.append([])
+            rows = _BucketRows()
+            rows.add(*items[i])
+        buckets[-1].append(i)
     results = [None] * len(items)
-    for m0 in range(0, len(order), MICRO_BATCH):
-        bucket = order[m0:m0 + MICRO_BATCH]
-        for i, result in zip(bucket, run([items[i] for i in bucket]), strict=True):
+    for bucket in buckets:
+        for i, result in zip(bucket, run(bucket), strict=True):
             results[i] = result
     return results
 
@@ -465,10 +502,10 @@ class Model:
         naming the view's clip here, before any forward; only tokens without
         a vocabulary row are checked. The items then run through
         run_in_buckets, sorted by bucket_key, as forward_batch batches of
-        MICRO_BATCH items of like length. Without backward no batch keeps an
-        activation; with it, each batch keeps its cache, and
-        backward(indices, p_a, cache) runs right after the batch's forward,
-        indices being its items' input positions.
+        items of like length within ROW_BUDGET padded rows. Without backward
+        no batch keeps an activation; with it, each batch keeps its cache,
+        and backward(indices, p_a, cache) runs right after the batch's
+        forward, indices being its items' input positions.
         """
         # The streams are built here, inside the call that encodes them:
         # perfbench's tracer files a stream under its kind by that nesting.
@@ -490,7 +527,7 @@ class Model:
                 backward(bucket, p_a, cache)
             return list(zip(p_a, empty_context))
 
-        results = run_in_buckets(range(len(fed)), [bucket_key(*item) for item in fed], run)
+        results = run_in_buckets(fed, run)
         return np.array([p_a for p_a, _ in results]), [empty for _, empty in results]
 
     def forward_batch(self, batch, keep_cache: bool = True):
@@ -618,9 +655,10 @@ class Model:
         its items' visual streams use. The assignment is discrete: no gradient
         flows through it. The QA part then runs through forward_item, which
         builds the items' context streams once per distinct (view, names)
-        pair and runs forward/backward passes of MICRO_BATCH items of like
-        length, sorted by bucket_key; the parameters do not change within a
-        call, so the buckets move results only by summation order.
+        pair and runs forward/backward passes of items of like length within
+        ROW_BUDGET padded rows, sorted by bucket_key; the parameters do not
+        change within a call, so the buckets move results only by summation
+        order.
         """
         clips = {}  # id(clip) -> [clip, targets, item count], in batch order
         for clip, _, _, targets in batch:
@@ -727,7 +765,7 @@ class Model:
 
 
 __all__ = [
-    "CHECKPOINT_VERSION", "PROB_FLOOR", "MICRO_BATCH", "VISUAL_RUNS", "ModalityConfig",
+    "CHECKPOINT_VERSION", "PROB_FLOOR", "ROW_BUDGET", "VISUAL_RUNS", "ModalityConfig",
     "VARIANT_LABELS", "Vocab", "clip_tokens", "build_vocab", "subtitle_stream",
     "qa_stream", "bucket_key", "run_in_buckets", "prepare_sequence", "embed",
     "embed_backward", "joint_loss", "ModelConfig", "ItemResult", "init_params", "Model",

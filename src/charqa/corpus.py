@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import (CharqaError, ConfigError, CorpusParseError, FieldRangeError,
+from .errors import (CharqaError, ClipError, ConfigError, CorpusParseError, FieldRangeError,
                      FieldTypeError, SchemaVersionError)
 
 SCHEMA_VERSION = "carn-corpus-1"
@@ -765,32 +765,58 @@ def clip_view(clip: Clip, qa: QAItem, use_ts: bool) -> Clip:
 
 
 def validate_clip(clip: Clip) -> None:
-    """Check cross-field invariants the dataclasses cannot see locally."""
-    ids = [f.frame_id for f in clip.frames]
+    """ClipError naming the clip unless each of its numbers is in its
+    field's range and its fields agree with each other. read_corpus runs it
+    on every record, and the library's entry points on every clip they are
+    given, so a clip built or changed in code passes the same rule as one
+    read from a file. (Boxes are frozen and checked when they are built.)"""
+    try:
+        _check_clip(clip)
+    except (TypeError, ValueError) as e:
+        raise ClipError(f"{clip.clip_id}: {e}") from None
+
+
+def _check_clip(clip: Clip) -> None:
+    ids = [typed(f.frame_id, int, "frame_id") for f in clip.frames]
     if ids != sorted(ids) or len(set(ids)) != len(ids):
-        raise ValueError(f"{clip.clip_id}: frame_ids not strictly increasing")
-    face_ids = [fc.face_id for fc in clip.all_faces()]
+        raise ValueError("frame_ids not strictly increasing")
+    face_ids = [typed(fc.face_id, int, "face_id") for fc in clip.all_faces()]
     if len(set(face_ids)) != len(face_ids):
-        raise ValueError(f"{clip.clip_id}: duplicate face_ids")
+        raise ValueError("duplicate face_ids")
     for f in clip.frames:
+        bounded(f.time, "frame time", 0)
         for fc in f.faces:
             if fc.frame_id != f.frame_id:
-                raise ValueError(f"{clip.clip_id}: face {fc.face_id} frame_id mismatch")
-            # A unit-norm vector has every component in [-1, 1]. Checked before
-            # the norm, whose square overflows past a component of about 1.34e154.
-            if not np.abs(fc.embedding).max(initial=0.0) <= 1.0:  # NaN fails too
-                raise ValueError(f"{clip.clip_id}: face {fc.face_id} embedding has a "
-                                 "component outside [-1, 1]")
-            n = np.linalg.norm(fc.embedding)
-            if not abs(n - 1.0) <= 1e-6:
-                raise ValueError(f"{clip.clip_id}: face {fc.face_id} embedding norm {n}")
+                raise ValueError(f"face {fc.face_id} frame_id mismatch")
+    faces = list(clip.all_faces())
+    if faces:
+        if len({np.shape(fc.embedding) for fc in faces}) > 1:
+            raise ValueError("face embeddings differ in size")
+        emb = np.array([fc.embedding for fc in faces], dtype=np.float64)
+        if emb.ndim != 2:
+            raise ValueError("face embeddings must be flat vectors")
+        # A unit-norm vector has every component in [-1, 1]. Checked before
+        # the norm, whose square overflows past a component of about 1.34e154.
+        bad = ~(np.abs(emb).max(axis=1, initial=0.0) <= 1.0)  # NaN fails too
+        if bad.any():
+            raise ValueError(f"face {faces[bad.argmax()].face_id} embedding has a component "
+                             "outside [-1, 1]")
+        norms = np.linalg.norm(emb, axis=1)
+        bad = ~(np.abs(norms - 1.0) <= 1e-6)
+        if bad.any():
+            raise ValueError(f"face {faces[bad.argmax()].face_id} embedding norm "
+                             f"{norms[bad.argmax()]}")
+    for line in clip.subtitles:
+        bounded(line.t_end, "t_end", bounded(line.t_start, "t_start", 0))
     if clip.truth is not None:
         if set(clip.truth) != set(face_ids):
-            raise ValueError(f"{clip.clip_id}: truth keys do not cover faces exactly")
+            raise ValueError("truth keys do not cover faces exactly")
     dur = clip.duration()
     for q in clip.qas:
-        if not (0.0 <= q.ts_interval[0] and q.ts_interval[1] <= dur + 1e-9):
-            raise ValueError(f"{clip.clip_id}: ts_interval {q.ts_interval} outside duration {dur}")
+        bounded(typed(q.correct_index, int, "correct_index"), "correct_index", 0, 5,
+                open_high=True)
+        if not 0.0 <= q.ts_interval[0] <= q.ts_interval[1] <= dur + 1e-9:
+            raise ValueError(f"ts_interval {q.ts_interval} outside duration {dur}")
 
 
 __all__ = [

@@ -29,6 +29,11 @@ class CorpusParseError(CharqaError):
         self.line_no = line_no
 
 
+class ClipError(CharqaError, ValueError):
+    """A clip with a number outside its field's range or fields that
+    disagree; the message names the clip. A ValueError too, for the record reader."""
+
+
 class SchemaVersionError(CharqaError):
     """Corpus line carries an unsupported schema_version."""
 

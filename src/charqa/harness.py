@@ -24,8 +24,9 @@ from .carn import (VARIANT_LABELS, ModalityConfig, Model, ModelConfig, Vocab, bu
 from .castlist import (DEFAULT_MAX_RATIO, CastList, build_cast_list, check_thresholds,
                        count_speakers)
 from .corpus import (BBox, Clip, FaceDetection, Frame, QAItem, RelationTriple,
-                     SubtitleLine, bounded, clip_view, config_kwargs, typed)
-from .errors import EmptyInputError, NonFiniteLossError, ShapeError, numeric_faults
+                     SubtitleLine, bounded, clip_view, config_kwargs, typed, validate_clip)
+from .errors import (EmptyInputError, NonFiniteLossError, NumericFaultError, ShapeError,
+                     numeric_faults)
 from .naming import (TargetSeq, broadcast_targets, face_accuracy, init_naming,
                      naming_backward, naming_forward, rkl_loss_with_grad, smoothed_onehot)
 
@@ -134,15 +135,20 @@ def _face_dim(corpus) -> int:
 def train(corpus: list[Clip], config: TrainConfig = TrainConfig()):
     """Joint training of the reasoning network and the naming head.
 
-    Returns (model, MetricsReport). Each optimizer batch runs the naming
-    head once per distinct clip, which gives the name assignments feeding
-    the semantic streams and the clip's RKL term, then the QA part in
-    length-sorted buckets of carn.MICRO_BATCH items. Settings that push a
-    computation out of float range raise NumericFaultError
-    (errors.numeric_faults), so no poisoned model is returned.
+    Returns (model, MetricsReport). Every clip passes corpus.validate_clip
+    first, so a clip with a number out of range raises ClipError naming it.
+    Each optimizer batch runs the naming head once per distinct clip, which
+    gives the name assignments feeding the semantic streams and the clip's
+    RKL term, then the QA part in length-sorted buckets within
+    carn.ROW_BUDGET padded rows. Settings that push a computation out of
+    float range, or a parameter that an Adam step leaves non-finite, raise
+    NumericFaultError (errors.numeric_faults), so no poisoned model is
+    returned.
     """
     if not corpus:
         raise EmptyInputError("corpus is empty")
+    for clip in corpus:
+        validate_clip(clip)
     if not any(clip.qas for clip in corpus):
         raise EmptyInputError("corpus has no QA items")
 
@@ -184,6 +190,9 @@ def train(corpus: list[Clip], config: TrainConfig = TrainConfig()):
             for k in grads:
                 grads[k] = grads[k] * scale
             optimizer.step(model.params, grads)
+            for k in sorted(grads):
+                if not np.isfinite(model.params[k]).all():
+                    raise NumericFaultError(f"numeric fault (parameter {k!r} became non-finite)")
         losses.append(epoch_loss / len(items))
 
     # The loop leaves many small objects' memory on CPython's free lists, where
@@ -200,8 +209,10 @@ def train(corpus: list[Clip], config: TrainConfig = TrainConfig()):
 def name_clips(model: Model, corpus: list[Clip]):
     """The naming pass over a corpus: each clip that has QA items or a truth
     sidecar, with the model's name assignment (one head forward) and its
-    face_accuracy (correct, total) against the sidecar, (0, 0) without one."""
+    face_accuracy (correct, total) against the sidecar, (0, 0) without one.
+    Each clip passes corpus.validate_clip first (ClipError naming it)."""
     for clip in corpus:
+        validate_clip(clip)
         if clip.qas or clip.truth:
             names = model.name_assignments(clip)
             yield clip, names, face_accuracy(names, clip.truth or {}, model.cast)
@@ -212,13 +223,14 @@ def evaluate(model: Model, corpus: list[Clip], use_ts: bool) -> MetricsReport:
     """Top-1 QA accuracy (overall and per question type) of the model's own
     variant, plus the face accuracy of its name assignment against the truth
     sidecar; the report carries the model's variant and seed. One name_clips
-    pass gives each clip's names, which its items' visual streams use, and
-    its face counts; then every item of the corpus goes through one
-    forward_item call: its context streams are built once per distinct view
-    (a VocabError for a token that cannot embed names its clip, before any
-    QA forward), and it runs as forward-only buckets sorted by
-    carn.bucket_key. Read-only on the model; NumericFaultError for a model
-    whose activations leave float range."""
+    pass checks each clip (ClipError naming it) and gives its names, which
+    its items' visual streams use, and its face counts; then every item of
+    the corpus goes through one forward_item call: its context streams are
+    built once per distinct view (a VocabError for a token that cannot embed
+    names its clip, before any QA forward), and it runs as forward-only
+    buckets sorted by carn.bucket_key, each within carn.ROW_BUDGET padded
+    rows. Read-only on the model; NumericFaultError for a model whose
+    activations leave float range."""
     if not corpus:
         raise EmptyInputError("corpus is empty")
     face_correct = face_total = 0
@@ -427,17 +439,18 @@ def _mini_setup(rng):
 def _mini_batch(clip: Clip, qa: QAItem):
     """Seven items: three of _mini_setup's clip and four of a clip whose
     streams are longer, so that the contexts of a batch pad, each clip's
-    context is shared by several items, and the batch is longer than one
-    micro-batch."""
+    context is shared by several items, and the batch spans two buckets.
+    The second clip's detections and lines repeat 15 times: its streams
+    push the batch past carn.ROW_BUDGET's padded rows within its items."""
     (frame,) = clip.frames
     (face,) = frame.faces
     human = frame.human_boxes[0][0]
     face2 = FaceDetection(1, 0, face.box, np.roll(face.embedding, 1))
-    frame2 = Frame(0, 0.0, [face2], [(human, "man")], [("cup", None), ("story", None)],
+    frame2 = Frame(0, 0.0, [face2], [(human, "man")], [("cup", None), ("story", None)] * 15,
                    [RelationTriple("man", "holds", "cup", human),
-                    RelationTriple("man", "holds", "story", human)])
+                    RelationTriple("man", "holds", "story", human)] * 15)
     lines = [SubtitleLine("Ben", ["so", "story", "so"], 0.0, 0.9),
-             SubtitleLine("Ada", ["story"], 0.5, 0.9)]
+             SubtitleLine("Ada", ["story"], 0.5, 0.9)] * 15
     qas = [qa,
            QAItem(["who", "holds", "story"],
                   [["so"], ["story", "cup"], ["Ben"], ["Ada"], ["man"]], 2, (0.0, 0.9)),
@@ -453,8 +466,8 @@ def _mini_batch(clip: Clip, qa: QAItem):
 def check_full(rng, report: GradCheckReport) -> None:
     """One random config: joint CE + lambda*RKL on a tiny handmade item,
     then summed over _mini_batch's seven items from two clips, run as
-    training runs it (micro-batches of carn.MICRO_BATCH, so the second clip's
-    items fall into two of them)."""
+    training runs it (buckets within carn.ROW_BUDGET padded rows, so the
+    second clip's items fall into two of them)."""
     model, clip, qa = _mini_setup(rng)
     lam = float(rng.choice([0.5, 1.0, 2.0]))
     for pairs in ([(clip, qa)], _mini_batch(clip, qa)):

@@ -92,10 +92,16 @@ def softmax_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
 
 
 def layernorm_forward(x, g, b, eps: float = 1e-5):
-    xc = x - row_mean(x)
-    inv = 1.0 / np.sqrt(row_mean(xc * xc) + eps)
-    xhat = xc * inv
-    return xhat * g + b, (xhat, inv, g)
+    xhat = x - row_mean(x)
+    inv = 1.0 / np.sqrt(row_mean(xhat * xhat) + eps)
+    xhat *= inv
+    return _affine(xhat, g, b), (xhat, inv, g)
+
+
+def _affine(xhat, g, b):
+    y = xhat * g
+    y += b
+    return y
 
 
 def layernorm_backward(cache, dy):
@@ -103,7 +109,9 @@ def layernorm_backward(cache, dy):
     dg = np.sum(dy * xhat, axis=tuple(range(dy.ndim - 1)))
     db = np.sum(dy, axis=tuple(range(dy.ndim - 1)))
     dxhat = dy * g
-    dx = inv * (dxhat - row_mean(dxhat) - xhat * row_mean(dxhat * xhat))
+    dx = dxhat - row_mean(dxhat)
+    dx -= xhat * row_mean(dxhat * xhat)
+    dx *= inv
     return dx, dg, db
 
 
@@ -138,8 +146,11 @@ def attention_backward(q, k, p, dy):
     dp = dy @ k.swapaxes(-1, -2)
     dk = p.swapaxes(-1, -2) @ dy
     ds = softmax_backward(p, dp)  # masked cols have p=0 -> ds=0
-    dq = (ds @ k) * scale
-    dk += (ds.swapaxes(-1, -2) @ q) * scale
+    dq = ds @ k
+    dq *= scale
+    dsq = ds.swapaxes(-1, -2) @ q
+    dsq *= scale
+    dk += dsq
     return dq, dk
 
 
@@ -198,17 +209,21 @@ def mha_backward(params, prefix, xq, xk, key_mask, dy, grads):
 def ffn_forward(params, prefix, x):
     """relu(x W1 + b1) W2 + b2. Backward takes the input x and recomputes
     the pre-activation with one gemm."""
-    w1, b1 = params[prefix + ".w1"], params[prefix + ".b1"]
-    w2, b2 = params[prefix + ".w2"], params[prefix + ".b2"]
-    return np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
+    h = x @ params[prefix + ".w1"]
+    h += params[prefix + ".b1"]
+    y = np.maximum(h, 0.0, out=h) @ params[prefix + ".w2"]
+    y += params[prefix + ".b2"]
+    return y
 
 
 def ffn_backward(params, prefix, x, dy, grads):
     w1, b1, w2 = params[prefix + ".w1"], params[prefix + ".b1"], params[prefix + ".w2"]
-    pre = x @ w1 + b1
-    dpre = (dy @ w2.T) * (pre > 0)
+    pre = x @ w1
+    pre += b1
+    dpre = dy @ w2.T
+    dpre *= pre > 0
     # Weight gradients sum over every leading axis: flatten to rows first.
-    x2, h2 = x.reshape(-1, x.shape[-1]), np.maximum(pre, 0.0).reshape(-1, pre.shape[-1])
+    x2, h2 = x.reshape(-1, x.shape[-1]), np.maximum(pre, 0.0, out=pre).reshape(-1, pre.shape[-1])
     dy2, dpre2 = dy.reshape(-1, dy.shape[-1]), dpre.reshape(-1, dpre.shape[-1])
     grads[prefix + ".w2"] = grads.get(prefix + ".w2", 0) + h2.T @ dy2
     grads[prefix + ".b2"] = grads.get(prefix + ".b2", 0) + dy2.sum(axis=0)
@@ -227,15 +242,17 @@ def block_forward(params, prefix, x, context=None, key_mask=None):
     attention weights with one gemm and one softmax, since a training batch
     holds every block's cache at once."""
     u, ln1c = layernorm_forward(x, params[prefix + ".ln1.g"], params[prefix + ".ln1.b"])
-    x1 = x + mha_forward(params, prefix + ".attn", u, u if context is None else context,
-                         key_mask)
+    x1 = mha_forward(params, prefix + ".attn", u, u if context is None else context, key_mask)
+    x1 += x
     v, ln2c = layernorm_forward(x1, params[prefix + ".ln2.g"], params[prefix + ".ln2.b"])
-    return x1 + ffn_forward(params, prefix + ".ffn", v), (ln1c, ln2c, context, key_mask)
+    y = ffn_forward(params, prefix + ".ffn", v)
+    y += x1
+    return y, (ln1c, ln2c, context, key_mask)
 
 
 def _layernorm_output(params, prefix, cache):
     xhat, _, g = cache
-    return xhat * g + params[prefix + ".b"]
+    return _affine(xhat, g, params[prefix + ".b"])
 
 
 def block_backward(params, prefix, cache, dy, grads):
@@ -245,17 +262,19 @@ def block_backward(params, prefix, cache, dy, grads):
     dxx, dg2, db2 = layernorm_backward(ln2c, dv)
     grads[prefix + ".ln2.g"] = grads.get(prefix + ".ln2.g", 0) + dg2
     grads[prefix + ".ln2.b"] = grads.get(prefix + ".ln2.b", 0) + db2
-    dx1 = dy + dxx
+    dx1 = dxx
+    dx1 += dy
     u = _layernorm_output(params, prefix + ".ln1", ln1c)
     du, dctx = mha_backward(params, prefix + ".attn", u, u if context is None else context,
                             key_mask, dx1, grads)
     if context is None:
-        du = du + dctx
+        du += dctx
         dctx = None
     dx, dg1, db1 = layernorm_backward(ln1c, du)
     grads[prefix + ".ln1.g"] = grads.get(prefix + ".ln1.g", 0) + dg1
     grads[prefix + ".ln1.b"] = grads.get(prefix + ".ln1.b", 0) + db1
-    return dx + dx1, dctx
+    dx += dx1
+    return dx, dctx
 
 
 def stack_forward(params, prefix, n_layers, x, context=None, key_mask=None,
@@ -285,8 +304,10 @@ def stack_backward(params, prefix, cache, dy, grads):
     dctx_total = None
     for i in reversed(range(n_layers)):
         dx, dctx = block_backward(params, f"{prefix}.l{i}", caches.pop(), dx, grads)
-        if dctx is not None:
-            dctx_total = dctx if dctx_total is None else dctx_total + dctx
+        if dctx_total is None:
+            dctx_total = dctx
+        elif dctx is not None:
+            dctx_total += dctx
     return dx, dctx_total
 
 

@@ -799,6 +799,71 @@ class TestForward:
             assert res.empty_context == 0, label
 
 
+def forward_rows(model, batch) -> int:
+    """The padded rows that model.forward_batch runs on a batch of (context
+    streams, qa) items, counted at nn.stack_forward: the rows of the QA and
+    context encoder batches and of the decoder batches."""
+    rows = []
+    forward = nn.stack_forward
+
+    def counting_forward(params, prefix, n_layers, x, *args, **kwargs):
+        if prefix != "ans":
+            rows.append(x.shape[0] * x.shape[1])
+        return forward(params, prefix, n_layers, x, *args, **kwargs)
+
+    with mock.patch.object(nn, "stack_forward", counting_forward):
+        model.forward_batch(batch, keep_cache=False)
+    return sum(rows)
+
+
+def draw_batch_setup(data):
+    """A small drawn corpus, a model of a drawn variant on it, and one
+    (clip, view, qa, targets) item per QA item under drawn time stamps."""
+    corpus = generate_corpus(GenConfig(
+        k_principals=data.draw(st.integers(2, 3)), n_extras=1,
+        n_clips=data.draw(st.integers(2, 4)), frames_per_clip=data.draw(st.integers(3, 4)),
+        d_f=6, seed=data.draw(st.integers(0, 2**16))))
+    # At least six lines among at most four speakers: one speaks twice.
+    cast = build_cast_list(count_speakers(corpus), min_count=1)
+    vocab = build_vocab(corpus, cast)
+    config = ModelConfig(d_model=8, d_ff=12, d_h1=6, heads=2)
+    model = Model(vocab, cast, config,
+                  init_params(np.random.default_rng(data.draw(st.integers(0, 2**16))),
+                              vocab, cast, config, 6),
+                  modality=ModalityConfig.from_label(data.draw(st.sampled_from(
+                      VARIANT_LABELS))))
+    use_ts = data.draw(st.booleans())
+    targets = {id(c): broadcast_targets(c, cast, model.config.epsilon) for c in corpus}
+    pool = [(c, clip_view(c, qa, use_ts), qa, targets[id(c)])
+            for c in corpus for qa in c.qas]
+    return model, pool
+
+
+class TestBuckets:
+    """run_in_buckets cuts the sorted items into buckets that fill the row
+    budget: each bucket takes items until the next would push the rows that
+    forward_batch runs on it over carn.ROW_BUDGET."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_buckets_fill_the_budget(self, data):
+        model, pool = draw_batch_setup(data)
+        names = {id(clip): model.name_assignments(clip) for clip, *_ in pool}
+        fed = [(model.context_streams(view, names[id(clip)]), qa) for clip, view, qa, _ in pool]
+        budget = data.draw(st.integers(0, 3000) | st.just(math.inf))
+        buckets = []
+        with mock.patch.object(carn, "ROW_BUDGET", budget):
+            results = carn.run_in_buckets(fed, lambda b: buckets.append(b) or list(b))
+        assert results == list(range(len(fed)))
+        order = sorted(range(len(fed)), key=lambda i: (carn.bucket_key(*fed[i]), i))
+        assert [i for b in buckets for i in b] == order
+        for b, after in zip(buckets, buckets[1:] + [[]]):
+            if len(b) > 1:
+                assert forward_rows(model, [fed[i] for i in b]) <= budget
+            if after:
+                assert forward_rows(model, [fed[i] for i in b + after[:1]]) > budget
+
+
 class TestBatch:
     """A batch through forward_item/backward_item equals its items run
     alone; batching changes nothing but speed."""
@@ -855,10 +920,10 @@ class TestBatch:
 
     def test_naming_head_runs_once_per_clip_of_a_batch(self, setup, monkeypatch):
         # Two clips have items on both sides of a boundary between the
-        # runner's sorted micro-batches. The naming head runs once per
+        # runner's sorted buckets. The naming head runs once per
         # distinct clip of the whole batch, with its RKL gradient weighted by
         # the clip's item count; that equals the rule of running each
-        # micro-batch as its own batch (once per clip of a micro-batch). Every
+        # bucket as its own batch (once per clip of a bucket). Every
         # item is forwarded with the streams of its own clip's assignment,
         # the one of that head forward.
         model, items = setup
@@ -867,9 +932,8 @@ class TestBatch:
         own_streams = {id(qa): model.context_streams(view, own_names[id(qa)])
                        for _, view, qa, _ in items}
         micro = []
-        carn.run_in_buckets(items, [carn.bucket_key(own_streams[id(qa)], qa)
-                                    for _, _, qa, _ in items],
-                            lambda mb: micro.append(mb) or [None] * len(mb))
+        carn.run_in_buckets([(own_streams[id(qa)], qa) for _, _, qa, _ in items],
+                            lambda b: micro.append([items[i] for i in b]) or [None] * len(b))
         clips_per_micro = [{id(clip) for clip, *_ in mb} for mb in micro]
         crossing = {c for i, a in enumerate(clips_per_micro) for b in clips_per_micro[i + 1:]
                     for c in a & b}
@@ -980,8 +1044,9 @@ class TestBatch:
                 calls.append(y.shape[0])
             return y, cache
 
+        streams = model.context_streams(clip, names)
+        assert forward_rows(model, [(streams, qa) for qa in clip.qas]) <= carn.ROW_BUDGET
         monkeypatch.setattr(nn, "stack_forward", counting_forward)
-        assert len(clip.qas) <= carn.MICRO_BATCH  # one bucket
         p_a, _ = model.forward_item([(clip, qa, names) for qa in clip.qas])
         # One QA batch of 5 candidates per item, then one encode of the one
         # distinct stream of each context pass (relations, objects, subtitles).
@@ -992,28 +1057,12 @@ class TestBatch:
 class TestBatchProperties:
     """TestBatch's invariants on drawn corpora, variants, batches and
     permutations, through loss_and_grads as training runs it: the draws
-    include batches of one item and batches of several micro-batches."""
+    include batches of one item and batches of several buckets."""
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_batch_invariants(self, data):
-        corpus = generate_corpus(GenConfig(
-            k_principals=data.draw(st.integers(2, 3)), n_extras=1,
-            n_clips=data.draw(st.integers(2, 4)), frames_per_clip=data.draw(st.integers(3, 4)),
-            d_f=6, seed=data.draw(st.integers(0, 2**16))))
-        # At least six lines among at most four speakers: one speaks twice.
-        cast = build_cast_list(count_speakers(corpus), min_count=1)
-        vocab = build_vocab(corpus, cast)
-        config = ModelConfig(d_model=8, d_ff=12, d_h1=6, heads=2)
-        model = Model(vocab, cast, config,
-                      init_params(np.random.default_rng(data.draw(st.integers(0, 2**16))),
-                                  vocab, cast, config, 6),
-                      modality=ModalityConfig.from_label(data.draw(st.sampled_from(
-                          VARIANT_LABELS))))
-        use_ts = data.draw(st.booleans())
-        targets = {id(c): broadcast_targets(c, cast, model.config.epsilon) for c in corpus}
-        pool = [(c, clip_view(c, qa, use_ts), qa, targets[id(c)])
-                for c in corpus for qa in c.qas]
+        model, pool = draw_batch_setup(data)
         picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
                                    max_size=min(10, len(pool)), unique=True))
         items = [pool[i] for i in picks]

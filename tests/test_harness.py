@@ -1,7 +1,9 @@
 """Training loop, evaluation, ablation grid, metrics files, gradient-check
 runner."""
 
+import copy
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -13,7 +15,8 @@ from charqa import carn, harness, nn
 from charqa.carn import VARIANT_LABELS, ModalityConfig, Model, ModelConfig
 from charqa.corpus import (DEFAULT_DIALOGUE_VOCAB, MAX_K_PRINCIPALS, MAX_N_EXTRAS, Clip,
                            GenConfig, QAItem, config_kwargs, generate_corpus)
-from charqa.errors import ConfigError, EmptyInputError, NumericFaultError, ShapeError, VocabError
+from charqa.errors import (CharqaError, ConfigError, EmptyInputError, NumericFaultError,
+                           ShapeError, VocabError)
 from charqa.harness import (METRICS_COLUMNS, GradCheckReport, TrainConfig, _mini_batch,
                             _mini_setup, ablate, evaluate, format_report,
                             grad_check, metrics_csv_text, train, write_metrics_csv)
@@ -243,14 +246,15 @@ class TestEvaluate:
 
     def test_buckets_move_no_result(self, small_corpus, trained, monkeypatch):
         # The report and each item's answer probabilities are the same for a
-        # permuted corpus and for buckets of one item.
+        # permuted corpus and for every row budget: 0, which leaves one item
+        # per bucket, the chosen one, and an unbounded one, one bucket.
         model, _, _ = trained
-        forward_item = Model.forward_item
+        forward_item, forward_batch = Model.forward_item, Model.forward_batch
         permuted = [small_corpus[i] for i in np.random.default_rng(0).permutation(
             len(small_corpus))]
 
-        def run(corpus, use_ts):
-            p_a = {}
+        def run(corpus, use_ts, budget=carn.ROW_BUDGET):
+            p_a, sizes = {}, []
 
             def recording(items):
                 p, empty_context = forward_item(model, items)
@@ -258,20 +262,42 @@ class TestEvaluate:
                 return p, empty_context
 
             with monkeypatch.context() as m:
+                m.setattr(carn, "ROW_BUDGET", budget)
                 m.setattr(model, "forward_item", recording)
-                return evaluate(model, corpus, use_ts=use_ts).to_dict(), p_a
+                m.setattr(model, "forward_batch", lambda b, **kw: (
+                    sizes.append(len(b)) or forward_batch(model, b, **kw)))
+                return evaluate(model, corpus, use_ts=use_ts).to_dict(), p_a, sizes
 
         for use_ts in (True, False):
-            report, p_a = run(small_corpus, use_ts)
+            report, p_a, sizes = run(small_corpus, use_ts)
             assert len(p_a) == report["n_items"]
-            with monkeypatch.context() as m:
-                m.setattr(carn, "MICRO_BATCH", 1)
-                alone = run(small_corpus, use_ts)
-            for other_report, other_p_a in (run(permuted, use_ts), alone):
+            assert 1 < len(sizes) < report["n_items"]
+            alone, whole = run(small_corpus, use_ts, 0), run(small_corpus, use_ts, math.inf)
+            assert alone[2] == [1] * report["n_items"] and whole[2] == [report["n_items"]]
+            for other_report, other_p_a, _ in (run(permuted, use_ts), alone, whole):
                 assert other_report == report
                 assert other_p_a.keys() == p_a.keys()
                 for q, p in p_a.items():
                     assert np.max(np.abs(other_p_a[q] - p)) <= 1e-12
+
+    def test_whole_clip_evaluation_encodes_each_stream_once(self, small_corpus, trained,
+                                                            monkeypatch):
+        # Without time stamps a clip's items share its context streams, and
+        # they share one bucket: the context encoder runs on each clip's
+        # stream of each pass once. Its other sequences are the five
+        # question+answer candidates of each item.
+        model, _, _ = trained
+        per_clip = [model.context_streams(clip, model.name_assignments(clip))
+                    for clip in small_corpus]
+        streams = {(p, tuple(toks), tuple(flags)) for clip_streams in per_clip
+                   for p, (toks, flags) in enumerate(clip_streams) if toks}
+        assert len(streams) == sum(map(len, per_clip))  # each clip's own, none empty
+        encoded = []
+        forward = nn.stack_forward
+        monkeypatch.setattr(nn, "stack_forward", lambda params, prefix, n, x, *a, **kw: (
+            prefix == "enc" and encoded.append(len(x))) or forward(params, prefix, n, x, *a, **kw))
+        report = evaluate(model, small_corpus, use_ts=False)
+        assert sum(encoded) == 5 * report.n_items + len(streams)
 
     def test_use_ts_marks_rows(self, small_corpus, trained):
         model, _, config = trained
@@ -341,6 +367,86 @@ class TestNumericFaults:
                      modality=model.modality, seed=model.seed)
         with pytest.raises(NumericFaultError, match="^numeric fault"):
             evaluate(huge, small_corpus, use_ts=True)
+
+    def test_non_finite_parameter_after_a_step_is_a_fault(self, small_corpus, monkeypatch):
+        # NaN in, NaN out sets no floating-point flag: a face embedding that
+        # slips past the clip check makes the naming gradients NaN, and the
+        # first Adam step that writes them is refused.
+        corpus = copy.deepcopy(small_corpus)
+        next(corpus[0].all_faces()).embedding[0] = math.nan
+        monkeypatch.setattr(harness, "validate_clip", lambda clip: None)
+        with pytest.raises(NumericFaultError, match=r"^numeric fault \(parameter 'naming\."):
+            train(corpus, small_config(epochs=1))
+
+
+# A clip's number fields: how to write a value into one of them, and the
+# values outside its range besides NaN and +-inf.
+def _write_frame(attr):
+    return lambda clip, i, v: setattr(clip.frames[i % len(clip.frames)], attr, v)
+
+
+def _write_face(attr):
+    def write(clip, i, v):
+        faces = list(clip.all_faces())
+        setattr(faces[i % len(faces)], attr, v)
+    return write
+
+
+def _write_embedding(clip, i, v):
+    faces = list(clip.all_faces())
+    emb = faces[i % len(faces)].embedding
+    emb[i % len(emb)] = v
+
+
+def _write_line(attr):
+    return lambda clip, i, v: setattr(clip.subtitles[i % len(clip.subtitles)], attr, v)
+
+
+def _write_qa(attr):
+    return lambda clip, i, v: setattr(clip.qas[i % len(clip.qas)], attr, v)
+
+
+def _write_ts(end):
+    def write(clip, i, v):
+        qa = clip.qas[i % len(clip.qas)]
+        qa.ts_interval = (qa.ts_interval[0], v) if end else (v, qa.ts_interval[1])
+    return write
+
+
+NUMBER_FIELDS = {
+    "frame_id": (_write_frame("frame_id"), [0.5]),
+    "frame time": (_write_frame("time"), [-1.0]),
+    "face_id": (_write_face("face_id"), [0.5]),
+    "face frame_id": (_write_face("frame_id"), [-1]),
+    "face embedding": (_write_embedding, [2.0, -1.5]),
+    "t_start": (_write_line("t_start"), [-0.5]),
+    "t_end": (_write_line("t_end"), [-0.5]),
+    "correct_index": (_write_qa("correct_index"), [5, -1, 0.5]),
+    "ts_interval start": (_write_ts(False), [-0.5]),
+    "ts_interval end": (_write_ts(True), [1e6]),
+}
+
+
+class TestLibraryBoundary:
+    """train and evaluate check every clip a Python caller hands them, as
+    read_corpus checks every record: a number out of its field's range is a
+    CharqaError naming its clip, before any model is built or run."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_bad_number_names_its_clip(self, small_corpus, trained, data):
+        model, _, _ = trained
+        corpus = copy.deepcopy(small_corpus)
+        clip = corpus[data.draw(st.integers(0, len(corpus) - 1))]
+        write, out_of_range = NUMBER_FIELDS[data.draw(st.sampled_from(sorted(NUMBER_FIELDS)))]
+        write(clip, data.draw(st.integers(0, 99)),
+              data.draw(st.sampled_from([math.nan, math.inf, -math.inf] + out_of_range)))
+        needle = f"^{re.escape(clip.clip_id)}: "
+        with pytest.raises(CharqaError, match=needle):
+            train(corpus, small_config(epochs=1))
+        for use_ts in (True, False):
+            with pytest.raises(CharqaError, match=needle):
+                evaluate(model, corpus, use_ts=use_ts)
 
 
 @pytest.fixture(scope="module")
@@ -430,17 +536,15 @@ class TestGradCheckRunner:
             assert rep.passed, rep.format()
 
     def test_full_check_batch_spans_micro_batches(self):
-        # The full check sums gradients over micro-batches only if its batch
-        # is longer than one, with a clip's items on both sides of a split.
+        # The full check sums gradients over buckets only if its batch
+        # exceeds the row budget, with a clip's items on both sides of a split.
         model, clip, qa = _mini_setup(np.random.default_rng(0))
         pairs = _mini_batch(clip, qa)
-        assert len(pairs) > carn.MICRO_BATCH
+        fed = [(model.context_streams(c, model.name_assignments(c)), q) for c, q in pairs]
         split = []
-        keys = [carn.bucket_key(model.context_streams(c, model.name_assignments(c)), q)
-                for c, q in pairs]
-        carn.run_in_buckets(pairs, keys,
-                            lambda mb: split.append({c.clip_id for c, _ in mb}) or [None] * len(mb))
-        assert set.intersection(*split[:2])
+        carn.run_in_buckets(fed, lambda b: split.append({pairs[i][0].clip_id for i in b})
+                            or [None] * len(b))
+        assert len(split) > 1 and set.intersection(*split[:2])
 
     def test_detects_corrupted_gradient(self):
         rng = np.random.default_rng(0)
