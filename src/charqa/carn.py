@@ -13,11 +13,11 @@ across the batch and each distinct stream is encoded once by the shared
 encoder. The five pooled candidate vectors of each item pass through one
 self-attention block and a shared scalar head, softmaxed into answer
 probabilities. Name tokens live in their own embedding table, trained from
-scratch, separate from words; words missing from the vocabulary embed as
-the mean of their character vectors. The vocabulary is fixed when it is
-built; a pass is embedded by one gather from one table, the word and name
-tables plus the character means of the pass's own out-of-vocabulary words,
-and its gradient scattered back by one np.add.at.
+scratch, separate from words; a token without a row of its own embeds as
+the zero row that pads use, plus its positional encoding, and trains
+nothing. The vocabulary is fixed when it is built; a pass is embedded by
+one gather from the word and name tables and the zero row, and its
+gradient scattered back by one np.add.at.
 
 The QA loss is cross-entropy on the gold option; the naming head trains
 jointly through the regularized-KL term, weighted by lambda. The head runs
@@ -51,7 +51,7 @@ from .naming import (assign_names, broadcast_targets, face_table, init_naming,
                      naming_backward, naming_forward, rkl_loss_with_grad)
 from .semantics import visual_stream
 
-CHECKPOINT_VERSION = "charqa-ckpt-4"
+CHECKPOINT_VERSION = "charqa-ckpt-5"
 PROB_FLOOR = 1e-12
 
 # Padded rows per bucket of run_in_buckets (_BucketRows counts them): per
@@ -131,49 +131,25 @@ VARIANT_LABELS = (
 
 @dataclass(frozen=True)
 class Vocab:
-    """The word, name and character tables' entries.
+    """The word and name tables' entries.
 
     `rows` maps each (token, name flag) that has a table row to it: a word,
-    flagged or not, to its word row, and a name-flagged cast name to its
+    flagged or not, to its word row, and a cast name, flagged or not, to its
     name row, past the word rows. Any other token is out of the vocabulary
-    and embeds as the mean of its characters' vectors."""
+    and embeds as the zero row."""
 
     words: tuple[str, ...]
     names: tuple[str, ...]  # cast names + UNKNAME, the name-table rows
-    chars: tuple[str, ...]
-    char_index: dict = field(init=False, repr=False, compare=False)
     rows: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if set(self.words) & set(self.names):
             raise VocabError("word and name index spaces must be disjoint")
-        object.__setattr__(self, "char_index", {c: i for i, c in enumerate(self.chars)})
-        # The empty token has no row, so that embedding it raises.
-        rows = {(w, flag): i for i, w in enumerate(self.words) if w for flag in (False, True)}
-        rows.update({(n, True): i for i, n in enumerate(self.names, len(self.words)) if n})
-        object.__setattr__(self, "rows", rows)
-
-    def char_means(self, tokens) -> np.ndarray:
-        """(len(tokens), chars) averaging matrix of out-of-vocabulary tokens:
-        embed.char maps through it to their character means. VocabError for
-        an empty token or a character outside the character table."""
-        a = np.zeros((len(tokens), len(self.chars)))
-        for i, token in enumerate(tokens):
-            if not token:
-                raise VocabError("empty token cannot be embedded")
-            ids = []
-            for ch in token:
-                j = self.char_index.get(ch)
-                if j is None:
-                    raise VocabError(f"token {token!r}: character {ch!r} not in character table")
-                ids.append(j)
-            np.add.at(a[i], ids, 1.0 / len(ids))
-        return a
-
-    def check_chars(self, tokens) -> None:
-        """VocabError for the first token, in sorted order, that char_means
-        could not embed: one with a character outside the character table."""
-        self.char_means(sorted(tokens))
+        # A cast name read as a plain word, as in hand-written subtitle
+        # text, takes its name row too.
+        object.__setattr__(self, "rows", {(t, flag): i for i, t in
+                                          enumerate(self.words + self.names)
+                                          for flag in (False, True)})
 
 
 def clip_tokens(clip: Clip, cast: CastList) -> set[str]:
@@ -192,20 +168,14 @@ def clip_tokens(clip: Clip, cast: CastList) -> set[str]:
 
 def build_vocab(clips: list[Clip], cast: CastList) -> Vocab:
     """The vocabulary of every token the corpus can feed the network
-    (clip_tokens).
-
-    Cast names are excluded from the word table (they live in the name
-    table); the character table covers every character of every token, so
-    unseen words at evaluation time can still embed if their characters
-    are in it (Vocab.check_chars).
-    """
+    (clip_tokens). Cast names are excluded from the word table: they live
+    in the name table. A token outside the corpus, met at evaluation time,
+    embeds as the zero row."""
     tokens: set[str] = set()
     for clip in clips:
         tokens |= clip_tokens(clip, cast)
     names = cast.label_names()
-    words = sorted(tokens - set(names))
-    chars = sorted({ch for tok in tokens | set(names) for ch in tok})
-    return Vocab(tuple(words), tuple(names), tuple(chars))
+    return Vocab(tuple(sorted(tokens - set(names))), names)
 
 
 # ---------------------------------------------------------------------------
@@ -297,62 +267,52 @@ def run_in_buckets(items, run) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Embedding (word / name / character tables)
+# Embedding (word / name tables)
 
 @lru_cache(maxsize=256)
 def _pe(n: int, d: int) -> np.ndarray:
     return nn.sinusoidal_positions(n, d)
 
 
-def prepare_sequence(params, vocab: Vocab, tokens, flags, oov: dict) -> list[int]:
+def prepare_sequence(params, vocab: Vocab, tokens, flags) -> list[int]:
     """The embedding-table rows of a stream's tokens: its vocabulary row for
-    a token that has one; for any other, its row in oov, the pass's
-    out-of-vocabulary token -> row dict, which a token new to the pass
-    extends by the next row past the word and name rows."""
+    a token that has one, and -1, the zero row, for any other."""
     # params is unread; perfbench's tracer reads tokens, flags as positional args 2, 3.
     rows = vocab.rows
-    first = len(vocab.words) + len(vocab.names)
-    return [rows[key] if key in rows else oov.setdefault(key[0], first + len(oov))
-            for key in zip(tokens, flags)]
+    return [rows.get(key, -1) for key in zip(tokens, flags)]
 
 
 def embed(params, vocab: Vocab, streams):
     """Embedding + sinusoidal positional encoding of (tokens, flags) streams
-    as one padded (n, L, d) batch, by one gather from the pass's table
-    [embed.word; embed.name; the character means of the pass's distinct
-    out-of-vocabulary tokens; a zero row]. Returns it with its (n, L) mask
-    and the gather's (table rows, averaging matrix of those means), the rows
-    -1 at pads: pads gather the zero row, without positional encoding."""
-    oov = {}
-    rows = [prepare_sequence(params, vocab, toks, flags, oov) for toks, flags in streams]
+    as one padded (n, L, d) batch, by one gather from the table
+    [embed.word; embed.name; a zero row]. Returns it with its (n, L) mask
+    and the gather's table rows, -1 at pads and at out-of-vocabulary
+    tokens: both gather the zero row, pads without positional encoding."""
+    rows = [prepare_sequence(params, vocab, toks, flags) for toks, flags in streams]
     lengths = np.array([len(r) for r in rows])
     mask = np.arange(lengths.max()) < lengths[:, None]
     idx = np.full(mask.shape, -1)
     idx[mask] = np.fromiter(chain.from_iterable(rows), int, lengths.sum())
-    a = vocab.char_means(list(oov))
     word = params["embed.word"]
-    table = np.concatenate([word, params["embed.name"], a @ params["embed.char"],
-                            np.zeros((1, word.shape[1]))])
+    table = np.concatenate([word, params["embed.name"], np.zeros((1, word.shape[1]))])
     x = table[idx]
     x += _pe(*x.shape[1:])
     x[~mask] = 0.0
-    return x, mask, (idx, a)
+    return x, mask, idx
 
 
-def embed_backward(grads, params, gather, dx) -> None:
-    """Accumulate into the three tables' gradients dx, the gradient of
-    embed's (n, L, d) batch, through its gather (table rows, averaging
-    matrix); pad rows (-1) carry none."""
-    idx, a = gather
-    n_words, n_names = len(params["embed.word"]), len(params["embed.name"])
+def embed_backward(grads, params, idx, dx) -> None:
+    """Accumulate into the word and name tables' gradients dx, the gradient
+    of embed's (n, L, d) batch, through its gather's table rows; the zero row
+    (-1), at pads and out-of-vocabulary tokens, carries none."""
+    n_words = len(params["embed.word"])
     # One scatter into the word and name gradients as they stand, so each
     # row's sum runs in the order of the batch's rows.
     g = np.concatenate([grads.get("embed.word", np.zeros_like(params["embed.word"])),
                         grads.get("embed.name", np.zeros_like(params["embed.name"])),
-                        np.zeros((len(a) + 1, dx.shape[-1]))])
+                        np.zeros((1, dx.shape[-1]))])
     np.add.at(g, idx, dx)
-    grads["embed.word"], grads["embed.name"] = g[:n_words], g[n_words:n_words + n_names]
-    grads["embed.char"] = grads.get("embed.char", 0) + a.T @ g[n_words + n_names:-1]
+    grads["embed.word"], grads["embed.name"] = g[:n_words], g[n_words:-1]
 
 
 def joint_loss(p_a: np.ndarray, gold: int, rkl: float, lam: float = 1.0):
@@ -409,13 +369,11 @@ def init_params(rng, vocab: Vocab, cast: CastList, config: ModelConfig,
     p: dict[str, np.ndarray] = {}
     p["embed.word"] = rng.standard_normal((len(vocab.words), c.d_model))
     p["embed.name"] = rng.standard_normal((len(vocab.names), c.d_model))
-    p["embed.char"] = rng.standard_normal((len(vocab.chars), c.d_model))
     nn.init_stack(rng, p, "enc", c.enc_layers, c.d_model, c.d_ff, c.heads)
     nn.init_stack(rng, p, "dec_v", c.dec_layers, c.d_model, c.d_ff, c.heads)
     nn.init_stack(rng, p, "dec_s", c.dec_layers, c.d_model, c.d_ff, c.heads)
     nn.init_stack(rng, p, "ans", c.ans_layers, c.d_model, c.d_ff, c.heads)
     p["ans.head.w"] = rng.standard_normal(c.d_model) / np.sqrt(c.d_model)
-    p["ans.head.b"] = np.zeros(())
     init_naming(rng, p, d_f, c.d_h1, cast.size)
     return p
 
@@ -467,15 +425,6 @@ class Model:
                      else visual_stream(view.frames, runs, face_names, self.cast)
                      for _, runs in self._passes())
 
-    def _check_embeddable(self, clip_id: str, pairs) -> None:
-        """VocabError naming the clip for a (token, flag) pair that has no
-        vocabulary row and a character outside the character table."""
-        rows = self.vocab.rows
-        try:
-            self.vocab.check_chars({tok for tok, flag in pairs if (tok, flag) not in rows})
-        except VocabError as e:
-            raise VocabError(f"clip {clip_id}: {e}") from None
-
     # -- QA forward ------------------------------------------------------
 
     def _encode(self, streams, keep_cache: bool):
@@ -498,9 +447,7 @@ class Model:
 
         Each distinct (view, face_names) pair, by identity, has its context
         streams built once (context_streams): the QA items of a whole-clip
-        view share one build. A token that cannot embed raises VocabError
-        naming the view's clip here, before any forward; only tokens without
-        a vocabulary row are checked. The items then run through
+        view share one build. The items then run through
         run_in_buckets, sorted by bucket_key, as forward_batch batches of
         items of like length within ROW_BUDGET padded rows. Without backward
         no batch keeps an activation; with it, each batch keeps its cache,
@@ -514,10 +461,6 @@ class Model:
             key = (id(view), id(names))
             if key not in built:
                 built[key] = self.context_streams(view, names)
-                self._check_embeddable(view.clip_id, chain.from_iterable(
-                    zip(*stream) for stream in built[key]))
-            self._check_embeddable(view.clip_id, ((t, t in self.cast) for t in
-                                                  chain(qa.question, *qa.answers)))
             fed.append((built[key], qa))
 
         def run(bucket):
@@ -602,7 +545,7 @@ class Model:
         starts = np.cumsum(lengths) - lengths
         m = (np.add.reduceat(v[q_mask], starts) / lengths[:, None]).reshape(-1, 5, c.d_model)
         a, ans_cache = nn.stack_forward(p, "ans", c.ans_layers, m, keep_cache=keep_cache)
-        logits = a @ p["ans.head.w"] + p["ans.head.b"]
+        logits = a @ p["ans.head.w"]
         p_a = nn.softmax(logits)
         cache = (mask, q_mask, enc_cache, passes, dec_caches, ans_cache, a)
         return p_a, empty_context, cache if keep_cache else None
@@ -617,7 +560,6 @@ class Model:
         mask, q_mask, enc_cache, passes, dec_caches, ans_cache, a = cache
         d = a.shape[-1]
         grads["ans.head.w"] = grads.get("ans.head.w", 0) + a.reshape(-1, d).T @ dlogits.ravel()
-        grads["ans.head.b"] = grads.get("ans.head.b", 0) + dlogits.sum()
         da = dlogits[..., None] * p["ans.head.w"]
         dm, _ = nn.stack_backward(p, "ans", ans_cache, da, grads)
 
@@ -705,7 +647,7 @@ class Model:
         meta = {
             "version": CHECKPOINT_VERSION,
             "config": self.config.__dict__,
-            "vocab": {"words": list(self.vocab.words), "chars": list(self.vocab.chars)},
+            "vocab": {"words": list(self.vocab.words)},
             "cast": self.cast.to_dict(),
             "variant": self.modality.label(),
             "seed": self.seed,
@@ -734,11 +676,10 @@ class Model:
             raise SchemaVersionError(f"unsupported checkpoint version {version!r}"
                                      f" (expected {CHECKPOINT_VERSION!r})")
         try:
-            words, chars = (tuple(strings(meta["vocab"][k], f"vocab {k}"))
-                            for k in ("words", "chars"))
+            words = tuple(strings(meta["vocab"]["words"], "vocab words"))
             cast = CastList.from_dict(meta["cast"])
             # The name rows are the cast's names and UNKNAME, as build_vocab lays them out.
-            vocab = Vocab(words, cast.label_names(), chars)
+            vocab = Vocab(words, cast.label_names())
             config = ModelConfig(**config_kwargs(ModelConfig, meta["config"], "config"))
             modality = ModalityConfig.from_label(typed(meta["variant"], str, "variant"))
             seed = bounded(typed(meta["seed"], int, "seed"), "seed", 0)

@@ -14,7 +14,7 @@ import sys
 from dataclasses import fields, replace
 
 from . import harness
-from .carn import ModalityConfig, Model, clip_tokens, subtitle_stream
+from .carn import ModalityConfig, Model, subtitle_stream
 from .castlist import DEFAULT_MAX_RATIO, build_cast_list, count_speakers
 from .corpus import (GenConfig, clip_view, config_kwargs, generate_corpus, read_corpus,
                      write_corpus)
@@ -113,10 +113,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = Model.load(args.checkpoint)
-    # Every token must embed: a character outside the checkpoint's table is
-    # refused with its line, before any forward.
-    clips = read_corpus(args.corpus, check=lambda clip: model.vocab.check_chars(
-        clip_tokens(clip, model.cast)))
+    clips = read_corpus(args.corpus)
     if args.modality is not None:
         model.modality = ModalityConfig.from_label(args.modality)
     settings = [args.use_ts] if args.use_ts is not None else [True, False]

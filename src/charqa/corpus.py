@@ -11,12 +11,13 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from typing import ClassVar
 
 import numpy as np
 
-from .errors import (CharqaError, ClipError, ConfigError, CorpusParseError, FieldRangeError,
-                     FieldTypeError, SchemaVersionError)
+from .errors import (ClipError, ConfigError, CorpusParseError, FieldRangeError, FieldTypeError,
+                     SchemaVersionError)
 
 SCHEMA_VERSION = "carn-corpus-1"
 
@@ -708,11 +709,9 @@ def write_corpus(clips: list[Clip], path) -> None:
             fh.write("\n")
 
 
-def read_corpus(path, check=None) -> list[Clip]:
+def read_corpus(path) -> list[Clip]:
     """The clips of a corpus file, each record checked as it is read;
-    CorpusParseError naming the line of the first bad one. check, if given,
-    is called on each clip once it is valid, and a CharqaError it raises is
-    reported with the clip's line too."""
+    CorpusParseError naming the line of the first bad one."""
     clips = []
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -736,11 +735,6 @@ def read_corpus(path, check=None) -> list[Clip]:
                 validate_clip(clip)
             except (KeyError, IndexError, AttributeError, TypeError, ValueError) as e:
                 raise CorpusParseError(line_no, f"bad clip record: {e}") from e
-            if check is not None:
-                try:
-                    check(clip)
-                except CharqaError as e:
-                    raise CorpusParseError(line_no, str(e)) from e
             clips.append(clip)
     return clips
 
@@ -766,10 +760,11 @@ def clip_view(clip: Clip, qa: QAItem, use_ts: bool) -> Clip:
 
 def validate_clip(clip: Clip) -> None:
     """ClipError naming the clip unless each of its numbers is in its
-    field's range and its fields agree with each other. read_corpus runs it
-    on every record, and the library's entry points on every clip they are
-    given, so a clip built or changed in code passes the same rule as one
-    read from a file. (Boxes are frozen and checked when they are built.)"""
+    field's range, each of its tokens is a non-empty string and its fields
+    agree with each other. read_corpus runs it on every record, and the
+    library's entry points on every clip they are given, so a clip built or
+    changed in code passes the same rule as one read from a file. (Boxes
+    and triples are frozen and checked when they are built.)"""
     try:
         _check_clip(clip)
     except (TypeError, ValueError) as e:
@@ -777,6 +772,15 @@ def validate_clip(clip: Clip) -> None:
 
 
 def _check_clip(clip: Clip) -> None:
+    # An empty token, or one that is no string, would embed as the zero row
+    # unnoticed.
+    frames = clip.frames
+    strings([w for f in frames for _, w in f.human_boxes], "human words")
+    strings([label for f in frames for label, _ in f.objects], "object labels")
+    strings([a for f in frames for _, a in f.objects if a is not None], "object attributes")
+    strings([t for line in clip.subtitles for t in line.tokens], "subtitle tokens")
+    strings([t for q in clip.qas for t in chain(q.question, *q.answers)],
+            "question and answer tokens")
     ids = [typed(f.frame_id, int, "frame_id") for f in clip.frames]
     if ids != sorted(ids) or len(set(ids)) != len(ids):
         raise ValueError("frame_ids not strictly increasing")

@@ -55,7 +55,7 @@ class NonFiniteLossError(CharqaError):
 
 
 class VocabError(CharqaError):
-    """A token cannot be embedded at all (no table entry, no known characters)."""
+    """A vocabulary whose word and name tables share a token."""
 
 
 class CheckpointError(CharqaError):

@@ -72,33 +72,29 @@ def random_rkl_instance(rng, max_faces=20, max_k=6):
 
 
 def oracle_embed(params, vocab, tokens, flags):
-    """Token-by-token embedding rows, without positional encoding: a
-    name-flagged cast name takes its name row, a word its word row, and any
-    other token the mean of its characters' rows."""
+    """Token-by-token embedding rows, without positional encoding: a cast
+    name, flagged as a name or not, takes its name row, a word its word
+    row, and any other token the zero row."""
     rows = []
-    for tok, is_name in zip(tokens, flags):
-        if is_name and tok in vocab.names:
+    for tok in tokens:
+        if tok in vocab.names:
             rows.append([float(v) for v in params["embed.name"][vocab.names.index(tok)]])
         elif tok in vocab.words:
             rows.append([float(v) for v in params["embed.word"][vocab.words.index(tok)]])
         else:
-            chars = [params["embed.char"][vocab.chars.index(ch)] for ch in tok]
-            rows.append([sum(float(c[k]) for c in chars) / len(chars)
-                         for k in range(len(chars[0]))])
+            rows.append([0.0] * params["embed.word"].shape[1])
     return rows
 
 
 def oracle_embed_backward(params, vocab, tokens, flags, drows, grads):
-    """Add each token's row gradient to the table rows oracle_embed read;
-    grads maps each table name to a list of row lists."""
-    for tok, is_name, drow in zip(tokens, flags, drows):
-        if is_name and tok in vocab.names:
-            targets = [(grads["embed.name"][vocab.names.index(tok)], 1.0)]
+    """Add each token's row gradient to the table row oracle_embed read, if
+    any; grads maps each table name to a list of row lists."""
+    for tok, drow in zip(tokens, drows):
+        if tok in vocab.names:
+            row = grads["embed.name"][vocab.names.index(tok)]
         elif tok in vocab.words:
-            targets = [(grads["embed.word"][vocab.words.index(tok)], 1.0)]
+            row = grads["embed.word"][vocab.words.index(tok)]
         else:
-            targets = [(grads["embed.char"][vocab.chars.index(ch)], 1.0 / len(tok))
-                       for ch in tok]
-        for row, share in targets:
-            for k in range(len(row)):
-                row[k] += float(drow[k]) * share
+            continue
+        for k in range(len(row)):
+            row[k] += float(drow[k])

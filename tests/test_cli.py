@@ -364,11 +364,11 @@ class TestTrainEval:
 
     def test_checkpoint_of_an_old_format_one_line_error(self, workdir, tmp_path, capsys):
         # A ckpt-3 file records the face size in its config as well as in
-        # naming.w1; a ckpt-4 meta must hold the variant and the seed.
+        # naming.w1; a ckpt-5 meta must hold the variant and the seed.
         ckpt = tmp_path / "old.npz"
         for edit, want in ((lambda m: m.update(version="charqa-ckpt-3"),
                             "unsupported checkpoint version 'charqa-ckpt-3'"
-                            " (expected 'charqa-ckpt-4')"),
+                            " (expected 'charqa-ckpt-5')"),
                            (lambda m: m.pop("variant"), f"{ckpt}: checkpoint meta lacks 'variant'"),
                            (lambda m: m.pop("seed"), f"{ckpt}: checkpoint meta lacks 'seed'")):
             blob = dict(np.load(workdir / "model.npz", allow_pickle=False))
@@ -492,9 +492,10 @@ class TestTrainEval:
         assert err.startswith("error: numeric fault") and err.count("\n") == 1, err
         assert not out.exists()
 
-    def test_eval_character_outside_the_table_one_line_error(self, workdir, tmp_path, capsys):
-        # A token that cannot embed is refused with its line before any
-        # forward, so no clip is scored and nothing is written.
+    def test_eval_scores_a_token_outside_the_vocabulary(self, workdir, tmp_path, capsys):
+        # A token the checkpoint's vocabulary lacks, with a character no
+        # training token holds, embeds as the zero row: the corpus is scored
+        # under both protocols.
         lines = (workdir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[-1])
         record["subtitles"][0]["tokens"] = ["café"]
@@ -503,10 +504,9 @@ class TestTrainEval:
         rc = main(["eval", "--checkpoint", str(workdir / "model.npz"), "--corpus", str(bad),
                    "--out", str(out)])
         captured = capsys.readouterr()
-        assert rc == 1
-        assert captured.err == (f"error: line {len(lines)}: token 'café': character 'é' "
-                                "not in character table\n")
-        assert captured.out == "" and not out.exists()
+        assert rc == 0 and captured.err == "", captured
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["1", "0"]
 
     def test_conflicting_modality_parts_one_line_error(self, workdir, tmp_path, capsys):
         out = tmp_path / "m.npz"
