@@ -31,6 +31,10 @@ bucket_key (the lengths of the streams the passes pad), runs them in
 buckets of neighbours that fill a budget of padded rows, ROW_BUDGET, so that
 the items of a padded batch are of like length and a bucket of short items
 holds more of them, and returns every result in input order.
+
+param_table writes each parameter's name, shape and initial value once, in
+draw order; draw_params is the one draw, and Model.load checks a
+checkpoint's shapes against the table without drawing.
 """
 
 from __future__ import annotations
@@ -47,11 +51,11 @@ from . import nn
 from .castlist import CastList, map_speaker
 from .corpus import Clip, QAItem, bounded, config_kwargs, strings, typed
 from .errors import CheckpointError, ConfigError, SchemaVersionError, VocabError
-from .naming import (assign_names, broadcast_targets, face_table, init_naming,
-                     naming_backward, naming_forward, rkl_loss_with_grad)
+from .naming import (assign_names, broadcast_targets, face_table, naming_backward,
+                     naming_forward, rkl_loss_with_grad)
 from .semantics import visual_stream
 
-CHECKPOINT_VERSION = "charqa-ckpt-5"
+CHECKPOINT_VERSION = "charqa-ckpt-6"
 PROB_FLOOR = 1e-12
 
 # Padded rows per bucket of run_in_buckets (_BucketRows counts them): per
@@ -361,21 +365,52 @@ class ItemResult:
     empty_context: int = 0
 
 
+def param_table(config: ModelConfig, d_f: int, n_words: int,
+                n_classes: int) -> dict[str, tuple]:
+    """Every parameter of a model, in draw order: name -> (shape, init). A
+    float init is a fill; a pair (s, n) draws standard normals times s over
+    sqrt(n). The stacks multiply by 1/sqrt(fan-in) and the heads divide by
+    sqrt(fan-in), which round apart. n_classes is the cast plus UNKNAME."""
+    c, d = config, config.d_model
+    sc = 1.0 / np.sqrt(d)
+    # Attention projections start at half scale: near-uniform early
+    # attention spreads gradient over the whole context, where a peaked
+    # random pattern can lock onto arbitrary tokens and stall small models.
+    block = {"attn.wq": ((c.heads, d, d // c.heads), (0.5 * sc, 1)),
+             "attn.wk": ((c.heads, d, d // c.heads), (0.5 * sc, 1)),
+             "ln1.g": ((d,), 1.0), "ln1.b": ((d,), 0.0),
+             "ln2.g": ((d,), 1.0), "ln2.b": ((d,), 0.0),
+             "ffn.w1": ((d, c.d_ff), (sc, 1)), "ffn.b1": ((c.d_ff,), 0.0),
+             "ffn.w2": ((c.d_ff, d), (1.0 / np.sqrt(c.d_ff), 1)), "ffn.b2": ((d,), 0.0)}
+    table = {"embed.word": ((n_words, d), (1.0, 1)), "embed.name": ((n_classes, d), (1.0, 1))}
+    for prefix, n_layers in (("enc", c.enc_layers), ("dec_v", c.dec_layers),
+                             ("dec_s", c.dec_layers), ("ans", c.ans_layers)):
+        table.update({f"{prefix}.l{i}.{k}": v for i in range(n_layers) for k, v in block.items()})
+        table[prefix + ".lnf.g"] = ((d,), 1.0)
+        # A final bias of the answer block would add one b . ans.head.w to
+        # all five logits, which the softmax ignores: it would never train.
+        if prefix != "ans":
+            table[prefix + ".lnf.b"] = ((d,), 0.0)
+    table.update({"ans.head.w": ((d,), (1.0, d)),
+                  "naming.w1": ((d_f, c.d_h1), (1.0, d_f)), "naming.b1": ((c.d_h1,), 0.0),
+                  "naming.w2": ((c.d_h1, n_classes), (1.0, c.d_h1)),
+                  "naming.b2": ((n_classes,), 0.0)})
+    return table
+
+
+def draw_params(rng, table: dict[str, tuple], prefix: str = "") -> dict[str, np.ndarray]:
+    """The tensors of a param_table whose names start with prefix, drawn
+    from rng in table order."""
+    return {name: rng.standard_normal(shape) * init[0] / np.sqrt(init[1])
+            if isinstance(init, tuple) else np.full(shape, init)
+            for name, (shape, init) in table.items() if name.startswith(prefix)}
+
+
 def init_params(rng, vocab: Vocab, cast: CastList, config: ModelConfig,
                 d_f: int) -> dict[str, np.ndarray]:
     """A model's parameters drawn from rng, the naming head's input being
     d_f-dim face embeddings."""
-    c = config
-    p: dict[str, np.ndarray] = {}
-    p["embed.word"] = rng.standard_normal((len(vocab.words), c.d_model))
-    p["embed.name"] = rng.standard_normal((len(vocab.names), c.d_model))
-    nn.init_stack(rng, p, "enc", c.enc_layers, c.d_model, c.d_ff, c.heads)
-    nn.init_stack(rng, p, "dec_v", c.dec_layers, c.d_model, c.d_ff, c.heads)
-    nn.init_stack(rng, p, "dec_s", c.dec_layers, c.d_model, c.d_ff, c.heads)
-    nn.init_stack(rng, p, "ans", c.ans_layers, c.d_model, c.d_ff, c.heads)
-    p["ans.head.w"] = rng.standard_normal(c.d_model) / np.sqrt(c.d_model)
-    init_naming(rng, p, d_f, c.d_h1, cast.size)
-    return p
+    return draw_params(rng, param_table(config, d_f, len(vocab.words), cast.size))
 
 
 class Model:
@@ -684,22 +719,21 @@ class Model:
             modality = ModalityConfig.from_label(typed(meta["variant"], str, "variant"))
             seed = bounded(typed(meta["seed"], int, "seed"), "seed", 0)
             # The face size is naming.w1's row count (1 stands in for a missing
-            # or empty one, which the shape check then names). Parameters drawn
-            # at these sizes have the shapes the checkpoint must have.
+            # or empty one, which the shape check then names).
             w1 = params.get("naming.w1")
             d_f = len(w1) if w1 is not None and w1.ndim == 2 and len(w1) else 1
-            expected = init_params(np.random.default_rng(0), vocab, cast, config, d_f)
         except KeyError as e:
             raise CheckpointError(f"{path}: checkpoint meta lacks {e.args[0]!r}") from None
-        except (TypeError, ValueError, MemoryError, ConfigError, VocabError) as e:
+        except (TypeError, ValueError, ConfigError, VocabError) as e:
             raise CheckpointError(f"{path}: malformed checkpoint meta ({e})") from None
+        # The shapes the meta's sizes give, read from the table, not drawn.
+        expected = {k: v[0] for k, v in param_table(config, d_f, len(words), cast.size).items()}
         for key in sorted(expected.keys() | params.keys()):
             want, got = expected.get(key), params.get(key)
-            if want is None or got is None or want.shape != got.shape:
-                raise CheckpointError(
-                    f"{path}: tensor {key!r} has shape "
-                    f"{None if got is None else got.shape}, config and vocab need "
-                    f"{None if want is None else want.shape}")
+            if want is None or got is None or want != got.shape:
+                raise CheckpointError(f"{path}: tensor {key!r} has shape "
+                                      f"{None if got is None else got.shape}, "
+                                      f"config and vocab need {want}")
             if got.dtype.kind != "f" or got.dtype.itemsize != 8 or not np.isfinite(got).all():
                 raise CheckpointError(f"{path}: tensor {key!r} must hold finite float64 values")
         return cls(vocab, cast, config, params=params, modality=modality, seed=seed)
@@ -709,5 +743,6 @@ __all__ = [
     "CHECKPOINT_VERSION", "PROB_FLOOR", "ROW_BUDGET", "VISUAL_RUNS", "ModalityConfig",
     "VARIANT_LABELS", "Vocab", "clip_tokens", "build_vocab", "subtitle_stream",
     "qa_stream", "bucket_key", "run_in_buckets", "prepare_sequence", "embed",
-    "embed_backward", "joint_loss", "ModelConfig", "ItemResult", "init_params", "Model",
+    "embed_backward", "joint_loss", "ModelConfig", "ItemResult", "param_table",
+    "draw_params", "init_params", "Model",
 ]

@@ -20,15 +20,15 @@ import numpy as np
 
 from . import nn
 from .carn import (VARIANT_LABELS, ModalityConfig, Model, ModelConfig, Vocab, build_vocab,
-                   init_params)
+                   draw_params, init_params, param_table)
 from .castlist import (DEFAULT_MAX_RATIO, CastList, build_cast_list, check_thresholds,
                        count_speakers)
 from .corpus import (BBox, Clip, FaceDetection, Frame, QAItem, RelationTriple,
                      SubtitleLine, bounded, clip_view, config_kwargs, typed, validate_clip)
 from .errors import (EmptyInputError, NonFiniteLossError, NumericFaultError, ShapeError,
                      numeric_faults)
-from .naming import (TargetSeq, broadcast_targets, face_accuracy, init_naming,
-                     naming_backward, naming_forward, rkl_loss_with_grad, smoothed_onehot)
+from .naming import (TargetSeq, broadcast_targets, face_accuracy, naming_backward,
+                     naming_forward, rkl_loss_with_grad, smoothed_onehot)
 
 METRICS_COLUMNS = ("variant", "use_ts", "qa_acc", "qa_acc_visual",
                    "qa_acc_textual", "face_acc", "seed")
@@ -359,9 +359,8 @@ def check_naming(rng, report: GradCheckReport) -> None:
     epsilon = float(rng.choice([0.01, 0.05, 0.2]))
     n_faces = int(rng.integers(1, 7))
     embeddings, targets = _random_distribution_instance(rng, n_faces, n_classes, epsilon)
-    d_f = embeddings.shape[1]
-    params: dict[str, np.ndarray] = {}
-    init_naming(rng, params, d_f, int(rng.integers(2, 6)), n_classes)
+    config = ModelConfig(d_h1=int(rng.integers(2, 6)))
+    params = draw_params(rng, param_table(config, embeddings.shape[1], 0, n_classes), "naming.")
 
     def loss():
         return rkl_loss_with_grad(naming_forward(params, embeddings), targets)[0]
@@ -376,16 +375,16 @@ def check_naming(rng, report: GradCheckReport) -> None:
 def check_stack(rng, report: GradCheckReport, cross: bool = False) -> None:
     """One random config: scalar probe of a two-layer stack, self-attention
     over 2-6 rows ("enc") or cross-attention of 2-5 query rows over 2-5
-    context rows ("dec"); then the same stack on a batch of 2-3 sequences
+    context rows ("dec_v"); then the same stack on a batch of 2-3 sequences
     under a random key mask that keeps at least one key per sequence."""
     heads = int(rng.choice([1, 2, 4]))
     d_model = 8
     d_ff = int(rng.integers(4, 13))
     n = int(rng.integers(2, 6 if cross else 7))
     n_c = int(rng.integers(2, 6)) if cross else 0
-    prefix = "dec" if cross else "enc"
-    params: dict[str, np.ndarray] = {}
-    nn.init_stack(rng, params, prefix, 2, d_model, d_ff, heads)
+    prefix = "dec_v" if cross else "enc"
+    table = param_table(ModelConfig(d_model=d_model, d_ff=d_ff, heads=heads), 1, 0, 1)
+    params = draw_params(rng, table, prefix + ".")
 
     def probe_check(x, context, key_mask):
         probe = rng.standard_normal(x.shape)

@@ -27,15 +27,6 @@ from .errors import NonFiniteLossError, ShapeError
 from .nn import ffn_backward, ffn_forward, softmax, softmax_backward
 
 
-def init_naming(rng, params, d_f: int, d_h1: int, n_classes: int) -> None:
-    """Add the head's "naming" FFN, (d_f, d_h1) then (d_h1, n_classes), to
-    the flat parameter store."""
-    params["naming.w1"] = rng.standard_normal((d_f, d_h1)) / np.sqrt(d_f)
-    params["naming.b1"] = np.zeros(d_h1)
-    params["naming.w2"] = rng.standard_normal((d_h1, n_classes)) / np.sqrt(d_h1)
-    params["naming.b2"] = np.zeros(n_classes)
-
-
 class TargetSeq:
     """A clip's broadcast targets, one group per supervised frame, in the
     clip's frame order: row i of `face_rows` holds frame `frame_ids[i]`'s
@@ -183,7 +174,7 @@ def face_accuracy(names: dict[int, str], truth: dict[int, str],
 
 
 __all__ = [
-    "init_naming", "TargetSeq", "face_table", "naming_forward",
-    "naming_backward", "frame_speaker", "smoothed_onehot", "broadcast_targets",
-    "rkl_loss_with_grad", "assign_names", "face_accuracy",
+    "TargetSeq", "face_table", "naming_forward", "naming_backward", "frame_speaker",
+    "smoothed_onehot", "broadcast_targets", "rkl_loss_with_grad", "assign_names",
+    "face_accuracy",
 ]

@@ -2,15 +2,15 @@
 reasoning network uses, plus Adam and finite-difference helpers.
 
 Everything is written against a flat dict[str, ndarray] parameter store with
-dotted key prefixes ("enc.l0.attn.wq", ...). The layer-norm, block and
-stack forwards return (output, cache); the attention and FFN forwards return
-their output alone, and their backwards take the forward's inputs. Each
-backward accumulates parameter gradients into a same-keyed dict while
-returning input gradients. A cache is used once: stack_backward pops each
-block's cache as it runs the block, so its memory goes as backward goes.
-Gradients are exact, which the finite-difference suite checks, so keep any
-new op differentiable or route it around the tape the way the hard min in
-the naming loss is.
+dotted key prefixes ("enc.l0.attn.wq", ...), drawn from carn.param_table.
+The layer-norm, block and stack forwards return (output, cache); the
+attention and FFN forwards return their output alone, and their backwards
+take the forward's inputs. Each backward accumulates parameter gradients
+into a same-keyed dict while returning input gradients. A cache is used
+once: stack_backward pops each block's cache as it runs the block, so its
+memory goes as backward goes. Gradients are exact, which the
+finite-difference suite checks, so keep any new op differentiable or route
+it around the tape the way the hard min in the naming loss is.
 
 Every op takes leading batch axes: a (n, d) sequence and a (B, n, d) batch
 of equal-length (padded) sequences run through the same code, and weight
@@ -279,7 +279,8 @@ def block_backward(params, prefix, cache, dy, grads):
 
 def stack_forward(params, prefix, n_layers, x, context=None, key_mask=None,
                   keep_cache: bool = True):
-    """n_layers blocks sharing one context, then a final layer norm. With
+    """n_layers blocks sharing one context, then a final layer norm, whose
+    bias applies only where params hold one (prefix + ".lnf.b"). With
     keep_cache False each block's cache is dropped once the next block has
     run, and the cache returned is None (a forward-only pass)."""
     if x.shape[-2] == 0:
@@ -289,7 +290,7 @@ def stack_forward(params, prefix, n_layers, x, context=None, key_mask=None,
         x, c = block_forward(params, f"{prefix}.l{i}", x, context, key_mask)
         if keep_cache:
             caches.append(c)
-    y, lnc = layernorm_forward(x, params[prefix + ".lnf.g"], params[prefix + ".lnf.b"])
+    y, lnc = layernorm_forward(x, params[prefix + ".lnf.g"], params.get(prefix + ".lnf.b", 0.0))
     return y, (caches, lnc, n_layers) if keep_cache else None
 
 
@@ -300,7 +301,8 @@ def stack_backward(params, prefix, cache, dy, grads):
     caches, lnc, n_layers = cache
     dx, dg, db = layernorm_backward(lnc, dy)
     grads[prefix + ".lnf.g"] = grads.get(prefix + ".lnf.g", 0) + dg
-    grads[prefix + ".lnf.b"] = grads.get(prefix + ".lnf.b", 0) + db
+    if prefix + ".lnf.b" in params:
+        grads[prefix + ".lnf.b"] = grads.get(prefix + ".lnf.b", 0) + db
     dctx_total = None
     for i in reversed(range(n_layers)):
         dx, dctx = block_backward(params, f"{prefix}.l{i}", caches.pop(), dx, grads)
@@ -309,37 +311,6 @@ def stack_backward(params, prefix, cache, dy, grads):
         elif dctx is not None:
             dctx_total += dctx
     return dx, dctx_total
-
-
-# ---------------------------------------------------------------------------
-# Parameter initialization
-
-
-def init_block(rng, params, prefix, d_model, d_ff, heads):
-    if d_model % heads != 0:
-        raise ShapeError(f"d_model {d_model} not divisible by {heads} heads")
-    d_h = d_model // heads
-    sc = 1.0 / math.sqrt(d_model)
-    # Attention projections start at half scale: near-uniform early
-    # attention spreads gradient over the whole context, where a peaked
-    # random pattern can lock onto arbitrary tokens and stall small models.
-    params[prefix + ".attn.wq"] = rng.standard_normal((heads, d_model, d_h)) * (0.5 * sc)
-    params[prefix + ".attn.wk"] = rng.standard_normal((heads, d_model, d_h)) * (0.5 * sc)
-    params[prefix + ".ln1.g"] = np.ones(d_model)
-    params[prefix + ".ln1.b"] = np.zeros(d_model)
-    params[prefix + ".ln2.g"] = np.ones(d_model)
-    params[prefix + ".ln2.b"] = np.zeros(d_model)
-    params[prefix + ".ffn.w1"] = rng.standard_normal((d_model, d_ff)) * sc
-    params[prefix + ".ffn.b1"] = np.zeros(d_ff)
-    params[prefix + ".ffn.w2"] = rng.standard_normal((d_ff, d_model)) * (1.0 / math.sqrt(d_ff))
-    params[prefix + ".ffn.b2"] = np.zeros(d_model)
-
-
-def init_stack(rng, params, prefix, n_layers, d_model, d_ff, heads):
-    for i in range(n_layers):
-        init_block(rng, params, f"{prefix}.l{i}", d_model, d_ff, heads)
-    params[prefix + ".lnf.g"] = np.ones(d_model)
-    params[prefix + ".lnf.b"] = np.zeros(d_model)
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +438,6 @@ __all__ = [
     "layernorm_forward", "layernorm_backward", "attention_weights", "attention_forward",
     "attention_backward", "mha_forward", "mha_backward", "ffn_forward", "ffn_backward",
     "block_forward", "block_backward", "stack_forward", "stack_backward",
-    "init_block", "init_stack", "sinusoidal_positions", "Adam",
+    "sinusoidal_positions", "Adam",
     "relative_error", "check_gradients",
 ]

@@ -98,3 +98,50 @@ def oracle_embed_backward(params, vocab, tokens, flags, drows, grads):
             continue
         for k in range(len(row)):
             row[k] += float(drow[k])
+
+
+def _oracle_init_block(rng, params, prefix, d_model, d_ff, heads):
+    d_h = d_model // heads
+    sc = 1.0 / math.sqrt(d_model)
+    params[prefix + ".attn.wq"] = rng.standard_normal((heads, d_model, d_h)) * (0.5 * sc)
+    params[prefix + ".attn.wk"] = rng.standard_normal((heads, d_model, d_h)) * (0.5 * sc)
+    params[prefix + ".ln1.g"] = np.ones(d_model)
+    params[prefix + ".ln1.b"] = np.zeros(d_model)
+    params[prefix + ".ln2.g"] = np.ones(d_model)
+    params[prefix + ".ln2.b"] = np.zeros(d_model)
+    params[prefix + ".ffn.w1"] = rng.standard_normal((d_model, d_ff)) * sc
+    params[prefix + ".ffn.b1"] = np.zeros(d_ff)
+    params[prefix + ".ffn.w2"] = rng.standard_normal((d_ff, d_model)) * (1.0 / math.sqrt(d_ff))
+    params[prefix + ".ffn.b2"] = np.zeros(d_model)
+
+
+def oracle_init_stack(rng, params, prefix, n_layers, d_model, d_ff, heads):
+    for i in range(n_layers):
+        _oracle_init_block(rng, params, f"{prefix}.l{i}", d_model, d_ff, heads)
+    params[prefix + ".lnf.g"] = np.ones(d_model)
+    params[prefix + ".lnf.b"] = np.zeros(d_model)
+
+
+def oracle_init_naming(rng, params, d_f, d_h1, n_classes):
+    params["naming.w1"] = rng.standard_normal((d_f, d_h1)) / np.sqrt(d_f)
+    params["naming.b1"] = np.zeros(d_h1)
+    params["naming.w2"] = rng.standard_normal((d_h1, n_classes)) / np.sqrt(d_h1)
+    params["naming.b2"] = np.zeros(n_classes)
+
+
+def oracle_init_params(rng, vocab, cast, config, d_f):
+    """The drawing code of the three init functions and init_params as
+    they stood before the parameter table replaced them, draw for draw: the
+    stacks multiply by 1/sqrt(fan-in), the heads divide by sqrt(fan-in),
+    and every stack has a final layer-norm bias."""
+    c = config
+    p = {}
+    p["embed.word"] = rng.standard_normal((len(vocab.words), c.d_model))
+    p["embed.name"] = rng.standard_normal((len(vocab.names), c.d_model))
+    oracle_init_stack(rng, p, "enc", c.enc_layers, c.d_model, c.d_ff, c.heads)
+    oracle_init_stack(rng, p, "dec_v", c.dec_layers, c.d_model, c.d_ff, c.heads)
+    oracle_init_stack(rng, p, "dec_s", c.dec_layers, c.d_model, c.d_ff, c.heads)
+    oracle_init_stack(rng, p, "ans", c.ans_layers, c.d_model, c.d_ff, c.heads)
+    p["ans.head.w"] = rng.standard_normal(c.d_model) / np.sqrt(c.d_model)
+    oracle_init_naming(rng, p, d_f, c.d_h1, cast.size)
+    return p

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 import zipfile
 from pathlib import Path
 from unittest import mock
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 
 from charqa import carn, nn
 from charqa.carn import (CHECKPOINT_VERSION, ModalityConfig, Model, ModelConfig,
-                         VARIANT_LABELS, Vocab, build_vocab, embed, embed_backward,
-                         init_params, joint_loss)
+                         VARIANT_LABELS, Vocab, build_vocab, draw_params, embed,
+                         embed_backward, init_params, joint_loss, param_table)
 from charqa.castlist import CastList, build_cast_list, count_speakers
 from charqa.corpus import (BBox, Clip, FaceDetection, Frame, GenConfig, QAItem, SubtitleLine,
                            clip_view, generate_corpus)
@@ -27,15 +28,15 @@ from charqa.errors import (CheckpointError, ConfigError, EmptyInputError, Schema
 from charqa.harness import _mini_setup, grad_check
 from charqa.naming import broadcast_targets
 from charqa.semantics import visual_stream
-from oracles import oracle_embed, oracle_embed_backward
+from oracles import (oracle_embed, oracle_embed_backward, oracle_init_naming,
+                     oracle_init_params, oracle_init_stack)
 from test_corpus import JSON_VALUES, json_kind, value_at
 
 
 def stack_params(prefix="enc", d_model=8, d_ff=12, heads=4, seed=0):
-    rng = np.random.default_rng(seed)
-    params = {}
-    nn.init_stack(rng, params, prefix, 2, d_model, d_ff, heads)
-    return params
+    """A lone two-layer stack ("enc" or "dec_v") drawn from the parameter table."""
+    table = param_table(ModelConfig(d_model=d_model, d_ff=d_ff, heads=heads), 1, 0, 1)
+    return draw_params(np.random.default_rng(seed), table, prefix + ".")
 
 
 # The ops the model runs, output only.
@@ -48,7 +49,7 @@ def encode(x, params, key_mask=None):
 
 
 def co_attend(x, context, params):
-    return nn.stack_forward(params, "dec", 2, x, context)[0]
+    return nn.stack_forward(params, "dec_v", 2, x, context)[0]
 
 
 @contextlib.contextmanager
@@ -362,7 +363,7 @@ class TestCoAttend:
         assert np.allclose(attention(q, k), np.repeat(k, 4, axis=0))
 
     def test_context_permutation_invariant(self):
-        params = stack_params("dec")
+        params = stack_params("dec_v")
         rng = np.random.default_rng(7)
         x = rng.standard_normal((3, 8))
         ctx = rng.standard_normal((6, 8))
@@ -381,21 +382,21 @@ class TestStackedCandidates:
         # The five candidates share one decoder pass as a stacked matrix;
         # that equals five separate passes only because no query row
         # attends to another and LN/FFN act row by row.
-        params = stack_params("dec")
+        params = stack_params("dec_v")
         rng = np.random.default_rng(13)
         queries = [rng.standard_normal((n, 8)) for n in (3, 5, 2, 4, 1)]
         ctx = rng.standard_normal((6, 8))
         probes = [rng.standard_normal(q.shape) for q in queries]
-        y, cache = nn.stack_forward(params, "dec", 2, np.concatenate(queries), ctx)
+        y, cache = nn.stack_forward(params, "dec_v", 2, np.concatenate(queries), ctx)
         grads = {}
-        dq, dctx = nn.stack_backward(params, "dec", cache, np.concatenate(probes), grads)
+        dq, dctx = nn.stack_backward(params, "dec_v", cache, np.concatenate(probes), grads)
         split = np.cumsum([len(q) for q in queries])[:-1]
         alone_grads = {}
         alone_dctx = np.zeros_like(ctx)
         for q, probe, y_i, dq_i in zip(queries, probes, np.split(y, split),
                                        np.split(dq, split)):
-            y1, c1 = nn.stack_forward(params, "dec", 2, q, ctx)
-            dq1, dctx1 = nn.stack_backward(params, "dec", c1, probe, alone_grads)
+            y1, c1 = nn.stack_forward(params, "dec_v", 2, q, ctx)
+            dq1, dctx1 = nn.stack_backward(params, "dec_v", c1, probe, alone_grads)
             assert np.max(np.abs(y_i - y1)) <= 1e-12
             assert np.max(np.abs(dq_i - dq1)) <= 1e-12
             alone_dctx += dctx1
@@ -594,9 +595,10 @@ class TestForward:
         # ckpt-1 holds the same tensors but was trained under the single
         # visual context; ckpt-2 stores the name rows apart from the cast and
         # may lack the variant and seed; ckpt-3 records the face size in its
-        # config too; ckpt-4 holds a character table. None may load silently.
+        # config too; ckpt-4 holds a character table; ckpt-5 holds ans.lnf.b.
+        # None may load silently.
         for version in ("bogus", "charqa-ckpt-1", "charqa-ckpt-2", "charqa-ckpt-3",
-                        "charqa-ckpt-4"):
+                        "charqa-ckpt-4", "charqa-ckpt-5"):
             blob = dict(np.load(path, allow_pickle=False))
             meta = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
             meta["version"] = version
@@ -889,16 +891,14 @@ class TestBatch:
         return model, items
 
     def test_every_drawn_tensor_trains(self, setup):
-        # One batch of the full variant gives each tensor init_params draws
-        # a gradient well above rounding noise, but one: ans.lnf.b adds the
-        # same b . ans.head.w to all five logits, which the softmax ignores,
-        # so its gradient is zero but for rounding.
+        # One batch of the full variant gives every tensor init_params draws
+        # a gradient well above rounding noise.
         model, items = setup
         assert model.modality == ModalityConfig()
         grads = {}
         model.loss_and_grads(items, grads=grads)
         assert set(grads) == set(model.params)
-        assert {k for k, g in grads.items() if not np.max(np.abs(g)) > 1e-10} == {"ans.lnf.b"}
+        assert {k for k, g in grads.items() if not np.max(np.abs(g)) > 1e-10} == set()
 
     def test_batch_equals_items_alone(self, setup):
         model, items = setup
@@ -1119,6 +1119,71 @@ class TestCarnGradients:
         assert set(rep.worst) == set(model.params)
 
 
+class TestParamTable:
+    """The one table draws what the per-block init functions it replaced
+    drew (tests/oracles.py keeps them), tensor for tensor and bit for bit,
+    in key order; only ans.lnf.b, which never trained, is gone. At d_model
+    32 the heads' division by sqrt(fan-in) and a multiplication by its
+    inverse round apart in about one draw in eight."""
+
+    @pytest.mark.parametrize("d_model, d_ff, d_h1, heads, d_f", [
+        (32, 64, 16, 4, 16), (8, 12, 6, 2, 16), (4, 3, 2, 2, 5), (24, 20, 7, 3, 1)])
+    def test_draws_match_the_replaced_init_functions(self, tiny_cast, d_model, d_ff, d_h1,
+                                                     heads, d_f):
+        vocab = Vocab(("cup", "hold", "story", "what"), tiny_cast.label_names())
+        config = ModelConfig(d_model=d_model, d_ff=d_ff, d_h1=d_h1, heads=heads)
+        got = init_params(np.random.default_rng(d_model), vocab, tiny_cast, config, d_f)
+        want = oracle_init_params(np.random.default_rng(d_model), vocab, tiny_cast, config, d_f)
+        del want["ans.lnf.b"]
+        assert list(got) == list(want)
+        for k, v in want.items():
+            assert got[k].dtype == v.dtype and np.array_equal(got[k], v), k
+
+    def test_lone_stacks_and_head_draw_as_before(self):
+        config = ModelConfig(d_model=8, d_ff=12, d_h1=5, heads=2)
+        table = param_table(config, 6, 0, 4)
+        for prefix in ("enc", "dec_v", "dec_s"):
+            want = {}
+            oracle_init_stack(np.random.default_rng(4), want, prefix, 2, 8, 12, 2)
+            got = draw_params(np.random.default_rng(4), table, prefix + ".")
+            assert list(got) == list(want)
+            assert all(np.array_equal(got[k], v) for k, v in want.items()), prefix
+        want = {}
+        oracle_init_naming(np.random.default_rng(5), want, 6, 5, 4)
+        got = draw_params(np.random.default_rng(5), table, "naming.")
+        assert list(got) == list(want)
+        assert all(np.array_equal(got[k], v) for k, v in want.items())
+
+
+class TestLoadPeak:
+    # Model.load reads the shapes a meta needs from the parameter table and
+    # draws nothing: a small checkpoint whose meta claims large sizes is
+    # refused, naming a tensor, at a traced peak set by its own tensors.
+    @pytest.mark.parametrize("d_model, d_ff", [(256, 256), (512, 1024)])
+    def test_inflated_meta_is_refused_without_a_draw(self, small_corpus, tmp_path,
+                                                     d_model, d_ff):
+        cast = build_cast_list(count_speakers(small_corpus), min_count=None)
+        vocab = build_vocab(small_corpus, cast)
+        config = ModelConfig(d_model=32, d_ff=64, d_h1=16, heads=4)
+        model = Model(vocab, cast, config,
+                      init_params(np.random.default_rng(0), vocab, cast, config, 16))
+        model.save(tmp_path / "m.npz")
+        blob = dict(np.load(tmp_path / "m.npz", allow_pickle=False))
+        meta = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
+        meta["config"].update(d_model=d_model, d_ff=d_ff)
+        blob["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        np.savez(tmp_path / "big.npz", **blob)
+        tensor_bytes = sum(v.nbytes for v in model.params.values())
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="tensor 'ans.head.w' has shape"):
+                Model.load(tmp_path / "big.npz")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= tensor_bytes + 2**18, (peak, tensor_bytes)
+
+
 class TestCheckpointFormat:
     # Every tensor init_params draws for one fixed tiny config, by name and
     # shape, beside the checkpoint version: a change to the tensors a model
@@ -1137,9 +1202,10 @@ class TestCheckpointFormat:
         want = {f"{s}.l{i}.{k}": shape for s, n in self.STACKS.items() for i in range(n)
                 for k, shape in self.LAYER.items()}
         want.update({f"{s}.lnf.{k}": (4,) for s in self.STACKS for k in "bg"})
+        del want["ans.lnf.b"]
         want.update(self.OTHERS)
         assert (CHECKPOINT_VERSION, sorted((k, v.shape) for k, v in params.items())) == \
-            ("charqa-ckpt-5", sorted(want.items()))
+            ("charqa-ckpt-6", sorted(want.items()))
 
 
 class TestCheckpointRoundTrip:

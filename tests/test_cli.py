@@ -332,20 +332,23 @@ class TestTrainEval:
         assert err.startswith("error: line 1: bad clip record:"), err
 
     @pytest.mark.parametrize("edit, needle", [
-        pytest.param(lambda m: m["config"].update(d_model=8.0), "config: d_model must be",
-                     id="d_model-float"),
-        pytest.param(lambda m: m["config"].update(heads=2.0), "config: heads must be",
-                     id="heads-float"),
+        pytest.param(lambda m: m["config"].update(d_model=8.0),
+                     "malformed checkpoint meta (config: d_model must be", id="d_model-float"),
+        pytest.param(lambda m: m["config"].update(heads=2.0),
+                     "malformed checkpoint meta (config: heads must be", id="heads-float"),
         pytest.param(lambda m: m["cast"].update(counts=["x"] * len(m["cast"]["counts"])),
-                     "cast count must be", id="cast-counts-string"),
+                     "malformed checkpoint meta (cast count must be", id="cast-counts-string"),
         pytest.param(lambda m: m["cast"].update(names=m["cast"]["names"][:1] * 2,
                                                 counts=[3, 3]),
-                     "cast names must be unique", id="cast-names-repeat"),
+                     "malformed checkpoint meta (cast names must be unique",
+                     id="cast-names-repeat"),
         pytest.param(lambda m: m["cast"]["names"].__setitem__(-1, "UNKNAME"),
-                     "UNKNAME is reserved", id="cast-names-unkname"),
-        # Refused by the allocation itself, before any memory is touched.
-        pytest.param(lambda m: m["config"].update(d_ff=10 ** 15), "Unable to allocate",
-                     id="d_ff-too-large"),
+                     "malformed checkpoint meta (UNKNAME is reserved", id="cast-names-unkname"),
+        # Refused by the shape check against the parameter table, which
+        # allocates nothing at the claimed size.
+        pytest.param(lambda m: m["config"].update(d_ff=10 ** 15),
+                     "tensor 'ans.l0.ffn.b1' has shape (12,), config and vocab need "
+                     "(1000000000000000,)", id="d_ff-too-large"),
     ])
     def test_malformed_checkpoint_meta_one_line_error(self, workdir, tmp_path, capsys, edit,
                                                       needle):
@@ -358,17 +361,16 @@ class TestTrainEval:
         rc = main(["eval", "--checkpoint", str(ckpt), "--corpus", str(workdir / "corpus.jsonl")])
         captured = capsys.readouterr()
         assert rc == 1 and captured.out == "", captured
-        assert captured.err.startswith(f"error: {ckpt}: malformed checkpoint meta ({needle}"), \
-            captured
+        assert captured.err.startswith(f"error: {ckpt}: {needle}"), captured
         assert captured.err.count("\n") == 1, captured
 
     def test_checkpoint_of_an_old_format_one_line_error(self, workdir, tmp_path, capsys):
-        # A ckpt-3 file records the face size in its config as well as in
-        # naming.w1; a ckpt-5 meta must hold the variant and the seed.
+        # A ckpt-5 file holds ans.lnf.b; a ckpt-6 meta must hold the variant
+        # and the seed.
         ckpt = tmp_path / "old.npz"
-        for edit, want in ((lambda m: m.update(version="charqa-ckpt-3"),
-                            "unsupported checkpoint version 'charqa-ckpt-3'"
-                            " (expected 'charqa-ckpt-5')"),
+        for edit, want in ((lambda m: m.update(version="charqa-ckpt-5"),
+                            "unsupported checkpoint version 'charqa-ckpt-5'"
+                            " (expected 'charqa-ckpt-6')"),
                            (lambda m: m.pop("variant"), f"{ckpt}: checkpoint meta lacks 'variant'"),
                            (lambda m: m.pop("seed"), f"{ckpt}: checkpoint meta lacks 'seed'")):
             blob = dict(np.load(workdir / "model.npz", allow_pickle=False))

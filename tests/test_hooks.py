@@ -264,3 +264,51 @@ def test_one_json_type_check():
     found = {path.name: bool_type_tests(path.read_text(encoding="utf-8"))
              for path in sorted((ROOT / "src/charqa").glob("*.py"))}
     assert not any(found.values()), found
+
+
+def parameter_key_stores(source: str) -> list[str]:
+    """The stores into a parameter dict (`params` or `p`) by string key, a
+    key built from a string constant or an f-string, as "function: line",
+    outside carn.draw_params: the way a tensor is drawn. carn.param_table is
+    the one place that gives a tensor its shape and initial value, and
+    draw_params the one place that draws it."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+                    and func != "draw_params"):
+                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                found.extend(
+                    f"{func}: {child.lineno}" for t in targets for sub in ast.walk(t)
+                    if isinstance(sub, ast.Subscript) and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name) and sub.value.id in ("params", "p")
+                    and any(isinstance(n, ast.JoinedStr)
+                            or (isinstance(n, ast.Constant) and isinstance(n.value, str))
+                            for n in ast.walk(sub.slice)))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  else func)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_parameter_key_stores_are_caught():
+    source = ("def init(rng, params, prefix):\n"
+              "    params[prefix + '.w'] = rng.standard_normal(3)\n"
+              "    params[f'{prefix}.b'], x = 0, 1\n"
+              "def draw_params(rng, table):\n"
+              "    p = {}\n"
+              "    p['x'] = 1\n"
+              "def step(params, grads):\n"
+              "    for k in grads:\n"
+              "        params[k] -= grads[k]\n"
+              "        grads['w'] = 0\n"
+              "p['embed.word'] = 0\n")
+    assert parameter_key_stores(source) == ["init: 2", "init: 3", "<module>: 11"]
+
+
+def test_one_draw():
+    found = {path.name: parameter_key_stores(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src/charqa").glob("*.py"))}
+    assert not any(found.values()), found

@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from charqa.carn import Model, ModelConfig, build_vocab, init_params
+from charqa.carn import Model, ModelConfig, build_vocab, draw_params, init_params, param_table
 from charqa.castlist import build_cast_list, count_speakers, map_speaker
 from charqa.corpus import (BBox, Clip, FaceDetection, Frame, GenConfig, SubtitleLine,
                            generate_corpus)
 from charqa.errors import NonFiniteLossError, ShapeError
 from charqa.harness import grad_check
 from charqa.naming import (TargetSeq, assign_names, broadcast_targets, face_accuracy,
-                           face_table, frame_speaker, init_naming, naming_forward,
-                           rkl_loss_with_grad, smoothed_onehot)
+                           face_table, frame_speaker, naming_forward, rkl_loss_with_grad,
+                           smoothed_onehot)
 from oracles import oracle_rkl, random_rkl_instance
 
 
@@ -38,8 +38,7 @@ class TestPredict:
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
-        params = {}
-        init_naming(rng, params, 6, 5, 4)
+        params = draw_params(rng, param_table(ModelConfig(d_h1=5), 6, 0, 4), "naming.")
         rows = naming_forward(params, rng.standard_normal((9, 6)))
         assert np.allclose(rows.sum(axis=1), 1.0)
         assert np.all(rows >= 0)
