@@ -30,7 +30,9 @@ runs the items through one runner, run_in_buckets, which sorts them by
 bucket_key (the lengths of the streams the passes pad), runs them in
 buckets of neighbours that fill a budget of padded rows, ROW_BUDGET, so that
 the items of a padded batch are of like length and a bucket of short items
-holds more of them, and returns every result in input order.
+holds more of them, and returns every result in input order. Items with
+equal context streams join a bucket together, unless they alone overflow
+it.
 
 param_table writes each parameter's name, shape and initial value once, in
 draw order; draw_params is the one draw, and Model.load checks a
@@ -42,7 +44,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, groupby, product
 from typing import ClassVar
 
 import numpy as np
@@ -62,14 +64,16 @@ PROB_FLOOR = 1e-12
 # forward/backward pass of a training batch's QA part, and per forward-only
 # pass of an evaluation. A bucket takes items until the next would push it
 # over; it always takes one. Larger passes amortize numpy's per-call
-# overhead over more rows but hold more activation caches at once: caches
-# hold no attention weights (backward recomputes them), and backward frees
-# each cache once it has used it. Measured with tracemalloc at d_model 32 on
-# the seed-1 reference corpus, one 64-item training batch peaks at 3.16 MB
-# (1.97 at 600 rows, 3.55 at 1,200, 4.35 at 1,500), the time-stamped
-# evaluation of its 200 clips at 3.33 MB and the whole-clip one at 2.21 MB.
-# At 1,000 rows a whole-clip view's 4 items share a bucket with those of one
-# other clip, so each clip's streams are encoded once per pass.
+# overhead over more rows but hold more activation caches at once. A
+# training bucket's caches hold the attention weights, projections and FFN
+# activations that backward reads, and backward runs right after the
+# bucket's forward and frees each cache once it has used it, so one
+# bucket's caches are alive at a time. Measured with tracemalloc at d_model
+# 32 on the seed-1 reference corpus, one 64-item training batch peaks at
+# 5.33 MB (3.84 at 600 rows, 6.42 at 1,200, 8.06 at 1,500), the
+# time-stamped evaluation of its 200 clips at 3.21 MB and the whole-clip one
+# at 2.35 MB. The QA items of a whole-clip view join a bucket whole, so each
+# clip's streams are encoded once per pass.
 ROW_BUDGET = 1000
 
 
@@ -220,49 +224,59 @@ def bucket_key(streams, qa: QAItem) -> tuple:
 
 
 class _BucketRows:
-    """The padded rows Model.forward_batch runs on a bucket, counted as its
-    items join: 5B times the longest question+answer for the QA encoder;
-    per pass, its distinct non-empty streams, by (tokens, flags), times the
-    longest of them for the context encoder, and its items with a non-empty
-    stream times N_q, the most question+answer rows of an item, for the
-    decoder."""
+    """The padded rows Model.forward_batch runs on a bucket, as `rows`: 5B
+    times the longest question+answer for the QA encoder; per pass, its
+    distinct non-empty streams, by (tokens, flags), times the longest of
+    them for the context encoder, and its items with a non-empty stream
+    times N_q, the most question+answer rows of an item, for the decoder.
+    add gives the count with more items and leaves this one as it is."""
 
-    def __init__(self):
-        self.items = self.qa_len = self.n_q = 0
-        self.passes = []  # per pass: [distinct streams, longest, items]
+    def __init__(self, items=0, qa_len=0, n_q=0, passes=()):
+        self.items, self.qa_len, self.n_q = items, qa_len, n_q
+        self.passes = passes  # per pass: (distinct streams, longest, items)
+        self.rows = 5 * items * qa_len + sum(len(distinct) * longest + users * n_q
+                                             for distinct, longest, users in passes)
 
-    def add(self, streams, qa: QAItem) -> int:
-        """Add a (context streams, qa) item; the bucket's rows with it."""
-        lengths = [len(qa.question) + len(a) for a in qa.answers]
-        self.items += 1
-        self.qa_len = max(self.qa_len, *lengths)
-        self.n_q = max(self.n_q, sum(lengths))
-        self.passes = self.passes or [[set(), 0, 0] for _ in streams]
-        rows = 5 * self.items * self.qa_len
-        for p, (toks, flags) in zip(self.passes, streams, strict=True):
+    def add(self, streams, qas) -> _BucketRows:
+        """The count with one item per QAItem of qas added, all of them with
+        the context streams `streams`."""
+        lengths = [[len(qa.question) + len(a) for a in qa.answers] for qa in qas]
+        passes = []
+        for (distinct, longest, users), (toks, flags) in zip(
+                self.passes or [(frozenset(), 0, 0)] * len(streams), streams, strict=True):
             if toks:
-                p[0].add((tuple(toks), tuple(flags)))
-                p[1] = max(p[1], len(toks))
-                p[2] += 1
-            rows += len(p[0]) * p[1] + p[2] * self.n_q
-        return rows
+                distinct = distinct | {(tuple(toks), tuple(flags))}
+                longest, users = max(longest, len(toks)), users + len(qas)
+            passes.append((distinct, longest, users))
+        return _BucketRows(self.items + len(qas), max(self.qa_len, *chain(*lengths)),
+                           max(self.n_q, *map(sum, lengths)), tuple(passes))
 
 
 def run_in_buckets(items, run) -> list:
     """run over (context streams, qa) items in buckets, the items sorted by
     (bucket_key, input index), so that a padded batch holds items of like
-    length and the order is deterministic. A bucket takes the sorted items
-    one by one until the next would push its padded rows (_BucketRows) over
-    ROW_BUDGET; it always takes one. run maps a bucket, a list of input
-    indices, to one result per index. Returns the results in input order."""
+    length and the order is deterministic. The sorted items with equal
+    context streams (a run, such as the QA items of a whole-clip view) join
+    the current bucket whole if its padded rows (_BucketRows) stay within
+    ROW_BUDGET, or else start a new one, so that a bucket encodes each of
+    their streams once. A run whose rows alone exceed ROW_BUDGET goes item
+    by item instead: a bucket takes its items until the next would push it
+    over. A bucket always takes one item or run. run maps a bucket, a list
+    of input indices, to one result per index. Returns the results in input
+    order."""
     order = sorted(range(len(items)), key=lambda i: (bucket_key(*items[i]), i))
-    buckets = []
-    for i in order:
-        if not buckets or rows.add(*items[i]) > ROW_BUDGET:
-            buckets.append([])
-            rows = _BucketRows()
-            rows.add(*items[i])
-        buckets[-1].append(i)
+    buckets, rows = [], _BucketRows()
+    for streams, same in groupby(order, key=lambda i: items[i][0]):
+        same = list(same)
+        whole = _BucketRows().add(streams, [items[i][1] for i in same])
+        for part in [same] if whole.rows <= ROW_BUDGET else [[i] for i in same]:
+            qas = [items[i][1] for i in part]
+            more = rows.add(streams, qas)
+            if not buckets or more.rows > ROW_BUDGET:
+                buckets.append([])
+                more = _BucketRows().add(streams, qas)
+            buckets[-1] += part
+            rows = more
     results = [None] * len(items)
     for bucket in buckets:
         for i, result in zip(bucket, run(bucket), strict=True):

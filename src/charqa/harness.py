@@ -434,11 +434,12 @@ def _mini_setup(rng):
 
 
 def _mini_batch(clip: Clip, qa: QAItem):
-    """Seven items: three of _mini_setup's clip and four of a clip whose
+    """Twelve items: three of _mini_setup's clip and nine of a clip whose
     streams are longer, so that the contexts of a batch pad, each clip's
     context is shared by several items, and the batch spans two buckets.
-    The second clip's detections and lines repeat 15 times: its streams
-    push the batch past carn.ROW_BUDGET's padded rows within its items."""
+    The second clip's detections and lines repeat 15 times, and its nine
+    items' padded rows alone exceed carn.ROW_BUDGET: they go into the
+    buckets item by item, so that clip has items on both sides of a split."""
     (frame,) = clip.frames
     (face,) = frame.faces
     human = frame.human_boxes[0][0]
@@ -455,14 +456,14 @@ def _mini_batch(clip: Clip, qa: QAItem):
                   (0.0, 0.9)),
            QAItem(["so", "cup"], [["holds"], ["Ada", "story"], ["man", "so", "cup"], ["who"],
                                   ["Ben"]], 1, (0.0, 0.9))]
-    other = Clip("mini2", [frame2], lines, qas, {1: "Ben"})
+    other = Clip("mini2", [frame2], lines, (qas * 3)[:9], {1: "Ben"})
     first = Clip(clip.clip_id, clip.frames, clip.subtitles, qas[:3], clip.truth)
     return [(c, q) for c in (first, other) for q in c.qas]
 
 
 def check_full(rng, report: GradCheckReport) -> None:
     """One random config: joint CE + lambda*RKL on a tiny handmade item,
-    then summed over _mini_batch's seven items from two clips, run as
+    then summed over _mini_batch's twelve items from two clips, run as
     training runs it (buckets within carn.ROW_BUDGET padded rows, so the
     second clip's items fall into two of them)."""
     model, clip, qa = _mini_setup(rng)

@@ -24,7 +24,7 @@ import numpy as np
 from .castlist import CastList, map_speaker
 from .corpus import Clip, bounded
 from .errors import NonFiniteLossError, ShapeError
-from .nn import ffn_backward, ffn_forward, softmax, softmax_backward
+from .nn import ffn_activation, ffn_backward, ffn_forward, softmax, softmax_backward
 
 
 class TargetSeq:
@@ -60,15 +60,17 @@ def naming_forward(params, embeddings: np.ndarray) -> np.ndarray:
     w1 = params["naming.w1"]
     if embeddings.ndim != 2 or embeddings.shape[1] != w1.shape[0]:
         raise ShapeError(f"embeddings {embeddings.shape} incompatible with W1 {w1.shape}")
-    return softmax(ffn_forward(params, "naming", embeddings))
+    return softmax(ffn_forward(params, "naming", embeddings)[0])
 
 
 def naming_backward(params, embeddings: np.ndarray, rows: np.ndarray, drows: np.ndarray,
                     grads: dict) -> None:
     """Accumulate into grads the "naming.*" gradients of a loss whose
     gradient with respect to naming_forward's rows is drows, which the
-    softmax backward overwrites."""
-    ffn_backward(params, "naming", embeddings, softmax_backward(rows, drows), grads)
+    softmax backward overwrites. The head's activation is recomputed here
+    with one gemm rather than kept from naming_forward."""
+    ffn_backward(params, "naming", embeddings, ffn_activation(params, "naming", embeddings),
+                 softmax_backward(rows, drows), grads)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,14 @@ reasoning network uses, plus Adam and finite-difference helpers.
 
 Everything is written against a flat dict[str, ndarray] parameter store with
 dotted key prefixes ("enc.l0.attn.wq", ...), drawn from carn.param_table.
-The layer-norm, block and stack forwards return (output, cache); the
-attention and FFN forwards return their output alone, and their backwards
-take the forward's inputs. Each backward accumulates parameter gradients
-into a same-keyed dict while returning input gradients. A cache is used
-once: stack_backward pops each block's cache as it runs the block, so its
-memory goes as backward goes. Gradients are exact, which the
-finite-difference suite checks, so keep any new op differentiable or route
-it around the tape the way the hard min in the naming loss is.
+The layer-norm, attention, FFN, block and stack forwards return (output,
+cache), and each backward reads its forward's cache. Each backward
+accumulates parameter gradients into a same-keyed dict while returning
+input gradients. A cache is used once: stack_backward pops each block's
+cache as it runs the block, so its memory goes as backward goes. Gradients
+are exact, which the finite-difference suite checks, so keep any new op
+differentiable or route it around the tape the way the hard min in the
+naming loss is.
 
 Every op takes leading batch axes: a (n, d) sequence and a (B, n, d) batch
 of equal-length (padded) sequences run through the same code, and weight
@@ -19,12 +19,16 @@ the valid keys of each sequence. The ops are sized for batches of many
 short rows, where numpy's cost per call dominates: reductions over the
 short last axis (the softmax row max and row sums, the layer-norm means)
 run as a max over a contiguous transpose or as one matrix-vector product
-with a constant column. Caches keep only what backward cannot recompute
-elementwise or with one gemm, because a training batch holds every block's
-cache at once: no cache holds attention weights, which backward recomputes
-from the cached block input with one gemm and one softmax. The attention
-scores are scaled, masked and normalized in place in one array, and the
-softmax backward overwrites the gradient it is given.
+with a constant column, and the parameter gradients' sums over rows as one
+vector-matrix product with a ones row. A block's cache holds what its
+backward reads: the attention's projections and weights and the FFN's
+activation, so no backward runs a forward op. Only the layer-norm outputs
+are rebuilt, elementwise, from the cached normalized input. A caller runs
+each batch's backward right after its forward, so one batch's caches are
+alive at a time; a forward-only pass (keep_cache False) keeps none, and
+drops the attention weights before the FFN runs. The attention scores are
+scaled, masked and normalized in place in one array, and the softmax
+backward overwrites the gradient it is given.
 
 Attention follows the convention of reusing the projected keys as values:
 Attention(Q, K) = softmax(QK^T/sqrt(d_h)) K, with per-head projections for
@@ -91,6 +95,14 @@ def softmax_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
     return dp
 
 
+def column_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over every leading axis, (..., d) -> (d,), as one vector-matrix
+    product with a ones row. The row is made per call, not taken from
+    _column's cache, since the row count varies from call to call."""
+    x2 = x.reshape(-1, x.shape[-1])
+    return np.ones(x2.shape[0]) @ x2
+
+
 def layernorm_forward(x, g, b, eps: float = 1e-5):
     xhat = x - row_mean(x)
     inv = 1.0 / np.sqrt(row_mean(xhat * xhat) + eps)
@@ -106,8 +118,8 @@ def _affine(xhat, g, b):
 
 def layernorm_backward(cache, dy):
     xhat, inv, g = cache
-    dg = np.sum(dy * xhat, axis=tuple(range(dy.ndim - 1)))
-    db = np.sum(dy, axis=tuple(range(dy.ndim - 1)))
+    dg = column_sum(dy * xhat)
+    db = column_sum(dy)
     dxhat = dy * g
     dx = dxhat - row_mean(dxhat)
     dx -= xhat * row_mean(dxhat * xhat)
@@ -135,13 +147,9 @@ def attention_weights(q, k, key_mask=None):
     return softmax(s, out=s)
 
 
-def attention_forward(q, k, key_mask=None):
-    """softmax(QK^T/sqrt(d_h)) K. No cache: backward recomputes the weights."""
-    return attention_weights(q, k, key_mask) @ k
-
-
 def attention_backward(q, k, p, dy):
-    """(dL/dq, dL/dk) of attention_forward, given its attention weights p."""
+    """(dL/dq, dL/dk) of softmax(QK^T/sqrt(d_h)) K, given its attention
+    weights p."""
     scale = 1.0 / math.sqrt(q.shape[-1])
     dp = dy @ k.swapaxes(-1, -2)
     dk = p.swapaxes(-1, -2) @ dy
@@ -177,24 +185,27 @@ def _per_head(key_mask):
 
 def mha_forward(params, prefix, xq, xk, key_mask=None):
     """Multi-head: per-head q/k projections, concat of per-head outputs.
+    Returns the output and the cache mha_backward reads: the projections q
+    and k, (..., H, n, d_h), and the attention weights p, (..., H, n, n_k).
 
     All heads run as one (..., H, n, d_h) matmul; head h fills columns
-    h*d_h:(h+1)*d_h of the output. Backward takes the same inputs and
-    recomputes the projections and the attention weights.
+    h*d_h:(h+1)*d_h of the output.
     """
     q = _project(xq, params[prefix + ".wq"])  # wq: (H, d_model, d_h)
     k = _project(xk, params[prefix + ".wk"])
-    y = attention_forward(q, k, _per_head(key_mask)).swapaxes(-3, -2)
-    return y.reshape(y.shape[:-2] + (-1,))
+    p = attention_weights(q, k, _per_head(key_mask))
+    y = (p @ k).swapaxes(-3, -2)
+    return y.reshape(y.shape[:-2] + (-1,)), (q, k, p)
 
 
-def mha_backward(params, prefix, xq, xk, key_mask, dy, grads):
+def mha_backward(params, prefix, xq, xk, cache, dy, grads):
+    """(dL/dxq, dL/dxk) of mha_forward, given its inputs and its cache."""
+    q, k, p = cache
     wq = params[prefix + ".wq"]
     wk = params[prefix + ".wk"]
     n_heads, _, d_h = wq.shape
-    q, k = _project(xq, wq), _project(xk, wk)
     dy = dy.reshape(dy.shape[:-1] + (n_heads, d_h)).swapaxes(-3, -2)
-    dq, dk = attention_backward(q, k, attention_weights(q, k, _per_head(key_mask)), dy)
+    dq, dk = attention_backward(q, k, p, dy)
     gq, dxq = _project_backward(xq, wq, dq)
     gk, dxk = _project_backward(xk, wk, dk)
     grads[prefix + ".wq"] = grads.get(prefix + ".wq", 0) + gq
@@ -206,48 +217,55 @@ def mha_backward(params, prefix, xq, xk, key_mask, dy, grads):
 # Feed-forward and transformer blocks (pre-norm, residual)
 
 
-def ffn_forward(params, prefix, x):
-    """relu(x W1 + b1) W2 + b2. Backward takes the input x and recomputes
-    the pre-activation with one gemm."""
+def ffn_activation(params, prefix, x):
+    """relu(x W1 + b1)."""
     h = x @ params[prefix + ".w1"]
     h += params[prefix + ".b1"]
-    y = np.maximum(h, 0.0, out=h) @ params[prefix + ".w2"]
+    return np.maximum(h, 0.0, out=h)
+
+
+def ffn_forward(params, prefix, x):
+    """relu(x W1 + b1) W2 + b2, and the activation h = relu(x W1 + b1),
+    which ffn_backward reads with the input x."""
+    h = ffn_activation(params, prefix, x)
+    y = h @ params[prefix + ".w2"]
     y += params[prefix + ".b2"]
-    return y
+    return y, h
 
 
-def ffn_backward(params, prefix, x, dy, grads):
-    w1, b1, w2 = params[prefix + ".w1"], params[prefix + ".b1"], params[prefix + ".w2"]
-    pre = x @ w1
-    pre += b1
-    dpre = dy @ w2.T
-    dpre *= pre > 0
+def ffn_backward(params, prefix, x, h, dy, grads):
+    """dL/dx of ffn_forward, given its input x and its activation h."""
+    dpre = dy @ params[prefix + ".w2"].T
+    dpre *= h > 0
     # Weight gradients sum over every leading axis: flatten to rows first.
-    x2, h2 = x.reshape(-1, x.shape[-1]), np.maximum(pre, 0.0, out=pre).reshape(-1, pre.shape[-1])
+    x2, h2 = x.reshape(-1, x.shape[-1]), h.reshape(-1, h.shape[-1])
     dy2, dpre2 = dy.reshape(-1, dy.shape[-1]), dpre.reshape(-1, dpre.shape[-1])
     grads[prefix + ".w2"] = grads.get(prefix + ".w2", 0) + h2.T @ dy2
-    grads[prefix + ".b2"] = grads.get(prefix + ".b2", 0) + dy2.sum(axis=0)
+    grads[prefix + ".b2"] = grads.get(prefix + ".b2", 0) + column_sum(dy2)
     grads[prefix + ".w1"] = grads.get(prefix + ".w1", 0) + x2.T @ dpre2
-    grads[prefix + ".b1"] = grads.get(prefix + ".b1", 0) + dpre2.sum(axis=0)
-    return dpre @ w1.T
+    grads[prefix + ".b1"] = grads.get(prefix + ".b1", 0) + column_sum(dpre2)
+    return dpre @ params[prefix + ".w1"].T
 
 
-def block_forward(params, prefix, x, context=None, key_mask=None):
+def block_forward(params, prefix, x, context=None, key_mask=None, keep_cache: bool = True):
     """x = x + MHA(LN1(x), C); x = x + FFN(LN2(x)). Self-attention when
     context is None (C = LN1(x)), cross-attention otherwise (C = context).
 
-    The cache keeps the two layer norms' caches, the context and the key
-    mask: backward recomputes the layer-norm outputs elementwise, the
-    projections and the FFN pre-activation with one gemm each, and the
-    attention weights with one gemm and one softmax, since a training batch
-    holds every block's cache at once."""
+    The cache keeps what backward reads: the two layer norms' caches, the
+    context, the attention's projections and weights, and the FFN's
+    activation. Backward rebuilds only the layer-norm outputs, elementwise,
+    and runs no other forward op. With keep_cache False the cache is None,
+    and the attention's cache goes before the FFN runs."""
     u, ln1c = layernorm_forward(x, params[prefix + ".ln1.g"], params[prefix + ".ln1.b"])
-    x1 = mha_forward(params, prefix + ".attn", u, u if context is None else context, key_mask)
+    x1, attn = mha_forward(params, prefix + ".attn", u, u if context is None else context,
+                           key_mask)
+    if not keep_cache:
+        attn = None
     x1 += x
     v, ln2c = layernorm_forward(x1, params[prefix + ".ln2.g"], params[prefix + ".ln2.b"])
-    y = ffn_forward(params, prefix + ".ffn", v)
+    y, h = ffn_forward(params, prefix + ".ffn", v)
     y += x1
-    return y, (ln1c, ln2c, context, key_mask)
+    return y, (ln1c, ln2c, context, attn, h) if keep_cache else None
 
 
 def _layernorm_output(params, prefix, cache):
@@ -256,9 +274,9 @@ def _layernorm_output(params, prefix, cache):
 
 
 def block_backward(params, prefix, cache, dy, grads):
-    ln1c, ln2c, context, key_mask = cache
+    ln1c, ln2c, context, attn, h = cache
     v = _layernorm_output(params, prefix + ".ln2", ln2c)
-    dv = ffn_backward(params, prefix + ".ffn", v, dy, grads)
+    dv = ffn_backward(params, prefix + ".ffn", v, h, dy, grads)
     dxx, dg2, db2 = layernorm_backward(ln2c, dv)
     grads[prefix + ".ln2.g"] = grads.get(prefix + ".ln2.g", 0) + dg2
     grads[prefix + ".ln2.b"] = grads.get(prefix + ".ln2.b", 0) + db2
@@ -266,7 +284,7 @@ def block_backward(params, prefix, cache, dy, grads):
     dx1 += dy
     u = _layernorm_output(params, prefix + ".ln1", ln1c)
     du, dctx = mha_backward(params, prefix + ".attn", u, u if context is None else context,
-                            key_mask, dx1, grads)
+                            attn, dx1, grads)
     if context is None:
         du += dctx
         dctx = None
@@ -281,13 +299,13 @@ def stack_forward(params, prefix, n_layers, x, context=None, key_mask=None,
                   keep_cache: bool = True):
     """n_layers blocks sharing one context, then a final layer norm, whose
     bias applies only where params hold one (prefix + ".lnf.b"). With
-    keep_cache False each block's cache is dropped once the next block has
-    run, and the cache returned is None (a forward-only pass)."""
+    keep_cache False no block keeps a cache, and the cache returned is None
+    (a forward-only pass)."""
     if x.shape[-2] == 0:
         raise EmptyInputError(f"{prefix}: empty input sequence")
     caches = []
     for i in range(n_layers):
-        x, c = block_forward(params, f"{prefix}.l{i}", x, context, key_mask)
+        x, c = block_forward(params, f"{prefix}.l{i}", x, context, key_mask, keep_cache)
         if keep_cache:
             caches.append(c)
     y, lnc = layernorm_forward(x, params[prefix + ".lnf.g"], params.get(prefix + ".lnf.b", 0.0))
@@ -435,8 +453,9 @@ def check_gradients(fun, params, analytic: dict, keys=None, max_entries_per_tens
 
 __all__ = [
     "MASK_FILL", "row_max", "row_sum", "row_mean", "softmax", "softmax_backward",
-    "layernorm_forward", "layernorm_backward", "attention_weights", "attention_forward",
-    "attention_backward", "mha_forward", "mha_backward", "ffn_forward", "ffn_backward",
+    "column_sum", "layernorm_forward", "layernorm_backward", "attention_weights",
+    "attention_backward", "mha_forward", "mha_backward", "ffn_activation", "ffn_forward",
+    "ffn_backward",
     "block_forward", "block_backward", "stack_forward", "stack_backward",
     "sinusoidal_positions", "Adam",
     "relative_error", "check_gradients",

@@ -41,7 +41,7 @@ def stack_params(prefix="enc", d_model=8, d_ff=12, heads=4, seed=0):
 
 # The ops the model runs, output only.
 def attention(q, k, key_mask=None):
-    return nn.attention_forward(q, k, key_mask)
+    return nn.attention_weights(q, k, key_mask) @ k
 
 
 def encode(x, params, key_mask=None):
@@ -316,6 +316,9 @@ class TestReductionKernels:
             assert np.max(np.abs(nn.row_mean(arr) - arr.mean(axis=-1, keepdims=True))) <= 1e-14
         p = nn.softmax(x)
         assert p.shape == x.shape and np.max(np.abs(p.sum(axis=-1) - 1.0)) <= 1e-14
+        for arr in (x, x.swapaxes(-1, -2), x[0, 0]):
+            expected = arr.sum(axis=tuple(range(arr.ndim - 1)))
+            assert np.max(np.abs(nn.column_sum(arr) - expected)) <= 1e-13
 
 
 class TestEncode:
@@ -441,11 +444,45 @@ class TestStackedCandidates:
         rng = np.random.default_rng(15)
         xq, xk = rng.standard_normal((3, 8)), rng.standard_normal((6, 8))
         wq, wk = params["enc.l0.attn.wq"], params["enc.l0.attn.wk"]
-        y = nn.mha_forward(params, "enc.l0.attn", xq, xk)
+        y, _ = nn.mha_forward(params, "enc.l0.attn", xq, xk)
         d_h = wq.shape[2]
         for h in range(wq.shape[0]):
             expected = attention(xq @ wq[h], xk @ wk[h])
             assert np.max(np.abs(y[:, h * d_h:(h + 1) * d_h] - expected)) <= 1e-12
+
+
+class TestBackwardCache:
+    def test_stack_backward_recomputes_nothing(self):
+        # Backward reads the projections, attention weights and FFN
+        # activations from the forward's cache: with every forward op made
+        # to raise once the forward has run, a key-masked encoder and decoder
+        # give exactly the gradients of an unpatched backward.
+        rng = np.random.default_rng(17)
+        x, ctx = rng.standard_normal((3, 6, 8)), rng.standard_normal((3, 5, 8))
+        x_mask = np.arange(6) < np.array([6, 4, 2])[:, None]
+        ctx_mask = np.arange(5) < np.array([5, 3, 1])[:, None]
+        probe = rng.standard_normal(x.shape)
+        forward_ops = ("attention_weights", "_project", "ffn_activation", "ffn_forward",
+                       "softmax")
+
+        def backward(prefix, context, key_mask, patched):
+            params = stack_params(prefix)
+            _, cache = nn.stack_forward(params, prefix, 2, x, context, key_mask)
+            grads = {}
+            with contextlib.ExitStack() as patches:
+                for name in forward_ops if patched else ():
+                    patches.enter_context(mock.patch.object(nn, name,
+                                                            side_effect=AssertionError(name)))
+                return nn.stack_backward(params, prefix, cache, probe, grads), grads
+
+        for prefix, context, key_mask in (("enc", None, x_mask), ("dec_v", ctx, ctx_mask)):
+            (dx, dctx), grads = backward(prefix, context, key_mask, patched=True)
+            (dx0, dctx0), grads0 = backward(prefix, context, key_mask, patched=False)
+            assert np.array_equal(dx, dx0)
+            assert (dctx is None) == (context is None)
+            assert context is None or np.array_equal(dctx, dctx0)
+            assert grads.keys() == grads0.keys()
+            assert all(np.array_equal(grads[k], grads0[k]) for k in grads)
 
 
 class TestMultiTaskLoss:
@@ -841,8 +878,10 @@ def draw_batch_setup(data):
 
 class TestBuckets:
     """run_in_buckets cuts the sorted items into buckets that fill the row
-    budget: each bucket takes items until the next would push the rows that
-    forward_batch runs on it over carn.ROW_BUDGET."""
+    budget: a run of items with equal context streams joins a bucket whole
+    unless that would push the rows that forward_batch runs on it over
+    carn.ROW_BUDGET, and then starts a new one; a run too long for one
+    bucket goes item by item."""
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -857,11 +896,35 @@ class TestBuckets:
         assert results == list(range(len(fed)))
         order = sorted(range(len(fed)), key=lambda i: (carn.bucket_key(*fed[i]), i))
         assert [i for b in buckets for i in b] == order
+
+        def rows(indices):
+            return forward_rows(model, [fed[i] for i in indices])
+
+        runs = [list(run) for _, run in itertools.groupby(order, key=lambda i: fed[i][0])]
+        whole = {i: run for run in runs if rows(run) <= budget for i in run}
+        for run in whole.values():
+            assert any(set(run) <= set(b) for b in buckets)
         for b, after in zip(buckets, buckets[1:] + [[]]):
             if len(b) > 1:
-                assert forward_rows(model, [fed[i] for i in b]) <= budget
-            if after:
-                assert forward_rows(model, [fed[i] for i in b + after[:1]]) > budget
+                assert rows(b) <= budget
+            if after:  # the next run, or the next item of a run too long for a bucket
+                assert rows(b + whole.get(after[0], after[:1])) > budget
+
+    @pytest.mark.parametrize("budget, expected", [
+        (100, [[0], [1, 2, 3, 4]]),  # 84 rows for [0, 1, 2], 92 for [1, 2, 3, 4]
+        (90, [[0, 1, 2], [3, 4]]),  # the run [1, 2, 3, 4] alone is over the budget
+    ])
+    def test_a_run_of_equal_streams_joins_a_bucket_whole(self, budget, expected):
+        # A one-item clip and a whole-clip view of four items, one subtitle
+        # pass each. Cut item by item at 100 rows, the four items' stream
+        # would be encoded in two buckets.
+        qa = QAItem(["who"], [["a"], ["b"], ["c"], ["d"], ["e"]], 0, (0.0, 1.0))
+        short, long_ = ((["x"] * 10, [False] * 10),), ((["y"] * 12, [False] * 12),)
+        fed = [(short, qa)] + [(long_, qa)] * 4
+        buckets = []
+        with mock.patch.object(carn, "ROW_BUDGET", budget):
+            carn.run_in_buckets(fed, lambda b: buckets.append(b) or list(b))
+        assert buckets == expected
 
 
 class TestBatch:

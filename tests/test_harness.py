@@ -15,7 +15,7 @@ from charqa import carn, harness, nn
 from charqa.carn import (VARIANT_LABELS, ModalityConfig, Model, ModelConfig, draw_params,
                          param_table)
 from charqa.corpus import (DEFAULT_DIALOGUE_VOCAB, MAX_K_PRINCIPALS, MAX_N_EXTRAS, Clip,
-                           GenConfig, QAItem, config_kwargs, generate_corpus)
+                           GenConfig, config_kwargs, generate_corpus)
 from charqa.errors import (CharqaError, ConfigError, EmptyInputError, NumericFaultError,
                            ShapeError)
 from charqa.harness import (METRICS_COLUMNS, GradCheckReport, TrainConfig, _mini_batch,
@@ -615,47 +615,42 @@ class TestGradCheckRunner:
         assert errors["w"] > 1e-4
 
     def test_relu_kink_is_told_from_a_wrong_gradient(self):
-        # With ["so", "story"] as the fourth answer, config 15 of the
-        # single-item full check at seed 0 puts an FFN pre-activation of the
-        # visual decoder 3.4e-6 from the ReLU kink, inside the 1e-5 central
-        # step: the central difference of dec_v.l1.ffn.b1[8] misses the
-        # (correct) analytic value by 0.43.
-        rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(2,)))
-        for config in range(16):
-            model, clip, qa = _mini_setup(rng)
-            lam = float(rng.choice([0.5, 1.0, 2.0]))
-            if config < 15:  # draw the entries that the config probed
-                for _, a in sorted(model.params.items()):
-                    if a.size > 2:
-                        rng.choice(a.size, size=2, replace=False)
-        qa = QAItem(qa.question, [["Ada"], ["Ben"], ["cup"], ["so", "story"], ["story"]],
-                    0, qa.ts_interval)
-        clip = Clip(clip.clip_id, clip.frames, clip.subtitles, [qa], clip.truth)
+        # An FFN input built so that one pre-activation sits 3.4e-6 above the
+        # ReLU kink, inside the 1e-5 central step of the bias entry it adds:
+        # the central difference misses the (correct) analytic value.
+        rng = np.random.default_rng(0)
+        table = param_table(ModelConfig(d_model=8, d_ff=12, heads=2), 1, 0, 1)
+        params = draw_params(rng, table, "enc.")
+        key, unit = "enc.l0.ffn.b1", 5
+        x = rng.standard_normal((2, 3, 8))
+        params[key][unit] = 3.4e-6 - x[0, 0] @ params["enc.l0.ffn.w1"][:, unit]
+        probe = rng.standard_normal(x.shape)
 
         def loss():
-            return model.item_loss_and_grads(clip, clip, qa, lam=lam).loss
+            return float(np.sum(nn.ffn_forward(params, "enc.l0.ffn", x)[0] * probe))
 
+        _, h = nn.ffn_forward(params, "enc.l0.ffn", x)
         grads = {}
-        model.item_loss_and_grads(clip, clip, qa, lam=lam, grads=grads)
-        key = "dec_v.l1.ffn.b1"
-        entry, step = model.params[key][8], 1e-5
-        model.params[key][8] = entry + step
+        nn.ffn_backward(params, "enc.l0.ffn", x, h, probe, grads)
+        entry, step = params[key][unit], 1e-5
+        params[key][unit] = entry + step
         hi = loss()
-        model.params[key][8] = entry - step
+        params[key][unit] = entry - step
         lo = loss()
-        model.params[key][8] = entry
+        params[key][unit] = entry
         central = (hi - lo) / (2 * step)
-        assert nn.relative_error(grads[key][8], central) > 1e-2
-        worst, kinks = nn.check_gradients(loss, model.params, grads, keys=[key])
-        assert kinks[key] >= 1
+        assert nn.relative_error(grads[key][unit], central) > 1e-2
+        worst, kinks = nn.check_gradients(loss, params, grads, keys=[key])
+        assert kinks[key] == 1
         assert worst[key] <= 1e-4
-        rep = GradCheckReport("full", 1e-4)
+        rep = GradCheckReport("enc", 1e-4)
         rep.merge(worst, kinks)
         assert rep.passed and "kink" in rep.format()
 
     def test_flipped_relu_mask_still_fails(self, monkeypatch):
-        # A test double of the FFN backward that flips the ReLU of the unit
-        # with the largest pre-activation: a wrong gradient, not a kink.
+        # A test double of the FFN backward that flips the ReLU mask, read
+        # from the cached activation, of the unit with the largest
+        # activation: a wrong gradient, not a kink.
         rng = np.random.default_rng(4)
         table = param_table(ModelConfig(d_model=8, d_ff=12, heads=2), 1, 0, 1)
         params = draw_params(rng, table, "enc.")
@@ -663,18 +658,17 @@ class TestGradCheckRunner:
         mask = np.array([[True] * 5, [True, True, False, True, False]])
         probe = rng.standard_normal(x.shape)
 
-        def flipped(params_, prefix, x_, dy, grads_):
-            w1, b1, w2 = (params_[prefix + k] for k in (".w1", ".b1", ".w2"))
-            pre = x_ @ w1 + b1
-            on = pre > 0
-            i = np.unravel_index(np.argmax(np.abs(pre)), pre.shape)
+        def flipped(params_, prefix, x_, h, dy, grads_):
+            w1, w2 = params_[prefix + ".w1"], params_[prefix + ".w2"]
+            on = h > 0
+            i = np.unravel_index(np.argmax(h), h.shape)
             on[i] = not on[i]
             dpre = (dy @ w2.T) * on
 
             def rows(a):
                 return a.reshape(-1, a.shape[-1])
 
-            for k, g in ((".w2", rows(pre * on).T @ rows(dy)), (".b2", rows(dy).sum(axis=0)),
+            for k, g in ((".w2", rows(h * on).T @ rows(dy)), (".b2", rows(dy).sum(axis=0)),
                          (".w1", rows(x_).T @ rows(dpre)), (".b1", rows(dpre).sum(axis=0))):
                 grads_[prefix + k] = grads_.get(prefix + k, 0) + g
             return dpre @ w1.T

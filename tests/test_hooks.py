@@ -312,3 +312,49 @@ def test_one_draw():
     found = {path.name: parameter_key_stores(path.read_text(encoding="utf-8"))
              for path in sorted((ROOT / "src/charqa").glob("*.py"))}
     assert not any(found.values()), found
+
+
+# The forward ops of nn.py besides its `*_forward` functions: the ones they
+# are built from that run a gemm or a softmax.
+FORWARD_OPS = ("softmax", "attention_weights", "_project", "ffn_activation")
+
+
+def backward_forward_calls(source: str) -> list[str]:
+    """The forward ops that a module's `*_backward` functions call, directly
+    or through its other module-level functions, as "backward: op". A
+    forward op is a function named `*_forward` or one in FORWARD_OPS: a
+    backward reads what its forward computed from the cache instead."""
+    funcs = {node.name: node for node in ast.parse(source).body
+             if isinstance(node, ast.FunctionDef)}
+
+    def callees(name):
+        return {n.func.id for n in ast.walk(funcs[name])
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+
+    found = set()
+    for backward in (name for name in funcs if name.endswith("_backward")):
+        seen, todo = {backward}, [backward]
+        while todo:
+            for callee in callees(todo.pop()):
+                if callee.endswith("_forward") or callee in FORWARD_OPS:
+                    found.add(f"{backward}: {callee}")
+                elif callee in funcs and callee not in seen:
+                    seen.add(callee)
+                    todo.append(callee)
+    return sorted(found)
+
+
+def test_forward_calls_in_backward_are_caught():
+    source = ("def softmax(x):\n    return x\n"
+              "def helper(x):\n    return softmax(x)\n"
+              "def a_forward(x):\n    return x\n"
+              "def a_backward(x):\n    return helper(x)\n"
+              "def b_backward(x):\n    return a_forward(x) + a_backward(x)\n"
+              "def c_backward(x):\n    return abs(x) + helper_forward\n")
+    assert backward_forward_calls(source) == [
+        "a_backward: softmax", "b_backward: a_forward", "b_backward: softmax"]
+
+
+def test_backward_runs_no_forward_op():
+    found = backward_forward_calls((ROOT / "src/charqa/nn.py").read_text(encoding="utf-8"))
+    assert not found, found
