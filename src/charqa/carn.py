@@ -28,11 +28,13 @@ through Model.forward_item: it builds each item's context streams by one
 function, Model.context_streams, once per distinct (view, names) pair, then
 runs the items through one runner, run_in_buckets, which sorts them by
 bucket_key (the lengths of the streams the passes pad), runs them in
-buckets of neighbours that fill a budget of padded rows, ROW_BUDGET, so that
-the items of a padded batch are of like length and a bucket of short items
-holds more of them, and returns every result in input order. Items with
-equal context streams join a bucket together, unless they alone overflow
-it.
+buckets of neighbours that fill a budget of padded rows, so that the items
+of a padded batch are of like length and a bucket of short items holds more
+of them, and returns every result in input order. The budget is ROW_BUDGET
+for a training pass, whose buckets keep caches for backward, and
+FORWARD_ONLY_MULTIPLE times that for a forward-only pass, which keeps none.
+Items with equal context streams join a bucket together, unless they alone
+overflow it.
 
 param_table writes each parameter's name, shape and initial value once, in
 draw order; draw_params is the one draw, and Model.load checks a
@@ -60,21 +62,27 @@ from .semantics import visual_stream
 CHECKPOINT_VERSION = "charqa-ckpt-6"
 PROB_FLOOR = 1e-12
 
-# Padded rows per bucket of run_in_buckets (_BucketRows counts them): per
-# forward/backward pass of a training batch's QA part, and per forward-only
-# pass of an evaluation. A bucket takes items until the next would push it
-# over; it always takes one. Larger passes amortize numpy's per-call
-# overhead over more rows but hold more activation caches at once. A
-# training bucket's caches hold the attention weights, projections and FFN
-# activations that backward reads, and backward runs right after the
-# bucket's forward and frees each cache once it has used it, so one
-# bucket's caches are alive at a time. Measured with tracemalloc at d_model
-# 32 on the seed-1 reference corpus, one 64-item training batch peaks at
-# 5.33 MB (3.84 at 600 rows, 6.42 at 1,200, 8.06 at 1,500), the
-# time-stamped evaluation of its 200 clips at 3.21 MB and the whole-clip one
-# at 2.35 MB. The QA items of a whole-clip view join a bucket whole, so each
+# Padded rows per bucket of run_in_buckets (_BucketRows counts them) in a
+# training pass: per forward/backward pass of a training batch's QA part. A
+# bucket takes items until the next would push it over; it always takes one.
+# Larger passes amortize numpy's per-call overhead over more rows but hold
+# more activation caches at once. A training bucket's caches hold the
+# attention weights, projections and FFN activations that backward reads,
+# and backward runs right after the bucket's forward and frees each cache
+# once it has used it, so one bucket's caches are alive at a time. Measured
+# with tracemalloc at d_model 32 on the seed-1 reference corpus, one 64-item
+# training batch peaks at 5.33 MB (3.84 at 600 rows, 6.42 at 1,200, 8.06 at
+# 1,500). The QA items of a whole-clip view join a bucket whole, so each
 # clip's streams are encoded once per pass.
 ROW_BUDGET = 1000
+# A forward-only pass (every evaluation, and the loss of a gradient check)
+# keeps no cache: a batch holds one block's activations at a time. So its
+# buckets take FORWARD_ONLY_MULTIPLE times ROW_BUDGET rows, and pay numpy's
+# per-call cost a third as often. At 3,000 rows, evaluating the seed-1
+# reference corpus peaks at 6.44 MB time-stamped and 4.83 MB whole-clip
+# (tracemalloc), against 3.21 and 2.36 MB at 1,000; both stay below the
+# 8.57 MB of one train() call on that corpus.
+FORWARD_ONLY_MULTIPLE = 3
 
 
 # ---------------------------------------------------------------------------
@@ -252,27 +260,28 @@ class _BucketRows:
                            max(self.n_q, *map(sum, lengths)), tuple(passes))
 
 
-def run_in_buckets(items, run) -> list:
-    """run over (context streams, qa) items in buckets, the items sorted by
-    (bucket_key, input index), so that a padded batch holds items of like
-    length and the order is deterministic. The sorted items with equal
-    context streams (a run, such as the QA items of a whole-clip view) join
-    the current bucket whole if its padded rows (_BucketRows) stay within
-    ROW_BUDGET, or else start a new one, so that a bucket encodes each of
-    their streams once. A run whose rows alone exceed ROW_BUDGET goes item
-    by item instead: a bucket takes its items until the next would push it
-    over. A bucket always takes one item or run. run maps a bucket, a list
-    of input indices, to one result per index. Returns the results in input
-    order."""
+def run_in_buckets(items, run, budget) -> list:
+    """run over (context streams, qa) items in buckets of at most budget
+    padded rows (_BucketRows), the items sorted by (bucket_key, input
+    index), so that a padded batch holds items of like length and the order
+    is deterministic. Model.forward_item passes ROW_BUDGET for a training
+    pass and FORWARD_ONLY_MULTIPLE times it for a forward-only one. The
+    sorted items with equal context streams (a run, such as the QA items of
+    a whole-clip view) join the current bucket whole if its rows stay within
+    budget, or else start a new one, so that a bucket encodes each of their
+    streams once. A run whose rows alone exceed budget goes item by item
+    instead: a bucket takes its items until the next would push it over. A
+    bucket always takes one item or run. run maps a bucket, a list of input
+    indices, to one result per index. Returns the results in input order."""
     order = sorted(range(len(items)), key=lambda i: (bucket_key(*items[i]), i))
     buckets, rows = [], _BucketRows()
     for streams, same in groupby(order, key=lambda i: items[i][0]):
         same = list(same)
         whole = _BucketRows().add(streams, [items[i][1] for i in same])
-        for part in [same] if whole.rows <= ROW_BUDGET else [[i] for i in same]:
+        for part in [same] if whole.rows <= budget else [[i] for i in same]:
             qas = [items[i][1] for i in part]
             more = rows.add(streams, qas)
-            if not buckets or more.rows > ROW_BUDGET:
+            if not buckets or more.rows > budget:
                 buckets.append([])
                 more = _BucketRows().add(streams, qas)
             buckets[-1] += part
@@ -498,10 +507,12 @@ class Model:
         streams built once (context_streams): the QA items of a whole-clip
         view share one build. The items then run through
         run_in_buckets, sorted by bucket_key, as forward_batch batches of
-        items of like length within ROW_BUDGET padded rows. Without backward
-        no batch keeps an activation; with it, each batch keeps its cache,
+        items of like length. Without backward no batch keeps an activation,
+        and a batch takes up to FORWARD_ONLY_MULTIPLE * ROW_BUDGET padded
+        rows; with it, each batch keeps its cache within ROW_BUDGET rows,
         and backward(indices, p_a, cache) runs right after the batch's
-        forward, indices being its items' input positions.
+        forward, indices being its items' input positions. The budget is
+        read from the module at each call.
         """
         # The streams are built here, inside the call that encodes them:
         # perfbench's tracer files a stream under its kind by that nesting.
@@ -519,7 +530,8 @@ class Model:
                 backward(bucket, p_a, cache)
             return list(zip(p_a, empty_context))
 
-        results = run_in_buckets(fed, run)
+        budget = ROW_BUDGET if backward is not None else FORWARD_ONLY_MULTIPLE * ROW_BUDGET
+        results = run_in_buckets(fed, run, budget)
         return np.array([p_a for p_a, _ in results]), [empty for _, empty in results]
 
     def forward_batch(self, batch, keep_cache: bool = True):
@@ -758,5 +770,5 @@ __all__ = [
     "VARIANT_LABELS", "Vocab", "clip_tokens", "build_vocab", "subtitle_stream",
     "qa_stream", "bucket_key", "run_in_buckets", "prepare_sequence", "embed",
     "embed_backward", "joint_loss", "ModelConfig", "ItemResult", "param_table",
-    "draw_params", "init_params", "Model",
+    "draw_params", "init_params", "Model", "FORWARD_ONLY_MULTIPLE",
 ]

@@ -140,10 +140,13 @@ def train(corpus: list[Clip], config: TrainConfig = TrainConfig()):
     Each optimizer batch runs the naming head once per distinct clip, which
     gives the name assignments feeding the semantic streams and the clip's
     RKL term, then the QA part in length-sorted buckets within
-    carn.ROW_BUDGET padded rows. Settings that push a computation out of
-    float range, or a parameter that an Adam step leaves non-finite, raise
-    NumericFaultError (errors.numeric_faults), so no poisoned model is
-    returned.
+    carn.ROW_BUDGET padded rows. The report is an evaluate of the trained
+    model on the corpus, whose forward-only buckets take
+    carn.FORWARD_ONLY_MULTIPLE times as many rows; it runs after the
+    training loop's Adam moments, gradients and items are freed (_fit).
+    Settings that push a computation out of float range, or a parameter
+    that an Adam step leaves non-finite, raise NumericFaultError
+    (errors.numeric_faults), so no poisoned model is returned.
     """
     if not corpus:
         raise EmptyInputError("corpus is empty")
@@ -160,12 +163,28 @@ def train(corpus: list[Clip], config: TrainConfig = TrainConfig()):
     model = Model(vocab, cast, config.model,
                   init_params(init_rng, vocab, cast, config.model, _face_dim(corpus)),
                   modality=config.modality, seed=config.seed)
-    optimizer = nn.Adam(lr=config.learning_rate)
+    losses, clamped, empty_ctx = _fit(model, corpus, config, shuffle_rng)
+    # The loop leaves many small objects' memory on CPython's free lists, where
+    # it stays pinned; without a full collection, the peak memory of repeated
+    # trainings in one process (an ablation grid) ratchets up with each one.
+    gc.collect()
+    report = evaluate(model, corpus, use_ts=config.use_ts)
+    report.config_hash = config.hash()
+    report.losses = losses
+    report.warnings = {"clamped": clamped, "empty_context": empty_ctx}
+    return model, report
 
+
+def _fit(model: Model, corpus: list[Clip], config: TrainConfig, shuffle_rng):
+    """train's epochs: Adam steps on shuffled batches of every QA item.
+    Returns the mean loss of each epoch and the clamp and empty-context
+    counts. The Adam moments, the last batch's gradients and the item list
+    live in this call only, so train's evaluation runs without them."""
+    optimizer = nn.Adam(lr=config.learning_rate)
     # Every item as loss_and_grads takes it: (clip, view, qa, clip targets).
     items = []
     for clip in corpus:
-        targets = broadcast_targets(clip, cast, config.model.epsilon)
+        targets = broadcast_targets(clip, model.cast, config.model.epsilon)
         items += [(clip, clip_view(clip, qa, config.use_ts), qa, targets)
                   for qa in clip.qas]
 
@@ -194,16 +213,7 @@ def train(corpus: list[Clip], config: TrainConfig = TrainConfig()):
                 if not np.isfinite(model.params[k]).all():
                     raise NumericFaultError(f"numeric fault (parameter {k!r} became non-finite)")
         losses.append(epoch_loss / len(items))
-
-    # The loop leaves many small objects' memory on CPython's free lists, where
-    # it stays pinned; without a full collection, the peak memory of repeated
-    # trainings in one process (an ablation grid) ratchets up with each one.
-    gc.collect()
-    report = evaluate(model, corpus, use_ts=config.use_ts)
-    report.config_hash = config.hash()
-    report.losses = losses
-    report.warnings = {"clamped": clamped, "empty_context": empty_ctx}
-    return model, report
+    return losses, clamped, empty_ctx
 
 
 def name_clips(model: Model, corpus: list[Clip]):
@@ -228,9 +238,10 @@ def evaluate(model: Model, corpus: list[Clip], use_ts: bool) -> MetricsReport:
     the corpus goes through one forward_item call: its context streams are
     built once per distinct view, a token the vocabulary lacks embedding as
     the zero row, and it runs as forward-only buckets sorted by
-    carn.bucket_key, each within carn.ROW_BUDGET padded rows. Read-only on
-    the model; NumericFaultError for a model whose activations leave float
-    range."""
+    carn.bucket_key, each within carn.FORWARD_ONLY_MULTIPLE *
+    carn.ROW_BUDGET padded rows: no bucket keeps a cache for backward.
+    Read-only on the model; NumericFaultError for a model whose activations
+    leave float range."""
     if not corpus:
         raise EmptyInputError("corpus is empty")
     face_correct = face_total = 0
@@ -436,10 +447,11 @@ def _mini_setup(rng):
 def _mini_batch(clip: Clip, qa: QAItem):
     """Twelve items: three of _mini_setup's clip and nine of a clip whose
     streams are longer, so that the contexts of a batch pad, each clip's
-    context is shared by several items, and the batch spans two buckets.
-    The second clip's detections and lines repeat 15 times, and its nine
-    items' padded rows alone exceed carn.ROW_BUDGET: they go into the
-    buckets item by item, so that clip has items on both sides of a split."""
+    context is shared by several items, and a training pass of the batch
+    spans two buckets. The second clip's detections and lines repeat 15
+    times, and its nine items' padded rows alone exceed carn.ROW_BUDGET:
+    they go into the training buckets item by item, so that clip has items
+    on both sides of a split."""
     (frame,) = clip.frames
     (face,) = frame.faces
     human = frame.human_boxes[0][0]
@@ -463,9 +475,11 @@ def _mini_batch(clip: Clip, qa: QAItem):
 
 def check_full(rng, report: GradCheckReport) -> None:
     """One random config: joint CE + lambda*RKL on a tiny handmade item,
-    then summed over _mini_batch's twelve items from two clips, run as
-    training runs it (buckets within carn.ROW_BUDGET padded rows, so the
-    second clip's items fall into two of them)."""
+    then summed over _mini_batch's twelve items from two clips. The
+    gradient pass runs as training runs it (buckets within carn.ROW_BUDGET
+    padded rows, so the second clip's items fall into two of them); the
+    finite-difference loss runs forward-only buckets, as an evaluation
+    does, which take carn.FORWARD_ONLY_MULTIPLE times as many rows."""
     model, clip, qa = _mini_setup(rng)
     lam = float(rng.choice([0.5, 1.0, 2.0]))
     for pairs in ([(clip, qa)], _mini_batch(clip, qa)):

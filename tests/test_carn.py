@@ -878,9 +878,9 @@ def draw_batch_setup(data):
 
 class TestBuckets:
     """run_in_buckets cuts the sorted items into buckets that fill the row
-    budget: a run of items with equal context streams joins a bucket whole
-    unless that would push the rows that forward_batch runs on it over
-    carn.ROW_BUDGET, and then starts a new one; a run too long for one
+    budget it is given: a run of items with equal context streams joins a
+    bucket whole unless that would push the rows that forward_batch runs on
+    it over the budget, and then starts a new one; a run too long for one
     bucket goes item by item."""
 
     @settings(max_examples=25, deadline=None)
@@ -891,8 +891,7 @@ class TestBuckets:
         fed = [(model.context_streams(view, names[id(clip)]), qa) for clip, view, qa, _ in pool]
         budget = data.draw(st.integers(0, 3000) | st.just(math.inf))
         buckets = []
-        with mock.patch.object(carn, "ROW_BUDGET", budget):
-            results = carn.run_in_buckets(fed, lambda b: buckets.append(b) or list(b))
+        results = carn.run_in_buckets(fed, lambda b: buckets.append(b) or list(b), budget)
         assert results == list(range(len(fed)))
         order = sorted(range(len(fed)), key=lambda i: (carn.bucket_key(*fed[i]), i))
         assert [i for b in buckets for i in b] == order
@@ -922,8 +921,7 @@ class TestBuckets:
         short, long_ = ((["x"] * 10, [False] * 10),), ((["y"] * 12, [False] * 12),)
         fed = [(short, qa)] + [(long_, qa)] * 4
         buckets = []
-        with mock.patch.object(carn, "ROW_BUDGET", budget):
-            carn.run_in_buckets(fed, lambda b: buckets.append(b) or list(b))
+        carn.run_in_buckets(fed, lambda b: buckets.append(b) or list(b), budget)
         assert buckets == expected
 
 
@@ -1008,7 +1006,8 @@ class TestBatch:
                        for _, view, qa, _ in items}
         micro = []
         carn.run_in_buckets([(own_streams[id(qa)], qa) for _, _, qa, _ in items],
-                            lambda b: micro.append([items[i] for i in b]) or [None] * len(b))
+                            lambda b: micro.append([items[i] for i in b]) or [None] * len(b),
+                            carn.ROW_BUDGET)
         clips_per_micro = [{id(clip) for clip, *_ in mb} for mb in micro]
         crossing = {c for i, a in enumerate(clips_per_micro) for b in clips_per_micro[i + 1:]
                     for c in a & b}
@@ -1065,9 +1064,12 @@ class TestBatch:
         monkeypatch.setattr(model, "forward_batch", lambda b, **kw: (
             kept.append(kw["keep_cache"]) or forward_batch(model, b, **kw)))
         model.loss_and_grads(items, lam=0.7)
+        forward_only = kept[:]
+        del kept[:]
         model.loss_and_grads(items, lam=0.7, grads={})
-        n = len(kept) // 2
-        assert n and kept == [False] * n + [True] * n
+        # The two calls cut different buckets (forward-only ones are larger).
+        assert forward_only and forward_only == [False] * len(forward_only)
+        assert kept and kept == [True] * len(kept)
 
     def test_face_table_built_once_per_clip(self, setup, monkeypatch):
         # One naming step per distinct clip: the table that the head's

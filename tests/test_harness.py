@@ -2,6 +2,7 @@
 runner."""
 
 import copy
+import gc
 import math
 import re
 from dataclasses import fields, replace
@@ -15,12 +16,14 @@ from charqa import carn, harness, nn
 from charqa.carn import (VARIANT_LABELS, ModalityConfig, Model, ModelConfig, draw_params,
                          param_table)
 from charqa.corpus import (DEFAULT_DIALOGUE_VOCAB, MAX_K_PRINCIPALS, MAX_N_EXTRAS, Clip,
-                           GenConfig, config_kwargs, generate_corpus)
+                           GenConfig, clip_view, config_kwargs, generate_corpus)
 from charqa.errors import (CharqaError, ConfigError, EmptyInputError, NumericFaultError,
                            ShapeError)
 from charqa.harness import (METRICS_COLUMNS, GradCheckReport, TrainConfig, _mini_batch,
                             _mini_setup, ablate, evaluate, format_report,
                             grad_check, metrics_csv_text, train, write_metrics_csv)
+from charqa.naming import broadcast_targets
+from test_carn import forward_rows
 
 SMALL_MODEL = ModelConfig(d_model=16, d_ff=24, d_h1=8, heads=2)
 
@@ -149,6 +152,18 @@ class TestConfigFileProperties:
 
 
 class TestTrain:
+    def test_evaluation_runs_without_the_optimizer(self, small_corpus, monkeypatch):
+        # train's own evaluation runs after the training loop's Adam moments
+        # (and its last gradients and item list) are freed.
+        def adams():
+            return sum(isinstance(o, nn.Adam) for o in gc.get_objects())
+
+        before, during = adams(), []
+        monkeypatch.setattr(harness, "evaluate", lambda *a, **kw: (
+            during.append(adams()) or evaluate(*a, **kw)))
+        train(small_corpus, small_config(epochs=1))
+        assert during == [before]
+
     def test_loss_decreases(self, small_corpus, trained):
         _, report, config = trained
         assert len(report.losses) == config.epochs
@@ -287,6 +302,45 @@ class TestEvaluate:
                 assert other_p_a.keys() == p_a.keys()
                 for q, p in p_a.items():
                     assert np.max(np.abs(other_p_a[q] - p)) <= 1e-12
+
+    @pytest.mark.parametrize("budget", [carn.ROW_BUDGET, 300])
+    def test_forward_only_buckets_take_the_larger_budget(self, small_corpus, trained, budget,
+                                                         monkeypatch):
+        # evaluate's batches, and those of a loss without gradients (a
+        # gradient check's), are cut at FORWARD_ONLY_MULTIPLE * ROW_BUDGET
+        # padded rows; a training pass's at ROW_BUDGET. Both budgets are read
+        # at the call, so patching ROW_BUDGET shapes both.
+        model, _, _ = trained
+        forward_batch = Model.forward_batch
+        monkeypatch.setattr(carn, "ROW_BUDGET", budget)
+        forward_only = carn.FORWARD_ONLY_MULTIPLE * budget
+
+        def batches_of(call):
+            batches = []
+            with monkeypatch.context() as m:
+                m.setattr(model, "forward_batch", lambda b, **kw: (
+                    batches.append(list(b)) or forward_batch(model, b, **kw)))
+                call()
+            return batches
+
+        for use_ts in (True, False):
+            items = [(clip, clip_view(clip, qa, use_ts), qa,
+                      broadcast_targets(clip, model.cast, model.config.epsilon))
+                     for clip in small_corpus for qa in clip.qas]
+            for call, cut in ((lambda: evaluate(model, small_corpus, use_ts), forward_only),
+                              (lambda: model.loss_and_grads(items), forward_only),
+                              (lambda: model.loss_and_grads(items, grads={}), budget)):
+                batches = batches_of(call)
+                fed = [item for b in batches for item in b]
+                expected = []
+                carn.run_in_buckets(fed, lambda b: expected.append([fed[i] for i in b])
+                                    or list(b), cut)
+                assert [[id(qa) for _, qa in b] for b in batches] == \
+                    [[id(qa) for _, qa in b] for b in expected]
+                rows = [forward_rows(model, b) for b in batches]
+                assert all(r <= cut for r, b in zip(rows, batches) if len(b) > 1), rows
+                if cut == forward_only:
+                    assert max(rows) > budget, rows
 
     def test_whole_clip_evaluation_encodes_each_stream_once(self, small_corpus, trained,
                                                             monkeypatch):
@@ -585,7 +639,7 @@ class TestGradCheckRunner:
         fed = [(model.context_streams(c, model.name_assignments(c)), q) for c, q in pairs]
         split = []
         carn.run_in_buckets(fed, lambda b: split.append({pairs[i][0].clip_id for i in b})
-                            or [None] * len(b))
+                            or [None] * len(b), carn.ROW_BUDGET)
         assert len(split) > 1 and set.intersection(*split[:2])
 
     def test_detects_corrupted_gradient(self):
