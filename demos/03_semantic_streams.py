@@ -42,8 +42,8 @@ print(f"  {augment_objects_with_names(frame.objects, present)}")
 
 # The nine ablation variants toggle which streams exist and whether they
 # carry names: a variant is the subtitle switch plus its visual runs, and
-# visual_stream lays out the runs it is given. Flags mark name tokens for
-# the embedding tables.
+# visual_stream lays out the runs it is given. Flags mark name tokens; a
+# name takes its own row of the embedding table either way.
 for label in ("Sub", "Sub + Objs", "Sub + Objs_nm + Rels_nm"):
     modality = ModalityConfig.from_label(label)
     toks, flags = visual_stream(clip.frames, modality.runs, names, cast)

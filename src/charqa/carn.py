@@ -12,12 +12,12 @@ attends over the subtitle stream. The context streams are deduplicated
 across the batch and each distinct stream is encoded once by the shared
 encoder. The five pooled candidate vectors of each item pass through one
 self-attention block and a shared scalar head, softmaxed into answer
-probabilities. Name tokens live in their own embedding table, trained from
-scratch, separate from words; a token without a row of its own embeds as
-the zero row that pads use, plus its positional encoding, and trains
-nothing. The vocabulary is fixed when it is built; a pass is embedded by
-one gather from the word and name tables and the zero row, and its
-gradient scattered back by one np.add.at.
+probabilities. Words and names share one embedding table, "embed": the
+word rows, then a row per cast name and UNKNAME, trained from scratch. A
+token without a row of its own embeds as zeros, as pads do, plus its
+positional encoding, and trains nothing. The vocabulary is fixed when it is
+built; a pass is embedded by one gather from the table, and its gradient
+scattered back into the table's gradient in place by one np.add.at.
 
 The QA loss is cross-entropy on the gold option; the naming head trains
 jointly through the regularized-KL term, weighted by lambda. The head runs
@@ -59,7 +59,7 @@ from .naming import (assign_names, broadcast_targets, face_table, naming_backwar
                      naming_forward, rkl_loss_with_grad)
 from .semantics import visual_stream
 
-CHECKPOINT_VERSION = "charqa-ckpt-6"
+CHECKPOINT_VERSION = "charqa-ckpt-7"
 PROB_FLOOR = 1e-12
 
 # Padded rows per bucket of run_in_buckets (_BucketRows counts them) in a
@@ -147,24 +147,26 @@ VARIANT_LABELS = (
 
 @dataclass(frozen=True)
 class Vocab:
-    """The word and name tables' entries.
+    """The embedding table's entries: its word rows, then its name rows.
 
     `rows` maps each (token, name flag) that has a table row to it: a word,
     flagged or not, to its word row, and a cast name, flagged or not, to its
-    name row, past the word rows. Any other token is out of the vocabulary
-    and embeds as the zero row."""
+    name row, past the word rows; a repeated word, or a cast name among the
+    words, raises VocabError. Any other token embeds as zeros."""
 
     words: tuple[str, ...]
-    names: tuple[str, ...]  # cast names + UNKNAME, the name-table rows
+    names: tuple[str, ...]  # cast names + UNKNAME, the name rows
     rows: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if set(self.words) & set(self.names):
-            raise VocabError("word and name index spaces must be disjoint")
+        index = {}
+        for i, t in enumerate(self.words + self.names):
+            if index.setdefault(t, i) != i:
+                raise VocabError(f"vocabulary token {t!r} has more than one row"
+                                 " (a repeated word, or a cast name among the words)")
         # A cast name read as a plain word, as in hand-written subtitle
         # text, takes its name row too.
-        object.__setattr__(self, "rows", {(t, flag): i for i, t in
-                                          enumerate(self.words + self.names)
+        object.__setattr__(self, "rows", {(t, flag): i for t, i in index.items()
                                           for flag in (False, True)})
 
 
@@ -184,9 +186,9 @@ def clip_tokens(clip: Clip, cast: CastList) -> set[str]:
 
 def build_vocab(clips: list[Clip], cast: CastList) -> Vocab:
     """The vocabulary of every token the corpus can feed the network
-    (clip_tokens). Cast names are excluded from the word table: they live
-    in the name table. A token outside the corpus, met at evaluation time,
-    embeds as the zero row."""
+    (clip_tokens). Cast names are excluded from the word rows: they have
+    name rows. A token outside the corpus, met at evaluation time, embeds as
+    zeros."""
     tokens: set[str] = set()
     for clip in clips:
         tokens |= clip_tokens(clip, cast)
@@ -294,7 +296,7 @@ def run_in_buckets(items, run, budget) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Embedding (word / name tables)
+# Embedding (one table: word rows, then name rows)
 
 @lru_cache(maxsize=256)
 def _pe(n: int, d: int) -> np.ndarray:
@@ -303,7 +305,7 @@ def _pe(n: int, d: int) -> np.ndarray:
 
 def prepare_sequence(params, vocab: Vocab, tokens, flags) -> list[int]:
     """The embedding-table rows of a stream's tokens: its vocabulary row for
-    a token that has one, and -1, the zero row, for any other."""
+    a token that has one, and -1, which embeds as zeros, for any other."""
     # params is unread; perfbench's tracer reads tokens, flags as positional args 2, 3.
     rows = vocab.rows
     return [rows.get(key, -1) for key in zip(tokens, flags)]
@@ -311,35 +313,31 @@ def prepare_sequence(params, vocab: Vocab, tokens, flags) -> list[int]:
 
 def embed(params, vocab: Vocab, streams):
     """Embedding + sinusoidal positional encoding of (tokens, flags) streams
-    as one padded (n, L, d) batch, by one gather from the table
-    [embed.word; embed.name; a zero row]. Returns it with its (n, L) mask
-    and the gather's table rows, -1 at pads and at out-of-vocabulary
-    tokens: both gather the zero row, pads without positional encoding."""
+    as one padded (n, L, d) batch, by one gather from params["embed"], read
+    in place. Returns it with its (n, L) mask and the gather's table rows,
+    -1 at pads and at out-of-vocabulary tokens: both embed as zeros, pads
+    without positional encoding."""
     rows = [prepare_sequence(params, vocab, toks, flags) for toks, flags in streams]
     lengths = np.array([len(r) for r in rows])
     mask = np.arange(lengths.max()) < lengths[:, None]
     idx = np.full(mask.shape, -1)
     idx[mask] = np.fromiter(chain.from_iterable(rows), int, lengths.sum())
-    word = params["embed.word"]
-    table = np.concatenate([word, params["embed.name"], np.zeros((1, word.shape[1]))])
-    x = table[idx]
+    x = params["embed"][idx]
+    x[idx < 0] = 0.0
     x += _pe(*x.shape[1:])
     x[~mask] = 0.0
     return x, mask, idx
 
 
 def embed_backward(grads, params, idx, dx) -> None:
-    """Accumulate into the word and name tables' gradients dx, the gradient
-    of embed's (n, L, d) batch, through its gather's table rows; the zero row
-    (-1), at pads and out-of-vocabulary tokens, carries none."""
-    n_words = len(params["embed.word"])
-    # One scatter into the word and name gradients as they stand, so each
-    # row's sum runs in the order of the batch's rows.
-    g = np.concatenate([grads.get("embed.word", np.zeros_like(params["embed.word"])),
-                        grads.get("embed.name", np.zeros_like(params["embed.name"])),
-                        np.zeros((1, dx.shape[-1]))])
-    np.add.at(g, idx, dx)
-    grads["embed.word"], grads["embed.name"] = g[:n_words], g[n_words:-1]
+    """Accumulate dx, the gradient of embed's (n, L, d) batch, into
+    grads["embed"] in place (made only if grads lacks it) by one scatter of
+    the gather's valid rows, in the batch's row order; a row of -1, at pads
+    and out-of-vocabulary tokens, carries none."""
+    if "embed" not in grads:
+        grads["embed"] = np.zeros_like(params["embed"])
+    valid = idx >= 0
+    np.add.at(grads["embed"], idx[valid], dx[valid])
 
 
 def joint_loss(p_a: np.ndarray, gold: int, rkl: float, lam: float = 1.0):
@@ -393,7 +391,8 @@ def param_table(config: ModelConfig, d_f: int, n_words: int,
     """Every parameter of a model, in draw order: name -> (shape, init). A
     float init is a fill; a pair (s, n) draws standard normals times s over
     sqrt(n). The stacks multiply by 1/sqrt(fan-in) and the heads divide by
-    sqrt(fan-in), which round apart. n_classes is the cast plus UNKNAME."""
+    sqrt(fan-in), which round apart. n_classes is the cast plus UNKNAME; embed
+    holds the n_words word rows, then the n_classes name rows (Vocab.rows)."""
     c, d = config, config.d_model
     sc = 1.0 / np.sqrt(d)
     # Attention projections start at half scale: near-uniform early
@@ -405,7 +404,7 @@ def param_table(config: ModelConfig, d_f: int, n_words: int,
              "ln2.g": ((d,), 1.0), "ln2.b": ((d,), 0.0),
              "ffn.w1": ((d, c.d_ff), (sc, 1)), "ffn.b1": ((c.d_ff,), 0.0),
              "ffn.w2": ((c.d_ff, d), (1.0 / np.sqrt(c.d_ff), 1)), "ffn.b2": ((d,), 0.0)}
-    table = {"embed.word": ((n_words, d), (1.0, 1)), "embed.name": ((n_classes, d), (1.0, 1))}
+    table = {"embed": ((n_words + n_classes, d), (1.0, 1))}
     for prefix, n_layers in (("enc", c.enc_layers), ("dec_v", c.dec_layers),
                              ("dec_s", c.dec_layers), ("ans", c.ans_layers)):
         table.update({f"{prefix}.l{i}.{k}": v for i in range(n_layers) for k, v in block.items()})

@@ -772,7 +772,7 @@ def validate_clip(clip: Clip) -> None:
 
 
 def _check_clip(clip: Clip) -> None:
-    # An empty token, or one that is no string, would embed as the zero row
+    # An empty token, or one that is no string, would embed as zeros
     # unnoticed.
     frames = clip.frames
     strings([w for f in frames for _, w in f.human_boxes], "human words")

@@ -55,7 +55,7 @@ class NonFiniteLossError(CharqaError):
 
 
 class VocabError(CharqaError):
-    """A vocabulary whose word and name tables share a token."""
+    """A vocabulary that gives a token more than one embedding row."""
 
 
 class CheckpointError(CharqaError):

@@ -237,7 +237,7 @@ def evaluate(model: Model, corpus: list[Clip], use_ts: bool) -> MetricsReport:
     its items' visual streams use, and its face counts; then every item of
     the corpus goes through one forward_item call: its context streams are
     built once per distinct view, a token the vocabulary lacks embedding as
-    the zero row, and it runs as forward-only buckets sorted by
+    zeros, and it runs as forward-only buckets sorted by
     carn.bucket_key, each within carn.FORWARD_ONLY_MULTIPLE *
     carn.ROW_BUDGET padded rows: no bucket keeps a cache for backward.
     Read-only on the model; NumericFaultError for a model whose activations
@@ -429,8 +429,8 @@ def _mini_setup(rng):
     frame = Frame(0, 0.0, [face], [(human, "man")],
                   [("cup", None)], [RelationTriple("man", "holds", "cup", human)])
     line = SubtitleLine("Ada", ["so", "story"], 0.0, 0.9)
-    # "holdz" stays out of the word table, so the check also runs over an
-    # unseen token: it gathers the zero row and must send no gradient.
+    # "holdz" stays out of the vocabulary, so the check also runs over an
+    # unseen token: it embeds as zeros and must send no gradient.
     # The two-token answer makes the candidates unequal in length, so the
     # encoder batch carries pad rows under its key mask.
     qa = QAItem(["who", "holdz", "cup"],

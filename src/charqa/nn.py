@@ -48,6 +48,8 @@ import numpy as np
 from .errors import EmptyInputError, ShapeError
 
 MASK_FILL = -1e30  # pre-softmax fill for masked keys; exp underflows to 0 exactly
+LN_EPS = 1e-5  # added to the layer-norm variance
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's standard settings
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +105,9 @@ def column_sum(x: np.ndarray) -> np.ndarray:
     return np.ones(x2.shape[0]) @ x2
 
 
-def layernorm_forward(x, g, b, eps: float = 1e-5):
+def layernorm_forward(x, g, b):
     xhat = x - row_mean(x)
-    inv = 1.0 / np.sqrt(row_mean(xhat * xhat) + eps)
+    inv = 1.0 / np.sqrt(row_mean(xhat * xhat) + LN_EPS)
     xhat *= inv
     return _affine(xhat, g, b), (xhat, inv, g)
 
@@ -352,31 +354,28 @@ def sinusoidal_positions(n: int, d: int) -> np.ndarray:
 
 
 class Adam:
-    """Standard Adam over a flat param dict; missing grads are skipped."""
+    """Standard Adam (ADAM_*) over a flat param dict; missing grads are skipped."""
 
-    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, lr=1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
     def step(self, params: dict, grads: dict) -> None:
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - ADAM_BETA1 ** self.t
+        b2t = 1.0 - ADAM_BETA2 ** self.t
         for k in sorted(grads):
             g = grads[k]
             if k not in self.m:
                 self.m[k] = np.zeros_like(params[k])
                 self.v[k] = np.zeros_like(params[k])
-            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * (g * g)
+            self.m[k] = ADAM_BETA1 * self.m[k] + (1 - ADAM_BETA1) * g
+            self.v[k] = ADAM_BETA2 * self.v[k] + (1 - ADAM_BETA2) * (g * g)
             mhat = self.m[k] / b1t
             vhat = self.v[k] / b2t
-            params[k] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            params[k] -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

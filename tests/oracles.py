@@ -71,31 +71,38 @@ def random_rkl_instance(rng, max_faces=20, max_k=6):
     return face_ids, rows, targets, rows_by_face, frame_groups
 
 
+def _oracle_table_row(vocab, tok):
+    """The embedding-table row of a token, or None: a cast name, flagged as
+    a name or not, takes its name row, past the word rows, and a word its
+    word row."""
+    if tok in vocab.names:
+        return len(vocab.words) + vocab.names.index(tok)
+    if tok in vocab.words:
+        return vocab.words.index(tok)
+    return None
+
+
 def oracle_embed(params, vocab, tokens, flags):
-    """Token-by-token embedding rows, without positional encoding: a cast
-    name, flagged as a name or not, takes its name row, a word its word
-    row, and any other token the zero row."""
+    """Token-by-token embedding rows, without positional encoding: a token's
+    table row, and zeros for a token without one."""
     rows = []
     for tok in tokens:
-        if tok in vocab.names:
-            rows.append([float(v) for v in params["embed.name"][vocab.names.index(tok)]])
-        elif tok in vocab.words:
-            rows.append([float(v) for v in params["embed.word"][vocab.words.index(tok)]])
+        i = _oracle_table_row(vocab, tok)
+        if i is None:
+            rows.append([0.0] * params["embed"].shape[1])
         else:
-            rows.append([0.0] * params["embed.word"].shape[1])
+            rows.append([float(v) for v in params["embed"][i]])
     return rows
 
 
 def oracle_embed_backward(params, vocab, tokens, flags, drows, grads):
     """Add each token's row gradient to the table row oracle_embed read, if
-    any; grads maps each table name to a list of row lists."""
+    any; grads["embed"] is a list of row lists."""
     for tok, drow in zip(tokens, drows):
-        if tok in vocab.names:
-            row = grads["embed.name"][vocab.names.index(tok)]
-        elif tok in vocab.words:
-            row = grads["embed.word"][vocab.words.index(tok)]
-        else:
+        i = _oracle_table_row(vocab, tok)
+        if i is None:
             continue
+        row = grads["embed"][i]
         for k in range(len(row)):
             row[k] += float(drow[k])
 
@@ -132,8 +139,9 @@ def oracle_init_naming(rng, params, d_f, d_h1, n_classes):
 def oracle_init_params(rng, vocab, cast, config, d_f):
     """The drawing code of the three init functions and init_params as
     they stood before the parameter table replaced them, draw for draw: the
-    stacks multiply by 1/sqrt(fan-in), the heads divide by sqrt(fan-in),
-    and every stack has a final layer-norm bias."""
+    word and name tables are two tensors, the stacks multiply by
+    1/sqrt(fan-in), the heads divide by sqrt(fan-in), and every stack has a
+    final layer-norm bias."""
     c = config
     p = {}
     p["embed.word"] = rng.standard_normal((len(vocab.words), c.d_model))

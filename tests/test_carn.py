@@ -141,19 +141,25 @@ class TestVocabAndEmbedding:
     def setup(self, tiny_cast):
         vocab = Vocab(("cup", "hold", "what"), tiny_cast.label_names())
         rng = np.random.default_rng(1)
-        params = {"embed.word": rng.standard_normal((3, 6)),
-                  "embed.name": rng.standard_normal((3, 6))}
+        # The word rows, then the name rows.
+        params = {"embed": rng.standard_normal((6, 6))}
         return vocab, params
 
     def test_word_and_name_spaces_disjoint(self):
         with pytest.raises(VocabError):
             Vocab(("Ada",), ("Ada",))
 
+    def test_repeated_word_is_refused(self):
+        # Two rows for one word would leave one of them untrained: rows
+        # would send the word to its last row only.
+        with pytest.raises(VocabError, match="'cup' has more than one row"):
+            Vocab(("cup", "hold", "cup"), ("Ada", "UNKNAME"))
+
     def test_name_flag_selects_name_table(self, setup):
         vocab, params = setup
         x, _, _ = embed(params, vocab, [(["Ada"], [True])])
-        want = params["embed.name"][vocab.names.index("Ada")] + nn.sinusoidal_positions(1, 6)[0]
-        assert np.array_equal(x[0, 0], want)
+        row = params["embed"][len(vocab.words) + vocab.names.index("Ada")]
+        assert np.array_equal(x[0, 0], row + nn.sinusoidal_positions(1, 6)[0])
 
     def test_oov_word_uses_char_mean(self, setup):
         # Out-of-vocabulary words once embedded as the mean of their
@@ -192,7 +198,7 @@ class TestVocabAndEmbedding:
         # unflagged; it still takes its trained name row, not the zero row.
         vocab, params = setup
         x, _, _ = embed(params, vocab, [(["Ada", "Ada"], [False, True])])
-        row = params["embed.name"][vocab.names.index("Ada")]
+        row = params["embed"][len(vocab.words) + vocab.names.index("Ada")]
         assert np.array_equal(x[0], row + nn.sinusoidal_positions(2, 6))
 
     def test_embedding_leaves_the_vocabulary_as_built(self, setup):
@@ -226,8 +232,7 @@ class TestVocabAndEmbedding:
         vocab = Vocab(("cup", "hold", "what"), CastList(("Ada", "Ben"), (10, 5)).label_names())
         rng = np.random.default_rng(seed)
         d = 6
-        params = {"embed.word": rng.standard_normal((3, d)),
-                  "embed.name": rng.standard_normal((3, d))}
+        params = {"embed": rng.standard_normal((6, d))}
         oov = ["zyx", "cupz", "Adah", "x", "whatz", "cup9", "café"]
         pick = {"word": (vocab.words, False), "name": (vocab.names, True),
                 "name as word": (vocab.names, False), "oov": (oov, False)}
@@ -245,14 +250,35 @@ class TestVocabAndEmbedding:
             assert np.all(x[i, n:] == 0.0)
 
         dx = rng.standard_normal(x.shape)
-        start = {k: rng.standard_normal(v.shape) for k, v in params.items()}
-        grads = {k: v.copy() for k, v in start.items()}
+        start = rng.standard_normal(params["embed"].shape)
+        grads = {"embed": start.copy()}
         embed_backward(grads, params, gather, dx)
-        ref = {k: [[float(e) for e in row] for row in v] for k, v in start.items()}
+        ref = {"embed": [[float(e) for e in row] for row in start]}
         for i, (toks, flags) in enumerate(streams):
             oracle_embed_backward(params, vocab, toks, flags, dx[i, :len(toks)], ref)
-        for k in params:
-            assert np.max(np.abs(grads[k] - np.array(ref[k]))) <= 1e-12, k
+        for r, want in enumerate(ref["embed"]):
+            assert np.max(np.abs(grads["embed"][r] - np.array(want))) <= 1e-12, r
+
+    def test_backward_adds_to_the_gradient_in_place(self, setup):
+        # A grads dict that already holds the table's gradient gets the
+        # batch's rows added to that same array; pads and out-of-vocabulary
+        # tokens send nothing, however large their rows of dx.
+        vocab, params = setup
+        x, _, idx = embed(params, vocab, [(["cup", "zyx", "Ada", "cup"], [False] * 4),
+                                          (["what"], [False])])
+        dx = np.full(x.shape, 1e6)
+        dx[idx >= 0] = np.arange(1.0, 5.0)[:, None]
+        start = np.random.default_rng(2).standard_normal(params["embed"].shape)
+        g = start.copy()
+        grads = {"embed": g}
+        embed_backward(grads, params, idx, dx)
+        assert grads["embed"] is g and set(grads) == {"embed"}
+        want = start.copy()
+        for row, add in ((vocab.words.index("cup"), 1.0),
+                         (len(vocab.words) + vocab.names.index("Ada"), 2.0),
+                         (vocab.words.index("cup"), 3.0), (vocab.words.index("what"), 4.0)):
+            want[row] += add
+        assert np.array_equal(g, want)
 
     def test_build_vocab_covers_corpus(self, small_corpus):
         cast = build_cast_list({"Ada": 10, "Ben": 8}, min_count=2, max_ratio=0.1)
@@ -632,10 +658,10 @@ class TestForward:
         # ckpt-1 holds the same tensors but was trained under the single
         # visual context; ckpt-2 stores the name rows apart from the cast and
         # may lack the variant and seed; ckpt-3 records the face size in its
-        # config too; ckpt-4 holds a character table; ckpt-5 holds ans.lnf.b.
-        # None may load silently.
+        # config too; ckpt-4 holds a character table; ckpt-5 holds ans.lnf.b;
+        # ckpt-6 holds the word and name tables apart. None may load silently.
         for version in ("bogus", "charqa-ckpt-1", "charqa-ckpt-2", "charqa-ckpt-3",
-                        "charqa-ckpt-4", "charqa-ckpt-5"):
+                        "charqa-ckpt-4", "charqa-ckpt-5", "charqa-ckpt-6"):
             blob = dict(np.load(path, allow_pickle=False))
             meta = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
             meta["version"] = version
@@ -658,7 +684,7 @@ class TestForward:
             header, {"descr": "<f8", "fortran_order": False, "shape": (10 ** 13, 8)})
         with zipfile.ZipFile(path) as src, zipfile.ZipFile(tmp_path / "huge.npz", "w") as dst:
             for info in src.infolist():
-                dst.writestr(info, header.getvalue() if info.filename == "embed.word.npy"
+                dst.writestr(info, header.getvalue() if info.filename == "embed.npy"
                              else src.read(info))
         with pytest.raises(CheckpointError, match=r"not a charqa checkpoint \(Unable to allocate"):
             Model.load(tmp_path / "huge.npz")
@@ -684,6 +710,20 @@ class TestForward:
                 np.savez(tmp_path / "nonfinite.npz", **blob)
                 with pytest.raises(CheckpointError, match=f"{key}.*finite"):
                     Model.load(tmp_path / "nonfinite.npz")
+
+    def test_checkpoint_with_a_repeated_word_is_refused(self, mini, tmp_path):
+        # Every word set to one: the embed table keeps its shape, but rows
+        # would send that word to the last word row and every other word
+        # to zeros.
+        model, _, _ = mini
+        model.save(tmp_path / "m.npz")
+        blob = dict(np.load(tmp_path / "m.npz", allow_pickle=False))
+        meta = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
+        meta["vocab"]["words"] = [meta["vocab"]["words"][0]] * len(meta["vocab"]["words"])
+        blob["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        np.savez(tmp_path / "repeat.npz", **blob)
+        with pytest.raises(CheckpointError, match="malformed checkpoint meta .*more than one row"):
+            Model.load(tmp_path / "repeat.npz")
 
     def test_face_size_is_the_naming_w1_rows(self, mini, tmp_path):
         import json
@@ -1187,9 +1227,10 @@ class TestCarnGradients:
 class TestParamTable:
     """The one table draws what the per-block init functions it replaced
     drew (tests/oracles.py keeps them), tensor for tensor and bit for bit,
-    in key order; only ans.lnf.b, which never trained, is gone. At d_model
-    32 the heads' division by sqrt(fan-in) and a multiplication by its
-    inverse round apart in about one draw in eight."""
+    in key order; only ans.lnf.b, which never trained, is gone, and the
+    word and name tables, drawn one after the other, are one embed tensor,
+    drawn as one. At d_model 32 the heads' division by sqrt(fan-in) and a
+    multiplication by its inverse round apart in about one draw in eight."""
 
     @pytest.mark.parametrize("d_model, d_ff, d_h1, heads, d_f", [
         (32, 64, 16, 4, 16), (8, 12, 6, 2, 16), (4, 3, 2, 2, 5), (24, 20, 7, 3, 1)])
@@ -1200,6 +1241,8 @@ class TestParamTable:
         got = init_params(np.random.default_rng(d_model), vocab, tiny_cast, config, d_f)
         want = oracle_init_params(np.random.default_rng(d_model), vocab, tiny_cast, config, d_f)
         del want["ans.lnf.b"]
+        want = {"embed": np.concatenate([want.pop("embed.word"), want.pop("embed.name")]),
+                **want}
         assert list(got) == list(want)
         for k, v in want.items():
             assert got[k].dtype == v.dtype and np.array_equal(got[k], v), k
@@ -1257,7 +1300,7 @@ class TestCheckpointFormat:
              "ffn.w1": (4, 3), "ffn.w2": (3, 4), "ln1.b": (4,), "ln1.g": (4,),
              "ln2.b": (4,), "ln2.g": (4,)}
     STACKS = {"enc": 2, "dec_v": 2, "dec_s": 2, "ans": 1}
-    OTHERS = {"embed.word": (3, 4), "embed.name": (3, 4), "ans.head.w": (4,),
+    OTHERS = {"embed": (6, 4), "ans.head.w": (4,),
               "naming.w1": (5, 2), "naming.b1": (2,), "naming.w2": (2, 3), "naming.b2": (3,)}
 
     def test_version_pins_the_drawn_tensors(self, tiny_cast):
@@ -1270,7 +1313,7 @@ class TestCheckpointFormat:
         del want["ans.lnf.b"]
         want.update(self.OTHERS)
         assert (CHECKPOINT_VERSION, sorted((k, v.shape) for k, v in params.items())) == \
-            ("charqa-ckpt-6", sorted(want.items()))
+            ("charqa-ckpt-7", sorted(want.items()))
 
 
 class TestCheckpointRoundTrip:

@@ -344,6 +344,10 @@ class TestTrainEval:
                      id="cast-names-repeat"),
         pytest.param(lambda m: m["cast"]["names"].__setitem__(-1, "UNKNAME"),
                      "malformed checkpoint meta (UNKNAME is reserved", id="cast-names-unkname"),
+        # Same count, so the embed table's shape still fits.
+        pytest.param(lambda m: m["vocab"].update(words=["Guest1"] * len(m["vocab"]["words"])),
+                     "malformed checkpoint meta (vocabulary token 'Guest1' has more than one row",
+                     id="vocab-words-repeat"),
         # Refused by the shape check against the parameter table, which
         # allocates nothing at the claimed size.
         pytest.param(lambda m: m["config"].update(d_ff=10 ** 15),
@@ -365,12 +369,15 @@ class TestTrainEval:
         assert captured.err.count("\n") == 1, captured
 
     def test_checkpoint_of_an_old_format_one_line_error(self, workdir, tmp_path, capsys):
-        # A ckpt-5 file holds ans.lnf.b; a ckpt-6 meta must hold the variant
-        # and the seed.
+        # A ckpt-5 file holds ans.lnf.b; a ckpt-6 file holds the word and
+        # name tables apart; a ckpt-7 meta must hold the variant and the seed.
         ckpt = tmp_path / "old.npz"
         for edit, want in ((lambda m: m.update(version="charqa-ckpt-5"),
                             "unsupported checkpoint version 'charqa-ckpt-5'"
-                            " (expected 'charqa-ckpt-6')"),
+                            " (expected 'charqa-ckpt-7')"),
+                           (lambda m: m.update(version="charqa-ckpt-6"),
+                            "unsupported checkpoint version 'charqa-ckpt-6'"
+                            " (expected 'charqa-ckpt-7')"),
                            (lambda m: m.pop("variant"), f"{ckpt}: checkpoint meta lacks 'variant'"),
                            (lambda m: m.pop("seed"), f"{ckpt}: checkpoint meta lacks 'seed'")):
             blob = dict(np.load(workdir / "model.npz", allow_pickle=False))

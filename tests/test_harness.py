@@ -5,6 +5,7 @@ import copy
 import gc
 import math
 import re
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -419,6 +420,42 @@ class TestEvaluate:
             report = evaluate(model, corpus, use_ts=use_ts)
             assert report.qa_acc == evaluate(model, small_corpus[:4] + [xyzzy] + small_corpus[5:],
                                              use_ts=use_ts).qa_acc
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn's result, the tracemalloc peak of what fn allocates, in bytes)."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryCeiling:
+    """A memory ceiling: the tracemalloc peaks of one train() call, and of
+    evaluate() with and without time stamps, on 24 clips of the reference
+    generator settings (seed 3), ModelConfig(d_model=32, d_ff=64), one
+    epoch. Each ceiling sits about 5% over its measured peak, which moves
+    by a few kB with the hash seed; a change that needs more memory raises
+    the ceiling here, in its own diff."""
+
+    # name -> (measured peak, ceiling), in MB (10^6 bytes)
+    CEILINGS = {"train": (7.13, 7.5), "eval_ts": (2.30, 2.42), "eval_nots": (3.85, 4.05)}
+
+    @pytest.fixture(scope="class")
+    def peaks(self):
+        corpus = generate_corpus(GenConfig(k_principals=4, n_extras=2, n_clips=24,
+                                           noise_sigma=0.1, cooccur_rho=0.9, seed=3))
+        config = TrainConfig(epochs=1, seed=3, model=ModelConfig(d_model=32, d_ff=64))
+        (model, _), train_peak = traced_peak(train, corpus, config)
+        return {"train": train_peak,
+                **{name: traced_peak(evaluate, model, corpus, use_ts=use_ts)[1]
+                   for name, use_ts in (("eval_ts", True), ("eval_nots", False))}}
+
+    @pytest.mark.parametrize("name", list(CEILINGS))
+    def test_peak_stays_under_its_ceiling(self, peaks, name):
+        measured, ceiling = self.CEILINGS[name]
+        assert peaks[name] / 1e6 <= ceiling, (name, peaks[name], measured)
 
 
 class TestNumericFaults:
