@@ -9,8 +9,8 @@ stacks are padded to one (B, N_q, d) tensor fused by co-attention decoders:
 the visual decoder attends over the relation triples, then, in a second
 pass through the same stack, over the objects; a second decoder then
 attends over the subtitle stream. The context streams are deduplicated
-across the batch and each distinct stream is encoded once by the shared
-encoder. The five pooled candidate vectors of each item pass through one
+across the batch by their rows and each distinct stream is encoded once.
+The five pooled candidate vectors of each item pass through one
 self-attention block and a shared scalar head, softmaxed into answer
 probabilities. Words and names share one embedding table, "embed": the
 word rows, then a row per cast name and UNKNAME, trained from scratch. A
@@ -24,14 +24,15 @@ jointly through the regularized-KL term, weighted by lambda. The head runs
 once per distinct clip of a batch: its rows give both the clip's name
 assignment and its RKL term, whose gradient is weighted by the clip's item
 count. The QA part of a batch, and every item of an evaluation, runs
-through Model.forward_item: it builds each item's context streams by one
-function, Model.context_streams, once per distinct (view, names) pair, then
-runs the items through one runner, run_in_buckets, which sorts them by
-bucket_key (the lengths of the streams the passes pad), runs them in
-buckets of neighbours that fill a budget of padded rows, so that the items
-of a padded batch are of like length and a bucket of short items holds more
-of them, and returns every result in input order. The budget is ROW_BUDGET
-for a training pass, whose buckets keep caches for backward, and
+through Model.forward_item, the one boundary between items and the network:
+it resolves each item's streams to tuples of table rows once, its context
+streams by Model.context_streams once per distinct (view, names) pair. Only
+those tuples go on, through one runner, run_in_buckets, which sorts the
+items by bucket_key (the lengths of the streams the passes pad), runs them
+in buckets of neighbours that fill a budget of padded rows, so that a
+padded batch holds items of like length and a bucket of short items holds
+more of them, and returns every result in input order. The budget is
+ROW_BUDGET for a training pass, whose buckets keep caches for backward, and
 FORWARD_ONLY_MULTIPLE times that for a forward-only pass, which keeps none.
 Items with equal context streams join a bucket together, unless they alone
 overflow it.
@@ -224,19 +225,18 @@ def qa_stream(question, answer, cast: CastList):
 # Length buckets
 
 
-def bucket_key(streams, qa: QAItem) -> tuple:
-    """An item's sort key: the lengths of its context streams, in pass
-    order; then the streams themselves, so that items with equal streams
-    (the QA items of a whole-clip view) sort side by side and a bucket
-    encodes their streams once; then its question and answer tokens."""
-    return (*(len(toks) for toks, _ in streams), streams,
-            len(qa.question) + sum(len(a) for a in qa.answers))
+def bucket_key(streams, candidates) -> tuple:
+    """An item's sort key: the lengths of its context streams' row tuples,
+    in pass order; then the streams themselves, so that items with equal
+    streams (the QA items of a whole-clip view) sort side by side and a
+    bucket encodes them once; then its candidates' summed length."""
+    return (*map(len, streams), streams, sum(map(len, candidates)))
 
 
 class _BucketRows:
     """The padded rows Model.forward_batch runs on a bucket, as `rows`: 5B
     times the longest question+answer for the QA encoder; per pass, its
-    distinct non-empty streams, by (tokens, flags), times the longest of
+    distinct non-empty streams, by their rows, times the longest of
     them for the context encoder, and its items with a non-empty stream
     times N_q, the most question+answer rows of an item, for the decoder.
     add gives the count with more items and leaves this one as it is."""
@@ -247,23 +247,23 @@ class _BucketRows:
         self.rows = 5 * items * qa_len + sum(len(distinct) * longest + users * n_q
                                              for distinct, longest, users in passes)
 
-    def add(self, streams, qas) -> _BucketRows:
-        """The count with one item per QAItem of qas added, all of them with
-        the context streams `streams`."""
-        lengths = [[len(qa.question) + len(a) for a in qa.answers] for qa in qas]
+    def add(self, streams, candidates) -> _BucketRows:
+        """The count with one item per entry of candidates (five row tuples)
+        added, all of them with the context streams `streams`."""
+        lengths = [list(map(len, c)) for c in candidates]
         passes = []
-        for (distinct, longest, users), (toks, flags) in zip(
+        for (distinct, longest, users), rows in zip(
                 self.passes or [(frozenset(), 0, 0)] * len(streams), streams, strict=True):
-            if toks:
-                distinct = distinct | {(tuple(toks), tuple(flags))}
-                longest, users = max(longest, len(toks)), users + len(qas)
+            if rows:
+                distinct = distinct | {rows}
+                longest, users = max(longest, len(rows)), users + len(candidates)
             passes.append((distinct, longest, users))
-        return _BucketRows(self.items + len(qas), max(self.qa_len, *chain(*lengths)),
+        return _BucketRows(self.items + len(candidates), max(self.qa_len, *chain(*lengths)),
                            max(self.n_q, *map(sum, lengths)), tuple(passes))
 
 
 def run_in_buckets(items, run, budget) -> list:
-    """run over (context streams, qa) items in buckets of at most budget
+    """run over (context streams, candidates) items in buckets of at most budget
     padded rows (_BucketRows), the items sorted by (bucket_key, input
     index), so that a padded batch holds items of like length and the order
     is deterministic. Model.forward_item passes ROW_BUDGET for a training
@@ -281,11 +281,11 @@ def run_in_buckets(items, run, budget) -> list:
         same = list(same)
         whole = _BucketRows().add(streams, [items[i][1] for i in same])
         for part in [same] if whole.rows <= budget else [[i] for i in same]:
-            qas = [items[i][1] for i in part]
-            more = rows.add(streams, qas)
+            candidates = [items[i][1] for i in part]
+            more = rows.add(streams, candidates)
             if not buckets or more.rows > budget:
                 buckets.append([])
-                more = _BucketRows().add(streams, qas)
+                more = _BucketRows().add(streams, candidates)
             buckets[-1] += part
             rows = more
     results = [None] * len(items)
@@ -303,21 +303,20 @@ def _pe(n: int, d: int) -> np.ndarray:
     return nn.sinusoidal_positions(n, d)
 
 
-def prepare_sequence(params, vocab: Vocab, tokens, flags) -> list[int]:
+def prepare_sequence(params, vocab: Vocab, tokens, flags) -> tuple[int, ...]:
     """The embedding-table rows of a stream's tokens: its vocabulary row for
     a token that has one, and -1, which embeds as zeros, for any other."""
     # params is unread; perfbench's tracer reads tokens, flags as positional args 2, 3.
     rows = vocab.rows
-    return [rows.get(key, -1) for key in zip(tokens, flags)]
+    return tuple([rows.get(key, -1) for key in zip(tokens, flags)])
 
 
-def embed(params, vocab: Vocab, streams):
-    """Embedding + sinusoidal positional encoding of (tokens, flags) streams
-    as one padded (n, L, d) batch, by one gather from params["embed"], read
-    in place. Returns it with its (n, L) mask and the gather's table rows,
-    -1 at pads and at out-of-vocabulary tokens: both embed as zeros, pads
-    without positional encoding."""
-    rows = [prepare_sequence(params, vocab, toks, flags) for toks, flags in streams]
+def embed(params, rows):
+    """Embedding + sinusoidal positional encoding of streams given as tuples
+    of table rows (prepare_sequence), as one padded (n, L, d) batch, by one
+    gather from params["embed"], read in place. Returns it with its (n, L)
+    mask and the gather's table rows, -1 at pads and at out-of-vocabulary
+    tokens: both embed as zeros, pads without positional encoding."""
     lengths = np.array([len(r) for r in rows])
     mask = np.arange(lengths.max()) < lengths[:, None]
     idx = np.full(mask.shape, -1)
@@ -475,19 +474,20 @@ class Model:
         return [("dec_v", (run,)) for run in reversed(m.runs)] + [("dec_s", None)] * m.use_sub
 
     def context_streams(self, view: Clip, face_names: dict[int, str]):
-        """The (tokens, flags) context stream of each pass, in pass order, of
-        a view whose faces are named by face_names: the one place the
-        network's context streams are built."""
-        return tuple(subtitle_stream(view.subtitles, self.cast) if runs is None
-                     else visual_stream(view.frames, runs, face_names, self.cast)
-                     for _, runs in self._passes())
+        """The context stream of each pass, in pass order, of a view whose
+        faces are named by face_names, as a tuple of embedding-table rows:
+        the one place the network's context streams are built."""
+        return tuple(prepare_sequence(self.params, self.vocab, *(
+            subtitle_stream(view.subtitles, self.cast) if runs is None
+            else visual_stream(view.frames, runs, face_names, self.cast)))
+            for _, runs in self._passes())
 
     # -- QA forward ------------------------------------------------------
 
     def _encode(self, streams, keep_cache: bool):
-        """Embed + PE + shared encoder over (tokens, flags) streams, padded
-        to one (n, L, d) key-masked batch."""
-        x, mask, gather = embed(self.params, self.vocab, streams)
+        """Embed + PE + shared encoder over row-tuple streams, padded to one
+        (n, L, d) key-masked batch."""
+        x, mask, gather = embed(self.params, streams)
         h, cache = nn.stack_forward(self.params, "enc", self.config.enc_layers, x,
                                     key_mask=mask, keep_cache=keep_cache)
         return h, mask, (gather, cache)
@@ -497,21 +497,21 @@ class Model:
         dx, _ = nn.stack_backward(self.params, "enc", enc_cache, dh, grads)
         embed_backward(grads, self.params, gather, dx)
 
-    def forward_item(self, items, backward=None):
+    def forward_item(self, items, grads=None):
         """Answer probabilities (N, 5) under the model's own variant of
         (view, qa, face_names) items, in input order, and each item's
-        empty_context count.
+        empty_context count; with grads, it adds in their CE gradient.
 
-        Each distinct (view, face_names) pair, by identity, has its context
-        streams built once (context_streams): the QA items of a whole-clip
-        view share one build. The items then run through
-        run_in_buckets, sorted by bucket_key, as forward_batch batches of
-        items of like length. Without backward no batch keeps an activation,
-        and a batch takes up to FORWARD_ONLY_MULTIPLE * ROW_BUDGET padded
-        rows; with it, each batch keeps its cache within ROW_BUDGET rows,
-        and backward(indices, p_a, cache) runs right after the batch's
-        forward, indices being its items' input positions. The budget is
-        read from the module at each call.
+        Each item's streams become tuples of embedding-table rows here,
+        once: each distinct (view, face_names) pair, by identity, has its
+        context streams built once (context_streams), and each item's five
+        candidates go through prepare_sequence. The (streams, candidates)
+        items then run through run_in_buckets, sorted by bucket_key, as
+        forward_batch batches of like length. Without grads no batch keeps
+        an activation, and a batch takes up to FORWARD_ONLY_MULTIPLE *
+        ROW_BUDGET padded rows; with grads, each batch keeps its cache within
+        ROW_BUDGET rows, and backward_item of dlogits = p_a - onehot(gold)
+        runs right after its forward. The budget is read at each call.
         """
         # The streams are built here, inside the call that encodes them:
         # perfbench's tracer files a stream under its kind by that nesting.
@@ -520,28 +520,32 @@ class Model:
             key = (id(view), id(names))
             if key not in built:
                 built[key] = self.context_streams(view, names)
-            fed.append((built[key], qa))
+            fed.append((built[key], tuple(
+                prepare_sequence(self.params, self.vocab, *qa_stream(qa.question, ans, self.cast))
+                for ans in qa.answers)))
 
         def run(bucket):
             p_a, empty_context, cache = self.forward_batch(
-                [fed[i] for i in bucket], keep_cache=backward is not None)
-            if backward is not None:
-                backward(bucket, p_a, cache)
+                [fed[i] for i in bucket], keep_cache=grads is not None)
+            if grads is not None:
+                dlogits = p_a.copy()
+                dlogits[np.arange(len(bucket)), [items[i][1].correct_index for i in bucket]] -= 1.0
+                self.backward_item(cache, dlogits, grads)
             return list(zip(p_a, empty_context))
 
-        budget = ROW_BUDGET if backward is not None else FORWARD_ONLY_MULTIPLE * ROW_BUDGET
+        budget = ROW_BUDGET if grads is not None else FORWARD_ONLY_MULTIPLE * ROW_BUDGET
         results = run_in_buckets(fed, run, budget)
         return np.array([p_a for p_a, _ in results]), [empty for _, empty in results]
 
     def forward_batch(self, batch, keep_cache: bool = True):
-        """Answer probabilities (B, 5) of a batch of (context streams, qa)
-        items, each item's empty_context count, and the backward cache
-        (None with keep_cache False: then no activation is kept for
-        backward, and a forward-only batch holds one block's activations at
-        a time). It builds no context stream.
+        """Answer probabilities (B, 5) of a batch of (context streams,
+        candidates) items of row tuples, each item's empty_context count,
+        and the backward cache (None with keep_cache False: then no
+        activation is kept for backward, and a forward-only batch holds one
+        block's activations at a time). It reads rows, never tokens.
 
-        The items' context streams are deduplicated per pass by (tokens,
-        flags): each distinct stream is encoded once, all of a pass's
+        The items' context streams are deduplicated per pass by their row
+        tuples: each distinct stream is encoded once, all of a pass's
         distinct streams as one padded batch under a key mask. The 5B
         question+answer sequences go through the encoder as one padded
         batch. Each item's candidates' valid rows are stacked and padded to
@@ -561,30 +565,24 @@ class Model:
         p = self.params
         modality = self.modality
         passes = self._passes()
-        distinct = [{} for _ in passes]  # (tokens, flags) -> distinct stream index
-        streams = [[] for _ in passes]
+        distinct = [{} for _ in passes]  # rows -> distinct stream index, in first-use order
         users = [[] for _ in passes]  # (item, distinct stream index)
         empty_context = []
         for b, (item_streams, _) in enumerate(batch):
             has_visual = has_sub = False
-            for i, ((_, runs), (toks, flags)) in enumerate(zip(passes, item_streams,
-                                                                strict=True)):
-                if not toks:
+            for i, ((_, runs), rows) in enumerate(zip(passes, item_streams, strict=True)):
+                if not rows:
                     continue
                 if runs is None:
                     has_sub = True
                 else:
                     has_visual = True
-                u = distinct[i].setdefault((tuple(toks), tuple(flags)), len(streams[i]))
-                if u == len(streams[i]):
-                    streams[i].append((toks, flags))
-                users[i].append((b, u))
+                users[i].append((b, distinct[i].setdefault(rows, len(distinct[i]))))
             empty_context.append(int(bool(modality.runs) and not has_visual)
                                  + int(modality.use_sub and not has_sub))
 
-        qa_streams = [qa_stream(qa.question, ans, self.cast)
-                      for _, qa in batch for ans in qa.answers]
-        h_q, mask, enc_cache = self._encode(qa_streams, keep_cache)
+        h_q, mask, enc_cache = self._encode([cand for _, cands in batch for cand in cands],
+                                            keep_cache)
         lengths = mask.sum(axis=1)
         rows = lengths.reshape(-1, 5).sum(axis=1)
         q_mask = np.arange(rows.max())[None, :] < rows[:, None]
@@ -592,11 +590,11 @@ class Model:
         v[q_mask] = h_q[mask]
 
         dec_caches = []
-        for (prefix, _), pass_streams, pass_users in zip(passes, streams, users):
+        for (prefix, _), pass_streams, pass_users in zip(passes, distinct, users):
             if not pass_streams:
                 dec_caches.append(None)
                 continue
-            h, ctx_mask, ctx_cache = self._encode(pass_streams, keep_cache)
+            h, ctx_mask, ctx_cache = self._encode(list(pass_streams), keep_cache)
             items, u = (np.array(col) for col in zip(*pass_users))
             v[items], dec_cache = nn.stack_forward(p, prefix, c.dec_layers, v[items], h[u],
                                                    key_mask=ctx_mask[u], keep_cache=keep_cache)
@@ -674,14 +672,8 @@ class Model:
                 if grads is not None and lam * count != 0.0:
                     naming_backward(self.params, table, rows, lam * count * drows, grads)
 
-        def backward(indices, p_a, cache):
-            dlogits = p_a.copy()
-            dlogits[np.arange(len(indices)), [batch[i][2].correct_index for i in indices]] -= 1.0
-            self.backward_item(cache, dlogits, grads)
-
         p_a, empty_context = self.forward_item(
-            [(view, qa, names[id(clip)]) for clip, view, qa, _ in batch],
-            backward=None if grads is None else backward)
+            [(view, qa, names[id(clip)]) for clip, view, qa, _ in batch], grads=grads)
         results = []
         for (clip, _, qa, _), p, empty in zip(batch, p_a, empty_context, strict=True):
             loss, ce, clamped = joint_loss(p, qa.correct_index, rkl[id(clip)], lam)

@@ -25,8 +25,8 @@ from .castlist import (DEFAULT_MAX_RATIO, CastList, build_cast_list, check_thres
                        count_speakers)
 from .corpus import (BBox, Clip, FaceDetection, Frame, QAItem, RelationTriple,
                      SubtitleLine, bounded, clip_view, config_kwargs, typed, validate_clip)
-from .errors import (EmptyInputError, NonFiniteLossError, NumericFaultError, ShapeError,
-                     numeric_faults)
+from .errors import (ConfigError, EmptyInputError, NonFiniteLossError, NumericFaultError,
+                     ShapeError, numeric_faults)
 from .naming import (TargetSeq, broadcast_targets, face_accuracy, naming_backward,
                      naming_forward, rkl_loss_with_grad, smoothed_onehot)
 
@@ -139,8 +139,9 @@ def train(corpus: list[Clip], config: TrainConfig = TrainConfig()):
     first, so a clip with a number out of range raises ClipError naming it.
     Each optimizer batch runs the naming head once per distinct clip, which
     gives the name assignments feeding the semantic streams and the clip's
-    RKL term, then the QA part in length-sorted buckets within
-    carn.ROW_BUDGET padded rows. The report is an evaluate of the trained
+    RKL term, then the QA part: Model.forward_item resolves its streams to
+    table rows once, and each length-sorted bucket within carn.ROW_BUDGET
+    padded rows adds its CE gradient. The report is an evaluate of the trained
     model on the corpus, whose forward-only buckets take
     carn.FORWARD_ONLY_MULTIPLE times as many rows; it runs after the
     training loop's Adam moments, gradients and items are freed (_fit).
@@ -235,11 +236,11 @@ def evaluate(model: Model, corpus: list[Clip], use_ts: bool) -> MetricsReport:
     sidecar; the report carries the model's variant and seed. One name_clips
     pass checks each clip (ClipError naming it) and gives its names, which
     its items' visual streams use, and its face counts; then every item of
-    the corpus goes through one forward_item call: its context streams are
-    built once per distinct view, a token the vocabulary lacks embedding as
-    zeros, and it runs as forward-only buckets sorted by
-    carn.bucket_key, each within carn.FORWARD_ONLY_MULTIPLE *
-    carn.ROW_BUDGET padded rows: no bucket keeps a cache for backward.
+    the corpus goes through one forward_item call: its streams become table
+    rows once per distinct view (an unknown token takes the zero row), and
+    run as forward-only buckets sorted by carn.bucket_key, each within
+    carn.FORWARD_ONLY_MULTIPLE * carn.ROW_BUDGET padded rows, none of
+    which keeps a cache for backward.
     Read-only on the model; NumericFaultError for a model whose activations
     leave float range."""
     if not corpus:
@@ -479,9 +480,11 @@ def check_full(rng, report: GradCheckReport) -> None:
     gradient pass runs as training runs it (buckets within carn.ROW_BUDGET
     padded rows, so the second clip's items fall into two of them); the
     finite-difference loss runs forward-only buckets, as an evaluation
-    does, which take carn.FORWARD_ONLY_MULTIPLE times as many rows."""
+    does, which take carn.FORWARD_ONLY_MULTIPLE times as many rows. A child
+    of rng picks the probed entries, so they move no later config."""
     model, clip, qa = _mini_setup(rng)
     lam = float(rng.choice([0.5, 1.0, 2.0]))
+    probe_rng = rng.spawn(1)[0]
     for pairs in ([(clip, qa)], _mini_batch(clip, qa)):
         batch = [(c, c, q, broadcast_targets(c, model.cast, model.config.epsilon))
                  for c, q in pairs]
@@ -492,7 +495,7 @@ def check_full(rng, report: GradCheckReport) -> None:
         grads: dict[str, np.ndarray] = {}
         model.loss_and_grads(batch, lam=lam, grads=grads)
         report.merge(*nn.check_gradients(loss, model.params, grads, keys=sorted(model.params),
-                                        max_entries_per_tensor=2, rng=rng,
+                                        max_entries_per_tensor=2, rng=probe_rng,
                                         tolerance=report.tolerance))
 
 
@@ -508,8 +511,11 @@ def grad_check(component: str = "all", tolerance: float = 1e-4,
                n_configs: int = 10, seed: int = 0):
     """Run the finite-difference suites, one GradCheckReport per component
     that each of its checks merges into; failures are report entries.
-    ConfigError for no config (a run that checks nothing would pass), a
-    tolerance outside (0, inf), or a negative seed."""
+    ConfigError for an unknown component, no config (a run that checks
+    nothing would pass), a tolerance outside (0, inf), or a negative seed."""
+    if component != "all" and component not in GRAD_CHECKS:
+        raise ConfigError(f"unknown grad-check component {component!r}"
+                          f" (known: all, {', '.join(sorted(GRAD_CHECKS))})")
     bounded(n_configs, "n_configs", 1)
     bounded(tolerance, "tolerance", 0, open_low=True)
     bounded(seed, "seed", 0)

@@ -154,7 +154,7 @@ def test_criterion_6_cast_list_rule():
 
 def test_criterion_7_invariant_suite():
     from charqa import nn
-    from charqa.carn import embed
+    from charqa.carn import embed, prepare_sequence
     from charqa.corpus import QAItem
     from charqa.semantics import replace_names
 
@@ -188,10 +188,10 @@ def test_criterion_7_invariant_suite():
     flags = [False, False, False]
     n_layers = cfg.model.enc_layers
     # A second stream, 4 tokens longer, pads the first by 4 rows.
-    x, mask, _ = embed(model.params, model.vocab,
-                       [(toks, flags), (toks + toks[:1] * 4, flags + flags[:1] * 4)])
+    rows = prepare_sequence(model.params, model.vocab, toks, flags)
+    x, mask, _ = embed(model.params, [rows, rows + rows[:1] * 4])
     y_pad = nn.stack_forward(model.params, "enc", n_layers, x[0], key_mask=mask[0])[0][:3]
-    x0, _, _ = embed(model.params, model.vocab, [(toks, flags)])
+    x0, _, _ = embed(model.params, [rows])
     y0 = nn.stack_forward(model.params, "enc", n_layers, x0[0])[0]
     assert np.max(np.abs(y_pad - y0)) <= 1e-6
     checks.append("pad invariance")

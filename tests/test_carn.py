@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from charqa import carn, nn
 from charqa.carn import (CHECKPOINT_VERSION, ModalityConfig, Model, ModelConfig,
                          VARIANT_LABELS, Vocab, build_vocab, draw_params, embed,
-                         embed_backward, init_params, joint_loss, param_table)
+                         embed_backward, init_params, joint_loss, param_table,
+                         prepare_sequence, qa_stream)
 from charqa.castlist import CastList, build_cast_list, count_speakers
 from charqa.corpus import (BBox, Clip, FaceDetection, Frame, GenConfig, QAItem, SubtitleLine,
                            clip_view, generate_corpus)
@@ -31,6 +32,21 @@ from charqa.semantics import visual_stream
 from oracles import (oracle_embed, oracle_embed_backward, oracle_init_naming,
                      oracle_init_params, oracle_init_stack)
 from test_corpus import JSON_VALUES, json_kind, value_at
+
+
+def embed_tokens(params, vocab, streams):
+    """embed of (tokens, flags) streams, each resolved to its table rows by
+    prepare_sequence, as the model resolves every stream it embeds."""
+    return embed(params, [prepare_sequence(params, vocab, *stream) for stream in streams])
+
+
+def fed_item(model, view, qa, names):
+    """An item as Model.forward_item hands it on: its context streams and
+    its five candidates, as tuples of embedding-table rows."""
+    return (model.context_streams(view, names),
+            tuple(prepare_sequence(model.params, model.vocab,
+                                   *qa_stream(qa.question, answer, model.cast))
+                  for answer in qa.answers))
 
 
 def stack_params(prefix="enc", d_model=8, d_ff=12, heads=4, seed=0):
@@ -157,7 +173,7 @@ class TestVocabAndEmbedding:
 
     def test_name_flag_selects_name_table(self, setup):
         vocab, params = setup
-        x, _, _ = embed(params, vocab, [(["Ada"], [True])])
+        x, _, _ = embed_tokens(params, vocab, [(["Ada"], [True])])
         row = params["embed"][len(vocab.words) + vocab.names.index("Ada")]
         assert np.array_equal(x[0, 0], row + nn.sinusoidal_positions(1, 6)[0])
 
@@ -168,7 +184,7 @@ class TestVocabAndEmbedding:
         # the zero row that pads use and keeps only its positional encoding.
         vocab, params = setup
         toks = ["zyx", "cupz", "dloh", "café"]
-        x, mask, _ = embed(params, vocab, [(toks, [False] * len(toks))])
+        x, mask, _ = embed_tokens(params, vocab, [(toks, [False] * len(toks))])
         assert mask[0].all()
         assert np.array_equal(x[0], nn.sinusoidal_positions(len(toks), 6))
 
@@ -179,10 +195,10 @@ class TestVocabAndEmbedding:
         # takes the pad index, and no gradient reaches any table through it.
         vocab, params = setup
         seen = ["".join(p) for p in itertools.product("zyxcup", repeat=4)]
-        embed(params, vocab, [(seen, [False] * len(seen))])
+        embed_tokens(params, vocab, [(seen, [False] * len(seen))])
         toks = ["zyx", "cup", "café", "zyx", "Ada"]
-        x, _, idx = embed(params, vocab, [(toks, [t == "Ada" for t in toks]),
-                                          (["cup"], [False])])
+        x, _, idx = embed_tokens(params, vocab, [(toks, [t == "Ada" for t in toks]),
+                                                 (["cup"], [False])])
         assert idx.tolist() == [[-1, 0, -1, -1, len(vocab.words) + vocab.names.index("Ada")],
                                 [0, -1, -1, -1, -1]]
         grads = {}
@@ -197,7 +213,7 @@ class TestVocabAndEmbedding:
         # A cast name in plain text, such as inside a subtitle line, is
         # unflagged; it still takes its trained name row, not the zero row.
         vocab, params = setup
-        x, _, _ = embed(params, vocab, [(["Ada", "Ada"], [False, True])])
+        x, _, _ = embed_tokens(params, vocab, [(["Ada", "Ada"], [False, True])])
         row = params["embed"][len(vocab.words) + vocab.names.index("Ada")]
         assert np.array_equal(x[0], row + nn.sinusoidal_positions(2, 6))
 
@@ -205,13 +221,14 @@ class TestVocabAndEmbedding:
         vocab, params = setup
         fresh = Vocab(vocab.words, vocab.names)
         for tok in ("zyx", "cupz", "Adah", "Ada"):
-            embed(params, vocab, [([tok, "cup", "Ada"], [False, False, True]), ([tok], [True])])
+            embed_tokens(params, vocab, [([tok, "cup", "Ada"], [False, False, True]),
+                                         ([tok], [True])])
         assert vocab.rows == fresh.rows
 
     def test_pad_rows_are_zero_and_masked(self, setup):
         vocab, params = setup
-        x, mask, _ = embed(params, vocab, [(["cup", "hold"], [False, False]),
-                                           (["cup"] * 5, [False] * 5)])
+        x, mask, _ = embed_tokens(params, vocab, [(["cup", "hold"], [False, False]),
+                                                  (["cup"] * 5, [False] * 5)])
         assert x.shape[1] == 5
         assert np.all(x[0, 2:] == 0.0)
         assert mask[0].tolist() == [True, True, False, False, False]
@@ -238,7 +255,7 @@ class TestVocabAndEmbedding:
                 "name as word": (vocab.names, False), "oov": (oov, False)}
         streams = [([pick[kind][0][i % len(pick[kind][0])] for kind, i in spec],
                     [pick[kind][1] for kind, _ in spec]) for spec in streams]
-        x, mask, gather = embed(params, vocab, streams)
+        x, mask, gather = embed_tokens(params, vocab, streams)
         width = max(len(toks) for toks, _ in streams)
         pe = nn.sinusoidal_positions(width, d)
         assert x.shape == (len(streams), width, d)
@@ -264,8 +281,8 @@ class TestVocabAndEmbedding:
         # batch's rows added to that same array; pads and out-of-vocabulary
         # tokens send nothing, however large their rows of dx.
         vocab, params = setup
-        x, _, idx = embed(params, vocab, [(["cup", "zyx", "Ada", "cup"], [False] * 4),
-                                          (["what"], [False])])
+        x, _, idx = embed_tokens(params, vocab, [(["cup", "zyx", "Ada", "cup"], [False] * 4),
+                                                 (["what"], [False])])
         dx = np.full(x.shape, 1e6)
         dx[idx >= 0] = np.arange(1.0, 5.0)[:, None]
         start = np.random.default_rng(2).standard_normal(params["embed"].shape)
@@ -878,8 +895,8 @@ class TestForward:
 
 def forward_rows(model, batch) -> int:
     """The padded rows that model.forward_batch runs on a batch of (context
-    streams, qa) items, counted at nn.stack_forward: the rows of the QA and
-    context encoder batches and of the decoder batches."""
+    streams, candidates) items, counted at nn.stack_forward: the rows of the
+    QA and context encoder batches and of the decoder batches."""
     rows = []
     forward = nn.stack_forward
 
@@ -928,7 +945,7 @@ class TestBuckets:
     def test_buckets_fill_the_budget(self, data):
         model, pool = draw_batch_setup(data)
         names = {id(clip): model.name_assignments(clip) for clip, *_ in pool}
-        fed = [(model.context_streams(view, names[id(clip)]), qa) for clip, view, qa, _ in pool]
+        fed = [fed_item(model, view, qa, names[id(clip)]) for clip, view, qa, _ in pool]
         budget = data.draw(st.integers(0, 3000) | st.just(math.inf))
         buckets = []
         results = carn.run_in_buckets(fed, lambda b: buckets.append(b) or list(b), budget)
@@ -955,14 +972,42 @@ class TestBuckets:
     ])
     def test_a_run_of_equal_streams_joins_a_bucket_whole(self, budget, expected):
         # A one-item clip and a whole-clip view of four items, one subtitle
-        # pass each. Cut item by item at 100 rows, the four items' stream
-        # would be encoded in two buckets.
-        qa = QAItem(["who"], [["a"], ["b"], ["c"], ["d"], ["e"]], 0, (0.0, 1.0))
-        short, long_ = ((["x"] * 10, [False] * 10),), ((["y"] * 12, [False] * 12),)
-        fed = [(short, qa)] + [(long_, qa)] * 4
+        # pass each, and five two-row candidates per item. Cut item by item
+        # at 100 rows, the four items' stream would be encoded in two buckets.
+        candidates = ((0, 1),) * 5
+        short, long_ = ((2,) * 10,), ((3,) * 12,)
+        fed = [(short, candidates)] + [(long_, candidates)] * 4
         buckets = []
         carn.run_in_buckets(fed, lambda b: buckets.append(b) or list(b), budget)
         assert buckets == expected
+
+
+    def test_streams_with_equal_rows_encode_once(self, monkeypatch):
+        # Two views whose subtitles differ only in out-of-vocabulary tokens
+        # at the same positions: both tokens take row -1, the zero row, so
+        # the two streams are one row tuple. A bucket counts it as one
+        # distinct stream, and the subtitle pass encodes it once.
+        model, clip, qa = _mini_setup(np.random.default_rng(12))
+        assert not {("café", False), ("xyzzy", False)} & model.vocab.rows.keys()
+        names = model.name_assignments(clip)
+        views = [dataclasses.replace(clip, subtitles=[
+            dataclasses.replace(line, tokens=[token, *line.tokens[1:]])
+            for line in clip.subtitles]) for token in ("café", "xyzzy")]
+        fed = [fed_item(model, view, qa, names) for view in views]
+        assert fed[0] == fed[1]
+        rows = carn._BucketRows()
+        for streams, candidates in fed:
+            rows = rows.add(streams, [candidates])
+        assert [len(distinct) for distinct, _, _ in rows.passes] == [1, 1, 1]
+        assert rows.rows == forward_rows(model, fed)
+        encoded = []
+        forward = nn.stack_forward
+        monkeypatch.setattr(nn, "stack_forward", lambda params, prefix, n, x, *a, **kw: (
+            prefix == "enc" and encoded.append(len(x))) or forward(params, prefix, n, x, *a, **kw))
+        p_a, _ = model.forward_item([(view, qa, names) for view in views])
+        # The QA batch of 2 x 5 candidates, then relations, objects, subtitles.
+        assert encoded == [10, 1, 1, 1]
+        assert np.max(np.abs(p_a[0] - p_a[1])) <= 1e-12
 
 
 class TestBatch:
@@ -1042,10 +1087,10 @@ class TestBatch:
         model, items = setup
         own_names = {id(qa): model.name_assignments(clip) for clip, _, qa, _ in items}
         assert len({tuple(sorted(names.items())) for names in own_names.values()}) > 1
-        own_streams = {id(qa): model.context_streams(view, own_names[id(qa)])
-                       for _, view, qa, _ in items}
+        own_fed = {id(qa): fed_item(model, view, qa, own_names[id(qa)])
+                   for _, view, qa, _ in items}
         micro = []
-        carn.run_in_buckets([(own_streams[id(qa)], qa) for _, _, qa, _ in items],
+        carn.run_in_buckets([own_fed[id(qa)] for _, _, qa, _ in items],
                             lambda b: micro.append([items[i] for i in b]) or [None] * len(b),
                             carn.ROW_BUDGET)
         clips_per_micro = [{id(clip) for clip, *_ in mb} for mb in micro]
@@ -1057,13 +1102,12 @@ class TestBatch:
         monkeypatch.setattr(carn, "naming_forward",
                             lambda *a: heads.append(1) or naming_forward(*a))
         monkeypatch.setattr(model, "forward_batch", lambda b, **kw: (
-            named.extend((id(qa), streams) for streams, qa in b)
-            or forward_batch(model, b, **kw)))
+            named.extend(b) or forward_batch(model, b, **kw)))
         grads = {}
         results = model.loss_and_grads(items, lam=0.7, grads=grads)
         n_clips = len({id(clip) for clip, *_ in items})
         assert len(heads) == n_clips
-        assert named == [(id(qa), own_streams[id(qa)]) for mb in micro for _, _, qa, _ in mb]
+        assert named == [own_fed[id(qa)] for mb in micro for _, _, qa, _ in mb]
         ref_grads, ref = {}, {}
         for mb in micro:
             for (_, _, qa, _), r in zip(mb, model.loss_and_grads(mb, lam=0.7, grads=ref_grads)):
@@ -1082,14 +1126,14 @@ class TestBatch:
         forwarded = []
         forward_batch = Model.forward_batch
         monkeypatch.setattr(model, "forward_batch", lambda b, **kw: (
-            forwarded.extend(id(qa) for _, qa in b) or forward_batch(model, b, **kw)))
+            forwarded.extend(b) or forward_batch(model, b, **kw)))
         results = model.loss_and_grads(items, lam=0.7)
         monkeypatch.undo()
-        position = {id(qa): i for i, (_, _, qa, _) in enumerate(items)}
-        order = [position[q] for q in forwarded]
-        keys = [carn.bucket_key(model.context_streams(view, model.name_assignments(clip)), qa)
-                for clip, view, qa, _ in items]
-        assert order == sorted(range(len(items)), key=lambda i: (keys[i], i))
+        fed = [fed_item(model, view, qa, model.name_assignments(clip))
+               for clip, view, qa, _ in items]
+        assert len(set(fed)) == len(fed)  # so the forwarded items give their positions
+        order = [fed.index(item) for item in forwarded]
+        assert order == sorted(range(len(items)), key=lambda i: (carn.bucket_key(*fed[i]), i))
         assert order != list(range(len(items)))
         for item, r in zip(items, results):
             alone = model.loss_and_grads([item], lam=0.7)[0]
@@ -1161,8 +1205,8 @@ class TestBatch:
                 calls.append(y.shape[0])
             return y, cache
 
-        streams = model.context_streams(clip, names)
-        assert forward_rows(model, [(streams, qa) for qa in clip.qas]) <= carn.ROW_BUDGET
+        assert forward_rows(model, [fed_item(model, clip, qa, names)
+                                    for qa in clip.qas]) <= carn.ROW_BUDGET
         monkeypatch.setattr(nn, "stack_forward", counting_forward)
         p_a, _ = model.forward_item([(clip, qa, names) for qa in clip.qas])
         # One QA batch of 5 candidates per item, then one encode of the one

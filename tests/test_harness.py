@@ -24,7 +24,7 @@ from charqa.harness import (METRICS_COLUMNS, GradCheckReport, TrainConfig, _mini
                             _mini_setup, ablate, evaluate, format_report,
                             grad_check, metrics_csv_text, train, write_metrics_csv)
 from charqa.naming import broadcast_targets
-from test_carn import forward_rows
+from test_carn import fed_item, forward_rows
 
 SMALL_MODEL = ModelConfig(d_model=16, d_ff=24, d_h1=8, heads=2)
 
@@ -336,8 +336,7 @@ class TestEvaluate:
                 expected = []
                 carn.run_in_buckets(fed, lambda b: expected.append([fed[i] for i in b])
                                     or list(b), cut)
-                assert [[id(qa) for _, qa in b] for b in batches] == \
-                    [[id(qa) for _, qa in b] for b in expected]
+                assert batches == expected
                 rows = [forward_rows(model, b) for b in batches]
                 assert all(r <= cut for r, b in zip(rows, batches) if len(b) > 1), rows
                 if cut == forward_only:
@@ -352,8 +351,8 @@ class TestEvaluate:
         model, _, _ = trained
         per_clip = [model.context_streams(clip, model.name_assignments(clip))
                     for clip in small_corpus]
-        streams = {(p, tuple(toks), tuple(flags)) for clip_streams in per_clip
-                   for p, (toks, flags) in enumerate(clip_streams) if toks}
+        streams = {(p, rows) for clip_streams in per_clip
+                   for p, rows in enumerate(clip_streams) if rows}
         assert len(streams) == sum(map(len, per_clip))  # each clip's own, none empty
         encoded = []
         forward = nn.stack_forward
@@ -673,7 +672,7 @@ class TestGradCheckRunner:
         # exceeds the row budget, with a clip's items on both sides of a split.
         model, clip, qa = _mini_setup(np.random.default_rng(0))
         pairs = _mini_batch(clip, qa)
-        fed = [(model.context_streams(c, model.name_assignments(c)), q) for c, q in pairs]
+        fed = [fed_item(model, c, q, model.name_assignments(c)) for c, q in pairs]
         split = []
         carn.run_in_buckets(fed, lambda b: split.append({pairs[i][0].clip_id for i in b})
                             or [None] * len(b), carn.ROW_BUDGET)
@@ -788,6 +787,11 @@ class TestGradCheckRunner:
     def test_refuses_out_of_range_settings(self, kw, needle):
         with pytest.raises(ConfigError, match=needle):
             grad_check("naming", **kw)
+
+    def test_refuses_an_unknown_component_naming_the_known_ones(self):
+        with pytest.raises(ConfigError, match=r"'bogus' \(known: all, coattention, encoder, "
+                                              r"full, naming\)"):
+            grad_check("bogus")
 
     def test_report_merge_and_format(self):
         rep = GradCheckReport("enc", 1e-4)
